@@ -6,36 +6,20 @@ apples-to-apples, and momentum buffers reset at round boundaries everywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nn
 from .data import ClientShard, Dataset
-from .engine import TAG_BATCH, TAG_INIT, RoundRecord, _batches, derive_seed
+from .engine import (TAG_BATCH, TAG_INIT, RoundRecord, TrainingParams,
+                     derive_seed)
 from .nn import ArchitectureSpec, Model
-
-
-@dataclass
-class TrainingParams:
-    rounds: int
-    epochs: int = 2
-    lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    batch_size: int = 20
-    seed: int = 0
 
 
 def _train_ce(model: Model, data: Dataset, params: TrainingParams,
               rng: np.random.Generator) -> Model:
-    """One round's worth of cross-entropy epochs over the given split."""
-    for _ in range(params.epochs):
-        for batch in _batches(data.n, params.batch_size, rng):
-            _, grad = nn.ce_loss_and_grad(model, data.features[batch],
-                                          data.labels[batch])
-            model = nn.sgd_step(model, grad, params.lr, params.momentum,
-                                params.weight_decay)
+    """One round's worth of cross-entropy epochs over the given split, applied
+    to `model` in place; returns it."""
+    nn._train(model, data.features, data.labels, params, rng)
     return model
 
 

@@ -41,7 +41,8 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     n = len(points)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = np.einsum("ij,ij->i", points - centroids[0], points - centroids[0])
+    diff = points - centroids[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -49,8 +50,8 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             continue
         idx = rng.choice(n, p=d2 / total)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, np.einsum("ij,ij->i", points - centroids[j],
-                                      points - centroids[j]))
+        diff = points - centroids[j]
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
     return centroids
 
 

@@ -78,20 +78,27 @@ class RoundRecord:
 
 
 @dataclass
-class FedMeConfig:
+class TrainingParams:
+    """The hyperparameters every algorithm shares; the training loop reads
+    epochs, batch_size, lr, momentum and weight_decay from it."""
+
     rounds: int
     epochs: int = 2
     lr: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 1e-4
     batch_size: int = 20
+    seed: int = 0
+
+
+@dataclass
+class FedMeConfig(TrainingParams):
     schedule: ClusterSchedule = field(default_factory=ClusterSchedule)
     kmeans_restarts: int = 8
     tuning: bool = True
     dml: bool = True
     clustering: bool = True
     exchange: bool = True
-    seed: int = 0
 
 
 @dataclass
@@ -134,39 +141,13 @@ def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
     return ExchangePlan(t, donors, {i: int(assignments[i]) for i in range(n)}, k)
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
-
-
 def dml_train(state: ClientState, config: FedMeConfig,
               rng: np.random.Generator) -> None:
-    """Train personalized and exchanged models in lockstep on identical
+    """Train personalized and exchanged models in place on identical
     batches; with DML off each model gets plain cross-entropy updates."""
     train = state.shard.train
-    for _ in range(config.epochs):
-        for batch in _batches(train.n, config.batch_size, rng):
-            x, y = train.features[batch], train.labels[batch]
-            if config.dml and state.exchanged is not None:
-                _, _, g_p, g_ex = nn.dml_losses_and_grads(
-                    state.personalized, state.exchanged, x, y)
-                state.personalized = nn.sgd_step(
-                    state.personalized, g_p, config.lr, config.momentum,
-                    config.weight_decay)
-                state.exchanged = nn.sgd_step(
-                    state.exchanged, g_ex, config.lr, config.momentum,
-                    config.weight_decay)
-            else:
-                _, g_p = nn.ce_loss_and_grad(state.personalized, x, y)
-                state.personalized = nn.sgd_step(
-                    state.personalized, g_p, config.lr, config.momentum,
-                    config.weight_decay)
-                if state.exchanged is not None:
-                    _, g_ex = nn.ce_loss_and_grad(state.exchanged, x, y)
-                    state.exchanged = nn.sgd_step(
-                        state.exchanged, g_ex, config.lr, config.momentum,
-                        config.weight_decay)
+    nn._train(state.personalized, train.features, train.labels, config, rng,
+              peer=state.exchanged, mutual=config.dml)
 
 
 def model_tuning(loss_p_val: float, loss_ex_val: float, client_id: int,
@@ -315,13 +296,13 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
 def fine_tune(model: Model, shard: ClientShard, epochs: int, lr: float,
               momentum: float = 0.9, weight_decay: float = 1e-4,
               batch_size: int = 20, seed: int = 0) -> Model:
-    """Plain cross-entropy retraining on the client's own train split."""
+    """Plain cross-entropy retraining on the client's own train split: one
+    more round of `epochs` epochs, applied to a copy with zero momentum."""
     tuned = model.copy()
     tuned.reset_momentum()
+    params = TrainingParams(rounds=1, epochs=epochs, lr=lr, momentum=momentum,
+                            weight_decay=weight_decay, batch_size=batch_size,
+                            seed=seed)
     rng = np.random.default_rng(derive_seed(seed, TAG_FINE_TUNE, shard.client_id))
-    for _ in range(epochs):
-        for batch in _batches(shard.train.n, batch_size, rng):
-            x, y = shard.train.features[batch], shard.train.labels[batch]
-            _, grad = nn.ce_loss_and_grad(tuned, x, y)
-            tuned = nn.sgd_step(tuned, grad, lr, momentum, weight_decay)
+    nn._train(tuned, shard.train.features, shard.train.labels, params, rng)
     return tuned

@@ -9,14 +9,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .baselines import (TrainingParams, run_centralized, run_fedavg,
-                        run_hypcluster, run_local_only)
+from .baselines import (run_centralized, run_fedavg, run_hypcluster,
+                        run_local_only)
 from .clustering import ClusterSchedule
 from .data import (ClientShard, PartitionSpec, dirichlet_partition,
                    extract_unlabeled, generate_synthetic, split_shard)
 from .engine import (TAG_PROBE, TAG_SPLIT, FedMeConfig, RoundRecord,
-                     derive_seed, fine_tune, run_fedme)
-from .nn import ArchitectureSpec
+                     TrainingParams, derive_seed, fine_tune, run_fedme)
+from .nn import ACTIVATIONS, ArchitectureSpec
 
 ALGORITHMS = ("fedme", "local_only", "centralized", "fedavg", "hypcluster")
 INIT_POLICIES = ("best_local", "fixed_index", "round_robin")
@@ -137,6 +137,16 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"key 'model_index': {c.model_index} is outside the menu")
     if c.hypcluster_q < 2:
         raise ConfigError("key 'hypcluster_q': must be >= 2")
+    if list(c.cluster_thresholds) != sorted(c.cluster_thresholds):
+        raise ConfigError(f"key 'cluster_thresholds': must be ascending, "
+                          f"got {c.cluster_thresholds}")
+    choices = (("activation", ACTIVATIONS),
+               ("fedavg_weighting", ("size", "uniform")),
+               ("hypcluster_criterion", ("loss", "accuracy")))
+    for key, allowed in choices:
+        if getattr(c, key) not in allowed:
+            raise ConfigError(f"key '{key}': must be one of {allowed}, "
+                              f"got {getattr(c, key)!r}")
     return c
 
 
@@ -175,6 +185,7 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
     """Each client briefly trains every candidate on its own train split and
     keeps the one with the best validation accuracy (ties prefer fewer
     parameters, then the lower menu index)."""
+    probe = replace(params, epochs=probe_epochs)
     choices = []
     for shard in shards:
         scored = []
@@ -182,14 +193,7 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
             model = nn.init_model(arch, derive_seed(seed, TAG_PROBE, shard.client_id, idx))
             rng = np.random.default_rng(
                 derive_seed(seed, TAG_PROBE, shard.client_id, idx, 1))
-            for _ in range(probe_epochs):
-                perm = rng.permutation(shard.train.n)
-                for start in range(0, shard.train.n, params.batch_size):
-                    batch = perm[start:start + params.batch_size]
-                    _, grad = nn.ce_loss_and_grad(model, shard.train.features[batch],
-                                                  shard.train.labels[batch])
-                    model = nn.sgd_step(model, grad, params.lr, params.momentum,
-                                        params.weight_decay)
+            nn._train(model, shard.train.features, shard.train.labels, probe, rng)
             _, acc = nn.evaluate(model, shard.validation.features,
                                  shard.validation.labels)
             scored.append((-acc, arch.parameter_count(), idx))
@@ -253,20 +257,18 @@ def build_federation(config: ExperimentConfig, seed: int):
 
 def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     shards, pool = build_federation(config, seed)
-    params = TrainingParams(config.rounds, config.epochs, config.lr,
-                            config.momentum, config.weight_decay,
-                            config.batch_size, seed)
+    # one record for every algorithm; the baselines read its TrainingParams part
+    params = FedMeConfig(
+        rounds=config.rounds, epochs=config.epochs, lr=config.lr,
+        momentum=config.momentum, weight_decay=config.weight_decay,
+        batch_size=config.batch_size, seed=seed,
+        schedule=ClusterSchedule(config.cluster_thresholds, config.k_max),
+        kmeans_restarts=config.kmeans_restarts, tuning=config.tuning,
+        dml=config.dml, clustering=config.clustering)
     archs = _client_archs(config, shards, params, seed)
 
     if config.algorithm == "fedme":
-        fedme_config = FedMeConfig(
-            rounds=config.rounds, epochs=config.epochs, lr=config.lr,
-            momentum=config.momentum, weight_decay=config.weight_decay,
-            batch_size=config.batch_size,
-            schedule=ClusterSchedule(config.cluster_thresholds, config.k_max),
-            kmeans_restarts=config.kmeans_restarts, tuning=config.tuning,
-            dml=config.dml, clustering=config.clustering, seed=seed)
-        states, records = run_fedme(shards, archs, pool, fedme_config)
+        states, records = run_fedme(shards, archs, pool, params)
         models = [s.personalized for s in states]
     elif config.algorithm == "local_only":
         models, records = run_local_only(shards, archs, params)

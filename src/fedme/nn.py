@@ -1,12 +1,15 @@
 """Minimal feed-forward classifier engine on flat parameter vectors.
 
 Models are plain dataclasses holding a flat float64 parameter vector plus a
-momentum buffer of the same shape. All operations are pure: they return new
-values and never mutate their arguments, so models can be freely copied,
-exchanged, and averaged.
+momentum buffer of the same shape. Training updates a model in place: the
+private `_train` loop steps the parameters and the momentum buffer of the
+models it is given, so callers copy a model first when the original must
+survive. Every other operation is pure and returns new values, and the public
+`sgd_step` stays pure too: it steps a copy.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -84,14 +87,17 @@ class Model:
         self.momentum_buffer = np.zeros_like(self.momentum_buffer)
 
 
+@functools.lru_cache(maxsize=256)
 def _layer_slices(arch: ArchitectureSpec):
-    """Yield (weight_slice, bias_slice, fan_in, fan_out) per layer in storage order."""
+    """(weight_slice, bias_slice, fan_in, fan_out) per layer in storage order."""
     widths = arch.layer_widths
+    layers = []
     offset = 0
     for fi, fo in zip(widths[:-1], widths[1:]):
         w_end = offset + fi * fo
-        yield slice(offset, w_end), slice(w_end, w_end + fo), fi, fo
+        layers.append((slice(offset, w_end), slice(w_end, w_end + fo), fi, fo))
         offset = w_end + fo
+    return tuple(layers)
 
 
 def init_model(arch: ArchitectureSpec, seed: int) -> Model:
@@ -112,14 +118,14 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0  # multiplies like the 0/1 float mask
     return 1.0 - a * a
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _forward_cached(model: Model, features: np.ndarray):
@@ -129,14 +135,14 @@ def _forward_cached(model: Model, features: np.ndarray):
         raise DimensionError(
             f"expected features of width {model.arch.input_dim}, got shape {X.shape}"
         )
-    layers = list(_layer_slices(model.arch))
+    layers = _layer_slices(model.arch)
+    params = model.params
     acts = [X]
     zs = []
     h = X
     for li, (w_sl, b_sl, fi, fo) in enumerate(layers):
-        W = model.params[w_sl].reshape(fo, fi)
-        b = model.params[b_sl]
-        z = h @ W.T + b
+        z = h @ params[w_sl].reshape(fo, fi).T
+        z += params[b_sl]
         zs.append(z)
         if li < len(layers) - 1:
             h = _activate(z, model.arch.activation)
@@ -153,24 +159,21 @@ def forward(model: Model, features: np.ndarray) -> np.ndarray:
 
 def _backprop(model: Model, acts, zs, dlogits: np.ndarray) -> np.ndarray:
     """Flat gradient given the gradient of the loss w.r.t. output logits."""
-    layers = list(_layer_slices(model.arch))
-    grad = np.zeros_like(model.params)
+    layers = _layer_slices(model.arch)
+    params = model.params
+    grad = np.empty_like(params)
     delta = dlogits
     for li in range(len(layers) - 1, -1, -1):
         w_sl, b_sl, fi, fo = layers[li]
-        W = model.params[w_sl].reshape(fo, fi)
-        a_prev = acts[li]
-        grad[w_sl] = (delta.T @ a_prev).ravel()
-        grad[b_sl] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[li], out=grad[w_sl].reshape(fo, fi))
+        np.add.reduce(delta, axis=0, out=grad[b_sl])  # np.sum, minus its dispatch
         if li > 0:
-            da = delta @ W
-            delta = da * _activate_grad(zs[li - 1], acts[li], model.arch.activation)
+            delta = delta @ params[w_sl].reshape(fo, fi)
+            delta *= _activate_grad(zs[li - 1], acts[li], model.arch.activation)
     return grad
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the true class, log clamped at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
+def _checked_labels(probs: np.ndarray, labels) -> np.ndarray:
     labels = np.asarray(labels)
     if probs.ndim != 2 or labels.shape != (probs.shape[0],):
         raise DimensionError(f"probs {probs.shape} and labels {labels.shape} do not align")
@@ -178,6 +181,13 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     if labels.min() < 0 or labels.max() >= m:
         raise ValueError(f"labels must lie in [0, {m}), got range "
                          f"[{labels.min()}, {labels.max()}]")
+    return labels
+
+
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-probability of the true class, log clamped at 1e-12."""
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = _checked_labels(probs, labels)
     picked = probs[np.arange(len(labels)), labels]
     return float(-np.mean(np.log(np.maximum(picked, LOG_CLAMP))))
 
@@ -204,19 +214,28 @@ def dml_losses_and_grads(model_p: Model, model_ex: Model, features: np.ndarray,
     """
     if not model_p.arch.compatible_with(model_ex.arch):
         raise DimensionError("models do not share input_dim / num_classes")
-    labels = np.asarray(labels)
     probs_p, acts_p, zs_p = _forward_cached(model_p, features)
     probs_ex, acts_ex, zs_ex = _forward_cached(model_ex, features)
+    labels = _checked_labels(probs_p, labels)
     n = len(labels)
-    onehot = np.zeros_like(probs_p)
-    onehot[np.arange(n), labels] = 1.0
+    rows = np.arange(n)
 
-    loss_p = cross_entropy(probs_p, labels) + kl_divergence(probs_ex, probs_p)
-    loss_ex = cross_entropy(probs_ex, labels) + kl_divergence(probs_p, probs_ex)
+    # one clamped log per probability serves both the CE and the KL terms
+    log_p = np.log(np.maximum(probs_p, LOG_CLAMP))
+    log_ex = np.log(np.maximum(probs_ex, LOG_CLAMP))
+    log_ratio = log_ex - log_p
+    loss_p = float((probs_ex * log_ratio).sum() - log_p[rows, labels].sum()) / n
+    loss_ex = float(-(probs_p * log_ratio).sum() - log_ex[rows, labels].sum()) / n
 
     # d/dlogits of mean CE is (p - y)/n; of mean KL(t || p) it is (p - t)/n.
-    dlogits_p = (2.0 * probs_p - onehot - probs_ex) / n
-    dlogits_ex = (2.0 * probs_ex - onehot - probs_p) / n
+    dlogits_p = 2.0 * probs_p
+    dlogits_p[rows, labels] -= 1.0
+    dlogits_p -= probs_ex
+    dlogits_p /= n
+    dlogits_ex = 2.0 * probs_ex
+    dlogits_ex[rows, labels] -= 1.0
+    dlogits_ex -= probs_p
+    dlogits_ex /= n
     grad_p = _backprop(model_p, acts_p, zs_p, dlogits_p)
     grad_ex = _backprop(model_ex, acts_ex, zs_ex, dlogits_ex)
     return loss_p, loss_ex, grad_p, grad_ex
@@ -224,28 +243,75 @@ def dml_losses_and_grads(model_p: Model, model_ex: Model, features: np.ndarray,
 
 def ce_loss_and_grad(model: Model, features: np.ndarray, labels: np.ndarray):
     """Plain cross-entropy loss and gradient (no mutual-learning term)."""
-    labels = np.asarray(labels)
     probs, acts, zs = _forward_cached(model, features)
+    labels = _checked_labels(probs, labels)
     n = len(labels)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), labels] = 1.0
-    loss = cross_entropy(probs, labels)
-    grad = _backprop(model, acts, zs, (probs - onehot) / n)
-    return loss, grad
+    rows = np.arange(n)
+    loss = float(-np.log(np.maximum(probs[rows, labels], LOG_CLAMP)).sum()) / n
+    # probs becomes d/dlogits of mean CE, (p - y)/n
+    probs[rows, labels] -= 1.0
+    probs /= n
+    return loss, _backprop(model, acts, zs, probs)
+
+
+def _sgd_update(model: Model, grad: np.ndarray, lr: float, momentum: float,
+                weight_decay: float) -> None:
+    """Momentum step on `model` in place; `grad` is overwritten as scratch."""
+    if lr <= 0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    if not np.isfinite(grad).all():
+        raise ValueError("non-finite gradient")
+    params, buf = model.params, model.momentum_buffer
+    # buf = momentum * buf + (grad + weight_decay * params); params -= lr * buf
+    grad += weight_decay * params
+    buf *= momentum
+    buf += grad
+    np.multiply(buf, lr, out=grad)
+    params -= grad
 
 
 def sgd_step(model: Model, grad: np.ndarray, lr: float, momentum: float = 0.0,
              weight_decay: float = 0.0) -> Model:
-    """Classical momentum SGD; weight decay is added to the gradient first."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    """Classical momentum SGD; weight decay is added to the gradient first.
+    Returns the stepped copy and leaves `model` and `grad` unchanged."""
+    grad = np.array(grad, dtype=np.float64)
     if grad.shape != model.params.shape:
         raise DimensionError("gradient length does not match parameters")
-    if not np.all(np.isfinite(grad)):
-        raise ValueError("non-finite gradient")
-    buf = momentum * model.momentum_buffer + (grad + weight_decay * model.params)
-    return Model(model.arch, model.params - lr * buf, buf)
+    stepped = model.copy()
+    _sgd_update(stepped, grad, lr, momentum, weight_decay)
+    return stepped
+
+
+def _train(model: Model, features: np.ndarray, labels: np.ndarray, params,
+           rng: np.random.Generator, peer: Model | None = None,
+           mutual: bool = True) -> None:
+    """Train `model` in place with momentum SGD for `params.epochs` epochs of
+    mini-batches, shuffled afresh each epoch by `rng`.
+
+    `params` supplies epochs, batch_size, lr, momentum and weight_decay. A
+    `peer` trains on the same batches: jointly by deep mutual learning when
+    `mutual`, otherwise by its own cross-entropy, after `model` (the two
+    updates do not interact, so the order does not matter).
+    """
+    n, size = len(labels), params.batch_size
+    perms = [rng.permutation(n) for _ in range(params.epochs)]
+    batches = [perm[start:start + size] for perm in perms
+               for start in range(0, n, size)]
+    if peer is not None and mutual:
+        runs = [(model, peer)]
+    else:
+        runs = [(m, None) for m in (model, peer) if m is not None]
+    hyper = (params.lr, params.momentum, params.weight_decay)
+    for own, other in runs:
+        for batch in batches:
+            x, y = features[batch], labels[batch]
+            if other is None:
+                _, grad = ce_loss_and_grad(own, x, y)
+                _sgd_update(own, grad, *hyper)
+            else:
+                _, _, grad, other_grad = dml_losses_and_grads(own, other, x, y)
+                _sgd_update(own, grad, *hyper)
+                _sgd_update(other, other_grad, *hyper)
 
 
 def average_params(models: list[Model]) -> Model:

@@ -1,3 +1,6 @@
+import pytest
+
+from fedme import harness
 from fedme.cli import main
 
 TINY = """\
@@ -88,3 +91,23 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("cluster_thresholds", "30,10"),
+    ("hypcluster_criterion", "bogus"),
+    ("fedavg_weighting", "foo"),
+    ("activation", "gelu"),
+])
+def test_invalid_choice_exits_one_before_any_work(tmp_path, capsys, monkeypatch,
+                                                  key, value):
+    built = []
+    monkeypatch.setattr(harness, "build_federation",
+                        lambda *args: built.append(args))
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY.format(alg="fedme")
+                    + f"init_policy = best_local\n{key} = {value}\n")
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{key}'" in err
+    assert not built

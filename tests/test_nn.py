@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedme import nn
+from fedme.engine import TrainingParams
 from fedme.nn import ArchitectureSpec, Model
 
 ARCH = ArchitectureSpec(2, (3,), 2)
@@ -148,6 +149,15 @@ def test_dml_identical_models_reduce_to_ce():
     assert loss_ex == pytest.approx(ce, abs=1e-12)
     assert np.allclose(g_p, g_ex)
 
+    # a pair of different architectures: each loss is CE plus the KL pull
+    peer = nn.init_model(ArchitectureSpec(2, (4, 3), 2, "tanh"), 6)
+    loss_p, loss_ex, _, _ = nn.dml_losses_and_grads(model, peer, x, y)
+    probs_p, probs_ex = nn.forward(model, x), nn.forward(peer, x)
+    assert abs(loss_p - (nn.cross_entropy(probs_p, y)
+                         + nn.kl_divergence(probs_ex, probs_p))) <= 1e-12
+    assert abs(loss_ex - (nn.cross_entropy(probs_ex, y)
+                          + nn.kl_divergence(probs_p, probs_ex))) <= 1e-12
+
 
 def _fd_gradient(loss_fn, params, eps=1e-5):
     grad = np.zeros_like(params)
@@ -230,6 +240,65 @@ def test_sgd_rejects_nonfinite_gradient():
         nn.sgd_step(model, grad, lr=0.1)
     with pytest.raises(ValueError):
         nn.sgd_step(model, np.zeros(17), lr=-0.1)
+
+
+def _reference_train(model, peer, mutual, x, y, params, rng):
+    """Epoch/batch loop over the pure public step, as a bitwise oracle."""
+    hyper = (params.lr, params.momentum, params.weight_decay)
+    for _ in range(params.epochs):
+        perm = rng.permutation(len(y))
+        for start in range(0, len(y), params.batch_size):
+            batch = perm[start:start + params.batch_size]
+            xb, yb = x[batch], y[batch]
+            if peer is not None and mutual:
+                _, _, g, g_peer = nn.dml_losses_and_grads(model, peer, xb, yb)
+                model = nn.sgd_step(model, g, *hyper)
+                peer = nn.sgd_step(peer, g_peer, *hyper)
+                continue
+            _, g = nn.ce_loss_and_grad(model, xb, yb)
+            model = nn.sgd_step(model, g, *hyper)
+            if peer is not None:
+                _, g_peer = nn.ce_loss_and_grad(peer, xb, yb)
+                peer = nn.sgd_step(peer, g_peer, *hyper)
+    return model, peer
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("pairing", ["single", "mutual", "separate"])
+def test_train_loop_matches_pure_sgd_step_bitwise(activation, pairing):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(31, 3))  # 31 rows: the last batch of 7 is short
+    y = rng.integers(0, 3, size=31)
+    params = TrainingParams(rounds=1, epochs=3, lr=0.1, momentum=0.9,
+                            weight_decay=1e-3, batch_size=7)
+    model = nn.init_model(ArchitectureSpec(3, (5,), 3, activation), 1)
+    peer = None
+    if pairing != "single":
+        peer = nn.init_model(ArchitectureSpec(3, (4, 6), 3, activation), 2)
+    mutual = pairing == "mutual"
+    ref_model, ref_peer = _reference_train(
+        model, peer, mutual, x, y, params, np.random.default_rng(5))
+
+    trained = [m.copy() for m in (model, peer) if m is not None]
+    nn._train(trained[0], x, y, params, np.random.default_rng(5),
+              peer=trained[1] if peer is not None else None, mutual=mutual)
+    for got, want in zip(trained, [ref_model, ref_peer]):
+        assert got.params.tobytes() == want.params.tobytes()
+        assert got.momentum_buffer.tobytes() == want.momentum_buffer.tobytes()
+        assert np.any(got.momentum_buffer != 0.0)
+
+
+def test_sgd_step_is_exact_and_leaves_its_arguments_unchanged():
+    model = nn.init_model(ARCH, 3)
+    model.momentum_buffer[:] = np.linspace(0.5, -0.3, 17)
+    grad = np.linspace(-1.0, 1.0, 17)
+    before = (model.params.copy(), model.momentum_buffer.copy(), grad.copy())
+    stepped = nn.sgd_step(model, grad, lr=0.1, momentum=0.9, weight_decay=0.01)
+    buf = 0.9 * model.momentum_buffer + (grad + 0.01 * model.params)
+    assert stepped.momentum_buffer.tobytes() == buf.tobytes()
+    assert stepped.params.tobytes() == (model.params - 0.1 * buf).tobytes()
+    for now, then in zip((model.params, model.momentum_buffer, grad), before):
+        assert np.array_equal(now, then)
 
 
 def test_average_idempotent():

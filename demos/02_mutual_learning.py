@@ -30,6 +30,9 @@ def batches(n, size, rng):
 def run(mutual):
     small = init_model(small_arch, 10)
     deep = init_model(deep_arch, 20)
+    # momentum buffers, carried across every step of the run
+    buf_s = np.zeros(small_arch.parameter_count())
+    buf_d = np.zeros(deep_arch.parameter_count())
     rng = np.random.default_rng(42)
     history = []
     for epoch in range(12):
@@ -40,8 +43,8 @@ def run(mutual):
             else:
                 _, g_s = ce_loss_and_grad(small, x, y)
                 _, g_d = ce_loss_and_grad(deep, x, y)
-            small = sgd_step(small, g_s, lr=0.05, momentum=0.9)
-            deep = sgd_step(deep, g_d, lr=0.05, momentum=0.9)
+            small, buf_s = sgd_step(small, buf_s, g_s, lr=0.05, momentum=0.9)
+            deep, buf_d = sgd_step(deep, buf_d, g_d, lr=0.05, momentum=0.9)
         _, acc_s = evaluate(small, test.features, test.labels)
         _, acc_d = evaluate(deep, test.features, test.labels)
         history.append((acc_s, acc_d))

@@ -2,7 +2,7 @@
 
 All baselines share the round/epoch structure, RNG stream derivation, and
 evaluation operation of the exchange engine so accuracy comparisons are
-apples-to-apples, and momentum buffers reset at round boundaries everywhere.
+apples-to-apples; as everywhere, every training call starts from zero momentum.
 """
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ def run_local_only(shards: list[ClientShard], archs: list[ArchitectureSpec],
     records = []
     for t in range(1, params.rounds + 1):
         for i, shard in enumerate(shards):
-            models[i].reset_momentum()
             rng = np.random.default_rng(derive_seed(params.seed, TAG_BATCH, t, i))
             models[i] = _train_ce(models[i], shard.train, params, rng)
             records.append(_eval_record(models[i], shard, t))
@@ -68,7 +67,6 @@ def run_centralized(shards: list[ClientShard], arch: ArchitectureSpec,
     model = nn.init_model(arch, derive_seed(params.seed, TAG_INIT, 0))
     records = []
     for t in range(1, params.rounds + 1):
-        model.reset_momentum()
         rng = np.random.default_rng(derive_seed(params.seed, TAG_BATCH, t, 0))
         model = _train_ce(model, pooled, params, rng)
         for shard in shards:

@@ -159,16 +159,14 @@ def model_tuning(loss_p_val: float, loss_ex_val: float, client_id: int,
 
 def aggregate(states: list[ClientState], plan: ExchangePlan) -> dict[int, Model]:
     """Per-lineage mean of the owner's trained copy plus every trained
-    exchanged copy of that lineage."""
-    aggregated = {}
+    exchanged copy of that lineage, the copies taken in `states` order."""
+    copies = {state.client_id: [state.personalized] for state in states}
     for state in states:
-        copies = [state.personalized]
-        for other in states:
-            if plan.donor.get(other.client_id) == state.client_id:
-                assert other.exchanged is not None
-                copies.append(other.exchanged)
-        aggregated[state.client_id] = nn.average_params(copies)
-    return aggregated
+        donor = plan.donor.get(state.client_id)
+        if donor is not None:
+            assert state.exchanged is not None
+            copies[donor].append(state.exchanged)
+    return {owner: nn.average_params(models) for owner, models in copies.items()}
 
 
 def redistribute(states: list[ClientState], aggregated: dict[int, Model],
@@ -220,8 +218,6 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
                 state.exchange_origin = donor
         else:
             plan = None
-            for state in states:
-                state.personalized.reset_momentum()
         server_ms = (time.perf_counter() - server_start) * 1000.0
 
         client_ms = {}
@@ -293,16 +289,10 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
     return states, records
 
 
-def fine_tune(model: Model, shard: ClientShard, epochs: int, lr: float,
-              momentum: float = 0.9, weight_decay: float = 1e-4,
-              batch_size: int = 20, seed: int = 0) -> Model:
-    """Plain cross-entropy retraining on the client's own train split: one
-    more round of `epochs` epochs, applied to a copy with zero momentum."""
+def fine_tune(model: Model, shard: ClientShard, params: TrainingParams) -> Model:
+    """Plain cross-entropy retraining of a copy of `model` on the client's own
+    train split, for `params.epochs` epochs."""
     tuned = model.copy()
-    tuned.reset_momentum()
-    params = TrainingParams(rounds=1, epochs=epochs, lr=lr, momentum=momentum,
-                            weight_decay=weight_decay, batch_size=batch_size,
-                            seed=seed)
-    rng = np.random.default_rng(derive_seed(seed, TAG_FINE_TUNE, shard.client_id))
+    rng = np.random.default_rng(derive_seed(params.seed, TAG_FINE_TUNE, shard.client_id))
     nn._train(tuned, shard.train.features, shard.train.labels, params, rng)
     return tuned

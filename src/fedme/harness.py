@@ -117,13 +117,22 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                           f"got {c.algorithm!r}")
     if c.init_policy not in INIT_POLICIES:
         raise ConfigError(f"key 'init_policy': must be one of {INIT_POLICIES}")
-    positive = ("num_clients", "rounds", "batch_size", "lr", "num_classes",
-                "dim", "per_class_count", "noise_sigma", "alpha_size",
-                "train_frac", "val_frac", "test_frac", "unlabeled_count",
-                "k_max", "kmeans_restarts", "repeats")
+    positive = ("rounds", "batch_size", "lr", "per_class_count", "noise_sigma",
+                "alpha_size", "train_frac", "val_frac", "test_frac",
+                "unlabeled_count", "k_max", "kmeans_restarts", "repeats")
     for key in positive:
         if getattr(c, key) <= 0:
             raise ConfigError(f"key '{key}': must be positive, got {getattr(c, key)}")
+    for key in ("num_clients", "num_classes", "dim"):
+        if getattr(c, key) < 2:
+            raise ConfigError(f"key '{key}': must be >= 2, got {getattr(c, key)}")
+    labelled = c.num_classes * c.per_class_count - c.unlabeled_count
+    if labelled <= 0:
+        raise ConfigError(f"key 'unlabeled_count': {c.unlabeled_count} leaves "
+                          f"no labelled rows")
+    if c.num_clients * c.num_classes > labelled:
+        raise ConfigError(f"key 'num_clients': {c.num_clients} clients x {c.num_classes} "
+                          f"classes exceed the {labelled} labelled rows")
     nonnegative = ("epochs", "momentum", "weight_decay", "class_separation",
                    "probe_epochs", "fine_tune_epochs", "model_index")
     for key in nonnegative:
@@ -147,11 +156,15 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         if getattr(c, key) not in allowed:
             raise ConfigError(f"key '{key}': must be one of {allowed}, "
                               f"got {getattr(c, key)!r}")
+    try:
+        menu_archs(c)
+    except ValueError as exc:
+        raise ConfigError(f"key 'model_menu': {exc}") from exc
     return c
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Flat `key = value` file with '#' comments; unknown keys rejected."""
+    """Flat `key = value` file with '#' comments; unknown or repeated keys fail."""
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -167,6 +180,8 @@ def parse_config(path) -> ExperimentConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if not hasattr(_DEFAULTS, key):
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
         values[key] = _parse_value(key, raw)
     if "algorithm" not in values:
         raise ConfigError(f"{path}: required key 'algorithm' is missing")
@@ -180,8 +195,7 @@ def menu_archs(config: ExperimentConfig) -> list[ArchitectureSpec]:
 
 
 def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
-                    probe_epochs: int, params: TrainingParams,
-                    seed: int) -> list[ArchitectureSpec]:
+                    probe_epochs: int, params: TrainingParams) -> list[ArchitectureSpec]:
     """Each client briefly trains every candidate on its own train split and
     keeps the one with the best validation accuracy (ties prefer fewer
     parameters, then the lower menu index)."""
@@ -190,9 +204,9 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
     for shard in shards:
         scored = []
         for idx, arch in enumerate(menu):
-            model = nn.init_model(arch, derive_seed(seed, TAG_PROBE, shard.client_id, idx))
-            rng = np.random.default_rng(
-                derive_seed(seed, TAG_PROBE, shard.client_id, idx, 1))
+            key = (params.seed, TAG_PROBE, shard.client_id, idx)
+            model = nn.init_model(arch, derive_seed(*key))
+            rng = np.random.default_rng(derive_seed(*key, 1))
             nn._train(model, shard.train.features, shard.train.labels, probe, rng)
             _, acc = nn.evaluate(model, shard.validation.features,
                                  shard.validation.labels)
@@ -202,7 +216,7 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
     return choices
 
 
-def _client_archs(config: ExperimentConfig, shards, params, seed):
+def _client_archs(config: ExperimentConfig, shards, params):
     menu = menu_archs(config)
     shared = config.algorithm in ("centralized", "fedavg", "hypcluster")
     if config.init_policy == "fixed_index":
@@ -211,7 +225,7 @@ def _client_archs(config: ExperimentConfig, shards, params, seed):
         if shared:
             return [menu[config.model_index]] * len(shards)
         return [menu[i % len(menu)] for i in range(len(shards))]
-    choices = best_local_init(shards, menu, config.probe_epochs, params, seed)
+    choices = best_local_init(shards, menu, config.probe_epochs, params)
     if shared:
         # these algorithms average across clients, so settle on the
         # architecture most clients picked (ties toward the lower menu index)
@@ -265,7 +279,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
         schedule=ClusterSchedule(config.cluster_thresholds, config.k_max),
         kmeans_restarts=config.kmeans_restarts, tuning=config.tuning,
         dml=config.dml, clustering=config.clustering)
-    archs = _client_archs(config, shards, params, seed)
+    archs = _client_archs(config, shards, params)
 
     if config.algorithm == "fedme":
         states, records = run_fedme(shards, archs, pool, params)
@@ -288,20 +302,17 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
             config.hypcluster_criterion)
         models = [globals_[c].copy() for c in choices]
 
+    # the last round's records already hold the final models' accuracies
+    final = {r.client: r for r in records if r.round == config.rounds}
+    pre = [final[s.client_id].test_acc for s in shards]
+    val = [final[s.client_id].val_acc for s in shards]
     if config.fine_tune_epochs > 0:
-        tuned = [fine_tune(m, s, config.fine_tune_epochs, config.lr,
-                           config.momentum, config.weight_decay,
-                           config.batch_size, seed)
-                 for m, s in zip(models, shards)]
+        tune = replace(params, epochs=config.fine_tune_epochs)
+        tuned = [fine_tune(m, s, tune) for m, s in zip(models, shards)]
+        post = [nn.evaluate(m, s.test.features, s.test.labels)[1]
+                for m, s in zip(tuned, shards)]
     else:
-        tuned = models
-
-    pre = [nn.evaluate(m, s.test.features, s.test.labels)[1]
-           for m, s in zip(models, shards)]
-    post = [nn.evaluate(m, s.test.features, s.test.labels)[1]
-            for m, s in zip(tuned, shards)]
-    val = [nn.evaluate(m, s.validation.features, s.validation.labels)[1]
-           for m, s in zip(models, shards)]
+        tuned, post = models, pre
     weights = np.array([float(s.n) for s in shards])
     return RunResult(
         models=models, tuned_models=tuned, records=records, archs=archs,

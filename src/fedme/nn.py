@@ -1,17 +1,17 @@
 """Minimal feed-forward classifier engine on flat parameter vectors.
 
-Models are plain dataclasses holding a flat float64 parameter vector plus a
-momentum buffer of the same shape. Training updates a model in place: the
-private `_train` loop steps the parameters and the momentum buffer of the
-models it is given, so callers copy a model first when the original must
-survive. Every other operation is pure and returns new values, and the public
-`sgd_step` stays pure too: it steps a copy.
+A model is its parameters: an architecture and a flat float64 vector, exactly
+what a checkpoint stores. Momentum exists only inside the private `_train`
+loop, which gives each model it steps a zero buffer and updates parameters in
+place, so callers copy a model first when the original must survive. Every
+other operation is pure; the public `sgd_step` takes the momentum buffer as an
+argument and returns stepped copies of the model and the buffer.
 """
 from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,25 +66,15 @@ class ArchitectureSpec:
 class Model:
     arch: ArchitectureSpec
     params: np.ndarray
-    momentum_buffer: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=np.float64)
         n = self.arch.parameter_count()
         if self.params.shape != (n,):
             raise ValueError(f"expected {n} parameters, got shape {self.params.shape}")
-        if self.momentum_buffer is None:
-            self.momentum_buffer = np.zeros(n)
-        else:
-            self.momentum_buffer = np.asarray(self.momentum_buffer, dtype=np.float64)
-            if self.momentum_buffer.shape != (n,):
-                raise ValueError("momentum buffer length does not match parameters")
 
     def copy(self) -> "Model":
-        return Model(self.arch, self.params.copy(), self.momentum_buffer.copy())
-
-    def reset_momentum(self) -> None:
-        self.momentum_buffer = np.zeros_like(self.momentum_buffer)
+        return Model(self.arch, self.params.copy())
 
 
 @functools.lru_cache(maxsize=256)
@@ -101,7 +91,7 @@ def _layer_slices(arch: ArchitectureSpec):
 
 
 def init_model(arch: ArchitectureSpec, seed: int) -> Model:
-    """Glorot-uniform weights, zero biases, zero momentum; deterministic by seed."""
+    """Glorot-uniform weights and zero biases; deterministic by seed."""
     rng = np.random.default_rng(seed)
     params = np.zeros(arch.parameter_count())
     for w_sl, _b_sl, fi, fo in _layer_slices(arch):
@@ -254,14 +244,13 @@ def ce_loss_and_grad(model: Model, features: np.ndarray, labels: np.ndarray):
     return loss, _backprop(model, acts, zs, probs)
 
 
-def _sgd_update(model: Model, grad: np.ndarray, lr: float, momentum: float,
-                weight_decay: float) -> None:
-    """Momentum step on `model` in place; `grad` is overwritten as scratch."""
+def _sgd_update(params: np.ndarray, buf: np.ndarray, grad: np.ndarray,
+                lr: float, momentum: float, weight_decay: float) -> None:
+    """Momentum step of `params` and `buf` in place; `grad` is used as scratch."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
-    params, buf = model.params, model.momentum_buffer
     # buf = momentum * buf + (grad + weight_decay * params); params -= lr * buf
     grad += weight_decay * params
     buf *= momentum
@@ -270,23 +259,28 @@ def _sgd_update(model: Model, grad: np.ndarray, lr: float, momentum: float,
     params -= grad
 
 
-def sgd_step(model: Model, grad: np.ndarray, lr: float, momentum: float = 0.0,
-             weight_decay: float = 0.0) -> Model:
+def sgd_step(model: Model, buf: np.ndarray, grad: np.ndarray, lr: float,
+             momentum: float = 0.0,
+             weight_decay: float = 0.0) -> tuple[Model, np.ndarray]:
     """Classical momentum SGD; weight decay is added to the gradient first.
-    Returns the stepped copy and leaves `model` and `grad` unchanged."""
+    Returns the stepped (model, momentum buffer) copies and leaves `model`,
+    `buf` and `grad` unchanged."""
     grad = np.array(grad, dtype=np.float64)
+    buf = np.array(buf, dtype=np.float64)
     if grad.shape != model.params.shape:
         raise DimensionError("gradient length does not match parameters")
+    if buf.shape != model.params.shape:
+        raise DimensionError("momentum buffer length does not match parameters")
     stepped = model.copy()
-    _sgd_update(stepped, grad, lr, momentum, weight_decay)
-    return stepped
+    _sgd_update(stepped.params, buf, grad, lr, momentum, weight_decay)
+    return stepped, buf
 
 
 def _train(model: Model, features: np.ndarray, labels: np.ndarray, params,
            rng: np.random.Generator, peer: Model | None = None,
            mutual: bool = True) -> None:
-    """Train `model` in place with momentum SGD for `params.epochs` epochs of
-    mini-batches, shuffled afresh each epoch by `rng`.
+    """Train `model` in place with momentum SGD from a zero buffer for
+    `params.epochs` epochs of mini-batches, shuffled afresh each epoch by `rng`.
 
     `params` supplies epochs, batch_size, lr, momentum and weight_decay. A
     `peer` trains on the same batches: jointly by deep mutual learning when
@@ -303,19 +297,21 @@ def _train(model: Model, features: np.ndarray, labels: np.ndarray, params,
         runs = [(m, None) for m in (model, peer) if m is not None]
     hyper = (params.lr, params.momentum, params.weight_decay)
     for own, other in runs:
+        own_buf = np.zeros_like(own.params)
+        other_buf = None if other is None else np.zeros_like(other.params)
         for batch in batches:
             x, y = features[batch], labels[batch]
             if other is None:
                 _, grad = ce_loss_and_grad(own, x, y)
-                _sgd_update(own, grad, *hyper)
+                _sgd_update(own.params, own_buf, grad, *hyper)
             else:
                 _, _, grad, other_grad = dml_losses_and_grads(own, other, x, y)
-                _sgd_update(own, grad, *hyper)
-                _sgd_update(other, other_grad, *hyper)
+                _sgd_update(own.params, own_buf, grad, *hyper)
+                _sgd_update(other.params, other_buf, other_grad, *hyper)
 
 
 def average_params(models: list[Model]) -> Model:
-    """Element-wise mean of parameters; momentum buffer reset to zero."""
+    """Element-wise mean of parameters."""
     if not models:
         raise ValueError("cannot average an empty list of models")
     arch = models[0].arch

@@ -98,16 +98,34 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     ("hypcluster_criterion", "bogus"),
     ("fedavg_weighting", "foo"),
     ("activation", "gelu"),
+    ("num_classes", "1"),
+    ("dim", "1"),
+    ("num_clients", "1"),
+    ("unlabeled_count", "120"),  # all 3 x 40 generated rows
+    ("num_clients", "500"),
+    ("model_menu", "8,0"),
+    ("model_menu", "8,8,8,8,8"),
 ])
 def test_invalid_choice_exits_one_before_any_work(tmp_path, capsys, monkeypatch,
                                                   key, value):
     built = []
     monkeypatch.setattr(harness, "build_federation",
                         lambda *args: built.append(args))
+    settings = dict(line.split(" = ") for line in
+                    TINY.format(alg="fedme").splitlines())
+    settings.update({"init_policy": "best_local", key: value})
     path = tmp_path / "exp.cfg"
-    path.write_text(TINY.format(alg="fedme")
-                    + f"init_policy = best_local\n{key} = {value}\n")
+    path.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and f"'{key}'" in err
     assert not built
+
+
+def test_duplicate_config_key_exits_one_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY.format(alg="fedme") + "lr = 0.1\n")
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "duplicate key 'lr'" in err
+    assert f"exp.cfg:{len(TINY.splitlines()) + 1}:" in err

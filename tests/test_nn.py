@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -52,7 +53,6 @@ def test_init_biases_zero_weights_bounded():
     assert np.all(model.params[offset:offset + 20] == 0.0)
     limit = math.sqrt(6.0 / 30)
     assert np.all(np.abs(model.params[:offset]) <= limit)
-    assert np.all(model.momentum_buffer == 0.0)
 
 
 def test_forward_zero_params_uniform():
@@ -214,21 +214,21 @@ def test_ce_gradient_matches_finite_differences():
 def test_sgd_plain_step():
     model = Model(ARCH, np.ones(17))
     grad = np.full(17, 2.0)
-    stepped = nn.sgd_step(model, grad, lr=0.5)
+    stepped, _ = nn.sgd_step(model, np.zeros(17), grad, lr=0.5)
     assert np.allclose(stepped.params, 1.0 - 0.5 * 2.0)
 
 
 def test_sgd_zero_gradient_no_motion():
     model = Model(ARCH, np.arange(17, dtype=float))
-    stepped = nn.sgd_step(model, np.zeros(17), lr=0.1)
+    stepped, _ = nn.sgd_step(model, np.zeros(17), np.zeros(17), lr=0.1)
     assert np.array_equal(stepped.params, model.params)
 
 
 def test_sgd_momentum_two_step_displacement():
     model = Model(ARCH, np.zeros(17))
     grad = np.full(17, 3.0)
-    s1 = nn.sgd_step(model, grad, lr=0.1, momentum=0.9)
-    s2 = nn.sgd_step(s1, grad, lr=0.1, momentum=0.9)
+    s1, buf = nn.sgd_step(model, np.zeros(17), grad, lr=0.1, momentum=0.9)
+    s2, _ = nn.sgd_step(s1, buf, grad, lr=0.1, momentum=0.9)
     assert np.allclose(s2.params, -0.1 * 3.0 * (1 + 1.9))
 
 
@@ -237,14 +237,25 @@ def test_sgd_rejects_nonfinite_gradient():
     grad = np.zeros(17)
     grad[3] = np.nan
     with pytest.raises(ValueError):
-        nn.sgd_step(model, grad, lr=0.1)
+        nn.sgd_step(model, np.zeros(17), grad, lr=0.1)
     with pytest.raises(ValueError):
-        nn.sgd_step(model, np.zeros(17), lr=-0.1)
+        nn.sgd_step(model, np.zeros(17), np.zeros(17), lr=-0.1)
+
+
+def test_sgd_rejects_gradient_or_buffer_of_wrong_length():
+    model = nn.init_model(ARCH, 0)
+    with pytest.raises(nn.DimensionError):
+        nn.sgd_step(model, np.zeros(17), np.zeros(16), lr=0.1)
+    with pytest.raises(nn.DimensionError):
+        nn.sgd_step(model, np.zeros(18), np.zeros(17), lr=0.1)
 
 
 def _reference_train(model, peer, mutual, x, y, params, rng):
-    """Epoch/batch loop over the pure public step, as a bitwise oracle."""
+    """Epoch/batch loop over the pure public step, as a bitwise oracle; each
+    model's momentum buffer starts at zero."""
     hyper = (params.lr, params.momentum, params.weight_decay)
+    buf = np.zeros_like(model.params)
+    peer_buf = None if peer is None else np.zeros_like(peer.params)
     for _ in range(params.epochs):
         perm = rng.permutation(len(y))
         for start in range(0, len(y), params.batch_size):
@@ -252,14 +263,14 @@ def _reference_train(model, peer, mutual, x, y, params, rng):
             xb, yb = x[batch], y[batch]
             if peer is not None and mutual:
                 _, _, g, g_peer = nn.dml_losses_and_grads(model, peer, xb, yb)
-                model = nn.sgd_step(model, g, *hyper)
-                peer = nn.sgd_step(peer, g_peer, *hyper)
+                model, buf = nn.sgd_step(model, buf, g, *hyper)
+                peer, peer_buf = nn.sgd_step(peer, peer_buf, g_peer, *hyper)
                 continue
             _, g = nn.ce_loss_and_grad(model, xb, yb)
-            model = nn.sgd_step(model, g, *hyper)
+            model, buf = nn.sgd_step(model, buf, g, *hyper)
             if peer is not None:
                 _, g_peer = nn.ce_loss_and_grad(peer, xb, yb)
-                peer = nn.sgd_step(peer, g_peer, *hyper)
+                peer, peer_buf = nn.sgd_step(peer, peer_buf, g_peer, *hyper)
     return model, peer
 
 
@@ -284,20 +295,24 @@ def test_train_loop_matches_pure_sgd_step_bitwise(activation, pairing):
               peer=trained[1] if peer is not None else None, mutual=mutual)
     for got, want in zip(trained, [ref_model, ref_peer]):
         assert got.params.tobytes() == want.params.tobytes()
-        assert got.momentum_buffer.tobytes() == want.momentum_buffer.tobytes()
-        assert np.any(got.momentum_buffer != 0.0)
+    # the oracle applies momentum: without it, it ends elsewhere
+    plain_model, _ = _reference_train(
+        model, peer, mutual, x, y, dataclasses.replace(params, momentum=0.0),
+        np.random.default_rng(5))
+    assert plain_model.params.tobytes() != ref_model.params.tobytes()
 
 
 def test_sgd_step_is_exact_and_leaves_its_arguments_unchanged():
     model = nn.init_model(ARCH, 3)
-    model.momentum_buffer[:] = np.linspace(0.5, -0.3, 17)
+    buf = np.linspace(0.5, -0.3, 17)
     grad = np.linspace(-1.0, 1.0, 17)
-    before = (model.params.copy(), model.momentum_buffer.copy(), grad.copy())
-    stepped = nn.sgd_step(model, grad, lr=0.1, momentum=0.9, weight_decay=0.01)
-    buf = 0.9 * model.momentum_buffer + (grad + 0.01 * model.params)
-    assert stepped.momentum_buffer.tobytes() == buf.tobytes()
-    assert stepped.params.tobytes() == (model.params - 0.1 * buf).tobytes()
-    for now, then in zip((model.params, model.momentum_buffer, grad), before):
+    before = (model.params.copy(), buf.copy(), grad.copy())
+    stepped, stepped_buf = nn.sgd_step(model, buf, grad, lr=0.1, momentum=0.9,
+                                       weight_decay=0.01)
+    want_buf = 0.9 * buf + (grad + 0.01 * model.params)
+    assert stepped_buf.tobytes() == want_buf.tobytes()
+    assert stepped.params.tobytes() == (model.params - 0.1 * want_buf).tobytes()
+    for now, then in zip((model.params, buf, grad), before):
         assert np.array_equal(now, then)
 
 
@@ -305,7 +320,6 @@ def test_average_idempotent():
     model = nn.init_model(ARCH, 4)
     avg = nn.average_params([model.copy() for _ in range(5)])
     assert np.allclose(avg.params, model.params, atol=1e-15)
-    assert np.all(avg.momentum_buffer == 0.0)
 
 
 def test_average_arithmetic_and_permutation():
@@ -359,6 +373,21 @@ def test_serialize_round_trip():
     restored = nn.deserialize_model(nn.serialize_model(model))
     assert restored.arch == model.arch
     assert np.array_equal(restored.params, model.params)
+
+
+def test_trained_model_survives_a_checkpoint_field_for_field():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(12, 3))
+    y = rng.integers(0, 3, size=12)
+    model = nn.init_model(ArchitectureSpec(3, (4,), 3), 0)
+    nn._train(model, x, y, TrainingParams(rounds=1, epochs=2, batch_size=5), rng)
+    restored = nn.deserialize_model(nn.serialize_model(model))
+    for f in dataclasses.fields(Model):
+        got, want = getattr(restored, f.name), getattr(model, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        else:
+            assert got == want
 
 
 def test_serialize_size_matches_layout():

@@ -23,11 +23,9 @@ def _train_ce(model: Model, data: Dataset, params: TrainingParams,
     return model
 
 
-def _eval_record(model: Model, shard: ClientShard, t: int, k: int | None = None,
-                 loss_tr: float | None = None) -> RoundRecord:
-    loss_p_train = loss_tr
-    if loss_p_train is None:
-        loss_p_train, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
+def _eval_record(model: Model, shard: ClientShard, t: int,
+                 k: int | None = None) -> RoundRecord:
+    loss_p_train, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
     loss_p_val, val_acc = nn.evaluate(model, shard.validation.features,
                                       shard.validation.labels)
     _, test_acc = nn.evaluate(model, shard.test.features, shard.test.labels)

@@ -38,16 +38,14 @@ class ClientState:
     shard: ClientShard
     personalized: Model
     exchanged: Model | None = None
-    exchange_origin: int | None = None
     selection: int | None = None
-
-    def clear_exchange(self) -> None:
-        self.exchanged = None
-        self.exchange_origin = None
 
 
 @dataclass
 class ExchangePlan:
+    """Who borrows whose model this round; with exchange off it is empty and
+    every lineage averages to its owner's copy alone."""
+
     round: int
     donor: dict[int, int]
     cluster_of: dict[int, int]
@@ -175,13 +173,64 @@ def redistribute(states: list[ClientState], aggregated: dict[int, Model],
     for state in states:
         state.personalized = aggregated[selections[state.client_id]].copy()
         state.selection = selections[state.client_id]
-        state.clear_exchange()
+        state.exchanged = None
+
+
+def _plan_round(states: list[ClientState], pool: UnlabeledPool, t: int,
+                config: FedMeConfig, overrides: RoundOverrides) -> ExchangePlan:
+    """Cluster the clients on their pool predictions and draw one donor each."""
+    n = len(states)
+    k = cluster_count(t, config.schedule, n) if config.clustering else 1
+    assignments = overrides.clusters(t, n) if overrides.clusters else None
+    if assignments is None:
+        if k == 1:
+            assignments = np.zeros(n, dtype=np.int64)
+        else:
+            feats = model_outputs_on_unlabeled([s.personalized for s in states], pool)
+            assignments, _ = kmeans(
+                feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0],
+                config.kmeans_restarts)
+    donors_override = overrides.donors(t, assignments) if overrides.donors else None
+    return assign_exchanges(assignments, t, config.seed, donors_override)
+
+
+def _train_and_select(state: ClientState, plan: ExchangePlan, config: FedMeConfig,
+                      overrides: RoundOverrides) -> RoundRecord:
+    """Train the client's models, then pick the lineage it keeps. The record's
+    accuracies and server time are filled in after redistribution."""
+    start = time.perf_counter()
+    t, cid, shard = plan.round, state.client_id, state.shard
+    donor = plan.donor.get(cid)
+    rng = np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, cid))
+    dml_train(state, config, rng)
+    loss_p_train, _ = nn.evaluate(state.personalized, shard.train.features,
+                                  shard.train.labels)
+    loss_p_val, _ = nn.evaluate(state.personalized, shard.validation.features,
+                                shard.validation.labels)
+    loss_ex_train = loss_ex_val = None
+    if donor is not None:
+        loss_ex_train, _ = nn.evaluate(state.exchanged, shard.train.features,
+                                       shard.train.labels)
+        loss_ex_val, _ = nn.evaluate(state.exchanged, shard.validation.features,
+                                     shard.validation.labels)
+    a = (overrides.selections(t, cid, loss_p_val, loss_ex_val)
+         if overrides.selections else None)
+    if a is None:
+        a = (model_tuning(loss_p_val, loss_ex_val, cid, donor)
+             if config.tuning and donor is not None else cid)
+    return RoundRecord(
+        round=t, client=cid, k=plan.k, cluster=plan.cluster_of.get(cid),
+        donor=donor, a=a, loss_p_train=loss_p_train, loss_ex_train=loss_ex_train,
+        loss_p_val=loss_p_val, loss_ex_val=loss_ex_val,
+        val_acc=float("nan"), test_acc=float("nan"),
+        client_ms=(time.perf_counter() - start) * 1000.0, server_ms=0.0)
 
 
 def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
               pool: UnlabeledPool, config: FedMeConfig,
               overrides: RoundOverrides | None = None):
-    """Run the full exchange/train/tune/aggregate/redistribute loop.
+    """Run the full exchange/train/tune/aggregate/redistribute loop. With
+    exchange off each round runs the empty plan through the same steps.
 
     Returns (final client states, round records)."""
     n = len(shards)
@@ -196,95 +245,31 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
 
     for t in range(1, config.rounds + 1):
         server_start = time.perf_counter()
-        if config.exchange:
-            k = cluster_count(t, config.schedule, n) if config.clustering else 1
-            assignments = None
-            if overrides.clusters is not None:
-                assignments = overrides.clusters(t, n)
-            if assignments is None:
-                if k == 1:
-                    assignments = np.zeros(n, dtype=np.int64)
-                else:
-                    feats = model_outputs_on_unlabeled(
-                        [s.personalized for s in states], pool)
-                    assignments, _ = kmeans(
-                        feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0],
-                        config.kmeans_restarts)
-            donors_override = overrides.donors(t, assignments) if overrides.donors else None
-            plan = assign_exchanges(assignments, t, config.seed, donors_override)
-            for state in states:
-                donor = plan.donor[state.client_id]
+        plan = (_plan_round(states, pool, t, config, overrides) if config.exchange
+                else ExchangePlan(t, {}, {}, 1))
+        for state in states:
+            donor = plan.donor.get(state.client_id)
+            if donor is not None:
                 state.exchanged = states[donor].personalized.copy()
-                state.exchange_origin = donor
-        else:
-            plan = None
         server_ms = (time.perf_counter() - server_start) * 1000.0
 
-        client_ms = {}
-        selections = {}
-        client_losses = {}
-        for state in states:
-            start = time.perf_counter()
-            rng = np.random.default_rng(
-                derive_seed(config.seed, TAG_BATCH, t, state.client_id))
-            dml_train(state, config, rng)
-            loss_p_train, _ = nn.evaluate(state.personalized,
-                                          state.shard.train.features,
-                                          state.shard.train.labels)
-            loss_p_val, _ = nn.evaluate(state.personalized,
-                                        state.shard.validation.features,
-                                        state.shard.validation.labels)
-            if state.exchanged is not None:
-                loss_ex_train, _ = nn.evaluate(state.exchanged,
-                                               state.shard.train.features,
-                                               state.shard.train.labels)
-                loss_ex_val, _ = nn.evaluate(state.exchanged,
-                                             state.shard.validation.features,
-                                             state.shard.validation.labels)
-            else:
-                loss_ex_train = loss_ex_val = None
-
-            a = None
-            if overrides.selections is not None:
-                a = overrides.selections(t, state.client_id, loss_p_val, loss_ex_val)
-            if a is None:
-                if config.tuning and state.exchange_origin is not None:
-                    a = model_tuning(loss_p_val, loss_ex_val, state.client_id,
-                                     state.exchange_origin)
-                else:
-                    a = state.client_id
-            selections[state.client_id] = a
-            client_losses[state.client_id] = (loss_p_train, loss_ex_train,
-                                              loss_p_val, loss_ex_val)
-            client_ms[state.client_id] = (time.perf_counter() - start) * 1000.0
+        round_records = [_train_and_select(state, plan, config, overrides)
+                         for state in states]
 
         server_start = time.perf_counter()
-        if plan is not None:
-            aggregated = aggregate(states, plan)
-            redistribute(states, aggregated, selections)
-        else:
-            for state in states:
-                state.selection = selections[state.client_id]
+        redistribute(states, aggregate(states, plan),
+                     {r.client: r.a for r in round_records})
         server_ms += (time.perf_counter() - server_start) * 1000.0
 
-        for state in states:
-            lp_tr, lex_tr, lp_val, lex_val = client_losses[state.client_id]
-            _, val_acc = nn.evaluate(state.personalized,
-                                     state.shard.validation.features,
-                                     state.shard.validation.labels)
-            _, test_acc = nn.evaluate(state.personalized,
-                                      state.shard.test.features,
-                                      state.shard.test.labels)
-            records.append(RoundRecord(
-                round=t, client=state.client_id,
-                k=plan.k if plan is not None else 1,
-                cluster=plan.cluster_of[state.client_id] if plan is not None else None,
-                donor=plan.donor[state.client_id] if plan is not None else None,
-                a=selections[state.client_id],
-                loss_p_train=lp_tr, loss_ex_train=lex_tr,
-                loss_p_val=lp_val, loss_ex_val=lex_val,
-                val_acc=val_acc, test_acc=test_acc,
-                client_ms=client_ms[state.client_id], server_ms=server_ms))
+        for state, record in zip(states, round_records):
+            _, record.val_acc = nn.evaluate(state.personalized,
+                                            state.shard.validation.features,
+                                            state.shard.validation.labels)
+            _, record.test_acc = nn.evaluate(state.personalized,
+                                             state.shard.test.features,
+                                             state.shard.test.labels)
+            record.server_ms = server_ms
+        records.extend(round_records)
 
     return states, records
 

@@ -2,6 +2,7 @@
 grid search, repeated runs with mean/std reporting, sweeps, and artifacts."""
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -117,6 +118,9 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
                           f"got {c.algorithm!r}")
     if c.init_policy not in INIT_POLICIES:
         raise ConfigError(f"key 'init_policy': must be one of {INIT_POLICIES}")
+    for key, value in vars(c).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"key '{key}': must be finite, got {value}")
     positive = ("rounds", "batch_size", "lr", "per_class_count", "noise_sigma",
                 "alpha_size", "train_frac", "val_frac", "test_frac",
                 "unlabeled_count", "k_max", "kmeans_restarts", "repeats")
@@ -287,16 +291,13 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     elif config.algorithm == "local_only":
         models, records = run_local_only(shards, archs, params)
     elif config.algorithm == "centralized":
-        _require_shared_arch(config, archs)
         model, records = run_centralized(shards, archs[0], params)
         models = [model.copy() for _ in shards]
     elif config.algorithm == "fedavg":
-        _require_shared_arch(config, archs)
         model, records = run_fedavg(shards, archs[0], params,
                                     config.fedavg_weighting)
         models = [model.copy() for _ in shards]
     else:  # hypcluster
-        _require_shared_arch(config, archs)
         globals_, choices, records = run_hypcluster(
             shards, archs[0], params, config.hypcluster_q,
             config.hypcluster_criterion)
@@ -322,13 +323,6 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
         val_acc_uniform=float(np.mean(val)),
         val_acc_weighted=float(np.average(val, weights=weights)),
         per_client_test_pre=pre, per_client_test_post=post)
-
-
-def _require_shared_arch(config: ExperimentConfig, archs):
-    if any(a != archs[0] for a in archs):
-        raise ConfigError(
-            f"algorithm '{config.algorithm}' needs one shared architecture; "
-            f"use init_policy = fixed_index")
 
 
 def _fmt(value) -> str:
@@ -439,10 +433,9 @@ def grid_search_lr(config: ExperimentConfig, grid=None):
     grid = sorted(grid if grid is not None else default_lr_grid())
     if not grid:
         raise ConfigError("learning-rate grid must be nonempty")
-    table = []
-    for lr in grid:
-        result = run_single(replace(config, lr=lr), config.seed)
-        table.append((lr, result.val_acc_uniform))
+    # every grid point is checked before the first run
+    configs = [validate_config(replace(config, lr=lr)) for lr in grid]
+    table = [(c.lr, run_single(c, config.seed).val_acc_uniform) for c in configs]
     best_lr = max(table, key=lambda row: (row[1], -row[0]))[0]
     return best_lr, table
 
@@ -452,44 +445,46 @@ SWEEP_AXES = ("alpha_label", "ablation", "architecture")
 _ABLATION_FLAGS = {"mt": "tuning", "dml": "dml", "mc": "clustering"}
 
 
-def _sweep_config(config: ExperimentConfig, axis: str, value: str) -> ExperimentConfig:
-    if axis == "alpha_label":
-        alpha = None if value.lower() == "iid" else float(value)
-        return replace(config, alpha_label=alpha)
-    if axis == "ablation":
-        flags = [] if value.lower() in ("none", "") else value.lower().split("+")
-        unknown = [f for f in flags if f not in _ABLATION_FLAGS]
-        if unknown:
-            raise ConfigError(f"unknown ablation flags {unknown}; "
-                              f"use combinations of mt, dml, mc")
-        switches = {name: (flag in flags) for flag, name in _ABLATION_FLAGS.items()}
-        return replace(config, **switches)
-    if axis == "architecture":
-        if value.lower() == "auto":
-            return replace(config, init_policy="best_local")
-        return replace(config, init_policy="fixed_index",
-                       model_index=int(value) - 1)
-    raise ConfigError(f"unknown sweep axis {value!r}; use one of {SWEEP_AXES}")
+def _sweep_config(config: ExperimentConfig, axis: str, value: str,
+                  algorithm: str) -> ExperimentConfig:
+    """The validated config for one axis value; a bad value names the axis."""
+    try:
+        if axis == "alpha_label":
+            changes = {"alpha_label": None if value.lower() == "iid" else float(value)}
+        elif axis == "ablation":
+            flags = [] if value.lower() in ("none", "") else value.lower().split("+")
+            unknown = [f for f in flags if f not in _ABLATION_FLAGS]
+            if unknown:
+                raise ConfigError(f"unknown ablation flags {unknown}; "
+                                  f"use combinations of mt, dml, mc")
+            changes = {name: (flag in flags) for flag, name in _ABLATION_FLAGS.items()}
+        elif value.lower() == "auto":  # architecture
+            changes = {"init_policy": "best_local"}
+        else:
+            changes = {"init_policy": "fixed_index", "model_index": int(value) - 1}
+        return validate_config(replace(config, algorithm=algorithm, **changes))
+    except ValueError as exc:
+        raise ConfigError(f"sweep axis '{axis}', value {value!r}: {exc}") from exc
 
 
 def sweep(config: ExperimentConfig, axis: str, values: list[str],
           algorithms: list[str] | None = None, out_dir=None):
     """run_experiment per axis value (and algorithm), returning a table of
-    {(value, algorithm): SummaryReport}."""
+    {(value, algorithm): SummaryReport}. Every config is checked before the
+    first run."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
-    algorithms = algorithms or [config.algorithm]
+    configs = {(value, alg): _sweep_config(config, axis, value, alg)
+               for value in values for alg in algorithms or [config.algorithm]}
     table = {}
-    for value in values:
-        for alg in algorithms:
-            cfg = replace(_sweep_config(config, axis, value), algorithm=alg)
-            sub_dir = None
-            if out_dir is not None:
-                sub_dir = os.path.join(out_dir, f"{axis}_{value}_{alg}".replace("+", "_"))
-                os.makedirs(sub_dir, exist_ok=True)
-            table[(value, alg)] = run_experiment(validate_config(cfg), sub_dir)
+    for (value, alg), cfg in configs.items():
+        sub_dir = None
+        if out_dir is not None:
+            sub_dir = os.path.join(out_dir, f"{axis}_{value}_{alg}".replace("+", "_"))
+            os.makedirs(sub_dir, exist_ok=True)
+        table[(value, alg)] = run_experiment(cfg, sub_dir)
     if out_dir is not None:
         lines = [f"{axis},algorithm,mean,std,mean_pre_ft,std_pre_ft"]
         for (value, alg), report in table.items():

@@ -113,7 +113,6 @@ def test_criterion_3_aggregation_exactness():
         for i in range(10):
             # a trained exchanged copy of the donor's lineage
             states[i].exchanged = Model(arch, rng.normal(size=6))
-            states[i].exchange_origin = plan.donor[i]
         agg = engine.aggregate(states, plan)
         s = {i: sum(1 for j in range(10) if plan.donor[j] == i) for i in range(10)}
         ok &= sum(s.values()) == 10

@@ -105,6 +105,10 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     ("num_clients", "500"),
     ("model_menu", "8,0"),
     ("model_menu", "8,8,8,8,8"),
+    ("alpha_label", "nan"),
+    ("lr", "nan"),
+    ("noise_sigma", "inf"),
+    ("train_frac", "inf"),
 ])
 def test_invalid_choice_exits_one_before_any_work(tmp_path, capsys, monkeypatch,
                                                   key, value):
@@ -129,3 +133,21 @@ def test_duplicate_config_key_exits_one_naming_its_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "duplicate key 'lr'" in err
     assert f"exp.cfg:{len(TINY.splitlines()) + 1}:" in err
+
+
+@pytest.mark.parametrize("args,named", [
+    (["sweep", "--axis", "alpha_label", "--values", "0.5,-1"], "'alpha_label'"),
+    (["sweep", "--axis", "architecture", "--values", "1,0"], "'architecture'"),
+    (["sweep", "--axis", "alpha_label", "--values", "0.5,abc"], "'alpha_label'"),
+    (["grid-search", "--grid", "0.05,-0.1"], "'lr'"),
+    (["grid-search", "--grid", "0.05,nan"], "'lr'"),
+], ids=["sweep-negative-alpha", "sweep-architecture-0", "sweep-unparsed-alpha",
+        "grid-negative-lr", "grid-nan-lr"])
+def test_bad_sweep_or_grid_value_exits_one_before_any_run(tmp_path, capsys,
+                                                          monkeypatch, args, named):
+    runs = []
+    monkeypatch.setattr(harness, "run_single", lambda *a: runs.append(a))
+    assert main(args + ["--config", _write(tmp_path, "local_only")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not runs

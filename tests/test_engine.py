@@ -1,7 +1,10 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fedme import engine, nn
@@ -101,11 +104,10 @@ def test_model_tuning_tie_and_strict():
     assert engine.model_tuning(0.6, 0.5, client_id=3, exchange_origin=7) == 7
 
 
-def _state(cid, params, exchanged=None, origin=None):
+def _state(cid, params, exchanged=None):
     state = ClientState(cid, None, Model(TINY, np.asarray(params, dtype=float)))
     if exchanged is not None:
         state.exchanged = Model(TINY, np.asarray(exchanged, dtype=float))
-        state.exchange_origin = origin
     return state
 
 
@@ -113,9 +115,9 @@ def test_aggregate_per_lineage_means():
     # donors: client 1 and 2 both hold lineage 0; client 0 holds lineage 1
     plan = ExchangePlan(1, {0: 1, 1: 0, 2: 0}, {0: 0, 1: 0, 2: 0}, 1)
     states = [
-        _state(0, [1.0] * 6, exchanged=[10.0] * 6, origin=1),
-        _state(1, [2.0] * 6, exchanged=[4.0] * 6, origin=0),
-        _state(2, [3.0] * 6, exchanged=[7.0] * 6, origin=0),
+        _state(0, [1.0] * 6, exchanged=[10.0] * 6),
+        _state(1, [2.0] * 6, exchanged=[4.0] * 6),
+        _state(2, [3.0] * 6, exchanged=[7.0] * 6),
     ]
     agg = engine.aggregate(states, plan)
     assert np.allclose(agg[0].params, (1.0 + 4.0 + 7.0) / 3)
@@ -123,10 +125,48 @@ def test_aggregate_per_lineage_means():
     assert np.allclose(agg[2].params, 3.0)  # nobody borrowed lineage 2
 
 
+@st.composite
+def _assignments(draw):
+    n = draw(st.integers(2, 12))
+    return np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+
+
+@settings(deadline=None)
+@given(assignments=_assignments(), t=st.integers(1, 1000),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_plan_to_aggregate_contract(assignments, t, seed):
+    n = len(assignments)
+    plan = assign_exchanges(assignments, t, seed)
+    assert sorted(plan.donor) == list(range(n))
+    for i, donor in plan.donor.items():
+        assert donor != i
+        singleton = np.count_nonzero(assignments == assignments[i]) == 1
+        assert singleton or assignments[donor] == assignments[i]
+    # each lineage averages its owner's copy (all 0) and its s_i borrowed
+    # copies (all 1): exactly those objects, so the mean is s_i / (s_i + 1)
+    states = [_state(i, [0.0] * 6, exchanged=[1.0] * 6) for i in range(n)]
+    with mock.patch.object(nn, "average_params", wraps=nn.average_params) as spy:
+        agg = engine.aggregate(states, plan)
+    copies = {i: [states[i].personalized] +
+                 [states[j].exchanged for j in range(n) if plan.donor[j] == i]
+              for i in range(n)}
+    assert sorted(sorted(map(id, c.args[0])) for c in spy.call_args_list) == \
+        sorted(sorted(map(id, models)) for models in copies.values())
+    for i, models in copies.items():
+        s_i = len(models) - 1
+        assert np.all(agg[i].params == s_i / (s_i + 1))
+    # the empty plan (exchange off) hands every owner its own params back
+    rng = np.random.default_rng(seed)
+    owners = [_state(i, rng.normal(size=6)) for i in range(n)]
+    alone = engine.aggregate(owners, ExchangePlan(t, {}, {}, 1))
+    assert all(np.array_equal(alone[i].params, owners[i].personalized.params)
+               for i in range(n))
+
+
 def test_redistribute_independent_copies():
     plan = ExchangePlan(1, {0: 1, 1: 0}, {0: 0, 1: 0}, 1)
-    states = [_state(0, [1.0] * 6, [2.0] * 6, 1),
-              _state(1, [2.0] * 6, [1.0] * 6, 0)]
+    states = [_state(0, [1.0] * 6, [2.0] * 6),
+              _state(1, [2.0] * 6, [1.0] * 6)]
     agg = engine.aggregate(states, plan)
     engine.redistribute(states, agg, {0: 1, 1: 1})
     assert states[0].selection == 1 and states[1].selection == 1
@@ -134,14 +174,13 @@ def test_redistribute_independent_copies():
                           states[1].personalized.params)
     states[0].personalized.params[0] = 99.0
     assert states[1].personalized.params[0] != 99.0
-    assert states[0].exchanged is None and states[0].exchange_origin is None
+    assert states[0].exchanged is None and states[1].exchanged is None
 
 
 def test_dml_train_reduces_loss_and_keeps_momentum_within_round():
     shard = _shards(1, 60)[0]
     state = ClientState(0, shard, nn.init_model(ARCH, 0))
     state.exchanged = nn.init_model(ARCH, 1)
-    state.exchange_origin = 1
     before_p, _ = nn.evaluate(state.personalized, shard.train.features,
                               shard.train.labels)
     config = FedMeConfig(rounds=1, epochs=3, lr=0.05)
@@ -223,6 +262,38 @@ def test_run_fedme_tuning_off_keeps_own_lineage():
     config = FedMeConfig(rounds=2, lr=0.05, tuning=False, seed=0)
     _, records = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
     assert all(r.a == r.client for r in records)
+
+
+def test_run_fedme_exchange_off_runs_the_empty_plan():
+    shards = _shards()
+    archs = [ArchitectureSpec(2, w, 2) for w in ((4,), (4, 4), (8,), (4,), (8, 8))]
+    config = FedMeConfig(rounds=3, lr=0.05, exchange=False, seed=6)
+    for rounds in (1, 2, 3):
+        states, records = engine.run_fedme(shards, archs, _pool(),
+                                           replace(config, rounds=rounds))
+        assert all(s.exchanged is None and s.selection == s.client_id
+                   for s in states)
+    assert len(records) == 3 * 5
+    for r in records:
+        assert r.k == 1 and r.a == r.client
+        assert r.cluster is None and r.donor is None
+        assert r.loss_ex_train is None and r.loss_ex_val is None
+    # a selection hook that names another lineage makes the client adopt it
+    seen = []
+
+    def pick_next(t, i, loss_p, loss_ex):
+        seen.append(loss_ex)
+        return (i + 1) % 5 if t == 3 else None
+
+    moved, moved_records = engine.run_fedme(shards, archs, _pool(), config,
+                                            RoundOverrides(selections=pick_next))
+    assert seen == [None] * 15
+    for i, state in enumerate(moved):
+        assert state.selection == (i + 1) % 5
+        assert state.personalized.arch == archs[(i + 1) % 5]
+        assert np.array_equal(state.personalized.params,
+                              states[(i + 1) % 5].personalized.params)
+    assert [r.a for r in moved_records if r.round == 3] == [1, 2, 3, 4, 0]
 
 
 def test_run_fedme_scripted_trace():

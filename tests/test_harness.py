@@ -119,10 +119,13 @@ def test_best_local_policy_heterogeneous_menu():
     assert all(arch in menu for arch in result.archs)
 
 
-def test_shared_algorithms_settle_on_one_architecture():
-    config = _tiny("fedavg", model_menu=((4,), (4, 4)), init_policy="best_local")
+@pytest.mark.parametrize("init_policy", harness.INIT_POLICIES)
+@pytest.mark.parametrize("algorithm", ("centralized", "fedavg", "hypcluster"))
+def test_shared_algorithms_settle_on_one_architecture(algorithm, init_policy):
+    config = _tiny(algorithm, model_menu=((4,), (4, 4)), init_policy=init_policy)
     result = run_single(config, seed=1)
     assert len(set(result.archs)) == 1
+    assert all(m.arch == result.archs[0] for m in result.models)
 
 
 def test_round_robin_policy():
@@ -131,12 +134,6 @@ def test_round_robin_policy():
     result = run_single(config, seed=0)
     menu = harness.menu_archs(config)
     assert [a for a in result.archs] == [menu[0], menu[1], menu[0], menu[1]]
-
-
-def test_require_shared_arch_guard():
-    archs = harness.menu_archs(_tiny(model_menu=((4,), (8,))))
-    with pytest.raises(ConfigError, match="shared architecture"):
-        harness._require_shared_arch(_tiny("fedavg"), archs)
 
 
 def test_write_round_log_format(tmp_path):

@@ -8,7 +8,7 @@ each client kept as the cluster count opens up.
 """
 import numpy as np
 
-from fedme import (ArchitectureSpec, ClusterSchedule, FedMeConfig,
+from fedme import (ArchitectureSpec, FedMeConfig,
                    PartitionSpec, UnlabeledPool, dirichlet_partition,
                    extract_unlabeled, generate_synthetic, run_fedme,
                    split_shard)
@@ -22,8 +22,8 @@ shards = [split_shard(rest, idx, i, seed=i) for i, idx in enumerate(parts)]
 archs = [ArchitectureSpec(8, widths, 3)
          for widths in ((6,), (6, 6), (6,), (10,), (6, 6), (10,))]
 
-config = FedMeConfig(rounds=8, epochs=2, lr=0.05,
-                     schedule=ClusterSchedule(thresholds=(4, 7)), seed=0)
+config = FedMeConfig(rounds=8, epochs=2, lr=0.05, cluster_thresholds=(4, 7),
+                     seed=0)
 states, records = run_fedme(shards, archs, pool, config)
 
 print("round  K  client  cluster  donor  kept  val_acc")

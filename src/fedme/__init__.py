@@ -1,6 +1,6 @@
 """Desk-scale personalized federated learning via model exchange."""
 
-from .clustering import ClusterSchedule, cluster_count, kmeans
+from .clustering import cluster_count, kmeans
 from .data import (ClientShard, Dataset, PartitionSpec, UnlabeledPool,
                    dirichlet_partition, extract_unlabeled, generate_synthetic,
                    label_skew, load_csv, save_csv, split_shard)

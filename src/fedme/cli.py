@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .harness import (ConfigError, build_federation, grid_search_lr,
-                      parse_config, run_experiment, sweep)
+                      parse_config, run_experiment, sweep, validate_config)
 
 
 def _add_config_arg(parser):
@@ -50,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> None:
     config = parse_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = validate_config(replace(config, seed=args.seed))
     report = run_experiment(config, args.out)
     print(report)
 

@@ -2,34 +2,22 @@
 schedule that opens up clustering gradually over communication rounds."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MAX_ITER = 100
 SHIFT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ClusterSchedule:
-    """Cluster count starts at 1 and grows by one at each threshold round."""
-
-    thresholds: tuple[int, ...] = ()
-    k_max: int = 4
-
-    def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(int(t) for t in self.thresholds))
-        if list(self.thresholds) != sorted(self.thresholds):
-            raise ValueError(f"thresholds must be ascending, got {self.thresholds}")
-        if self.k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
-
-
-def cluster_count(t: int, schedule: ClusterSchedule, num_clients: int) -> int:
+def cluster_count(t: int, thresholds: tuple[int, ...], k_max: int,
+                  num_clients: int) -> int:
+    """Cluster count starts at 1 and grows by one at each threshold round,
+    capped by k_max and the client count."""
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
-    k = 1 + sum(1 for th in schedule.thresholds if th <= t)
-    return min(k, schedule.k_max, num_clients)
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k = 1 + sum(1 for th in thresholds if th <= t)
+    return min(k, k_max, num_clients)
 
 
 def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

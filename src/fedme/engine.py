@@ -9,12 +9,12 @@ order in which client work is executed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .clustering import ClusterSchedule, cluster_count, kmeans
+from .clustering import cluster_count, kmeans
 from .data import ClientShard, UnlabeledPool
 from .nn import Model
 
@@ -43,8 +43,9 @@ class ClientState:
 
 @dataclass
 class ExchangePlan:
-    """Who borrows whose model this round; with exchange off it is empty and
-    every lineage averages to its owner's copy alone."""
+    """Who borrows whose model this round; a client missing from `donor`
+    borrows nothing, and with no donors every lineage averages to its owner's
+    copy alone."""
 
     round: int
     donor: dict[int, int]
@@ -80,9 +81,9 @@ class TrainingParams:
     """The hyperparameters every algorithm shares; the training loop reads
     epochs, batch_size, lr, momentum and weight_decay from it."""
 
-    rounds: int
+    rounds: int = 50
     epochs: int = 2
-    lr: float = 0.1
+    lr: float = 0.05
     momentum: float = 0.9
     weight_decay: float = 1e-4
     batch_size: int = 20
@@ -91,12 +92,12 @@ class TrainingParams:
 
 @dataclass
 class FedMeConfig(TrainingParams):
-    schedule: ClusterSchedule = field(default_factory=ClusterSchedule)
+    cluster_thresholds: tuple[int, ...] = (25, 38, 46)
+    k_max: int = 4
     kmeans_restarts: int = 8
     tuning: bool = True
     dml: bool = True
     clustering: bool = True
-    exchange: bool = True
 
 
 @dataclass
@@ -120,23 +121,24 @@ def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
                      donors_override: dict[int, int] | None = None) -> ExchangePlan:
     """Donor per receiver, uniform within the receiver's cluster (excluding
     itself); a singleton falls back to a uniform draw over all other clients.
-    Draws are independent per receiver, so duplicate donors are allowed."""
+    Draws are independent per receiver, so duplicate donors are allowed. An
+    override is the whole donor map: a client it leaves out borrows nothing."""
     assignments = np.asarray(assignments)
     n = len(assignments)
     if n < 2:
         raise ValueError("need at least 2 clients to exchange models")
     k = int(assignments.max()) + 1 if n else 1
+    cluster_of = {i: int(assignments[i]) for i in range(n)}
+    if donors_override is not None:
+        return ExchangePlan(t, dict(donors_override), cluster_of, k)
     donors = {}
     for i in range(n):
-        if donors_override is not None:
-            donors[i] = donors_override[i]
-            continue
         peers = [j for j in range(n) if j != i and assignments[j] == assignments[i]]
         if not peers:
             peers = [j for j in range(n) if j != i]
         rng = np.random.default_rng(derive_seed(seed, TAG_EXCHANGE, t, i))
         donors[i] = peers[rng.integers(len(peers))]
-    return ExchangePlan(t, donors, {i: int(assignments[i]) for i in range(n)}, k)
+    return ExchangePlan(t, donors, cluster_of, k)
 
 
 def dml_train(state: ClientState, config: FedMeConfig,
@@ -180,13 +182,17 @@ def _plan_round(states: list[ClientState], pool: UnlabeledPool, t: int,
                 config: FedMeConfig, overrides: RoundOverrides) -> ExchangePlan:
     """Cluster the clients on their pool predictions and draw one donor each."""
     n = len(states)
-    k = cluster_count(t, config.schedule, n) if config.clustering else 1
+    k = (cluster_count(t, config.cluster_thresholds, config.k_max, n)
+         if config.clustering else 1)
     assignments = overrides.clusters(t, n) if overrides.clusters else None
     if assignments is None:
         if k == 1:
             assignments = np.zeros(n, dtype=np.int64)
         else:
             feats = model_outputs_on_unlabeled([s.personalized for s in states], pool)
+            if not np.isfinite(feats).all():
+                raise ValueError(f"non-finite model outputs at lr={config.lr:g}: "
+                                 f"training diverged")
             assignments, _ = kmeans(
                 feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0],
                 config.kmeans_restarts)
@@ -229,8 +235,7 @@ def _train_and_select(state: ClientState, plan: ExchangePlan, config: FedMeConfi
 def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
               pool: UnlabeledPool, config: FedMeConfig,
               overrides: RoundOverrides | None = None):
-    """Run the full exchange/train/tune/aggregate/redistribute loop. With
-    exchange off each round runs the empty plan through the same steps.
+    """Run the full exchange/train/tune/aggregate/redistribute loop.
 
     Returns (final client states, round records)."""
     n = len(shards)
@@ -245,8 +250,7 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
 
     for t in range(1, config.rounds + 1):
         server_start = time.perf_counter()
-        plan = (_plan_round(states, pool, t, config, overrides) if config.exchange
-                else ExchangePlan(t, {}, {}, 1))
+        plan = _plan_round(states, pool, t, config, overrides)
         for state in states:
             donor = plan.donor.get(state.client_id)
             if donor is not None:

@@ -5,14 +5,13 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import nn
 from .baselines import (run_centralized, run_fedavg, run_hypcluster,
                         run_local_only)
-from .clustering import ClusterSchedule
 from .data import (ClientShard, PartitionSpec, dirichlet_partition,
                    extract_unlabeled, generate_synthetic, split_shard)
 from .engine import (TAG_PROBE, TAG_SPLIT, FedMeConfig, RoundRecord,
@@ -30,16 +29,14 @@ class ConfigError(ValueError):
     """Raised for unparseable, unknown, or out-of-range configuration."""
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(kw_only=True)
+class ExperimentConfig(FedMeConfig):
+    """One run's settings: the FedMe ones it inherits (training, cluster
+    schedule and technique switches) plus what the harness adds. Every field
+    is a config-file key with the same default."""
+
     algorithm: str
     num_clients: int = 20
-    rounds: int = 50
-    epochs: int = 2
-    batch_size: int = 20
-    lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     # synthetic data
     num_classes: int = 4
     dim: int = 16
@@ -60,14 +57,6 @@ class ExperimentConfig:
     init_policy: str = "best_local"
     model_index: int = 0
     probe_epochs: int = 10
-    # clustering schedule
-    cluster_thresholds: tuple[int, ...] = (25, 38, 46)
-    k_max: int = 4
-    kmeans_restarts: int = 8
-    # technique switches
-    tuning: bool = True
-    dml: bool = True
-    clustering: bool = True
     # baselines
     fedavg_weighting: str = "size"
     hypcluster_q: int = 2
@@ -75,11 +64,11 @@ class ExperimentConfig:
     # protocol
     fine_tune_epochs: int = 5
     repeats: int = 5
-    seed: int = 0
     sample_std: bool = False
 
 
 _DEFAULTS = ExperimentConfig(algorithm="fedme")
+_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _parse_bool(key, raw):
@@ -138,7 +127,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"key 'num_clients': {c.num_clients} clients x {c.num_classes} "
                           f"classes exceed the {labelled} labelled rows")
     nonnegative = ("epochs", "momentum", "weight_decay", "class_separation",
-                   "probe_epochs", "fine_tune_epochs", "model_index")
+                   "probe_epochs", "fine_tune_epochs", "model_index", "seed")
     for key in nonnegative:
         if getattr(c, key) < 0:
             raise ConfigError(f"key '{key}': must be >= 0, got {getattr(c, key)}")
@@ -182,7 +171,7 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if not hasattr(_DEFAULTS, key):
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
@@ -220,7 +209,7 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
     return choices
 
 
-def _client_archs(config: ExperimentConfig, shards, params):
+def _client_archs(config: ExperimentConfig, shards):
     menu = menu_archs(config)
     shared = config.algorithm in ("centralized", "fedavg", "hypcluster")
     if config.init_policy == "fixed_index":
@@ -229,7 +218,7 @@ def _client_archs(config: ExperimentConfig, shards, params):
         if shared:
             return [menu[config.model_index]] * len(shards)
         return [menu[i % len(menu)] for i in range(len(shards))]
-    choices = best_local_init(shards, menu, config.probe_epochs, params)
+    choices = best_local_init(shards, menu, config.probe_epochs, config)
     if shared:
         # these algorithms average across clients, so settle on the
         # architecture most clients picked (ties toward the lower menu index)
@@ -245,13 +234,9 @@ class RunResult:
     tuned_models: list    # after fine-tuning (same as models when disabled)
     records: list[RoundRecord]
     archs: list[ArchitectureSpec]
-    shards: list[ClientShard]
     test_acc_pre_ft: float
     test_acc_post_ft: float
     val_acc_uniform: float
-    val_acc_weighted: float
-    per_client_test_pre: list[float]
-    per_client_test_post: list[float]
 
 
 def build_federation(config: ExperimentConfig, seed: int):
@@ -274,32 +259,25 @@ def build_federation(config: ExperimentConfig, seed: int):
 
 
 def run_single(config: ExperimentConfig, seed: int) -> RunResult:
+    config = replace(config, seed=seed)
     shards, pool = build_federation(config, seed)
-    # one record for every algorithm; the baselines read its TrainingParams part
-    params = FedMeConfig(
-        rounds=config.rounds, epochs=config.epochs, lr=config.lr,
-        momentum=config.momentum, weight_decay=config.weight_decay,
-        batch_size=config.batch_size, seed=seed,
-        schedule=ClusterSchedule(config.cluster_thresholds, config.k_max),
-        kmeans_restarts=config.kmeans_restarts, tuning=config.tuning,
-        dml=config.dml, clustering=config.clustering)
-    archs = _client_archs(config, shards, params)
+    archs = _client_archs(config, shards)
 
     if config.algorithm == "fedme":
-        states, records = run_fedme(shards, archs, pool, params)
+        states, records = run_fedme(shards, archs, pool, config)
         models = [s.personalized for s in states]
     elif config.algorithm == "local_only":
-        models, records = run_local_only(shards, archs, params)
+        models, records = run_local_only(shards, archs, config)
     elif config.algorithm == "centralized":
-        model, records = run_centralized(shards, archs[0], params)
+        model, records = run_centralized(shards, archs[0], config)
         models = [model.copy() for _ in shards]
     elif config.algorithm == "fedavg":
-        model, records = run_fedavg(shards, archs[0], params,
+        model, records = run_fedavg(shards, archs[0], config,
                                     config.fedavg_weighting)
         models = [model.copy() for _ in shards]
     else:  # hypcluster
         globals_, choices, records = run_hypcluster(
-            shards, archs[0], params, config.hypcluster_q,
+            shards, archs[0], config, config.hypcluster_q,
             config.hypcluster_criterion)
         models = [globals_[c].copy() for c in choices]
 
@@ -308,21 +286,17 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     pre = [final[s.client_id].test_acc for s in shards]
     val = [final[s.client_id].val_acc for s in shards]
     if config.fine_tune_epochs > 0:
-        tune = replace(params, epochs=config.fine_tune_epochs)
+        tune = replace(config, epochs=config.fine_tune_epochs)
         tuned = [fine_tune(m, s, tune) for m, s in zip(models, shards)]
         post = [nn.evaluate(m, s.test.features, s.test.labels)[1]
                 for m, s in zip(tuned, shards)]
     else:
         tuned, post = models, pre
-    weights = np.array([float(s.n) for s in shards])
     return RunResult(
         models=models, tuned_models=tuned, records=records, archs=archs,
-        shards=shards,
         test_acc_pre_ft=float(np.mean(pre)),
         test_acc_post_ft=float(np.mean(post)),
-        val_acc_uniform=float(np.mean(val)),
-        val_acc_weighted=float(np.average(val, weights=weights)),
-        per_client_test_pre=pre, per_client_test_post=post)
+        val_acc_uniform=float(np.mean(val)))
 
 
 def _fmt(value) -> str:
@@ -364,13 +338,10 @@ def write_timings(records: list[RoundRecord], path) -> None:
 class SummaryReport:
     algorithm: str
     per_repeat: list[float]          # headline final test accuracy per repeat
-    per_repeat_pre_ft: list[float]
     mean: float
     std: float
     mean_pre_ft: float
     std_pre_ft: float
-    val_acc_uniform: float
-    val_acc_weighted: float
     runtime_s: float
 
     def __str__(self):
@@ -405,11 +376,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> SummaryReport:
     pre = [res.test_acc_pre_ft for res in results]
     report = SummaryReport(
         algorithm=config.algorithm,
-        per_repeat=finals, per_repeat_pre_ft=pre,
+        per_repeat=finals,
         mean=float(np.mean(finals)), std=_std(finals, config.sample_std),
         mean_pre_ft=float(np.mean(pre)), std_pre_ft=_std(pre, config.sample_std),
-        val_acc_uniform=float(np.mean([res.val_acc_uniform for res in results])),
-        val_acc_weighted=float(np.mean([res.val_acc_weighted for res in results])),
         runtime_s=time.perf_counter() - start)
     if out_dir is not None:
         lines = ["repeat,test_acc,test_acc_pre_ft"]
@@ -450,7 +419,7 @@ def _sweep_config(config: ExperimentConfig, axis: str, value: str,
     """The validated config for one axis value; a bad value names the axis."""
     try:
         if axis == "alpha_label":
-            changes = {"alpha_label": None if value.lower() == "iid" else float(value)}
+            changes = {"alpha_label": _parse_value("alpha_label", value)}
         elif axis == "ablation":
             flags = [] if value.lower() in ("none", "") else value.lower().split("+")
             unknown = [f for f in flags if f not in _ABLATION_FLAGS]

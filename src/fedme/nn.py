@@ -250,7 +250,7 @@ def _sgd_update(params: np.ndarray, buf: np.ndarray, grad: np.ndarray,
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     if not np.isfinite(grad).all():
-        raise ValueError("non-finite gradient")
+        raise ValueError(f"non-finite gradient at lr={lr:g}: training diverged")
     # buf = momentum * buf + (grad + weight_decay * params); params -= lr * buf
     grad += weight_decay * params
     buf *= momentum

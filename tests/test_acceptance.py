@@ -221,8 +221,9 @@ def test_criterion_7_degeneracy_equivalences():
     shards, pool = _shards_and_pool()
     arch = ArchitectureSpec(2, (4,), 2)
     stub = FedMeConfig(rounds=5, lr=0.05, tuning=False, dml=False,
-                       clustering=False, exchange=False, seed=3)
-    states, _ = engine.run_fedme(shards, [arch] * 5, pool, stub)
+                       clustering=False, seed=3)
+    states, _ = engine.run_fedme(shards, [arch] * 5, pool, stub,
+                                 RoundOverrides(donors=lambda t, a: {}))
     params = TrainingParams(rounds=5, epochs=2, lr=0.05, seed=3)
     local_models, _ = baselines.run_local_only(shards, [arch] * 5, params)
     a_ok = all(np.array_equal(s.personalized.params, m.params)

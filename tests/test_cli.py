@@ -109,6 +109,9 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     ("lr", "nan"),
     ("noise_sigma", "inf"),
     ("train_frac", "inf"),
+    ("seed", "-1"),
+    ("__class__", "x"),
+    ("__doc__", "x"),
 ])
 def test_invalid_choice_exits_one_before_any_work(tmp_path, capsys, monkeypatch,
                                                   key, value):
@@ -124,6 +127,27 @@ def test_invalid_choice_exits_one_before_any_work(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "config error" in err and f"'{key}'" in err
     assert not built
+
+
+def test_negative_seed_override_exits_one_before_any_work(tmp_path, capsys,
+                                                         monkeypatch):
+    built = []
+    monkeypatch.setattr(harness, "build_federation",
+                        lambda *args: built.append(args))
+    assert main(["run", "--config", _write(tmp_path), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'seed'" in err
+    assert not built
+
+
+@pytest.mark.parametrize("alg", ["fedme", "local_only"])
+def test_diverged_run_names_the_learning_rate(tmp_path, capsys, alg):
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY.format(alg=alg).replace("lr = 0.05", "lr = 1e300"))
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "lr=1e+300: training diverged" in err
 
 
 def test_duplicate_config_key_exits_one_naming_its_line(tmp_path, capsys):

@@ -3,33 +3,33 @@ import itertools
 import numpy as np
 import pytest
 
-from fedme.clustering import ClusterSchedule, cluster_count, kmeans
+from fedme.clustering import cluster_count, kmeans
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        ClusterSchedule((10, 5))
-    with pytest.raises(ValueError):
-        ClusterSchedule((), k_max=0)
+        cluster_count(1, (), 0, 10)
+    # the count does not depend on the thresholds' order, so descending
+    # thresholds are rejected by the config check, not here
+    assert cluster_count(7, (10, 5), 4, 10) == 2
 
 
 def test_cluster_count_growth_and_caps():
-    sched = ClusterSchedule((150, 225, 275), k_max=4)
-    assert cluster_count(1, sched, 100) == 1
-    assert cluster_count(149, sched, 100) == 1
-    assert cluster_count(150, sched, 100) == 2
-    assert cluster_count(225, sched, 100) == 3
-    assert cluster_count(275, sched, 100) == 4
-    assert cluster_count(300, sched, 100) == 4
+    thresholds = (150, 225, 275)
+    assert cluster_count(1, thresholds, 4, 100) == 1
+    assert cluster_count(149, thresholds, 4, 100) == 1
+    assert cluster_count(150, thresholds, 4, 100) == 2
+    assert cluster_count(225, thresholds, 4, 100) == 3
+    assert cluster_count(275, thresholds, 4, 100) == 4
+    assert cluster_count(300, thresholds, 4, 100) == 4
     # capped by client count
-    assert cluster_count(300, sched, 3) == 3
+    assert cluster_count(300, thresholds, 4, 3) == 3
     with pytest.raises(ValueError):
-        cluster_count(0, sched, 100)
+        cluster_count(0, thresholds, 4, 100)
 
 
 def test_cluster_count_empty_schedule_stays_one():
-    sched = ClusterSchedule(())
-    assert cluster_count(999, sched, 50) == 1
+    assert cluster_count(999, (), 4, 50) == 1
 
 
 def test_kmeans_k1_mean_inertia():

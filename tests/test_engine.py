@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fedme import engine, nn
-from fedme.clustering import ClusterSchedule
 from fedme.data import Dataset, UnlabeledPool, split_shard
 from fedme.engine import (ClientState, ExchangePlan, FedMeConfig,
                           RoundOverrides, TrainingParams, assign_exchanges,
@@ -204,7 +203,7 @@ def test_dml_train_reduces_loss_and_keeps_momentum_within_round():
 def test_run_fedme_deterministic():
     shards = _shards()
     archs = [ARCH] * 5
-    config = FedMeConfig(rounds=3, lr=0.05, schedule=ClusterSchedule((2,)), seed=4)
+    config = FedMeConfig(rounds=3, lr=0.05, cluster_thresholds=(2,), seed=4)
     states_a, records_a = engine.run_fedme(shards, archs, _pool(), config)
     states_b, records_b = engine.run_fedme(shards, archs, _pool(), config)
     for sa, sb in zip(states_a, states_b):
@@ -221,8 +220,7 @@ def test_run_fedme_deterministic():
 
 def test_run_fedme_record_structure_and_schedule():
     shards = _shards()
-    config = FedMeConfig(rounds=4, lr=0.05,
-                         schedule=ClusterSchedule((2, 3)), seed=1)
+    config = FedMeConfig(rounds=4, lr=0.05, cluster_thresholds=(2, 3), seed=1)
     states, records = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
     assert len(records) == 4 * 5
     by_round = {t: [r for r in records if r.round == t] for t in (1, 2, 3, 4)}
@@ -251,7 +249,7 @@ def test_run_fedme_heterogeneous_architectures():
 
 def test_run_fedme_clustering_off_keeps_k_one():
     shards = _shards()
-    config = FedMeConfig(rounds=3, lr=0.05, schedule=ClusterSchedule((2,)),
+    config = FedMeConfig(rounds=3, lr=0.05, cluster_thresholds=(2,),
                          clustering=False, seed=0)
     _, records = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
     assert all(r.k == 1 for r in records)
@@ -267,16 +265,18 @@ def test_run_fedme_tuning_off_keeps_own_lineage():
 def test_run_fedme_exchange_off_runs_the_empty_plan():
     shards = _shards()
     archs = [ArchitectureSpec(2, w, 2) for w in ((4,), (4, 4), (8,), (4,), (8, 8))]
-    config = FedMeConfig(rounds=3, lr=0.05, exchange=False, seed=6)
+    config = FedMeConfig(rounds=3, lr=0.05, clustering=False, seed=6)
+    no_exchange = RoundOverrides(donors=lambda t, a: {})
     for rounds in (1, 2, 3):
         states, records = engine.run_fedme(shards, archs, _pool(),
-                                           replace(config, rounds=rounds))
+                                           replace(config, rounds=rounds),
+                                           no_exchange)
         assert all(s.exchanged is None and s.selection == s.client_id
                    for s in states)
     assert len(records) == 3 * 5
     for r in records:
         assert r.k == 1 and r.a == r.client
-        assert r.cluster is None and r.donor is None
+        assert r.cluster == 0 and r.donor is None
         assert r.loss_ex_train is None and r.loss_ex_val is None
     # a selection hook that names another lineage makes the client adopt it
     seen = []
@@ -285,8 +285,9 @@ def test_run_fedme_exchange_off_runs_the_empty_plan():
         seen.append(loss_ex)
         return (i + 1) % 5 if t == 3 else None
 
-    moved, moved_records = engine.run_fedme(shards, archs, _pool(), config,
-                                            RoundOverrides(selections=pick_next))
+    moved, moved_records = engine.run_fedme(
+        shards, archs, _pool(), config,
+        replace(no_exchange, selections=pick_next))
     assert seen == [None] * 15
     for i, state in enumerate(moved):
         assert state.selection == (i + 1) % 5

@@ -1,9 +1,10 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fedme import harness, nn
+from fedme.engine import FedMeConfig
 from fedme.harness import (ConfigError, ExperimentConfig, build_federation,
                            default_lr_grid, grid_search_lr, parse_config,
                            run_experiment, run_single, sweep, validate_config,
@@ -47,6 +48,44 @@ def test_parse_config_unknown_key_names_it(tmp_path):
     path.write_text("algorithm = fedme\nlerning_rate = 0.1\n")
     with pytest.raises(ConfigError, match="lerning_rate"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("key", ["exchange", "schedule"])
+def test_parse_config_rejects_keys_that_are_not_fields(tmp_path, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"algorithm = fedme\n{key} = off\n")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(path)
+
+
+def test_run_fedme_gets_every_fedme_key_from_the_file_with_the_run_seed(
+        tmp_path, monkeypatch):
+    settings = {"rounds": "3", "epochs": "1", "lr": "0.02", "momentum": "0.5",
+                "weight_decay": "0.001", "batch_size": "7", "seed": "4",
+                "cluster_thresholds": "2,3", "k_max": "3",
+                "kmeans_restarts": "2", "tuning": "off", "dml": "off",
+                "clustering": "off"}
+    assert set(settings) == {f.name for f in fields(FedMeConfig)}
+    path = tmp_path / "exp.cfg"
+    path.write_text("algorithm = fedme\ninit_policy = fixed_index\n" +
+                    "".join(f"{k} = {v}\n" for k, v in settings.items()))
+    received = []
+
+    class Stop(Exception):
+        pass
+
+    def fake_run_fedme(shards, archs, pool, config):
+        received.append(config)
+        raise Stop
+
+    monkeypatch.setattr(harness, "run_fedme", fake_run_fedme)
+    with pytest.raises(Stop):
+        run_single(parse_config(path), 9)
+    got = {f.name: getattr(received[0], f.name) for f in fields(FedMeConfig)}
+    assert got == dict(rounds=3, epochs=1, lr=0.02, momentum=0.5,
+                       weight_decay=0.001, batch_size=7, seed=9,
+                       cluster_thresholds=(2, 3), k_max=3, kmeans_restarts=2,
+                       tuning=False, dml=False, clustering=False)
 
 
 def test_parse_config_missing_algorithm(tmp_path):

@@ -1,55 +1,90 @@
-"""Reference algorithms: Local-Only, Centralized, FedAvg, and HypCluster.
-
-All baselines share the round/epoch structure, RNG stream derivation, and
-evaluation operation of the exchange engine so accuracy comparisons are
-apples-to-apples; as everywhere, every training call starts from zero momentum.
+"""Reference algorithms: Local-Only, Centralized, FedAvg, and HypCluster, on
+two loops. Local-Only is the FedMe round path (`engine._run_rounds`) with no
+donors; the other three share the server-model loop `_run_server_models`. Both
+use the engine's RNG streams and evaluation, so accuracy comparisons are
+apples-to-apples; every training call starts from zero momentum.
 """
 from __future__ import annotations
+
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import nn
 from .data import ClientShard, Dataset
-from .engine import (TAG_BATCH, TAG_INIT, RoundRecord, TrainingParams,
-                     derive_seed)
+from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, RoundOverrides,
+                     RoundRecord, TrainingParams, _run_rounds, derive_seed)
 from .nn import ArchitectureSpec, Model
 
 
-def _train_ce(model: Model, data: Dataset, params: TrainingParams,
-              rng: np.random.Generator) -> Model:
-    """One round's worth of cross-entropy epochs over the given split, applied
-    to `model` in place; returns it."""
-    nn._train(model, data.features, data.labels, params, rng)
-    return model
-
-
-def _eval_record(model: Model, shard: ClientShard, t: int,
-                 k: int | None = None) -> RoundRecord:
+def _eval_record(model: Model, shard: ClientShard, t: int, k: int,
+                 client_ms: float, server_ms: float) -> RoundRecord:
     loss_p_train, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
     loss_p_val, val_acc = nn.evaluate(model, shard.validation.features,
                                       shard.validation.labels)
     _, test_acc = nn.evaluate(model, shard.test.features, shard.test.labels)
-    return RoundRecord(round=t, client=shard.client_id, k=k if k is not None else 1,
+    return RoundRecord(round=t, client=shard.client_id, k=k,
                        cluster=None, donor=None, a=None,
                        loss_p_train=loss_p_train, loss_ex_train=None,
                        loss_p_val=loss_p_val, loss_ex_val=None,
                        val_acc=val_acc, test_acc=test_acc,
-                       client_ms=0.0, server_ms=0.0)
+                       client_ms=client_ms, server_ms=server_ms)
+
+
+def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
+                       arch: ArchitectureSpec, params: TrainingParams,
+                       weights: list[float], q: int = 1, criterion: str = "loss"):
+    """The server keeps q global models. Every round each training unit i
+    trains a copy of one on `train_sets[i]` (when q > 1, the one that best fits
+    `shards[i]`'s validation split), and each model becomes the `weights`-mean
+    of its returned copies, or is carried over if none came back. Record i's
+    `client_ms` is unit i's choice and training (0 past the last unit), and
+    `server_ms` the averaging. Returns (global models, per-shard choice,
+    round records)."""
+    globals_ = [nn.init_model(arch, derive_seed(params.seed, TAG_INIT, g))
+                for g in range(q)]
+    choices = [0] * len(shards)
+    records = []
+    for t in range(1, params.rounds + 1):
+        returned = [[] for _ in range(q)]  # (trained copy, weight) per model
+        client_ms = [0.0] * len(shards)
+        for i, train in enumerate(train_sets):
+            start = time.perf_counter()
+            if q > 1:  # ties resolve to the lowest index
+                val = shards[i].validation
+                scores = [nn.evaluate(g, val.features, val.labels) for g in globals_]
+                choices[i] = int(np.argmin([loss if criterion == "loss" else -acc
+                                            for loss, acc in scores]))
+            model = globals_[choices[i]].copy()
+            rng = np.random.default_rng(derive_seed(params.seed, TAG_BATCH, t, i))
+            nn._train(model, train.features, train.labels, params, rng)
+            returned[choices[i]].append((model, weights[i]))
+            client_ms[i] = (time.perf_counter() - start) * 1000.0
+        start = time.perf_counter()
+        for g, copies in enumerate(returned):
+            if copies:  # weights normalised within the group
+                w = np.array([weight for _, weight in copies])
+                globals_[g] = Model(arch, np.einsum(
+                    "i,ij->j", w / w.sum(), np.stack([m.params for m, _ in copies])))
+        server_ms = (time.perf_counter() - start) * 1000.0
+        records.extend(_eval_record(globals_[choices[i]], shard, t, q,
+                                    client_ms[i], server_ms)
+                       for i, shard in enumerate(shards))
+    return globals_, choices, records
 
 
 def run_local_only(shards: list[ClientShard], archs: list[ArchitectureSpec],
                    params: TrainingParams):
     """Each client trains its own model for rounds*epochs epochs, no
-    communication. Returns (per-client models, round records)."""
-    models = [nn.init_model(arch, derive_seed(params.seed, TAG_INIT, i))
-              for i, arch in enumerate(archs)]
-    records = []
-    for t in range(1, params.rounds + 1):
-        for i, shard in enumerate(shards):
-            rng = np.random.default_rng(derive_seed(params.seed, TAG_BATCH, t, i))
-            models[i] = _train_ce(models[i], shard.train, params, rng)
-            records.append(_eval_record(models[i], shard, t))
-    return models, records
+    communication: the FedMe round path with no donors and clustering off.
+    Returns (per-client models, round records)."""
+    config = FedMeConfig(clustering=False, **{f.name: getattr(params, f.name)
+                                              for f in fields(TrainingParams)})
+    states, records = _run_rounds(shards, archs, None, config,
+                                  RoundOverrides(donors=lambda t, a: {}))
+    return ([s.personalized for s in states],
+            [replace(r, cluster=None, a=None) for r in records])
 
 
 def pool_train_splits(shards: list[ClientShard]) -> Dataset:
@@ -61,15 +96,9 @@ def pool_train_splits(shards: list[ClientShard]) -> Dataset:
 def run_centralized(shards: list[ClientShard], arch: ArchitectureSpec,
                     params: TrainingParams):
     """Pool all train splits and train a single model on the server."""
-    pooled = pool_train_splits(shards)
-    model = nn.init_model(arch, derive_seed(params.seed, TAG_INIT, 0))
-    records = []
-    for t in range(1, params.rounds + 1):
-        rng = np.random.default_rng(derive_seed(params.seed, TAG_BATCH, t, 0))
-        model = _train_ce(model, pooled, params, rng)
-        for shard in shards:
-            records.append(_eval_record(model, shard, t))
-    return model, records
+    globals_, _, records = _run_server_models(
+        [pool_train_splits(shards)], shards, arch, params, [1.0])
+    return globals_[0], records
 
 
 def run_fedavg(shards: list[ClientShard], arch: ArchitectureSpec,
@@ -78,22 +107,10 @@ def run_fedavg(shards: list[ClientShard], arch: ArchitectureSpec,
     with the (train-size-weighted) average of client models."""
     if weighting not in ("size", "uniform"):
         raise ValueError(f"weighting must be 'size' or 'uniform', got {weighting!r}")
-    global_model = nn.init_model(arch, derive_seed(params.seed, TAG_INIT, 0))
-    weights = np.array([float(s.train.n) for s in shards]) if weighting == "size" \
-        else np.ones(len(shards))
-    weights = weights / weights.sum()
-    records = []
-    for t in range(1, params.rounds + 1):
-        locals_ = []
-        for i, shard in enumerate(shards):
-            model = global_model.copy()
-            rng = np.random.default_rng(derive_seed(params.seed, TAG_BATCH, t, i))
-            locals_.append(_train_ce(model, shard.train, params, rng))
-        mean = np.einsum("i,ij->j", weights, np.stack([m.params for m in locals_]))
-        global_model = Model(arch, mean)
-        for shard in shards:
-            records.append(_eval_record(global_model, shard, t))
-    return global_model, records
+    weights = [float(s.train.n) if weighting == "size" else 1.0 for s in shards]
+    globals_, _, records = _run_server_models(
+        [s.train for s in shards], shards, arch, params, weights)
+    return globals_[0], records
 
 
 def run_hypcluster(shards: list[ClientShard], arch: ArchitectureSpec,
@@ -106,32 +123,5 @@ def run_hypcluster(shards: list[ClientShard], arch: ArchitectureSpec,
         raise ValueError(f"hypcluster needs q >= 2 global models, got {q}")
     if criterion not in ("loss", "accuracy"):
         raise ValueError(f"criterion must be 'loss' or 'accuracy', got {criterion!r}")
-    globals_ = [nn.init_model(arch, derive_seed(params.seed, TAG_INIT, g))
-                for g in range(q)]
-    choices = [0] * len(shards)
-    records = []
-    for t in range(1, params.rounds + 1):
-        returned: list[list[tuple[Model, float]]] = [[] for _ in range(q)]
-        for i, shard in enumerate(shards):
-            scores = []
-            for g in range(q):
-                loss, acc = nn.evaluate(globals_[g], shard.validation.features,
-                                        shard.validation.labels)
-                scores.append(loss if criterion == "loss" else -acc)
-            choice = int(np.argmin(scores))  # ties resolve to the lowest index
-            choices[i] = choice
-            model = globals_[choice].copy()
-            rng = np.random.default_rng(derive_seed(params.seed, TAG_BATCH, t, i))
-            model = _train_ce(model, shard.train, params, rng)
-            returned[choice].append((model, float(shard.train.n)))
-        for g in range(q):
-            if not returned[g]:
-                continue  # no adherents: carried over unchanged
-            weights = np.array([w for _, w in returned[g]])
-            weights /= weights.sum()
-            mean = np.einsum("i,ij->j", weights,
-                             np.stack([m.params for m, _ in returned[g]]))
-            globals_[g] = Model(arch, mean)
-        for i, shard in enumerate(shards):
-            records.append(_eval_record(globals_[choices[i]], shard, t, k=q))
-    return globals_, choices, records
+    return _run_server_models([s.train for s in shards], shards, arch, params,
+                              [float(s.train.n) for s in shards], q, criterion)

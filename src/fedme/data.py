@@ -224,6 +224,8 @@ def load_csv(path) -> Dataset:
             label = int(cells[-1])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: unparseable value") from exc
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}:{lineno}: non-finite feature value")
         if not 0 <= label < m:
             raise ValueError(f"{path}:{lineno}: label {label} outside [0, {m})")
         features.append(row)

@@ -125,12 +125,12 @@ def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
     override is the whole donor map: a client it leaves out borrows nothing."""
     assignments = np.asarray(assignments)
     n = len(assignments)
-    if n < 2:
-        raise ValueError("need at least 2 clients to exchange models")
-    k = int(assignments.max()) + 1 if n else 1
+    k = int(assignments.max()) + 1
     cluster_of = {i: int(assignments[i]) for i in range(n)}
     if donors_override is not None:
         return ExchangePlan(t, dict(donors_override), cluster_of, k)
+    if n < 2:
+        raise ValueError("need at least 2 clients to exchange models")
     donors = {}
     for i in range(n):
         peers = [j for j in range(n) if j != i and assignments[j] == assignments[i]]
@@ -235,13 +235,19 @@ def _train_and_select(state: ClientState, plan: ExchangePlan, config: FedMeConfi
 def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
               pool: UnlabeledPool, config: FedMeConfig,
               overrides: RoundOverrides | None = None):
-    """Run the full exchange/train/tune/aggregate/redistribute loop.
+    """Run the full exchange/train/tune/aggregate/redistribute loop; returns
+    (final client states, round records)."""
+    return _run_rounds(shards, archs, pool, config, overrides or RoundOverrides())
 
-    Returns (final client states, round records)."""
+
+def _run_rounds(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
+                pool: UnlabeledPool | None, config: FedMeConfig,
+                overrides: RoundOverrides):
+    """`run_fedme`'s loop, shared with Local-Only, which runs it with no
+    donors and clustering off and so never reads the pool."""
     n = len(shards)
     if len(archs) != n:
         raise ValueError("need one architecture per client")
-    overrides = overrides or RoundOverrides()
     states = [
         ClientState(i, shard, nn.init_model(arch, derive_seed(config.seed, TAG_INIT, i)))
         for i, (shard, arch) in enumerate(zip(shards, archs))

@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedme import baselines, nn
+from fedme import baselines, engine, nn
 from fedme.baselines import TrainingParams
-from fedme.data import ClientShard, Dataset, split_shard
-from fedme.engine import TAG_SPLIT, derive_seed
-from fedme.nn import ArchitectureSpec, Model
+from fedme.clustering import cluster_count
+from fedme.data import ClientShard, Dataset, UnlabeledPool, split_shard
+from fedme.engine import TAG_SPLIT, FedMeConfig, RoundOverrides, derive_seed
+from fedme.nn import ArchitectureSpec
 
 ARCH = ArchitectureSpec(2, (4,), 2)
 TINY = ArchitectureSpec(1, (1,), 2)
@@ -49,6 +54,27 @@ def test_local_only_learns():
     assert np.mean(final) > 0.7
 
 
+def test_local_only_records_equal_fedme_without_donors():
+    # the criterion-7 stub: exchange, tuning, DML and clustering all off
+    shards = _shards(5)
+    stub = FedMeConfig(rounds=5, lr=0.05, tuning=False, dml=False,
+                       clustering=False, seed=3)
+    _, fedme_records = engine.run_fedme(shards, [ARCH] * 5, None, stub,
+                                        RoundOverrides(donors=lambda t, a: {}))
+    params = TrainingParams(rounds=5, epochs=2, lr=0.05, seed=3)
+    _, local_records = baselines.run_local_only(shards, [ARCH] * 5, params)
+    fields = ("round", "client", "loss_p_train", "loss_p_val", "val_acc",
+              "test_acc")
+    assert ([[getattr(r, f) for f in fields] for r in local_records]
+            == [[getattr(r, f) for f in fields] for r in fedme_records])
+
+
+def test_local_only_single_client():
+    models, records = baselines.run_local_only(
+        _shards(1), [ARCH], TrainingParams(rounds=2, lr=0.05, seed=0))
+    assert len(models) == 1 and [r.round for r in records] == [1, 2]
+
+
 def test_pool_train_splits():
     shards = _shards()
     pooled = baselines.pool_train_splits(shards)
@@ -85,8 +111,11 @@ def test_fedavg_weighted_mean_exact(monkeypatch):
     shards = [_manual_shard(0, 1), _manual_shard(1, 3)]
     outputs = iter([np.array([1.0, 1.0, 0, 0, 0, 0]),
                     np.array([3.0, 5.0, 0, 0, 0, 0])])
-    monkeypatch.setattr(baselines, "_train_ce",
-                        lambda model, data, params, rng: Model(TINY, next(outputs)))
+
+    def pinned(model, features, labels, params, rng):
+        model.params[:] = next(outputs)
+
+    monkeypatch.setattr(baselines.nn, "_train", pinned)
     params = TrainingParams(rounds=1, lr=0.05, seed=0)
     model, _ = baselines.run_fedavg(shards, TINY, params, "size")
     assert np.allclose(model.params[:2], [2.5, 4.0])
@@ -150,3 +179,38 @@ def test_hypcluster_splits_label_swapped_tasks():
     assert choices[2] == choices[3]
     assert choices[0] != choices[2]
     assert np.mean([r.test_acc for r in records if r.round == 20]) > 0.8
+
+
+@settings(max_examples=8, deadline=None)
+@given(num_clients=st.integers(2, 6), rounds=st.integers(1, 3),
+       q=st.integers(2, 3), seed=st.integers(0, 2**16))
+def test_every_algorithm_keeps_the_record_contract(num_clients, rounds, q, seed):
+    shards = _shards(num_clients, rows_each=15, seed=seed)
+    pool = UnlabeledPool(np.random.default_rng(seed).normal(size=(10, 2)))
+    config = FedMeConfig(rounds=rounds, lr=0.05, seed=seed,
+                         cluster_thresholds=(1, 2), k_max=2)
+    archs = [ARCH] * num_clients
+    runs = {
+        "fedme": lambda: engine.run_fedme(shards, archs, pool, config)[1],
+        "local_only": lambda: baselines.run_local_only(shards, archs, config)[1],
+        "centralized": lambda: baselines.run_centralized(shards, ARCH, config)[1],
+        "fedavg": lambda: baselines.run_fedavg(shards, ARCH, config)[1],
+        "hypcluster": lambda: baselines.run_hypcluster(shards, ARCH, config, q)[2],
+    }
+    order = [(t, i) for t in range(1, rounds + 1) for i in range(num_clients)]
+    untimed = lambda records: [replace(r, client_ms=0.0, server_ms=0.0)
+                               for r in records]
+    for algorithm, run in runs.items():
+        records = run()
+        assert [(r.round, r.client) for r in records] == order, algorithm
+        if algorithm == "fedme":
+            # k-means may leave a requested cluster empty
+            assert all(1 <= r.k <= cluster_count(r.round, (1, 2), 2, num_clients)
+                       for r in records)
+        else:
+            k = q if algorithm == "hypcluster" else 1
+            assert all(r.k == k for r in records), algorithm
+            assert all(r.cluster is None and r.donor is None and r.a is None
+                       and r.loss_ex_train is None and r.loss_ex_val is None
+                       for r in records), algorithm
+        assert untimed(run()) == untimed(records), algorithm

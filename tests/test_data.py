@@ -171,6 +171,10 @@ def test_load_csv_errors_name_the_line(tmp_path):
     path.write_text("# M=2 d=2\n1.0,2.0,5\n")
     with pytest.raises(ValueError, match=r":2:.*label"):
         data.load_csv(path)
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(f"# M=2 d=2\n1.0,2.0,0\n1.0,{value},0\n")
+        with pytest.raises(ValueError, match=r":3:.*non-finite"):
+            data.load_csv(path)
     path.write_text("1.0,2.0,0\n")
     with pytest.raises(ValueError, match="header"):
         data.load_csv(path)

@@ -213,6 +213,13 @@ def test_run_experiment_artifacts(tmp_path):
     assert len(summary) == 1 + 2 + 3  # repeats + mean + std + runtime
 
 
+def test_fedavg_timings_are_measured(tmp_path):
+    run_experiment(_tiny("fedavg", repeats=1), str(tmp_path))
+    rows = (tmp_path / "run_0" / "timings.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 4
+    assert all(float(row.split(",")[2]) > 0 for row in rows)  # client_ms
+
+
 def test_run_experiment_byte_identical_logs(tmp_path):
     config = _tiny("fedme", repeats=1)
     run_experiment(config, str(tmp_path / "a"))

@@ -6,8 +6,6 @@ mutually, pick the better lineage on validation loss, then adopt the
 aggregated result. The table shows who borrowed from whom and which lineage
 each client kept as the cluster count opens up.
 """
-import numpy as np
-
 from fedme import (ArchitectureSpec, FedMeConfig,
                    PartitionSpec, UnlabeledPool, dirichlet_partition,
                    extract_unlabeled, generate_synthetic, run_fedme,
@@ -24,7 +22,7 @@ archs = [ArchitectureSpec(8, widths, 3)
 
 config = FedMeConfig(rounds=8, epochs=2, lr=0.05, cluster_thresholds=(4, 7),
                      seed=0)
-states, records = run_fedme(shards, archs, pool, config)
+models, records = run_fedme(shards, archs, pool, config)
 
 print("round  K  client  cluster  donor  kept  val_acc")
 for r in records:
@@ -33,9 +31,7 @@ for r in records:
           f"  {kept:>4s}  {r.val_acc:.3f}")
 
 print("\nfinal models:")
-for state in states:
-    widths = state.personalized.arch.hidden_widths
-    acc = np.mean([r.test_acc for r in records
-                   if r.round == config.rounds and r.client == state.client_id])
-    print(f"  client {state.client_id}: hidden {widths}, "
-          f"last selection {state.selection}, test acc {acc:.3f}")
+last = {r.client: r for r in records if r.round == config.rounds}
+for i, model in enumerate(models):
+    print(f"  client {i}: hidden {model.arch.hidden_widths}, "
+          f"last selection {last[i].a}, test acc {last[i].test_acc:.3f}")

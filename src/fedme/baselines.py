@@ -81,10 +81,9 @@ def run_local_only(shards: list[ClientShard], archs: list[ArchitectureSpec],
     Returns (per-client models, round records)."""
     config = FedMeConfig(clustering=False, **{f.name: getattr(params, f.name)
                                               for f in fields(TrainingParams)})
-    states, records = _run_rounds(shards, archs, None, config,
+    models, records = _run_rounds(shards, archs, None, config,
                                   RoundOverrides(donors=lambda t, a: {}))
-    return ([s.personalized for s in states],
-            [replace(r, cluster=None, a=None) for r in records])
+    return models, [replace(r, cluster=None, a=None) for r in records]
 
 
 def pool_train_splits(shards: list[ClientShard]) -> Dataset:

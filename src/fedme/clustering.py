@@ -77,6 +77,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 8):
         raise ValueError(f"points must be 2-D, got shape {points.shape}")
     if k < 1 or k > len(points):
         raise ValueError(f"k={k} is outside [1, {len(points)}]")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if k == 1:
         centroid = points.mean(axis=0)
         inertia = float(((points - centroid) ** 2).sum())

@@ -33,19 +33,10 @@ def derive_seed(*keys: int) -> np.random.SeedSequence:
 
 
 @dataclass
-class ClientState:
-    client_id: int
-    shard: ClientShard
-    personalized: Model
-    exchanged: Model | None = None
-    selection: int | None = None
-
-
-@dataclass
 class ExchangePlan:
     """Who borrows whose model this round; a client missing from `donor`
-    borrows nothing, and with no donors every lineage averages to its owner's
-    copy alone."""
+    borrows nothing, and with no donors every lineage is its owner's model
+    alone."""
 
     round: int
     donor: dict[int, int]
@@ -141,13 +132,13 @@ def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
     return ExchangePlan(t, donors, cluster_of, k)
 
 
-def dml_train(state: ClientState, config: FedMeConfig,
-              rng: np.random.Generator) -> None:
-    """Train personalized and exchanged models in place on identical
-    batches; with DML off each model gets plain cross-entropy updates."""
-    train = state.shard.train
-    nn._train(state.personalized, train.features, train.labels, config, rng,
-              peer=state.exchanged, mutual=config.dml)
+def dml_train(model: Model, peer: Model | None, shard: ClientShard,
+              config: FedMeConfig, rng: np.random.Generator) -> None:
+    """Train the client's model and its borrowed `peer` (if any) in place on
+    identical batches of the shard's train split; with DML off each model gets
+    plain cross-entropy updates."""
+    nn._train(model, shard.train.features, shard.train.labels, config, rng,
+              peer=peer, mutual=config.dml)
 
 
 def model_tuning(loss_p_val: float, loss_ex_val: float, client_id: int,
@@ -157,31 +148,30 @@ def model_tuning(loss_p_val: float, loss_ex_val: float, client_id: int,
     return client_id if loss_p_val <= loss_ex_val else exchange_origin
 
 
-def aggregate(states: list[ClientState], plan: ExchangePlan) -> dict[int, Model]:
-    """Per-lineage mean of the owner's trained copy plus every trained
-    exchanged copy of that lineage, the copies taken in `states` order."""
-    copies = {state.client_id: [state.personalized] for state in states}
-    for state in states:
-        donor = plan.donor.get(state.client_id)
-        if donor is not None:
-            assert state.exchanged is not None
-            copies[donor].append(state.exchanged)
-    return {owner: nn.average_params(models) for owner, models in copies.items()}
+def aggregate(models: list[Model], exchanged: dict[int, Model],
+              plan: ExchangePlan) -> dict[int, Model]:
+    """Per-lineage mean of owner i's trained `models[i]` plus every trained
+    copy `exchanged[j]` borrowed from i (`plan.donor[j] == i`), in receiver
+    order. A lineage nobody borrowed is its owner's model itself, not a copy.
+    Changes none of its arguments."""
+    copies = {owner: [model] for owner, model in enumerate(models)}
+    for receiver in sorted(plan.donor):
+        copies[plan.donor[receiver]].append(exchanged[receiver])
+    return {owner: group[0] if len(group) == 1 else nn.average_params(group)
+            for owner, group in copies.items()}
 
 
-def redistribute(states: list[ClientState], aggregated: dict[int, Model],
-                 selections: dict[int, int]) -> None:
-    """Each client adopts an independent copy of its selected lineage."""
-    for state in states:
-        state.personalized = aggregated[selections[state.client_id]].copy()
-        state.selection = selections[state.client_id]
-        state.exchanged = None
+def redistribute(aggregated: dict[int, Model],
+                 selections: dict[int, int]) -> list[Model]:
+    """Client i's next model: an independent copy of its selected lineage
+    `aggregated[selections[i]]`. Changes none of its arguments."""
+    return [aggregated[selections[i]].copy() for i in range(len(selections))]
 
 
-def _plan_round(states: list[ClientState], pool: UnlabeledPool, t: int,
+def _plan_round(models: list[Model], pool: UnlabeledPool, t: int,
                 config: FedMeConfig, overrides: RoundOverrides) -> ExchangePlan:
     """Cluster the clients on their pool predictions and draw one donor each."""
-    n = len(states)
+    n = len(models)
     k = (cluster_count(t, config.cluster_thresholds, config.k_max, n)
          if config.clustering else 1)
     assignments = overrides.clusters(t, n) if overrides.clusters else None
@@ -189,7 +179,7 @@ def _plan_round(states: list[ClientState], pool: UnlabeledPool, t: int,
         if k == 1:
             assignments = np.zeros(n, dtype=np.int64)
         else:
-            feats = model_outputs_on_unlabeled([s.personalized for s in states], pool)
+            feats = model_outputs_on_unlabeled(models, pool)
             if not np.isfinite(feats).all():
                 raise ValueError(f"non-finite model outputs at lr={config.lr:g}: "
                                  f"training diverged")
@@ -200,24 +190,24 @@ def _plan_round(states: list[ClientState], pool: UnlabeledPool, t: int,
     return assign_exchanges(assignments, t, config.seed, donors_override)
 
 
-def _train_and_select(state: ClientState, plan: ExchangePlan, config: FedMeConfig,
+def _train_and_select(cid: int, model: Model, peer: Model | None,
+                      shard: ClientShard, plan: ExchangePlan, config: FedMeConfig,
                       overrides: RoundOverrides) -> RoundRecord:
-    """Train the client's models, then pick the lineage it keeps. The record's
-    accuracies and server time are filled in after redistribution."""
+    """Train client `cid`'s model and its borrowed `peer` in place, then pick
+    the lineage it keeps. The record's accuracies and server time are filled
+    in after redistribution."""
     start = time.perf_counter()
-    t, cid, shard = plan.round, state.client_id, state.shard
-    donor = plan.donor.get(cid)
+    t, donor = plan.round, plan.donor.get(cid)
     rng = np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, cid))
-    dml_train(state, config, rng)
-    loss_p_train, _ = nn.evaluate(state.personalized, shard.train.features,
-                                  shard.train.labels)
-    loss_p_val, _ = nn.evaluate(state.personalized, shard.validation.features,
+    dml_train(model, peer, shard, config, rng)
+    loss_p_train, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
+    loss_p_val, _ = nn.evaluate(model, shard.validation.features,
                                 shard.validation.labels)
     loss_ex_train = loss_ex_val = None
     if donor is not None:
-        loss_ex_train, _ = nn.evaluate(state.exchanged, shard.train.features,
+        loss_ex_train, _ = nn.evaluate(peer, shard.train.features,
                                        shard.train.labels)
-        loss_ex_val, _ = nn.evaluate(state.exchanged, shard.validation.features,
+        loss_ex_val, _ = nn.evaluate(peer, shard.validation.features,
                                      shard.validation.labels)
     a = (overrides.selections(t, cid, loss_p_val, loss_ex_val)
          if overrides.selections else None)
@@ -236,7 +226,7 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
               pool: UnlabeledPool, config: FedMeConfig,
               overrides: RoundOverrides | None = None):
     """Run the full exchange/train/tune/aggregate/redistribute loop; returns
-    (final client states, round records)."""
+    (final per-client models, round records)."""
     return _run_rounds(shards, archs, pool, config, overrides or RoundOverrides())
 
 
@@ -245,43 +235,36 @@ def _run_rounds(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
                 overrides: RoundOverrides):
     """`run_fedme`'s loop, shared with Local-Only, which runs it with no
     donors and clustering off and so never reads the pool."""
-    n = len(shards)
-    if len(archs) != n:
+    if len(archs) != len(shards):
         raise ValueError("need one architecture per client")
-    states = [
-        ClientState(i, shard, nn.init_model(arch, derive_seed(config.seed, TAG_INIT, i)))
-        for i, (shard, arch) in enumerate(zip(shards, archs))
-    ]
+    models = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, i))
+              for i, arch in enumerate(archs)]
     records: list[RoundRecord] = []
 
     for t in range(1, config.rounds + 1):
         server_start = time.perf_counter()
-        plan = _plan_round(states, pool, t, config, overrides)
-        for state in states:
-            donor = plan.donor.get(state.client_id)
-            if donor is not None:
-                state.exchanged = states[donor].personalized.copy()
+        plan = _plan_round(models, pool, t, config, overrides)
+        exchanged = {i: models[d].copy() for i, d in plan.donor.items()}
         server_ms = (time.perf_counter() - server_start) * 1000.0
 
-        round_records = [_train_and_select(state, plan, config, overrides)
-                         for state in states]
+        round_records = [_train_and_select(i, model, exchanged.get(i), shard,
+                                           plan, config, overrides)
+                         for i, (model, shard) in enumerate(zip(models, shards))]
 
         server_start = time.perf_counter()
-        redistribute(states, aggregate(states, plan),
-                     {r.client: r.a for r in round_records})
+        models = redistribute(aggregate(models, exchanged, plan),
+                              {r.client: r.a for r in round_records})
         server_ms += (time.perf_counter() - server_start) * 1000.0
 
-        for state, record in zip(states, round_records):
-            _, record.val_acc = nn.evaluate(state.personalized,
-                                            state.shard.validation.features,
-                                            state.shard.validation.labels)
-            _, record.test_acc = nn.evaluate(state.personalized,
-                                             state.shard.test.features,
-                                             state.shard.test.labels)
+        for model, shard, record in zip(models, shards, round_records):
+            _, record.val_acc = nn.evaluate(model, shard.validation.features,
+                                            shard.validation.labels)
+            _, record.test_acc = nn.evaluate(model, shard.test.features,
+                                             shard.test.labels)
             record.server_ms = server_ms
         records.extend(round_records)
 
-    return states, records
+    return models, records
 
 
 def fine_tune(model: Model, shard: ClientShard, params: TrainingParams) -> Model:

@@ -264,8 +264,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     archs = _client_archs(config, shards)
 
     if config.algorithm == "fedme":
-        states, records = run_fedme(shards, archs, pool, config)
-        models = [s.personalized for s in states]
+        models, records = run_fedme(shards, archs, pool, config)
     elif config.algorithm == "local_only":
         models, records = run_local_only(shards, archs, config)
     elif config.algorithm == "centralized":
@@ -307,11 +306,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, data: bytes) -> None:
+    """Write to a temp file, then move it over `path`: a killed run leaves
+    either the whole file at `path` or none."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
+
+
+def _write_csv(path, lines: list[str]) -> None:
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_round_log(records: list[RoundRecord], path) -> None:
@@ -324,14 +329,14 @@ def write_round_log(records: list[RoundRecord], path) -> None:
             _fmt(r.donor), _fmt(r.a), _fmt(r.loss_p_train),
             _fmt(r.loss_ex_train), _fmt(r.loss_p_val), _fmt(r.loss_ex_val),
             _fmt(r.val_acc), _fmt(r.test_acc), "0", "0"]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_csv(path, lines)
 
 
 def write_timings(records: list[RoundRecord], path) -> None:
     lines = ["round,client,client_ms,server_ms"]
     for r in records:
         lines.append(f"{r.round},{r.client},{r.client_ms:.3f},{r.server_ms:.3f}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_csv(path, lines)
 
 
 @dataclass
@@ -369,8 +374,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> SummaryReport:
             write_round_log(result.records, os.path.join(run_dir, "rounds.csv"))
             write_timings(result.records, os.path.join(run_dir, "timings.csv"))
             for i, model in enumerate(result.tuned_models):
-                with open(os.path.join(run_dir, f"client_{i}.model"), "wb") as fh:
-                    fh.write(nn.serialize_model(model))
+                _atomic_write(os.path.join(run_dir, f"client_{i}.model"),
+                              nn.serialize_model(model))
 
     finals = [res.test_acc_post_ft for res in results]
     pre = [res.test_acc_pre_ft for res in results]
@@ -387,7 +392,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> SummaryReport:
         lines.append(f"mean,{report.mean:.12g},{report.mean_pre_ft:.12g}")
         lines.append(f"std,{report.std:.12g},{report.std_pre_ft:.12g}")
         lines.append(f"runtime_s,{report.runtime_s:.3f},")
-        _atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n")
+        _write_csv(os.path.join(out_dir, "summary.csv"), lines)
     return report
 
 
@@ -459,5 +464,5 @@ def sweep(config: ExperimentConfig, axis: str, values: list[str],
         for (value, alg), report in table.items():
             lines.append(f"{value},{alg},{report.mean:.12g},{report.std:.12g},"
                          f"{report.mean_pre_ft:.12g},{report.std_pre_ft:.12g}")
-        _atomic_write(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+        _write_csv(os.path.join(out_dir, "sweep.csv"), lines)
     return table

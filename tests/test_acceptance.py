@@ -14,8 +14,8 @@ from fedme import baselines, engine, nn
 from fedme.baselines import TrainingParams
 from fedme.clustering import kmeans
 from fedme.data import Dataset, UnlabeledPool, split_shard
-from fedme.engine import (ClientState, FedMeConfig,
-                          RoundOverrides, assign_exchanges, derive_seed)
+from fedme.engine import (FedMeConfig, RoundOverrides, assign_exchanges,
+                          derive_seed)
 from fedme.harness import ExperimentConfig, run_experiment, validate_config
 from fedme.nn import ArchitectureSpec, Model
 
@@ -106,19 +106,15 @@ def test_criterion_3_aggregation_exactness():
     for trial in range(10):
         assignments = rng.integers(0, rng.integers(1, 4), size=10)
         plan = assign_exchanges(assignments, trial + 1, seed=trial)
-        states = []
-        for i in range(10):
-            state = ClientState(i, None, Model(arch, rng.normal(size=6)))
-            states.append(state)
-        for i in range(10):
-            # a trained exchanged copy of the donor's lineage
-            states[i].exchanged = Model(arch, rng.normal(size=6))
-        agg = engine.aggregate(states, plan)
+        models = [Model(arch, rng.normal(size=6)) for _ in range(10)]
+        # a trained exchanged copy of the donor's lineage
+        exchanged = {i: Model(arch, rng.normal(size=6)) for i in range(10)}
+        agg = engine.aggregate(models, exchanged, plan)
         s = {i: sum(1 for j in range(10) if plan.donor[j] == i) for i in range(10)}
         ok &= sum(s.values()) == 10
         for i in range(10):
-            copies = [states[i].personalized.params]
-            copies += [states[j].exchanged.params for j in range(10)
+            copies = [models[i].params]
+            copies += [exchanged[j].params for j in range(10)
                        if plan.donor[j] == i]
             ok &= len(copies) == s[i] + 1
             ok &= bool(np.max(np.abs(agg[i].params -
@@ -171,7 +167,7 @@ def test_criterion_5_running_example_trace():
         selections=lambda t, i, lp, lex: selections[t][i])
     shards, pool = _shards_and_pool()
     arch = ArchitectureSpec(2, (4,), 2)
-    states, records = engine.run_fedme(shards, [arch] * 5, pool,
+    models, records = engine.run_fedme(shards, [arch] * 5, pool,
                                        FedMeConfig(rounds=2, lr=0.05, seed=9),
                                        overrides)
     ok = all(r.donor == donors[r.round][r.client] and
@@ -181,10 +177,8 @@ def test_criterion_5_running_example_trace():
     receivers = {i: [j for j in range(5) if donors[1][j] == i] for i in range(5)}
     ok &= receivers == {0: [2], 1: [4], 2: [0], 3: [1], 4: [3]}
     # round-2 redistribution (0, 3, 2, 3, 3): clients 1, 3 and 4 share a model
-    ok &= np.array_equal(states[1].personalized.params,
-                         states[3].personalized.params)
-    ok &= np.array_equal(states[3].personalized.params,
-                         states[4].personalized.params)
+    ok &= np.array_equal(models[1].params, models[3].params)
+    ok &= np.array_equal(models[3].params, models[4].params)
     _report("5 (running-example trace)", bool(ok))
 
 
@@ -222,12 +216,12 @@ def test_criterion_7_degeneracy_equivalences():
     arch = ArchitectureSpec(2, (4,), 2)
     stub = FedMeConfig(rounds=5, lr=0.05, tuning=False, dml=False,
                        clustering=False, seed=3)
-    states, _ = engine.run_fedme(shards, [arch] * 5, pool, stub,
+    models, _ = engine.run_fedme(shards, [arch] * 5, pool, stub,
                                  RoundOverrides(donors=lambda t, a: {}))
     params = TrainingParams(rounds=5, epochs=2, lr=0.05, seed=3)
     local_models, _ = baselines.run_local_only(shards, [arch] * 5, params)
-    a_ok = all(np.array_equal(s.personalized.params, m.params)
-               for s, m in zip(states, local_models))
+    a_ok = all(np.array_equal(m.params, local.params)
+               for m, local in zip(models, local_models))
 
     one = [shards[0]]
     avg_model, _ = baselines.run_fedavg(one, arch, params)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedme.clustering import cluster_count, kmeans
 
@@ -77,6 +79,19 @@ def test_kmeans_bounds():
         kmeans(pts, 4, seed=0)
     with pytest.raises(ValueError):
         kmeans(np.zeros(3), 1, seed=0)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts"):
+            kmeans(pts, 2, seed=0, restarts=restarts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(3, 12), dim=st.integers(1, 4), k=st.integers(2, 4),
+       data_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_kmeans_inertia_never_rises_with_more_restarts(n, dim, k, data_seed, seed):
+    pts = np.random.default_rng(data_seed).normal(size=(n, dim))
+    k = min(k, n)
+    inertias = [kmeans(pts, k, seed, restarts)[1] for restarts in range(1, 7)]
+    assert all(b <= a for a, b in zip(inertias, inertias[1:]))
 
 
 def _best_partition_inertia(points, k):

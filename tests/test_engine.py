@@ -9,9 +9,8 @@ from scipy import stats
 
 from fedme import engine, nn
 from fedme.data import Dataset, UnlabeledPool, split_shard
-from fedme.engine import (ClientState, ExchangePlan, FedMeConfig,
-                          RoundOverrides, TrainingParams, assign_exchanges,
-                          derive_seed)
+from fedme.engine import (ExchangePlan, FedMeConfig, RoundOverrides,
+                          TrainingParams, assign_exchanges, derive_seed)
 from fedme.nn import ArchitectureSpec, Model
 
 ARCH = ArchitectureSpec(2, (4,), 2)
@@ -103,22 +102,16 @@ def test_model_tuning_tie_and_strict():
     assert engine.model_tuning(0.6, 0.5, client_id=3, exchange_origin=7) == 7
 
 
-def _state(cid, params, exchanged=None):
-    state = ClientState(cid, None, Model(TINY, np.asarray(params, dtype=float)))
-    if exchanged is not None:
-        state.exchanged = Model(TINY, np.asarray(exchanged, dtype=float))
-    return state
+def _tiny(params):
+    return Model(TINY, np.asarray(params, dtype=float))
 
 
 def test_aggregate_per_lineage_means():
     # donors: client 1 and 2 both hold lineage 0; client 0 holds lineage 1
     plan = ExchangePlan(1, {0: 1, 1: 0, 2: 0}, {0: 0, 1: 0, 2: 0}, 1)
-    states = [
-        _state(0, [1.0] * 6, exchanged=[10.0] * 6),
-        _state(1, [2.0] * 6, exchanged=[4.0] * 6),
-        _state(2, [3.0] * 6, exchanged=[7.0] * 6),
-    ]
-    agg = engine.aggregate(states, plan)
+    models = [_tiny([1.0] * 6), _tiny([2.0] * 6), _tiny([3.0] * 6)]
+    exchanged = {0: _tiny([10.0] * 6), 1: _tiny([4.0] * 6), 2: _tiny([7.0] * 6)}
+    agg = engine.aggregate(models, exchanged, plan)
     assert np.allclose(agg[0].params, (1.0 + 4.0 + 7.0) / 3)
     assert np.allclose(agg[1].params, (2.0 + 10.0) / 2)
     assert np.allclose(agg[2].params, 3.0)  # nobody borrowed lineage 2
@@ -141,73 +134,88 @@ def test_plan_to_aggregate_contract(assignments, t, seed):
         assert donor != i
         singleton = np.count_nonzero(assignments == assignments[i]) == 1
         assert singleton or assignments[donor] == assignments[i]
-    # each lineage averages its owner's copy (all 0) and its s_i borrowed
-    # copies (all 1): exactly those objects, so the mean is s_i / (s_i + 1)
-    states = [_state(i, [0.0] * 6, exchanged=[1.0] * 6) for i in range(n)]
+    # each lineage averages its owner's model (all 0) and its s_i borrowed
+    # copies (all 1): exactly those objects, so the mean is s_i / (s_i + 1);
+    # a lineage nobody borrowed (s_i = 0) is its owner's model, not averaged
+    models = [_tiny([0.0] * 6) for _ in range(n)]
+    exchanged = {i: _tiny([1.0] * 6) for i in range(n)}
     with mock.patch.object(nn, "average_params", wraps=nn.average_params) as spy:
-        agg = engine.aggregate(states, plan)
-    copies = {i: [states[i].personalized] +
-                 [states[j].exchanged for j in range(n) if plan.donor[j] == i]
+        agg = engine.aggregate(models, exchanged, plan)
+    copies = {i: [models[i]] +
+                 [exchanged[j] for j in range(n) if plan.donor[j] == i]
               for i in range(n)}
     assert sorted(sorted(map(id, c.args[0])) for c in spy.call_args_list) == \
-        sorted(sorted(map(id, models)) for models in copies.values())
-    for i, models in copies.items():
-        s_i = len(models) - 1
+        sorted(sorted(map(id, group)) for group in copies.values()
+               if len(group) > 1)
+    for i, group in copies.items():
+        s_i = len(group) - 1
         assert np.all(agg[i].params == s_i / (s_i + 1))
-    # the empty plan (exchange off) hands every owner its own params back
+        assert (agg[i] is models[i]) == (s_i == 0)
+    # the empty plan (exchange off) hands every owner its own model back
     rng = np.random.default_rng(seed)
-    owners = [_state(i, rng.normal(size=6)) for i in range(n)]
-    alone = engine.aggregate(owners, ExchangePlan(t, {}, {}, 1))
-    assert all(np.array_equal(alone[i].params, owners[i].personalized.params)
-               for i in range(n))
+    owners = [_tiny(rng.normal(size=6)) for _ in range(n)]
+    alone = engine.aggregate(owners, {}, ExchangePlan(t, {}, {}, 1))
+    assert all(alone[i] is owners[i] for i in range(n))
+
+
+def test_aggregate_and_redistribute_leave_their_arguments_unchanged():
+    plan = ExchangePlan(1, {0: 1, 2: 1}, {0: 0, 1: 0, 2: 0}, 1)
+    models = [_tiny([1.0] * 6), _tiny([2.0] * 6), _tiny([3.0] * 6)]
+    exchanged = {0: _tiny([4.0] * 6), 2: _tiny([5.0] * 6)}
+    selections = {0: 1, 1: 1, 2: 0}
+    inputs = [*models, *exchanged.values()]
+    frozen = [m.params.copy() for m in inputs]
+    agg = engine.aggregate(models, exchanged, plan)
+    frozen_agg = {i: m.params.copy() for i, m in agg.items()}
+    new = engine.redistribute(agg, selections)
+    assert sorted(exchanged) == [0, 2] and selections == {0: 1, 1: 1, 2: 0}
+    assert all(np.array_equal(m.params, p) for m, p in zip(inputs, frozen))
+    assert sorted(agg) == [0, 1, 2]
+    assert all(np.array_equal(agg[i].params, p) for i, p in frozen_agg.items())
+    # the new models are fresh objects: none is an input or an aggregate
+    held = [*inputs, *agg.values()]
+    assert not any(m is x or m.params is x.params for m in new for x in held)
 
 
 def test_redistribute_independent_copies():
     plan = ExchangePlan(1, {0: 1, 1: 0}, {0: 0, 1: 0}, 1)
-    states = [_state(0, [1.0] * 6, [2.0] * 6),
-              _state(1, [2.0] * 6, [1.0] * 6)]
-    agg = engine.aggregate(states, plan)
-    engine.redistribute(states, agg, {0: 1, 1: 1})
-    assert states[0].selection == 1 and states[1].selection == 1
-    assert np.array_equal(states[0].personalized.params,
-                          states[1].personalized.params)
-    states[0].personalized.params[0] = 99.0
-    assert states[1].personalized.params[0] != 99.0
-    assert states[0].exchanged is None and states[1].exchanged is None
+    models = [_tiny([1.0] * 6), _tiny([2.0] * 6)]
+    exchanged = {0: _tiny([2.0] * 6), 1: _tiny([1.0] * 6)}
+    agg = engine.aggregate(models, exchanged, plan)
+    new = engine.redistribute(agg, {0: 1, 1: 1})
+    assert len(new) == 2
+    assert np.array_equal(new[0].params, agg[1].params)
+    assert np.array_equal(new[0].params, new[1].params)
+    new[0].params[0] = 99.0
+    assert new[1].params[0] != 99.0
 
 
 def test_dml_train_reduces_loss_and_keeps_momentum_within_round():
     shard = _shards(1, 60)[0]
-    state = ClientState(0, shard, nn.init_model(ARCH, 0))
-    state.exchanged = nn.init_model(ARCH, 1)
-    before_p, _ = nn.evaluate(state.personalized, shard.train.features,
-                              shard.train.labels)
+    model, peer = nn.init_model(ARCH, 0), nn.init_model(ARCH, 1)
+    before_p, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
     config = FedMeConfig(rounds=1, epochs=3, lr=0.05)
-    engine.dml_train(state, config, np.random.default_rng(0))
-    after_p, _ = nn.evaluate(state.personalized, shard.train.features,
-                             shard.train.labels)
-    after_ex, _ = nn.evaluate(state.exchanged, shard.train.features,
-                              shard.train.labels)
+    engine.dml_train(model, peer, shard, config, np.random.default_rng(0))
+    after_p, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
+    after_ex, _ = nn.evaluate(peer, shard.train.features, shard.train.labels)
     assert after_p < before_p
     assert after_ex < 0.7  # the borrowed model trains too
     # a step from a zero buffer is a momentum-free step, so only a buffer
     # carried across the round's batches can set the two runs apart
-    plain = ClientState(0, shard, nn.init_model(ARCH, 0))
-    plain.exchanged = nn.init_model(ARCH, 1)
-    engine.dml_train(plain, replace(config, momentum=0.0),
-                     np.random.default_rng(0))
-    assert not np.array_equal(plain.personalized.params,
-                              state.personalized.params)
+    plain = nn.init_model(ARCH, 0)
+    engine.dml_train(plain, nn.init_model(ARCH, 1), shard,
+                     replace(config, momentum=0.0), np.random.default_rng(0))
+    assert not np.array_equal(plain.params, model.params)
 
 
 def test_run_fedme_deterministic():
     shards = _shards()
     archs = [ARCH] * 5
     config = FedMeConfig(rounds=3, lr=0.05, cluster_thresholds=(2,), seed=4)
-    states_a, records_a = engine.run_fedme(shards, archs, _pool(), config)
-    states_b, records_b = engine.run_fedme(shards, archs, _pool(), config)
-    for sa, sb in zip(states_a, states_b):
-        assert np.array_equal(sa.personalized.params, sb.personalized.params)
+    models_a, records_a = engine.run_fedme(shards, archs, _pool(), config)
+    models_b, records_b = engine.run_fedme(shards, archs, _pool(), config)
+    for ma, mb in zip(models_a, models_b):
+        assert np.array_equal(ma.params, mb.params)
     for ra, rb in zip(records_a, records_b):
         # everything except wall-clock timings must match bit for bit
         assert (ra.round, ra.client, ra.k, ra.cluster, ra.donor, ra.a) == \
@@ -221,7 +229,7 @@ def test_run_fedme_deterministic():
 def test_run_fedme_record_structure_and_schedule():
     shards = _shards()
     config = FedMeConfig(rounds=4, lr=0.05, cluster_thresholds=(2, 3), seed=1)
-    states, records = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
+    _, records = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
     assert len(records) == 4 * 5
     by_round = {t: [r for r in records if r.round == t] for t in (1, 2, 3, 4)}
     assert all(r.k == 1 for r in by_round[1])
@@ -238,13 +246,13 @@ def test_run_fedme_heterogeneous_architectures():
     shards = _shards()
     archs = [ArchitectureSpec(2, w, 2) for w in ((4,), (4, 4), (8,), (4,), (8, 8))]
     config = FedMeConfig(rounds=2, lr=0.05, seed=2)
-    states, records = engine.run_fedme(shards, archs, _pool(), config)
+    models, records = engine.run_fedme(shards, archs, _pool(), config)
     # a lineage keeps the architecture of whoever carried it; a client's final
     # model follows its selection chain back to the original owner
     a1 = {r.client: r.a for r in records if r.round == 1}
     a2 = {r.client: r.a for r in records if r.round == 2}
-    for i, state in enumerate(states):
-        assert state.personalized.arch == archs[a1[a2[i]]]
+    for i, model in enumerate(models):
+        assert model.arch == archs[a1[a2[i]]]
 
 
 def test_run_fedme_clustering_off_keeps_k_one():
@@ -267,12 +275,8 @@ def test_run_fedme_exchange_off_runs_the_empty_plan():
     archs = [ArchitectureSpec(2, w, 2) for w in ((4,), (4, 4), (8,), (4,), (8, 8))]
     config = FedMeConfig(rounds=3, lr=0.05, clustering=False, seed=6)
     no_exchange = RoundOverrides(donors=lambda t, a: {})
-    for rounds in (1, 2, 3):
-        states, records = engine.run_fedme(shards, archs, _pool(),
-                                           replace(config, rounds=rounds),
-                                           no_exchange)
-        assert all(s.exchanged is None and s.selection == s.client_id
-                   for s in states)
+    models, records = engine.run_fedme(shards, archs, _pool(), config,
+                                       no_exchange)
     assert len(records) == 3 * 5
     for r in records:
         assert r.k == 1 and r.a == r.client
@@ -289,11 +293,9 @@ def test_run_fedme_exchange_off_runs_the_empty_plan():
         shards, archs, _pool(), config,
         replace(no_exchange, selections=pick_next))
     assert seen == [None] * 15
-    for i, state in enumerate(moved):
-        assert state.selection == (i + 1) % 5
-        assert state.personalized.arch == archs[(i + 1) % 5]
-        assert np.array_equal(state.personalized.params,
-                              states[(i + 1) % 5].personalized.params)
+    for i, model in enumerate(moved):
+        assert model.arch == archs[(i + 1) % 5]
+        assert np.array_equal(model.params, models[(i + 1) % 5].params)
     assert [r.a for r in moved_records if r.round == 3] == [1, 2, 3, 4, 0]
 
 
@@ -311,7 +313,7 @@ def test_run_fedme_scripted_trace():
         selections=lambda t, i, lp, lex: selections[t][i])
     shards = _shards()
     config = FedMeConfig(rounds=2, lr=0.05, seed=9)
-    states, records = engine.run_fedme(shards, [ARCH] * 5, _pool(), config,
+    models, records = engine.run_fedme(shards, [ARCH] * 5, _pool(), config,
                                        overrides)
     for r in records:
         assert r.donor == donors[r.round][r.client]
@@ -321,16 +323,12 @@ def test_run_fedme_scripted_trace():
     for i, donor in donors[2].items():
         assert clusters[2][i] == clusters[2][donor]
     # clients that selected the same lineage in round 2 hold identical params
-    assert np.array_equal(states[1].personalized.params,
-                          states[3].personalized.params)
-    assert np.array_equal(states[3].personalized.params,
-                          states[4].personalized.params)
+    assert np.array_equal(models[1].params, models[3].params)
+    assert np.array_equal(models[3].params, models[4].params)
     # clients 0 and 2 entered round 2 holding identical models (both picked
     # lineage 2 in round 1) and then swapped, so their lineages coincide too
-    assert np.array_equal(states[0].personalized.params,
-                          states[2].personalized.params)
-    assert not np.array_equal(states[0].personalized.params,
-                              states[1].personalized.params)
+    assert np.array_equal(models[0].params, models[2].params)
+    assert not np.array_equal(models[0].params, models[1].params)
 
 
 def test_fine_tune_deterministic_and_nondestructive():

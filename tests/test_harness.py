@@ -1,3 +1,4 @@
+import os
 from dataclasses import fields, replace
 
 import numpy as np
@@ -227,6 +228,38 @@ def test_run_experiment_byte_identical_logs(tmp_path):
     a = (tmp_path / "a" / "run_0" / "rounds.csv").read_bytes()
     b = (tmp_path / "b" / "run_0" / "rounds.csv").read_bytes()
     assert a == b
+
+
+def test_checkpoints_are_written_atomically(tmp_path, monkeypatch):
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if str(dst).endswith(".model"):
+            raise OSError("killed while moving a checkpoint")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="checkpoint"):
+        run_experiment(_tiny("fedme", repeats=1), str(tmp_path))
+    assert not list(tmp_path.glob("run_0/client_*.model"))
+
+
+@pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+def test_criterion_10_config_is_byte_identical_for_every_algorithm(
+        tmp_path, algorithm):
+    config = validate_config(ExperimentConfig(
+        algorithm=algorithm, num_clients=5, rounds=4, epochs=1, num_classes=3,
+        dim=4, per_class_count=50, noise_sigma=1.0, unlabeled_count=20,
+        model_menu=((4,), (4, 4)), init_policy="best_local", probe_epochs=1,
+        cluster_thresholds=(2, 3), fine_tune_epochs=2, repeats=2, lr=0.05,
+        seed=11))
+    run_experiment(config, str(tmp_path / "a"))
+    run_experiment(config, str(tmp_path / "b"))
+    for r in range(2):
+        for name in ["rounds.csv"] + [f"client_{i}.model" for i in range(5)]:
+            a = (tmp_path / "a" / f"run_{r}" / name).read_bytes()
+            b = (tmp_path / "b" / f"run_{r}" / name).read_bytes()
+            assert a == b, f"run_{r}/{name}"
 
 
 def test_default_lr_grid():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedme import nn
 from fedme.engine import TrainingParams
@@ -406,3 +408,40 @@ def test_deserialize_rejects_corruption():
     bad_version = blob[:4] + b"\x63\x00" + blob[6:]
     with pytest.raises(ValueError):
         nn.deserialize_model(bad_version)
+
+
+@st.composite
+def _models(draw):
+    arch = ArchitectureSpec(
+        draw(st.integers(1, 6)),
+        tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))),
+        draw(st.integers(2, 5)), draw(st.sampled_from(nn.ACTIVATIONS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return Model(arch, rng.normal(size=arch.parameter_count()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=_models())
+def test_checkpoint_round_trips_and_rejects_truncation_and_header_flips(model):
+    blob = nn.serialize_model(model)
+    restored = nn.deserialize_model(blob)
+    assert restored.arch == model.arch
+    assert restored.params.tobytes() == model.params.tobytes()
+    for length in range(len(blob)):
+        with pytest.raises(ValueError):
+            nn.deserialize_model(blob[:length])
+    header_len = 8 + 4 * len(model.arch.layer_widths)
+    for byte in range(header_len):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[byte] ^= 1 << bit
+            if (byte, bit) == (6, 0):
+                # byte 6 is the activation code, and relu (0) and tanh (1)
+                # differ only in bit 0: this flip gives a valid checkpoint of
+                # the other activation, which the format cannot detect
+                other = nn.deserialize_model(bytes(flipped))
+                assert other.arch.activation != model.arch.activation
+                assert other.params.tobytes() == model.params.tobytes()
+                continue
+            with pytest.raises(ValueError):
+                nn.deserialize_model(bytes(flipped))

@@ -254,6 +254,7 @@ def _run_rounds(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
         server_start = time.perf_counter()
         models = redistribute(aggregate(models, exchanged, plan),
                               {r.client: r.a for r in round_records})
+        del exchanged  # its copies are dead weight through the next round's k-means
         server_ms += (time.perf_counter() - server_start) * 1000.0
 
         for model, shard, record in zip(models, shards, round_records):

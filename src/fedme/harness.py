@@ -308,11 +308,15 @@ def _fmt(value) -> str:
 
 def _atomic_write(path, data: bytes) -> None:
     """Write to a temp file, then move it over `path`: a killed run leaves
-    either the whole file at `path` or none."""
+    either the whole file at `path` or none; a failed one, no temp file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _write_csv(path, lines: list[str]) -> None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedme import clustering
 from fedme.clustering import cluster_count, kmeans
 
 
@@ -82,6 +83,13 @@ def test_kmeans_bounds():
     for restarts in (0, -1):
         with pytest.raises(ValueError, match="restarts"):
             kmeans(pts, 2, seed=0, restarts=restarts)
+    for bad in (np.nan, np.inf, -np.inf):
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="finite"):
+                kmeans(np.array([[0.0, 1.0], [bad, 0.0], [2.0, 2.0]]), k, seed=0)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="overflow"):
+            kmeans(np.array([[0.0, 1.0], [1e200, 0.0], [2.0, 2.0]]), k, seed=0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -117,3 +125,105 @@ def test_kmeans_matches_exhaustive_optimum_on_small_instances(k):
         _, inertia = kmeans(pts, k, seed=trial, restarts=20)
         assert inertia == pytest.approx(_best_partition_inertia(pts, k),
                                         rel=1e-9, abs=1e-12)
+
+
+# The k-means of the parent design, kept as the reference: every distance is
+# the direct form, taken from an (n, k, d) difference.
+def _oracle_squared_distances(points, centroids):
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _oracle_kmeans_pp_init(points, k, rng):
+    n = len(points)
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    diff = points - centroids[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centroids[j] = points[rng.integers(n)]
+            continue
+        idx = rng.choice(n, p=d2 / total)
+        centroids[j] = points[idx]
+        diff = points - centroids[j]
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+    return centroids
+
+
+def _oracle_lloyd(points, k, rng):
+    centroids = _oracle_kmeans_pp_init(points, k, rng)
+    for _ in range(clustering.MAX_ITER):
+        d2 = _oracle_squared_distances(points, centroids)
+        assignments = d2.argmin(axis=1)
+        new_centroids = centroids.copy()
+        for j in range(k):
+            members = assignments == j
+            if members.any():
+                new_centroids[j] = points[members].mean(axis=0)
+        for j in range(k):
+            if not (assignments == j).any():
+                farthest = int(d2[np.arange(len(points)), assignments].argmax())
+                assignments[farthest] = j
+                new_centroids[j] = points[farthest]
+        shift = np.abs(new_centroids - centroids).max()
+        centroids = new_centroids
+        if shift < clustering.SHIFT_TOL:
+            break
+    d2 = _oracle_squared_distances(points, centroids)
+    assignments = d2.argmin(axis=1)
+    return assignments, float(d2[np.arange(len(points)), assignments].sum())
+
+
+def _oracle_kmeans(points, k, seed, restarts):
+    best = None
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+        assignments, inertia = _oracle_lloyd(points, k, rng)
+        if best is None or inertia < best[1]:
+            best = (assignments, inertia)
+    return best
+
+
+def _assert_matches_oracle(points, k, seed, restarts):
+    assignments, inertia = kmeans(points, k, seed, restarts)
+    want_assignments, want_inertia = _oracle_kmeans(points, k, seed, restarts)
+    assert np.array_equal(assignments, want_assignments)
+    assert inertia == want_inertia
+
+
+def _points(kind, n, dim, rng):
+    if kind == "normal":
+        return rng.normal(size=(n, dim))
+    if kind == "duplicates":
+        return rng.normal(size=(max(1, n // 3), dim))[rng.integers(0, max(1, n // 3), n)]
+    if kind == "jitter":
+        return rng.normal(size=(1, dim)) + 1e-13 * rng.normal(size=(n, dim))
+    if kind == "grid":  # small integers: many exact ties
+        return rng.integers(-2, 3, size=(n, dim)).astype(np.float64)
+    if kind == "rounded":
+        return np.round(rng.normal(size=(n, dim)), 1)
+    return rng.dirichlet(np.ones(dim), size=n)  # rows of class probabilities
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 40), dim=st.integers(1, 300), k=st.integers(2, 8),
+       kind=st.sampled_from(["normal", "duplicates", "jitter", "grid", "rounded",
+                             "probabilities"]),
+       scale=st.sampled_from([0] + list(range(-100, 101, 10))),
+       data_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 32 - 1),
+       restarts=st.integers(1, 3))
+def test_kmeans_matches_the_direct_distance_oracle_bit_for_bit(
+        n, dim, k, kind, scale, data_seed, seed, restarts):
+    points = _points(kind, n, dim, np.random.default_rng(data_seed)) * 10.0 ** scale
+    _assert_matches_oracle(points, min(k, n), seed, restarts)
+
+
+def test_kmeans_matches_the_oracle_at_fedme_many_size():
+    # 48 clients' prediction vectors over a 1000-row pool of 4 classes; the
+    # clients of one lineage share a model, so some vectors repeat
+    rng = np.random.default_rng(48)
+    distinct = rng.dirichlet(np.full(4, 0.5), size=(30, 1000)).reshape(30, 4000)
+    points = distinct[rng.integers(0, 30, size=48)]
+    _assert_matches_oracle(points, 8, seed=3, restarts=8)

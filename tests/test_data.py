@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedme import data
 from fedme.data import Dataset, PartitionSpec
@@ -73,6 +75,25 @@ def test_partition_is_exact(iid):
     assert np.array_equal(merged, np.arange(200))
     for part in parts:
         assert len(part) >= ds.num_classes
+
+
+@settings(max_examples=100, deadline=None)
+@given(data_=st.data(), n=st.integers(4, 300), m=st.integers(2, 6),
+       iid=st.booleans(), alpha_label=st.floats(0.01, 100.0),
+       alpha_size=st.floats(0.01, 100.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_partition_uses_every_row_once_and_gives_each_client_num_classes(
+        data_, n, m, iid, alpha_label, alpha_size, seed):
+    n = max(n, 2 * m)
+    # up to the feasibility limit: n rows cover k clients x m classes
+    k = data_.draw(st.integers(2, n // m), label="num_clients")
+    labels = np.random.default_rng(seed).integers(0, m, size=n)
+    ds = Dataset(np.zeros((n, 1)), labels, m)
+    spec = PartitionSpec(k, alpha_label=alpha_label, alpha_size=alpha_size,
+                         iid=iid, seed=seed)
+    parts = data.dirichlet_partition(ds, spec)
+    assert len(parts) == k
+    assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
+    assert min(len(part) for part in parts) >= m
 
 
 def test_partition_iid_sizes_balanced():

@@ -242,6 +242,7 @@ def test_checkpoints_are_written_atomically(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="checkpoint"):
         run_experiment(_tiny("fedme", repeats=1), str(tmp_path))
     assert not list(tmp_path.glob("run_0/client_*.model"))
+    assert not list(tmp_path.glob("run_0/*.tmp"))
 
 
 @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)

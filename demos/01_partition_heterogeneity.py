@@ -16,9 +16,8 @@ print(f"dataset: {dataset.n} rows, {dataset.dim} features, "
       f"{dataset.num_classes} classes\n")
 
 for alpha in (0.1, 0.5, 5.0, None):
-    spec = PartitionSpec(num_clients=8,
-                         alpha_label=alpha if alpha is not None else 1.0,
-                         alpha_size=10.0, iid=alpha is None, seed=7)
+    spec = PartitionSpec(num_clients=8, alpha_label=alpha, alpha_size=10.0,
+                         seed=7)
     parts = dirichlet_partition(dataset, spec)
     skew = label_skew([dataset.labels[p] for p in parts], dataset.num_classes)
     name = "iid" if alpha is None else f"alpha={alpha}"

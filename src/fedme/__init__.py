@@ -5,9 +5,9 @@ from .data import (ClientShard, Dataset, PartitionSpec, UnlabeledPool,
                    dirichlet_partition, extract_unlabeled, generate_synthetic,
                    label_skew, load_csv, save_csv, split_shard)
 from .engine import (ExchangePlan, FedMeConfig, RoundOverrides, RoundRecord,
-                     TrainingParams, aggregate, assign_exchanges, dml_train,
-                     fine_tune, model_outputs_on_unlabeled, model_tuning,
-                     redistribute, run_fedme)
+                     aggregate, assign_exchanges, dml_train, fine_tune,
+                     model_outputs_on_unlabeled, model_tuning, redistribute,
+                     run_fedme)
 from .baselines import (run_centralized, run_fedavg, run_hypcluster,
                         run_local_only)
 from .harness import (ConfigError, ExperimentConfig, SummaryReport,

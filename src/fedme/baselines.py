@@ -7,14 +7,14 @@ apples-to-apples; every training call starts from zero momentum.
 from __future__ import annotations
 
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from . import nn
 from .data import ClientShard, Dataset
 from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, RoundOverrides,
-                     RoundRecord, TrainingParams, _run_rounds, derive_seed)
+                     RoundRecord, _run_rounds, derive_seed)
 from .nn import ArchitectureSpec, Model
 
 
@@ -33,7 +33,7 @@ def _eval_record(model: Model, shard: ClientShard, t: int, k: int,
 
 
 def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
-                       arch: ArchitectureSpec, params: TrainingParams,
+                       arch: ArchitectureSpec, config: FedMeConfig,
                        weights: list[float], q: int = 1, criterion: str = "loss"):
     """The server keeps q global models. Every round each training unit i
     trains a copy of one on `train_sets[i]` (when q > 1, the one that best fits
@@ -42,11 +42,11 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
     `client_ms` is unit i's choice and training (0 past the last unit), and
     `server_ms` the averaging. Returns (global models, per-shard choice,
     round records)."""
-    globals_ = [nn.init_model(arch, derive_seed(params.seed, TAG_INIT, g))
+    globals_ = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, g))
                 for g in range(q)]
     choices = [0] * len(shards)
     records = []
-    for t in range(1, params.rounds + 1):
+    for t in range(1, config.rounds + 1):
         returned = [[] for _ in range(q)]  # (trained copy, weight) per model
         client_ms = [0.0] * len(shards)
         for i, train in enumerate(train_sets):
@@ -57,8 +57,8 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
                 choices[i] = int(np.argmin([loss if criterion == "loss" else -acc
                                             for loss, acc in scores]))
             model = globals_[choices[i]].copy()
-            rng = np.random.default_rng(derive_seed(params.seed, TAG_BATCH, t, i))
-            nn._train(model, train.features, train.labels, params, rng)
+            rng = np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i))
+            nn._train(model, train.features, train.labels, config, rng)
             returned[choices[i]].append((model, weights[i]))
             client_ms[i] = (time.perf_counter() - start) * 1000.0
         start = time.perf_counter()
@@ -75,13 +75,12 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
 
 
 def run_local_only(shards: list[ClientShard], archs: list[ArchitectureSpec],
-                   params: TrainingParams):
+                   config: FedMeConfig):
     """Each client trains its own model for rounds*epochs epochs, no
     communication: the FedMe round path with no donors and clustering off.
     Returns (per-client models, round records)."""
-    config = FedMeConfig(clustering=False, **{f.name: getattr(params, f.name)
-                                              for f in fields(TrainingParams)})
-    models, records = _run_rounds(shards, archs, None, config,
+    models, records = _run_rounds(shards, archs, None,
+                                  replace(config, clustering=False),
                                   RoundOverrides(donors=lambda t, a: {}))
     return models, [replace(r, cluster=None, a=None) for r in records]
 
@@ -93,27 +92,27 @@ def pool_train_splits(shards: list[ClientShard]) -> Dataset:
 
 
 def run_centralized(shards: list[ClientShard], arch: ArchitectureSpec,
-                    params: TrainingParams):
+                    config: FedMeConfig):
     """Pool all train splits and train a single model on the server."""
     globals_, _, records = _run_server_models(
-        [pool_train_splits(shards)], shards, arch, params, [1.0])
+        [pool_train_splits(shards)], shards, arch, config, [1.0])
     return globals_[0], records
 
 
 def run_fedavg(shards: list[ClientShard], arch: ArchitectureSpec,
-               params: TrainingParams, weighting: str = "size"):
+               config: FedMeConfig, weighting: str = "size"):
     """Each round every client trains the global model; the server replaces it
     with the (train-size-weighted) average of client models."""
     if weighting not in ("size", "uniform"):
         raise ValueError(f"weighting must be 'size' or 'uniform', got {weighting!r}")
     weights = [float(s.train.n) if weighting == "size" else 1.0 for s in shards]
     globals_, _, records = _run_server_models(
-        [s.train for s in shards], shards, arch, params, weights)
+        [s.train for s in shards], shards, arch, config, weights)
     return globals_[0], records
 
 
 def run_hypcluster(shards: list[ClientShard], arch: ArchitectureSpec,
-                   params: TrainingParams, q: int = 2, criterion: str = "loss"):
+                   config: FedMeConfig, q: int = 2, criterion: str = "loss"):
     """The server keeps q global models; every round each client trains only
     its best-fitting one (by validation loss, or accuracy when configured) and
     the server averages the returned copies per model, train-size-weighted.
@@ -122,5 +121,5 @@ def run_hypcluster(shards: list[ClientShard], arch: ArchitectureSpec,
         raise ValueError(f"hypcluster needs q >= 2 global models, got {q}")
     if criterion not in ("loss", "accuracy"):
         raise ValueError(f"criterion must be 'loss' or 'accuracy', got {criterion!r}")
-    return _run_server_models([s.train for s in shards], shards, arch, params,
+    return _run_server_models([s.train for s in shards], shards, arch, config,
                               [float(s.train.n) for s in shards], q, criterion)

@@ -7,8 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .harness import (ConfigError, build_federation, grid_search_lr,
-                      parse_config, run_experiment, sweep, validate_config)
+from .harness import (SWEEP_AXES, ConfigError, build_federation,
+                      grid_search_lr, parse_config, run_experiment, sweep,
+                      validate_config)
 
 
 def _add_config_arg(parser):
@@ -34,8 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="sweep one experiment axis")
     _add_config_arg(sweep_p)
-    sweep_p.add_argument("--axis", required=True,
-                         choices=("alpha_label", "ablation", "architecture"))
+    sweep_p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated axis values")
     sweep_p.add_argument("--out", default=None)

@@ -100,10 +100,6 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 8):
     # NaN and inf reach the norms; n distances, each <= 4 max|x|^2, sum finite
     if not np.isfinite(4.0 * len(points) * sq_norms.max()):
         raise ValueError("points must be finite, with distance sums that cannot overflow")
-    if k == 1:
-        centroid = points.mean(axis=0)
-        inertia = float(((points - centroid) ** 2).sum())
-        return np.zeros(len(points), dtype=np.int64), inertia
     norms, fp = np.sqrt(sq_norms), np.finfo(np.float64)
     tol = 4 * (points.shape[1] + 3) * (fp.eps * (norms + norms.max()) ** 2 + fp.tiny)
     buf = np.empty_like(points)

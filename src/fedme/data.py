@@ -64,16 +64,16 @@ class UnlabeledPool:
 @dataclass(frozen=True)
 class PartitionSpec:
     num_clients: int
-    alpha_label: float = 0.5
+    alpha_label: float | None = 0.5  # None means IID; alpha_size is then unused
     alpha_size: float = 10.0
-    iid: bool = False
     seed: int = 0
 
     def __post_init__(self):
         if self.num_clients < 2:
             raise ValueError(f"need at least 2 clients, got {self.num_clients}")
-        if not self.iid and (self.alpha_label <= 0 or self.alpha_size <= 0):
-            raise ValueError("Dirichlet alphas must be strictly positive")
+        if self.alpha_label is not None and not all(
+                0 < a < np.inf for a in (self.alpha_label, self.alpha_size)):
+            raise ValueError("Dirichlet alphas must be finite and strictly positive")
 
 
 def generate_synthetic(num_classes: int, dim: int, per_class_count: int,
@@ -106,7 +106,8 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 
 
 def dirichlet_partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
-    """Row-index sets per client, controlled by size and label Dirichlet draws.
+    """Row-index sets per client, sorted: an equal-size random split when
+    `spec.alpha_label` is None (IID), else by size and label Dirichlet draws.
 
     Client sizes come from Dirichlet(alpha_size); per-class proportions from
     Dirichlet(alpha_label). Label assignments are then repaired against the
@@ -117,12 +118,12 @@ def dirichlet_partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarra
     if n < k * m:
         raise ValueError(f"infeasible partition: {n} rows < {k} clients x {m} classes")
     rng = np.random.default_rng(spec.seed)
+    owner = np.empty(n, dtype=np.int64)
 
-    if spec.iid:
-        perm = rng.permutation(n)
-        quotas = _largest_remainder(np.ones(k), n)
-        bounds = np.cumsum(quotas)[:-1]
-        return [np.sort(part) for part in np.split(perm, bounds)]
+    if spec.alpha_label is None:
+        owner[rng.permutation(n)] = np.repeat(np.arange(k),
+                                              _largest_remainder(np.ones(k), n))
+        return [np.flatnonzero(owner == i) for i in range(k)]
 
     quotas = _largest_remainder(rng.dirichlet(np.full(k, spec.alpha_size)), n)
     # every client must end with at least m rows
@@ -130,34 +131,31 @@ def dirichlet_partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarra
         quotas[int(np.argmin(quotas))] += 1
         quotas[int(np.argmax(quotas))] -= 1
 
-    # per class, spread rows across clients by a label-skew Dirichlet draw
-    buckets = [[[] for _ in range(m)] for _ in range(k)]
+    # per class, deal shuffled rows to clients by a label-skew Dirichlet draw
+    dealt = []  # each class's rows in dealing order
     for c in range(m):
-        idx_c = np.flatnonzero(dataset.labels == c)
-        idx_c = idx_c[rng.permutation(len(idx_c))]
+        rows = np.flatnonzero(dataset.labels == c)
+        rows = rows[rng.permutation(len(rows))]
         counts = _largest_remainder(rng.dirichlet(np.full(k, spec.alpha_label)),
-                                    len(idx_c))
-        bounds = np.cumsum(counts)[:-1]
-        for i, part in enumerate(np.split(idx_c, bounds)):
-            buckets[i][c] = list(part)
+                                    len(rows))
+        owner[rows] = np.repeat(np.arange(k), counts)
+        dealt.append(rows)
 
-    # repair: most-overfull client donates from its most-represented class
-    sizes = np.array([sum(len(b) for b in bucket) for bucket in buckets])
+    # repair: most-overfull client donates the rows of its most-represented
+    # class it was dealt last; a client only ever gives or only ever takes
     while True:
-        excess = sizes - quotas
+        held = np.bincount(owner * m + dataset.labels, minlength=k * m).reshape(k, m)
+        excess = held.sum(axis=1) - quotas
         donor = int(np.argmax(excess))
         if excess[donor] <= 0:
             break
         receiver = int(np.argmin(excess))
-        cls = int(np.argmax([len(b) for b in buckets[donor]]))
-        move = int(min(excess[donor], -excess[receiver], len(buckets[donor][cls])))
-        for _ in range(move):
-            buckets[receiver][cls].append(buckets[donor][cls].pop())
-        sizes[donor] -= move
-        sizes[receiver] += move
+        cls = int(np.argmax(held[donor]))
+        move = min(excess[donor], -excess[receiver], held[donor, cls])
+        rows = dealt[cls][owner[dealt[cls]] == donor]
+        owner[rows[len(rows) - move:]] = receiver
 
-    return [np.sort(np.array([i for b in bucket for i in b], dtype=np.int64))
-            for bucket in buckets]
+    return [np.flatnonzero(owner == i) for i in range(k)]
 
 
 def split_shard(dataset: Dataset, indices, client_id: int,

@@ -68,9 +68,10 @@ class RoundRecord:
 
 
 @dataclass
-class TrainingParams:
-    """The hyperparameters every algorithm shares; the training loop reads
-    epochs, batch_size, lr, momentum and weight_decay from it."""
+class FedMeConfig:
+    """The settings of a FedMe run. The first seven are the training
+    hyperparameters every algorithm shares; the training loop reads epochs,
+    batch_size, lr, momentum and weight_decay from them."""
 
     rounds: int = 50
     epochs: int = 2
@@ -79,10 +80,6 @@ class TrainingParams:
     weight_decay: float = 1e-4
     batch_size: int = 20
     seed: int = 0
-
-
-@dataclass
-class FedMeConfig(TrainingParams):
     cluster_thresholds: tuple[int, ...] = (25, 38, 46)
     k_max: int = 4
     kmeans_restarts: int = 8
@@ -268,10 +265,10 @@ def _run_rounds(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
     return models, records
 
 
-def fine_tune(model: Model, shard: ClientShard, params: TrainingParams) -> Model:
+def fine_tune(model: Model, shard: ClientShard, config: FedMeConfig) -> Model:
     """Plain cross-entropy retraining of a copy of `model` on the client's own
-    train split, for `params.epochs` epochs."""
+    train split, for `config.epochs` epochs."""
     tuned = model.copy()
-    rng = np.random.default_rng(derive_seed(params.seed, TAG_FINE_TUNE, shard.client_id))
-    nn._train(tuned, shard.train.features, shard.train.labels, params, rng)
+    rng = np.random.default_rng(derive_seed(config.seed, TAG_FINE_TUNE, shard.client_id))
+    nn._train(tuned, shard.train.features, shard.train.labels, config, rng)
     return tuned

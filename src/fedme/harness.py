@@ -15,7 +15,7 @@ from .baselines import (run_centralized, run_fedavg, run_hypcluster,
 from .data import (ClientShard, PartitionSpec, dirichlet_partition,
                    extract_unlabeled, generate_synthetic, split_shard)
 from .engine import (TAG_PROBE, TAG_SPLIT, FedMeConfig, RoundRecord,
-                     TrainingParams, derive_seed, fine_tune, run_fedme)
+                     derive_seed, fine_tune, run_fedme)
 from .nn import ACTIVATIONS, ArchitectureSpec
 
 ALGORITHMS = ("fedme", "local_only", "centralized", "fedavg", "hypcluster")
@@ -188,16 +188,16 @@ def menu_archs(config: ExperimentConfig) -> list[ArchitectureSpec]:
 
 
 def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
-                    probe_epochs: int, params: TrainingParams) -> list[ArchitectureSpec]:
+                    probe_epochs: int, config: FedMeConfig) -> list[ArchitectureSpec]:
     """Each client briefly trains every candidate on its own train split and
     keeps the one with the best validation accuracy (ties prefer fewer
     parameters, then the lower menu index)."""
-    probe = replace(params, epochs=probe_epochs)
+    probe = replace(config, epochs=probe_epochs)
     choices = []
     for shard in shards:
         scored = []
         for idx, arch in enumerate(menu):
-            key = (params.seed, TAG_PROBE, shard.client_id, idx)
+            key = (config.seed, TAG_PROBE, shard.client_id, idx)
             model = nn.init_model(arch, derive_seed(*key))
             rng = np.random.default_rng(derive_seed(*key, 1))
             nn._train(model, shard.train.features, shard.train.labels, probe, rng)
@@ -212,11 +212,10 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
 def _client_archs(config: ExperimentConfig, shards):
     menu = menu_archs(config)
     shared = config.algorithm in ("centralized", "fedavg", "hypcluster")
-    if config.init_policy == "fixed_index":
+    if (config.init_policy == "fixed_index"
+            or (config.init_policy == "round_robin" and shared)):
         return [menu[config.model_index]] * len(shards)
     if config.init_policy == "round_robin":
-        if shared:
-            return [menu[config.model_index]] * len(shards)
         return [menu[i % len(menu)] for i in range(len(shards))]
     choices = best_local_init(shards, menu, config.probe_epochs, config)
     if shared:
@@ -246,10 +245,8 @@ def build_federation(config: ExperimentConfig, seed: int):
                                  config.class_separation, config.noise_sigma,
                                  seed)
     pool, remainder = extract_unlabeled(dataset, config.unlabeled_count, seed)
-    spec = PartitionSpec(config.num_clients,
-                         alpha_label=config.alpha_label or 1.0,
-                         alpha_size=config.alpha_size,
-                         iid=config.alpha_label is None, seed=seed)
+    spec = PartitionSpec(config.num_clients, alpha_label=config.alpha_label,
+                         alpha_size=config.alpha_size, seed=seed)
     parts = dirichlet_partition(remainder, spec)
     ratios = (config.train_frac, config.val_frac, config.test_frac)
     shards = [split_shard(remainder, idx, i, ratios,

@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 
 from fedme import baselines, engine, nn
-from fedme.baselines import TrainingParams
 from fedme.clustering import kmeans
 from fedme.data import Dataset, UnlabeledPool, split_shard
 from fedme.engine import (FedMeConfig, RoundOverrides, assign_exchanges,
@@ -218,7 +217,7 @@ def test_criterion_7_degeneracy_equivalences():
                        clustering=False, seed=3)
     models, _ = engine.run_fedme(shards, [arch] * 5, pool, stub,
                                  RoundOverrides(donors=lambda t, a: {}))
-    params = TrainingParams(rounds=5, epochs=2, lr=0.05, seed=3)
+    params = FedMeConfig(rounds=5, epochs=2, lr=0.05, seed=3)
     local_models, _ = baselines.run_local_only(shards, [arch] * 5, params)
     a_ok = all(np.array_equal(m.params, local.params)
                for m, local in zip(models, local_models))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedme import baselines, engine, nn
-from fedme.baselines import TrainingParams
 from fedme.clustering import cluster_count
 from fedme.data import ClientShard, Dataset, UnlabeledPool, split_shard
 from fedme.engine import TAG_SPLIT, FedMeConfig, RoundOverrides, derive_seed
@@ -36,7 +35,7 @@ def _manual_shard(cid, train_n):
 
 def test_local_only_no_communication():
     shards = _shards()
-    params = TrainingParams(rounds=3, lr=0.05, seed=1)
+    params = FedMeConfig(rounds=3, lr=0.05, seed=1)
     models, records = baselines.run_local_only(shards, [ARCH] * 4, params)
     assert len(models) == 4 and len(records) == 3 * 4
     for i in range(1, 4):
@@ -48,7 +47,7 @@ def test_local_only_no_communication():
 
 def test_local_only_learns():
     shards = _shards()
-    params = TrainingParams(rounds=5, lr=0.05, seed=0)
+    params = FedMeConfig(rounds=5, lr=0.05, seed=0)
     models, records = baselines.run_local_only(shards, [ARCH] * 4, params)
     final = [r.test_acc for r in records if r.round == 5]
     assert np.mean(final) > 0.7
@@ -61,7 +60,7 @@ def test_local_only_records_equal_fedme_without_donors():
                        clustering=False, seed=3)
     _, fedme_records = engine.run_fedme(shards, [ARCH] * 5, None, stub,
                                         RoundOverrides(donors=lambda t, a: {}))
-    params = TrainingParams(rounds=5, epochs=2, lr=0.05, seed=3)
+    params = FedMeConfig(rounds=5, epochs=2, lr=0.05, seed=3)
     _, local_records = baselines.run_local_only(shards, [ARCH] * 5, params)
     fields = ("round", "client", "loss_p_train", "loss_p_val", "val_acc",
               "test_acc")
@@ -71,7 +70,7 @@ def test_local_only_records_equal_fedme_without_donors():
 
 def test_local_only_single_client():
     models, records = baselines.run_local_only(
-        _shards(1), [ARCH], TrainingParams(rounds=2, lr=0.05, seed=0))
+        _shards(1), [ARCH], FedMeConfig(rounds=2, lr=0.05, seed=0))
     assert len(models) == 1 and [r.round for r in records] == [1, 2]
 
 
@@ -83,7 +82,7 @@ def test_pool_train_splits():
 
 def test_centralized_deterministic_and_learns():
     shards = _shards()
-    params = TrainingParams(rounds=5, lr=0.05, seed=2)
+    params = FedMeConfig(rounds=5, lr=0.05, seed=2)
     model, records = baselines.run_centralized(shards, ARCH, params)
     model2, _ = baselines.run_centralized(shards, ARCH, params)
     assert np.array_equal(model.params, model2.params)
@@ -98,7 +97,7 @@ def test_fedavg_weighting_modes_differ():
     ds = Dataset(centers[labels] + rng.normal(size=(90, 2)), labels, 2)
     shards = [split_shard(ds, np.arange(0, 30), 0, seed=0),
               split_shard(ds, np.arange(30, 90), 1, seed=1)]
-    params = TrainingParams(rounds=2, lr=0.05, seed=0)
+    params = FedMeConfig(rounds=2, lr=0.05, seed=0)
     by_size, _ = baselines.run_fedavg(shards, ARCH, params, "size")
     uniform, _ = baselines.run_fedavg(shards, ARCH, params, "uniform")
     assert not np.array_equal(by_size.params, uniform.params)
@@ -116,14 +115,14 @@ def test_fedavg_weighted_mean_exact(monkeypatch):
         model.params[:] = next(outputs)
 
     monkeypatch.setattr(baselines.nn, "_train", pinned)
-    params = TrainingParams(rounds=1, lr=0.05, seed=0)
+    params = FedMeConfig(rounds=1, lr=0.05, seed=0)
     model, _ = baselines.run_fedavg(shards, TINY, params, "size")
     assert np.allclose(model.params[:2], [2.5, 4.0])
 
 
 def test_fedavg_single_client_equals_centralized():
     shard = _shards(2, 40)[0]
-    params = TrainingParams(rounds=3, lr=0.05, seed=4)
+    params = FedMeConfig(rounds=3, lr=0.05, seed=4)
     avg_model, _ = baselines.run_fedavg([shard], ARCH, params)
     cent_model, _ = baselines.run_centralized([shard], ARCH, params)
     assert np.array_equal(avg_model.params, cent_model.params)
@@ -131,7 +130,7 @@ def test_fedavg_single_client_equals_centralized():
 
 def test_hypcluster_validation():
     shards = _shards()
-    params = TrainingParams(rounds=1, lr=0.05)
+    params = FedMeConfig(rounds=1, lr=0.05)
     with pytest.raises(ValueError):
         baselines.run_hypcluster(shards, ARCH, params, q=1)
     with pytest.raises(ValueError):
@@ -140,7 +139,7 @@ def test_hypcluster_validation():
 
 def test_hypcluster_unchosen_models_carried_unchanged():
     shards = _shards()
-    params = TrainingParams(rounds=1, lr=0.05, seed=6)
+    params = FedMeConfig(rounds=1, lr=0.05, seed=6)
     globals_, choices, records = baselines.run_hypcluster(
         shards, ARCH, params, q=3)
     assert len(records) == 4 and all(r.k == 3 for r in records)
@@ -157,7 +156,7 @@ def test_hypcluster_unchosen_models_carried_unchanged():
 def test_hypcluster_ties_resolve_to_lowest_index(monkeypatch):
     shards = _shards()
     monkeypatch.setattr(baselines.nn, "evaluate", lambda m, x, y: (1.0, 0.5))
-    params = TrainingParams(rounds=1, lr=0.05, seed=0)
+    params = FedMeConfig(rounds=1, lr=0.05, seed=0)
     _, choices, _ = baselines.run_hypcluster(shards, ARCH, params, q=2)
     assert choices == [0, 0, 0, 0]
 
@@ -173,7 +172,7 @@ def test_hypcluster_splits_label_swapped_tasks():
             labels = 1 - labels
         ds = Dataset(feats, labels, 2)
         shards.append(split_shard(ds, np.arange(40), cid, seed=cid))
-    params = TrainingParams(rounds=20, lr=0.1, seed=0)
+    params = FedMeConfig(rounds=20, lr=0.1, seed=0)
     _, choices, records = baselines.run_hypcluster(shards, ARCH, params, q=2)
     assert choices[0] == choices[1]
     assert choices[2] == choices[3]

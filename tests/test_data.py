@@ -63,13 +63,19 @@ def test_partition_spec_validation():
         PartitionSpec(1)
     with pytest.raises(ValueError):
         PartitionSpec(3, alpha_label=0.0)
-    PartitionSpec(3, alpha_label=0.0, iid=True)  # alphas ignored under IID
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            PartitionSpec(3, alpha_label=bad)
+        with pytest.raises(ValueError):
+            PartitionSpec(3, alpha_size=bad)
+    PartitionSpec(3, alpha_label=None, alpha_size=0.0)  # alpha_size unused under IID
 
 
 @pytest.mark.parametrize("iid", [False, True])
 def test_partition_is_exact(iid):
     ds = _toy(200, 4)
-    parts = data.dirichlet_partition(ds, PartitionSpec(7, iid=iid, seed=5))
+    spec = PartitionSpec(7, alpha_label=None if iid else 0.5, seed=5)
+    parts = data.dirichlet_partition(ds, spec)
     assert len(parts) == 7
     merged = np.sort(np.concatenate(parts))
     assert np.array_equal(merged, np.arange(200))
@@ -88,17 +94,92 @@ def test_partition_uses_every_row_once_and_gives_each_client_num_classes(
     k = data_.draw(st.integers(2, n // m), label="num_clients")
     labels = np.random.default_rng(seed).integers(0, m, size=n)
     ds = Dataset(np.zeros((n, 1)), labels, m)
-    spec = PartitionSpec(k, alpha_label=alpha_label, alpha_size=alpha_size,
-                         iid=iid, seed=seed)
+    spec = PartitionSpec(k, alpha_label=None if iid else alpha_label,
+                         alpha_size=alpha_size, seed=seed)
     parts = data.dirichlet_partition(ds, spec)
     assert len(parts) == k
     assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
     assert min(len(part) for part in parts) >= m
 
 
+def _bucket_partition(dataset, spec):
+    """The per-client, per-class bucket-list partition that the owner-vector
+    `dirichlet_partition` replaced, kept as its oracle; None means IID."""
+    n, m, k = dataset.n, dataset.num_classes, spec.num_clients
+    rng = np.random.default_rng(spec.seed)
+    if spec.alpha_label is None:
+        perm = rng.permutation(n)
+        quotas = data._largest_remainder(np.ones(k), n)
+        return [np.sort(part) for part in np.split(perm, np.cumsum(quotas)[:-1])]
+    quotas = data._largest_remainder(rng.dirichlet(np.full(k, spec.alpha_size)), n)
+    while quotas.min() < m:
+        quotas[int(np.argmin(quotas))] += 1
+        quotas[int(np.argmax(quotas))] -= 1
+    buckets = [[[] for _ in range(m)] for _ in range(k)]
+    for c in range(m):
+        idx_c = np.flatnonzero(dataset.labels == c)
+        idx_c = idx_c[rng.permutation(len(idx_c))]
+        counts = data._largest_remainder(
+            rng.dirichlet(np.full(k, spec.alpha_label)), len(idx_c))
+        for i, part in enumerate(np.split(idx_c, np.cumsum(counts)[:-1])):
+            buckets[i][c] = list(part)
+    sizes = np.array([sum(len(b) for b in bucket) for bucket in buckets])
+    while True:
+        excess = sizes - quotas
+        donor = int(np.argmax(excess))
+        if excess[donor] <= 0:
+            break
+        receiver = int(np.argmin(excess))
+        cls = int(np.argmax([len(b) for b in buckets[donor]]))
+        move = int(min(excess[donor], -excess[receiver], len(buckets[donor][cls])))
+        for _ in range(move):
+            buckets[receiver][cls].append(buckets[donor][cls].pop())
+        sizes[donor] -= move
+        sizes[receiver] += move
+    return [np.sort(np.array([i for b in bucket for i in b], dtype=np.int64))
+            for bucket in buckets]
+
+
+def _assert_same_parts(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data_=st.data(), n=st.integers(4, 400), m=st.integers(2, 6),
+       iid=st.booleans(), alpha_label=st.floats(0.01, 100.0),
+       alpha_size=st.floats(0.01, 100.0), empty_class=st.booleans(),
+       sorted_labels=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_partition_matches_the_bucket_list_oracle(
+        data_, n, m, iid, alpha_label, alpha_size, empty_class, sorted_labels,
+        seed):
+    n = max(n, 2 * m)
+    k = data_.draw(st.integers(2, n // m), label="num_clients")
+    labels = np.random.default_rng(seed).integers(0, m, size=n)
+    if empty_class:
+        labels[labels == m - 1] = 0
+    if sorted_labels:
+        labels = np.sort(labels)
+    ds = Dataset(np.zeros((n, 1)), labels, m)
+    spec = PartitionSpec(k, alpha_label=None if iid else alpha_label,
+                         alpha_size=alpha_size, seed=seed)
+    _assert_same_parts(data.dirichlet_partition(ds, spec), _bucket_partition(ds, spec))
+
+
+def test_partition_matches_the_oracle_on_the_desk_scale_federation():
+    # the criterion-8 shape: 4 classes x 375 rows, 100 unlabeled, 20 clients
+    for seed in range(20):
+        ds = data.generate_synthetic(4, 16, 375, 3.0, 1.5, seed)
+        _, rest = data.extract_unlabeled(ds, 100, seed)
+        spec = PartitionSpec(20, alpha_label=0.5, alpha_size=10.0, seed=seed)
+        _assert_same_parts(data.dirichlet_partition(rest, spec),
+                           _bucket_partition(rest, spec))
+
+
 def test_partition_iid_sizes_balanced():
     ds = _toy(103, 3)
-    parts = data.dirichlet_partition(ds, PartitionSpec(10, iid=True, seed=1))
+    parts = data.dirichlet_partition(ds, PartitionSpec(10, alpha_label=None, seed=1))
     sizes = [len(p) for p in parts]
     assert max(sizes) - min(sizes) <= 1
 
@@ -129,8 +210,7 @@ def test_label_skew_monotone_in_alpha():
     for alpha in (0.1, 0.5, 5.0, None):
         skews = []
         for seed in range(20):
-            spec = PartitionSpec(8, alpha_label=alpha or 1.0, iid=alpha is None,
-                                 seed=seed)
+            spec = PartitionSpec(8, alpha_label=alpha, seed=seed)
             parts = data.dirichlet_partition(ds, spec)
             skews.append(data.label_skew([ds.labels[p] for p in parts], 4))
         means[alpha] = np.mean(skews)

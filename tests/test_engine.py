@@ -10,7 +10,7 @@ from scipy import stats
 from fedme import engine, nn
 from fedme.data import Dataset, UnlabeledPool, split_shard
 from fedme.engine import (ExchangePlan, FedMeConfig, RoundOverrides,
-                          TrainingParams, assign_exchanges, derive_seed)
+                          assign_exchanges, derive_seed)
 from fedme.nn import ArchitectureSpec, Model
 
 ARCH = ArchitectureSpec(2, (4,), 2)
@@ -335,7 +335,7 @@ def test_fine_tune_deterministic_and_nondestructive():
     shard = _shards(1, 60)[0]
     model = nn.init_model(ARCH, 0)
     frozen = model.params.copy()
-    params = TrainingParams(rounds=1, epochs=3, lr=0.05, seed=5)
+    params = FedMeConfig(rounds=1, epochs=3, lr=0.05, seed=5)
     t1 = engine.fine_tune(model, shard, params)
     t2 = engine.fine_tune(model, shard, params)
     assert np.array_equal(t1.params, t2.params)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedme import nn
-from fedme.engine import TrainingParams
+from fedme.engine import FedMeConfig
 from fedme.nn import ArchitectureSpec, Model
 
 ARCH = ArchitectureSpec(2, (3,), 2)
@@ -282,7 +282,7 @@ def test_train_loop_matches_pure_sgd_step_bitwise(activation, pairing):
     rng = np.random.default_rng(21)
     x = rng.normal(size=(31, 3))  # 31 rows: the last batch of 7 is short
     y = rng.integers(0, 3, size=31)
-    params = TrainingParams(rounds=1, epochs=3, lr=0.1, momentum=0.9,
+    params = FedMeConfig(rounds=1, epochs=3, lr=0.1, momentum=0.9,
                             weight_decay=1e-3, batch_size=7)
     model = nn.init_model(ArchitectureSpec(3, (5,), 3, activation), 1)
     peer = None
@@ -382,7 +382,7 @@ def test_trained_model_survives_a_checkpoint_field_for_field():
     x = rng.normal(size=(12, 3))
     y = rng.integers(0, 3, size=12)
     model = nn.init_model(ArchitectureSpec(3, (4,), 3), 0)
-    nn._train(model, x, y, TrainingParams(rounds=1, epochs=2, batch_size=5), rng)
+    nn._train(model, x, y, FedMeConfig(rounds=1, epochs=2, batch_size=5), rng)
     restored = nn.deserialize_model(nn.serialize_model(model))
     for f in dataclasses.fields(Model):
         got, want = getattr(restored, f.name), getattr(model, f.name)

@@ -13,10 +13,11 @@ from .baselines import (run_centralized, run_fedavg, run_hypcluster,
 from .harness import (ConfigError, ExperimentConfig, SummaryReport,
                       best_local_init, build_federation, default_lr_grid,
                       grid_search_lr, parse_config, run_experiment, run_single,
-                      sweep, write_round_log)
+                      stall_warning, sweep, write_round_log)
 from .nn import (ArchitectureSpec, Model, average_params, cross_entropy,
-                 deserialize_model, dml_losses_and_grads, evaluate, forward,
-                 init_model, kl_divergence, serialize_model, sgd_step)
+                 deserialize_model, dml_losses_and_grads, evaluate,
+                 evaluate_splits, forward, init_model, kl_divergence,
+                 serialize_model, sgd_step)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

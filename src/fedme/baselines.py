@@ -18,20 +18,6 @@ from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, RoundOverrides,
 from .nn import ArchitectureSpec, Model
 
 
-def _eval_record(model: Model, shard: ClientShard, t: int, k: int,
-                 client_ms: float, server_ms: float) -> RoundRecord:
-    loss_p_train, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
-    loss_p_val, val_acc = nn.evaluate(model, shard.validation.features,
-                                      shard.validation.labels)
-    _, test_acc = nn.evaluate(model, shard.test.features, shard.test.labels)
-    return RoundRecord(round=t, client=shard.client_id, k=k,
-                       cluster=None, donor=None, a=None,
-                       loss_p_train=loss_p_train, loss_ex_train=None,
-                       loss_p_val=loss_p_val, loss_ex_val=None,
-                       val_acc=val_acc, test_acc=test_acc,
-                       client_ms=client_ms, server_ms=server_ms)
-
-
 def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
                        arch: ArchitectureSpec, config: FedMeConfig,
                        weights: list[float], q: int = 1, criterion: str = "loss"):
@@ -44,6 +30,21 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
     round records)."""
     globals_ = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, g))
                 for g in range(q)]
+    # every shard's train | validation | test rows stacked once, so each
+    # global model is scored on the whole federation by one forward pass;
+    # split s of shard i is rows ends[3 * i + s]:ends[3 * i + s + 1]
+    features = np.concatenate([s.features for s in shards])
+    labels = np.concatenate([s.labels for s in shards])
+    ends = [0]
+    for shard in shards:
+        ends += [ends[-1] + e for e in shard.ends[1:]]
+
+    def score():  # scores[g][3 * i + s]: (loss, acc) of model g on that split
+        return [nn.evaluate_splits(g, features, labels, ends) for g in globals_]
+
+    # a round's choices read the scores of the models it starts from, which
+    # are the previous round's record scores
+    scores = score() if q > 1 else None
     choices = [0] * len(shards)
     records = []
     for t in range(1, config.rounds + 1):
@@ -52,10 +53,9 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
         for i, train in enumerate(train_sets):
             start = time.perf_counter()
             if q > 1:  # ties resolve to the lowest index
-                val = shards[i].validation
-                scores = [nn.evaluate(g, val.features, val.labels) for g in globals_]
+                fits = [scores[g][3 * i + 1] for g in range(q)]
                 choices[i] = int(np.argmin([loss if criterion == "loss" else -acc
-                                            for loss, acc in scores]))
+                                            for loss, acc in fits]))
             model = globals_[choices[i]].copy()
             rng = np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i))
             nn._train(model, train.features, train.labels, config, rng)
@@ -68,9 +68,15 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
                 globals_[g] = Model(arch, np.einsum(
                     "i,ij->j", w / w.sum(), np.stack([m.params for m, _ in copies])))
         server_ms = (time.perf_counter() - start) * 1000.0
-        records.extend(_eval_record(globals_[choices[i]], shard, t, q,
-                                    client_ms[i], server_ms)
-                       for i, shard in enumerate(shards))
+        scores = score()
+        for i, shard in enumerate(shards):
+            (loss_p_train, _), (loss_p_val, val_acc), (_, test_acc) = (
+                scores[choices[i]][3 * i:3 * i + 3])
+            records.append(RoundRecord(
+                round=t, client=shard.client_id, k=q, cluster=None, donor=None,
+                a=None, loss_p_train=loss_p_train, loss_ex_train=None,
+                loss_p_val=loss_p_val, loss_ex_val=None, val_acc=val_acc,
+                test_acc=test_acc, client_ms=client_ms[i], server_ms=server_ms))
     return globals_, choices, records
 
 

@@ -1,7 +1,7 @@
 """Datasets, synthetic non-IID generation, Dirichlet partitioning, and splits."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,10 +39,26 @@ class Dataset:
 
 @dataclass
 class ClientShard:
+    """A client's train, validation and test splits, held as row views of one
+    stacked `features`/`labels` pair: split s is rows `ends[s]:ends[s + 1]`,
+    so one forward pass can score any run of consecutive splits."""
+
     client_id: int
     train: Dataset
     validation: Dataset
     test: Dataset
+    features: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
+    ends: tuple[int, int, int, int] = field(init=False)
+
+    def __post_init__(self):
+        splits = (self.train, self.validation, self.test)
+        self.features = np.concatenate([s.features for s in splits])
+        self.labels = np.concatenate([s.labels for s in splits])
+        self.ends = (0, self.train.n, self.train.n + self.validation.n, self.n)
+        self.train, self.validation, self.test = (
+            Dataset(self.features[a:b], self.labels[a:b], s.num_classes)
+            for s, a, b in zip(splits, self.ends, self.ends[1:]))
 
     @property
     def n(self) -> int:

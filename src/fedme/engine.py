@@ -197,15 +197,12 @@ def _train_and_select(cid: int, model: Model, peer: Model | None,
     t, donor = plan.round, plan.donor.get(cid)
     rng = np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, cid))
     dml_train(model, peer, shard, config, rng)
-    loss_p_train, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
-    loss_p_val, _ = nn.evaluate(model, shard.validation.features,
-                                shard.validation.labels)
+    (loss_p_train, _), (loss_p_val, _) = nn.evaluate_splits(
+        model, shard.features, shard.labels, shard.ends[:3])
     loss_ex_train = loss_ex_val = None
     if donor is not None:
-        loss_ex_train, _ = nn.evaluate(peer, shard.train.features,
-                                       shard.train.labels)
-        loss_ex_val, _ = nn.evaluate(peer, shard.validation.features,
-                                     shard.validation.labels)
+        (loss_ex_train, _), (loss_ex_val, _) = nn.evaluate_splits(
+            peer, shard.features, shard.labels, shard.ends[:3])
     a = (overrides.selections(t, cid, loss_p_val, loss_ex_val)
          if overrides.selections else None)
     if a is None:
@@ -255,10 +252,8 @@ def _run_rounds(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
         server_ms += (time.perf_counter() - server_start) * 1000.0
 
         for model, shard, record in zip(models, shards, round_records):
-            _, record.val_acc = nn.evaluate(model, shard.validation.features,
-                                            shard.validation.labels)
-            _, record.test_acc = nn.evaluate(model, shard.test.features,
-                                             shard.test.labels)
+            (_, record.val_acc), (_, record.test_acc) = nn.evaluate_splits(
+                model, shard.features, shard.labels, shard.ends[1:])
             record.server_ms = server_ms
         records.extend(round_records)
 

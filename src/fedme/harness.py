@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -255,6 +256,26 @@ def build_federation(config: ExperimentConfig, seed: int):
     return shards, pool
 
 
+def stall_warning(records: list[RoundRecord], num_classes: int) -> str | None:
+    """What is wrong when the last round scores no better than a uniform
+    guess on validation: a mean accuracy of at most 1/M, or a mean loss above
+    ln M, the uniform guess's loss. None when neither holds. The loss test
+    also fires on a run that learned but ends overconfident."""
+    last = max(r.round for r in records)
+    final = [r for r in records if r.round == last]
+    acc = float(np.mean([r.val_acc for r in final]))
+    loss = float(np.mean([r.loss_p_val for r in final]))
+    problems = []
+    if acc <= 1.0 / num_classes:
+        problems.append(f"mean validation accuracy {acc:.4g} <= 1/{num_classes}")
+    if loss > math.log(num_classes):
+        problems.append(f"mean validation loss {loss:.4g} > ln {num_classes}")
+    if not problems:
+        return None
+    return (f"round {last} validation is no better than a uniform guess: "
+            + " and ".join(problems))
+
+
 def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     config = replace(config, seed=seed)
     shards, pool = build_federation(config, seed)
@@ -277,6 +298,10 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
             config.hypcluster_criterion)
         models = [globals_[c].copy() for c in choices]
 
+    stalled = stall_warning(records, config.num_classes)
+    if stalled:
+        warnings.warn(f"{config.algorithm} seed {seed} at lr={config.lr:g}: "
+                      f"{stalled}", RuntimeWarning, stacklevel=2)
     # the last round's records already hold the final models' accuracies
     final = {r.client: r for r in records if r.round == config.rounds}
     pre = [final[s.client_id].test_acc for s in shards]

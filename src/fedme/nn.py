@@ -118,13 +118,18 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _forward_cached(model: Model, features: np.ndarray):
-    """Forward pass keeping pre/post-activation values for backprop."""
+def _checked_features(model: Model, features) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.arch.input_dim:
         raise DimensionError(
             f"expected features of width {model.arch.input_dim}, got shape {X.shape}"
         )
+    return X
+
+
+def _forward_cached(model: Model, features: np.ndarray):
+    """Forward pass keeping pre/post-activation values for backprop."""
+    X = _checked_features(model, features)
     layers = _layer_slices(model.arch)
     params = model.params
     acts = [X]
@@ -142,9 +147,17 @@ def _forward_cached(model: Model, features: np.ndarray):
 
 
 def forward(model: Model, features: np.ndarray) -> np.ndarray:
-    """Class-probability matrix; each row a softmax distribution."""
-    probs, _, _ = _forward_cached(model, features)
-    return probs
+    """Class-probability matrix; each row a softmax distribution. The same
+    arithmetic as `_forward_cached`, keeping no activations."""
+    h = _checked_features(model, features)
+    layers = _layer_slices(model.arch)
+    params = model.params
+    last = len(layers) - 1
+    for li, (w_sl, b_sl, fi, fo) in enumerate(layers):
+        z = h @ params[w_sl].reshape(fo, fi).T
+        z += params[b_sl]
+        h = _activate(z, model.arch.activation) if li < last else z
+    return _softmax(h)
 
 
 def _backprop(model: Model, acts, zs, dlogits: np.ndarray) -> np.ndarray:
@@ -321,15 +334,35 @@ def average_params(models: list[Model]) -> Model:
     return Model(arch, mean)
 
 
-def evaluate(model: Model, features: np.ndarray, labels: np.ndarray):
-    """(mean CE loss, accuracy); argmax ties break toward the smallest class."""
+def evaluate_splits(model: Model, features: np.ndarray, labels: np.ndarray,
+                    ends) -> list[tuple[float, float]]:
+    """(mean CE loss, accuracy) of each split `ends[s]:ends[s + 1]` of the
+    rows, from one forward pass over rows `ends[0]:ends[-1]`. Each split's
+    loss and accuracy have the bits of `cross_entropy` and of
+    `mean(argmax == labels)` on that split alone; argmax ties break toward
+    the smallest class."""
     labels = np.asarray(labels)
-    if len(labels) == 0:
+    if len(labels) != len(features):
+        raise DimensionError(f"{len(features)} feature rows and {len(labels)} "
+                             f"labels do not align")
+    start, stop = ends[0], ends[-1]
+    if start < 0 or stop > len(labels):
+        raise ValueError(f"split ends {tuple(ends)} run outside {len(labels)} rows")
+    if any(b <= a for a, b in zip(ends[:-1], ends[1:])):
         raise ValueError("cannot evaluate on an empty split")
-    probs = forward(model, features)
-    loss = cross_entropy(probs, labels)
-    acc = float(np.mean(np.argmax(probs, axis=1) == labels))
-    return loss, acc
+    probs = forward(model, features[start:stop])
+    labels = _checked_labels(probs, labels[start:stop])
+    picked = probs[np.arange(len(labels)), labels]
+    logp = np.log(np.maximum(picked, LOG_CLAMP))
+    hit = probs.argmax(axis=1) == labels
+    return [(float(-(np.add.reduce(logp[a - start:b - start]) / (b - a))),
+             int(np.count_nonzero(hit[a - start:b - start])) / (b - a))
+            for a, b in zip(ends[:-1], ends[1:])]
+
+
+def evaluate(model: Model, features: np.ndarray, labels: np.ndarray):
+    """(mean CE loss, accuracy) on one split; `evaluate_splits` of one."""
+    return evaluate_splits(model, features, labels, (0, len(labels)))[0]
 
 
 def serialize_model(model: Model) -> bytes:

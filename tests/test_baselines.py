@@ -155,10 +155,34 @@ def test_hypcluster_unchosen_models_carried_unchanged():
 
 def test_hypcluster_ties_resolve_to_lowest_index(monkeypatch):
     shards = _shards()
-    monkeypatch.setattr(baselines.nn, "evaluate", lambda m, x, y: (1.0, 0.5))
+    monkeypatch.setattr(baselines.nn, "evaluate_splits",
+                        lambda m, x, y, ends: [(1.0, 0.5)] * (len(ends) - 1))
     params = FedMeConfig(rounds=1, lr=0.05, seed=0)
     _, choices, _ = baselines.run_hypcluster(shards, ARCH, params, q=2)
     assert choices == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("algorithm", ["fedavg", "hypcluster"])
+def test_server_model_records_score_each_clients_final_global(algorithm):
+    shards = _shards(5, rows_each=24, seed=11)
+    config = FedMeConfig(rounds=3, lr=0.05, seed=11)
+    if algorithm == "fedavg":
+        final, records = baselines.run_fedavg(shards, ARCH, config)
+        globals_, choices = [final], [0] * len(shards)
+    else:
+        globals_, choices, records = baselines.run_hypcluster(shards, ARCH,
+                                                              config, q=2)
+        assert set(choices) == {0, 1}  # both models score some shard
+    last = [r for r in records if r.round == 3]
+    assert [r.client for r in last] == [s.client_id for s in shards]
+    for r, shard, c in zip(last, shards, choices):
+        model = globals_[c]
+        loss_train, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
+        loss_val, val_acc = nn.evaluate(model, shard.validation.features,
+                                        shard.validation.labels)
+        _, test_acc = nn.evaluate(model, shard.test.features, shard.test.labels)
+        assert (r.loss_p_train, r.loss_p_val, r.val_acc, r.test_acc) == (
+            loss_train, loss_val, val_acc, test_acc)
 
 
 def test_hypcluster_splits_label_swapped_tasks():

@@ -228,6 +228,37 @@ def test_split_shard_partitions_and_ratio():
     assert np.array_equal(got, np.sort(ds.features[:50, 0]))
 
 
+def _assert_views_of_stack(shard):
+    splits = (shard.train, shard.validation, shard.test)
+    assert shard.ends == (0, shard.train.n, shard.train.n + shard.validation.n,
+                          shard.n)
+    for split, a, b in zip(splits, shard.ends, shard.ends[1:]):
+        assert np.shares_memory(split.features, shard.features)
+        assert np.shares_memory(split.labels, shard.labels)
+        assert np.array_equal(split.features, shard.features[a:b])
+        assert np.array_equal(split.labels, shard.labels[a:b])
+
+
+def test_split_shard_splits_are_views_of_one_stack():
+    ds = _toy(100, 4)
+    shard = data.split_shard(ds, np.arange(7, 60), 3, seed=8)
+    _assert_views_of_stack(shard)
+    assert shard.ends == (0, 32, 43, 53)
+    assert np.array_equal(np.sort(shard.features[:, 0]), np.sort(ds.features[7:60, 0]))
+
+
+def test_client_shard_from_separate_datasets_holds_one_copy():
+    rng = np.random.default_rng(2)
+    mk = lambda n: Dataset(rng.normal(size=(n, 3)), rng.integers(0, 2, size=n), 2)
+    train, validation, test = mk(5), mk(2), mk(4)
+    shard = data.ClientShard(0, train, validation, test)
+    _assert_views_of_stack(shard)
+    assert shard.ends == (0, 5, 7, 11)
+    assert np.array_equal(shard.features, np.concatenate(
+        [train.features, validation.features, test.features]))
+    assert not np.shares_memory(shard.features, train.features)
+
+
 def test_split_shard_rounding_keeps_total():
     ds = _toy(100, 4)
     shard = data.split_shard(ds, np.arange(23), 0, seed=1)

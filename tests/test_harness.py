@@ -1,15 +1,17 @@
+import math
 import os
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fedme import harness, nn
-from fedme.engine import FedMeConfig
+from fedme.engine import FedMeConfig, RoundRecord
 from fedme.harness import (ConfigError, ExperimentConfig, build_federation,
                            default_lr_grid, grid_search_lr, parse_config,
-                           run_experiment, run_single, sweep, validate_config,
-                           write_round_log)
+                           run_experiment, run_single, stall_warning, sweep,
+                           validate_config, write_round_log)
 
 
 def _tiny(algorithm="fedme", **kw):
@@ -150,6 +152,63 @@ def test_run_single_deterministic():
     assert a.test_acc_post_ft == b.test_acc_post_ft
     for ma, mb in zip(a.tuned_models, b.tuned_models):
         assert np.array_equal(ma.params, mb.params)
+
+
+def _final_records(val_accs, val_losses, rounds=3):
+    """Round records whose last round has these validation scores; earlier
+    rounds are perfect, so only the last round can trigger a warning."""
+    def record(t, i, acc, loss):
+        return RoundRecord(round=t, client=i, k=1, cluster=None, donor=None,
+                           a=None, loss_p_train=loss, loss_ex_train=None,
+                           loss_p_val=loss, loss_ex_val=None, val_acc=acc,
+                           test_acc=acc, client_ms=0.0, server_ms=0.0)
+    return ([record(t, i, 1.0, 0.0) for t in range(1, rounds)
+             for i in range(len(val_accs))]
+            + [record(rounds, i, acc, loss) for i, (acc, loss)
+               in enumerate(zip(val_accs, val_losses))])
+
+
+def test_stall_warning_thresholds():
+    ln4 = math.log(4)
+    # mean accuracy exactly 1/M, loss well under ln M
+    message = stall_warning(_final_records([0.0, 0.5], [0.5, 0.5]), 4)
+    assert "round 3" in message and "accuracy 0.25 <= 1/4" in message
+    assert "loss" not in message
+    # mean loss just above ln M, accuracy well above chance
+    message = stall_warning(_final_records([0.9, 0.9], [ln4, ln4 + 1e-9]), 4)
+    assert "loss" in message and "> ln 4" in message
+    assert "accuracy" not in message
+    both = stall_warning(_final_records([0.1, 0.2], [2.0, 2.0]), 4)
+    assert "accuracy" in both and "loss" in both
+
+
+def test_stall_warning_silent_above_chance():
+    ln4 = math.log(4)
+    assert stall_warning(_final_records([0.25, 0.26], [ln4, ln4]), 4) is None
+    # an earlier round at chance does not count
+    records = _final_records([0.9], [0.3])
+    records[0].val_acc, records[0].loss_p_val = 0.0, 9.0
+    assert stall_warning(records, 4) is None
+
+
+def test_run_single_warns_on_a_stalled_run_and_finishes(monkeypatch):
+    seen = []
+
+    def stalled(records, num_classes):
+        seen.append(num_classes)
+        return "round 2 stalled"
+
+    monkeypatch.setattr(harness, "stall_warning", stalled)
+    with pytest.warns(RuntimeWarning, match=r"^fedavg seed 5 at lr=0\.05: "
+                                            r"round 2 stalled$"):
+        result = run_single(_tiny("fedavg"), seed=5)
+    assert seen == [3] and len(result.records) == 2 * 4
+
+
+def test_run_single_is_silent_on_a_learning_run():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run_single(_tiny("local_only", rounds=5, epochs=3, lr=0.1), seed=0)
 
 
 def test_best_local_policy_heterogeneous_menu():

@@ -369,6 +369,77 @@ def test_evaluate_rejects_empty_split():
         nn.evaluate(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
+def _evaluate_oracle(model, features, labels):
+    """The scoring path before `evaluate_splits`: a cached forward pass, then
+    `cross_entropy` and the mean of argmax hits on this split alone."""
+    probs, _, _ = nn._forward_cached(model, features)
+    return (nn.cross_entropy(probs, labels),
+            float(np.mean(np.argmax(probs, axis=1) == labels)))
+
+
+@st.composite
+def _desk_models(draw):
+    """Models of the desk shapes: fan-in at most 16 into every layer, and no
+    layer one unit wide."""
+    arch = ArchitectureSpec(
+        draw(st.integers(1, 16)),
+        tuple(draw(st.lists(st.integers(2, 16), min_size=1, max_size=4))),
+        draw(st.integers(2, 8)), draw(st.sampled_from(nn.ACTIVATIONS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return Model(arch, rng.normal(scale=draw(st.sampled_from((0.3, 1.0, 4.0))),
+                                  size=arch.parameter_count()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=_desk_models(), sizes=st.tuples(*[st.integers(2, 50)] * 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_evaluate_splits_is_bitwise_the_per_split_oracle(model, sizes, seed):
+    # splits of two rows or more: see the single-row test below
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    x = rng.normal(scale=2.0, size=(n, model.arch.input_dim))
+    y = rng.integers(0, model.arch.num_classes, size=n)
+    ends = (0, sizes[0], sizes[0] + sizes[1], n)
+    for lo, hi in ((0, 4), (0, 3), (1, 4)):
+        got = nn.evaluate_splits(model, x, y, ends[lo:hi])
+        want = [_evaluate_oracle(model, x[a:b], y[a:b])
+                for a, b in zip(ends[lo:hi - 1], ends[lo + 1:hi])]
+        assert got == want
+    assert nn.forward(model, x).tobytes() == nn._forward_cached(model, x)[0].tobytes()
+
+
+@pytest.mark.parametrize("sizes,hidden", [((1, 5, 4), (8,)), ((6, 5, 4), (1,))],
+                         ids=["one-row-split", "one-unit-layer"])
+def test_evaluate_splits_matches_the_oracle_to_rounding_where_blas_uses_gemv(
+        sizes, hidden):
+    # A product with one row, or one output column, goes through BLAS
+    # matrix-vector code whose summation order can differ from the
+    # matrix-matrix code that the stacked rows take, so these cases agree
+    # with the per-split oracle only to rounding.
+    rng = np.random.default_rng(5)
+    model = nn.init_model(ArchitectureSpec(12, hidden, 3, "tanh"), 5)
+    n = sum(sizes)
+    x, y = rng.normal(size=(n, 12)), rng.integers(0, 3, size=n)
+    ends = (0, sizes[0], sizes[0] + sizes[1], n)
+    got = nn.evaluate_splits(model, x, y, ends)
+    want = [_evaluate_oracle(model, x[a:b], y[a:b])
+            for a, b in zip(ends, ends[1:])]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_evaluate_splits_rejects_bad_splits():
+    model = nn.init_model(ARCH, 0)
+    x, y = np.zeros((6, 2)), np.array([0, 1] * 3)
+    with pytest.raises(ValueError, match="empty split"):
+        nn.evaluate_splits(model, x, y, (0, 3, 3, 6))
+    with pytest.raises(ValueError, match="outside"):
+        nn.evaluate_splits(model, x, y, (0, 3, 7))
+    with pytest.raises(nn.DimensionError):
+        nn.evaluate_splits(model, x, y[:5], (0, 5))
+    with pytest.raises(ValueError, match="labels must lie"):
+        nn.evaluate_splits(model, x, np.array([0, 1, 2, 0, 1, 0]), (0, 3, 6))
+
+
 def test_serialize_round_trip():
     model = nn.init_model(ArchitectureSpec(3, (4, 2), 5, "tanh"), 31)
     model.params[0] = -1.25e-7

@@ -6,10 +6,9 @@ mutually, pick the better lineage on validation loss, then adopt the
 aggregated result. The table shows who borrowed from whom and which lineage
 each client kept as the cluster count opens up.
 """
-from fedme import (ArchitectureSpec, FedMeConfig,
-                   PartitionSpec, UnlabeledPool, dirichlet_partition,
-                   extract_unlabeled, generate_synthetic, run_fedme,
-                   split_shard)
+from fedme import (ArchitectureSpec, FedMeConfig, PartitionSpec,
+                   dirichlet_partition, extract_unlabeled, generate_synthetic,
+                   run_fedme, split_shard)
 
 dataset = generate_synthetic(num_classes=3, dim=8, per_class_count=150,
                              class_separation=3.0, noise_sigma=1.2, seed=4)

@@ -1,9 +1,9 @@
 """Desk-scale personalized federated learning via model exchange."""
 
 from .clustering import cluster_count, kmeans
-from .data import (ClientShard, Dataset, PartitionSpec, UnlabeledPool,
-                   dirichlet_partition, extract_unlabeled, generate_synthetic,
-                   label_skew, load_csv, save_csv, split_shard)
+from .data import (ClientShard, Dataset, PartitionSpec, dirichlet_partition,
+                   extract_unlabeled, generate_synthetic, label_skew, load_csv,
+                   save_csv, split_shard)
 from .engine import (ExchangePlan, FedMeConfig, RoundOverrides, RoundRecord,
                      aggregate, assign_exchanges, dml_train, fine_tune,
                      model_outputs_on_unlabeled, model_tuning, redistribute,

@@ -17,6 +17,9 @@ from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, RoundOverrides,
                      RoundRecord, _run_rounds, derive_seed)
 from .nn import ArchitectureSpec, Model
 
+FEDAVG_WEIGHTINGS = ("size", "uniform")
+HYPCLUSTER_CRITERIA = ("loss", "accuracy")
+
 
 def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
                        arch: ArchitectureSpec, config: FedMeConfig,
@@ -109,8 +112,9 @@ def run_fedavg(shards: list[ClientShard], arch: ArchitectureSpec,
                config: FedMeConfig, weighting: str = "size"):
     """Each round every client trains the global model; the server replaces it
     with the (train-size-weighted) average of client models."""
-    if weighting not in ("size", "uniform"):
-        raise ValueError(f"weighting must be 'size' or 'uniform', got {weighting!r}")
+    if weighting not in FEDAVG_WEIGHTINGS:
+        raise ValueError(f"weighting must be one of {FEDAVG_WEIGHTINGS}, "
+                         f"got {weighting!r}")
     weights = [float(s.train.n) if weighting == "size" else 1.0 for s in shards]
     globals_, _, records = _run_server_models(
         [s.train for s in shards], shards, arch, config, weights)
@@ -125,7 +129,8 @@ def run_hypcluster(shards: list[ClientShard], arch: ArchitectureSpec,
     Returns (global models, per-client final choice, round records)."""
     if q < 2:
         raise ValueError(f"hypcluster needs q >= 2 global models, got {q}")
-    if criterion not in ("loss", "accuracy"):
-        raise ValueError(f"criterion must be 'loss' or 'accuracy', got {criterion!r}")
+    if criterion not in HYPCLUSTER_CRITERIA:
+        raise ValueError(f"criterion must be one of {HYPCLUSTER_CRITERIA}, "
+                         f"got {criterion!r}")
     return _run_server_models([s.train for s in shards], shards, arch, config,
                               [float(s.train.n) for s in shards], q, criterion)

@@ -89,16 +89,13 @@ def _cmd_partition(args) -> None:
         print("client,n_train,n_val,n_test," +
               ",".join(f"class_{c}" for c in classes))
         for shard in shards:
-            labels = np.concatenate([shard.train.labels,
-                                     shard.validation.labels,
-                                     shard.test.labels])
-            hist = np.bincount(labels, minlength=config.num_classes)
+            hist = np.bincount(shard.labels, minlength=config.num_classes)
             print(f"{shard.client_id},{shard.train.n},{shard.validation.n},"
                   f"{shard.test.n}," + ",".join(str(h) for h in hist))
     else:
         sizes = [shard.n for shard in shards]
         print(f"{len(shards)} clients, sizes min={min(sizes)} max={max(sizes)}, "
-              f"unlabeled pool {pool.n} rows")
+              f"unlabeled pool {len(pool)} rows")
 
 
 def main(argv=None) -> int:

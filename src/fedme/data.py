@@ -65,18 +65,6 @@ class ClientShard:
         return self.train.n + self.validation.n + self.test.n
 
 
-@dataclass
-class UnlabeledPool:
-    features: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-
 @dataclass(frozen=True)
 class PartitionSpec:
     num_clients: int
@@ -193,15 +181,14 @@ def split_shard(dataset: Dataset, indices, client_id: int,
 
 
 def extract_unlabeled(dataset: Dataset, count: int, seed: int):
-    """Seeded sample without replacement; labels discarded. Returns (pool, rest)."""
+    """Seeded sample without replacement: (pool features, labelled rest)."""
     if count >= dataset.n:
         raise ValueError(f"cannot extract {count} unlabeled rows from {dataset.n}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(dataset.n, size=count, replace=False)
     mask = np.ones(dataset.n, dtype=bool)
     mask[chosen] = False
-    pool = UnlabeledPool(dataset.features[chosen].copy())
-    return pool, dataset.subset(np.flatnonzero(mask))
+    return dataset.features[chosen], dataset.subset(np.flatnonzero(mask))
 
 
 def label_skew(shards_labels: list[np.ndarray], num_classes: int) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .clustering import cluster_count, kmeans
-from .data import ClientShard, UnlabeledPool
+from .data import ClientShard
 from .nn import Model
 
 # purpose tags for deriving independent RNG streams from one master seed
@@ -98,11 +98,11 @@ class RoundOverrides:
     selections: "callable | None" = None  # (t, client, loss_p, loss_ex) -> a
 
 
-def model_outputs_on_unlabeled(models: list[Model], pool: UnlabeledPool) -> np.ndarray:
+def model_outputs_on_unlabeled(models: list[Model], pool: np.ndarray) -> np.ndarray:
     """Row i is the flattened probability matrix of model i on the pool."""
-    if pool.n == 0:
+    if len(pool) == 0:
         raise ValueError("unlabeled pool is empty")
-    return np.stack([nn.forward(m, pool.features).ravel() for m in models])
+    return np.stack([nn.forward(m, pool).ravel() for m in models])
 
 
 def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
@@ -134,8 +134,7 @@ def dml_train(model: Model, peer: Model | None, shard: ClientShard,
     """Train the client's model and its borrowed `peer` (if any) in place on
     identical batches of the shard's train split; with DML off each model gets
     plain cross-entropy updates."""
-    nn._train(model, shard.train.features, shard.train.labels, config, rng,
-              peer=peer, mutual=config.dml)
+    nn._train(model, shard.train.features, shard.train.labels, config, rng, peer)
 
 
 def model_tuning(loss_p_val: float, loss_ex_val: float, client_id: int,
@@ -165,7 +164,7 @@ def redistribute(aggregated: dict[int, Model],
     return [aggregated[selections[i]].copy() for i in range(len(selections))]
 
 
-def _plan_round(models: list[Model], pool: UnlabeledPool, t: int,
+def _plan_round(models: list[Model], pool: np.ndarray, t: int,
                 config: FedMeConfig, overrides: RoundOverrides) -> ExchangePlan:
     """Cluster the clients on their pool predictions and draw one donor each."""
     n = len(models)
@@ -217,7 +216,7 @@ def _train_and_select(cid: int, model: Model, peer: Model | None,
 
 
 def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
-              pool: UnlabeledPool, config: FedMeConfig,
+              pool: np.ndarray, config: FedMeConfig,
               overrides: RoundOverrides | None = None):
     """Run the full exchange/train/tune/aggregate/redistribute loop; returns
     (final per-client models, round records)."""
@@ -225,7 +224,7 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
 
 
 def _run_rounds(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
-                pool: UnlabeledPool | None, config: FedMeConfig,
+                pool: np.ndarray | None, config: FedMeConfig,
                 overrides: RoundOverrides):
     """`run_fedme`'s loop, shared with Local-Only, which runs it with no
     donors and clustering off and so never reads the pool."""

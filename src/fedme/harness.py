@@ -11,7 +11,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import nn
-from .baselines import (run_centralized, run_fedavg, run_hypcluster,
+from .baselines import (FEDAVG_WEIGHTINGS, HYPCLUSTER_CRITERIA,
+                        run_centralized, run_fedavg, run_hypcluster,
                         run_local_only)
 from .data import (ClientShard, PartitionSpec, dirichlet_partition,
                    extract_unlabeled, generate_synthetic, split_shard)
@@ -94,7 +95,7 @@ def _parse_value(key: str, raw: str):
             return _parse_bool(key, raw)
         if isinstance(default, int):
             return int(raw)
-        if isinstance(default, float) or default is None:
+        if isinstance(default, float):
             return float(raw)
         return raw
     except ValueError as exc:
@@ -144,8 +145,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"key 'cluster_thresholds': must be ascending, "
                           f"got {c.cluster_thresholds}")
     choices = (("activation", ACTIVATIONS),
-               ("fedavg_weighting", ("size", "uniform")),
-               ("hypcluster_criterion", ("loss", "accuracy")))
+               ("fedavg_weighting", FEDAVG_WEIGHTINGS),
+               ("hypcluster_criterion", HYPCLUSTER_CRITERIA))
     for key, allowed in choices:
         if getattr(c, key) not in allowed:
             raise ConfigError(f"key '{key}': must be one of {allowed}, "
@@ -189,11 +190,11 @@ def menu_archs(config: ExperimentConfig) -> list[ArchitectureSpec]:
 
 
 def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
-                    probe_epochs: int, config: FedMeConfig) -> list[ArchitectureSpec]:
-    """Each client briefly trains every candidate on its own train split and
-    keeps the one with the best validation accuracy (ties prefer fewer
-    parameters, then the lower menu index)."""
-    probe = replace(config, epochs=probe_epochs)
+                    config: ExperimentConfig) -> list[ArchitectureSpec]:
+    """Each client trains every candidate for `config.probe_epochs` epochs on
+    its own train split and keeps the one with the best validation accuracy
+    (ties prefer fewer parameters, then the lower menu index)."""
+    probe = replace(config, epochs=config.probe_epochs)
     choices = []
     for shard in shards:
         scored = []
@@ -218,7 +219,7 @@ def _client_archs(config: ExperimentConfig, shards):
         return [menu[config.model_index]] * len(shards)
     if config.init_policy == "round_robin":
         return [menu[i % len(menu)] for i in range(len(shards))]
-    choices = best_local_init(shards, menu, config.probe_epochs, config)
+    choices = best_local_init(shards, menu, config)
     if shared:
         # these algorithms average across clients, so settle on the
         # architecture most clients picked (ties toward the lower menu index)
@@ -257,23 +258,15 @@ def build_federation(config: ExperimentConfig, seed: int):
 
 
 def stall_warning(records: list[RoundRecord], num_classes: int) -> str | None:
-    """What is wrong when the last round scores no better than a uniform
-    guess on validation: a mean accuracy of at most 1/M, or a mean loss above
-    ln M, the uniform guess's loss. None when neither holds. The loss test
-    also fires on a run that learned but ends overconfident."""
+    """What is wrong when the last round's mean validation accuracy is no
+    better than a uniform guess's 1/M; None otherwise. Loss is not tested:
+    a run that learned but ends overconfident can score above ln M."""
     last = max(r.round for r in records)
-    final = [r for r in records if r.round == last]
-    acc = float(np.mean([r.val_acc for r in final]))
-    loss = float(np.mean([r.loss_p_val for r in final]))
-    problems = []
-    if acc <= 1.0 / num_classes:
-        problems.append(f"mean validation accuracy {acc:.4g} <= 1/{num_classes}")
-    if loss > math.log(num_classes):
-        problems.append(f"mean validation loss {loss:.4g} > ln {num_classes}")
-    if not problems:
+    acc = float(np.mean([r.val_acc for r in records if r.round == last]))
+    if acc > 1.0 / num_classes:
         return None
     return (f"round {last} validation is no better than a uniform guess: "
-            + " and ".join(problems))
+            f"mean validation accuracy {acc:.4g} <= 1/{num_classes}")
 
 
 def run_single(config: ExperimentConfig, seed: int) -> RunResult:

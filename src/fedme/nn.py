@@ -290,21 +290,20 @@ def sgd_step(model: Model, buf: np.ndarray, grad: np.ndarray, lr: float,
 
 
 def _train(model: Model, features: np.ndarray, labels: np.ndarray, params,
-           rng: np.random.Generator, peer: Model | None = None,
-           mutual: bool = True) -> None:
+           rng: np.random.Generator, peer: Model | None = None) -> None:
     """Train `model` in place with momentum SGD from a zero buffer for
     `params.epochs` epochs of mini-batches, shuffled afresh each epoch by `rng`.
 
-    `params` supplies epochs, batch_size, lr, momentum and weight_decay. A
-    `peer` trains on the same batches: jointly by deep mutual learning when
-    `mutual`, otherwise by its own cross-entropy, after `model` (the two
+    `params` supplies epochs, batch_size, lr, momentum, weight_decay and dml.
+    A `peer` trains on the same batches: jointly by deep mutual learning when
+    `params.dml`, otherwise by its own cross-entropy, after `model` (the two
     updates do not interact, so the order does not matter).
     """
     n, size = len(labels), params.batch_size
     perms = [rng.permutation(n) for _ in range(params.epochs)]
     batches = [perm[start:start + size] for perm in perms
                for start in range(0, n, size)]
-    if peer is not None and mutual:
+    if peer is not None and params.dml:
         runs = [(model, peer)]
     else:
         runs = [(m, None) for m in (model, peer) if m is not None]

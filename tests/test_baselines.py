@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedme import baselines, engine, nn
 from fedme.clustering import cluster_count
-from fedme.data import ClientShard, Dataset, UnlabeledPool, split_shard
+from fedme.data import ClientShard, Dataset, split_shard
 from fedme.engine import TAG_SPLIT, FedMeConfig, RoundOverrides, derive_seed
 from fedme.nn import ArchitectureSpec
 
@@ -209,7 +209,7 @@ def test_hypcluster_splits_label_swapped_tasks():
        q=st.integers(2, 3), seed=st.integers(0, 2**16))
 def test_every_algorithm_keeps_the_record_contract(num_clients, rounds, q, seed):
     shards = _shards(num_clients, rows_each=15, seed=seed)
-    pool = UnlabeledPool(np.random.default_rng(seed).normal(size=(10, 2)))
+    pool = np.random.default_rng(seed).normal(size=(10, 2))
     config = FedMeConfig(rounds=rounds, lr=0.05, seed=seed,
                          cluster_thresholds=(1, 2), k_max=2)
     archs = [ARCH] * num_clients

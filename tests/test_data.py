@@ -275,8 +275,8 @@ def test_split_shard_rejects_empty_piece():
 def test_extract_unlabeled():
     ds = _toy(80, 4)
     pool, rest = data.extract_unlabeled(ds, 30, seed=4)
-    assert pool.n == 30 and rest.n == 50
-    combined = np.sort(np.concatenate([pool.features[:, 0], rest.features[:, 0]]))
+    assert pool.shape == (30, 3) and pool.dtype == np.float64 and rest.n == 50
+    combined = np.sort(np.concatenate([pool[:, 0], rest.features[:, 0]]))
     assert np.array_equal(combined, np.sort(ds.features[:, 0]))
     with pytest.raises(ValueError):
         data.extract_unlabeled(ds, 80, seed=4)

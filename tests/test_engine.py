@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from fedme import engine, nn
-from fedme.data import Dataset, UnlabeledPool, split_shard
+from fedme.data import Dataset, split_shard
 from fedme.engine import (ExchangePlan, FedMeConfig, RoundOverrides,
                           assign_exchanges, derive_seed)
 from fedme.nn import ArchitectureSpec, Model
@@ -30,17 +29,17 @@ def _shards(num_clients=5, rows_each=30, seed=0):
 
 
 def _pool(seed=0, n=40):
-    return UnlabeledPool(np.random.default_rng(seed).normal(size=(n, 2)))
+    return np.random.default_rng(seed).normal(size=(n, 2))
 
 
 def test_model_outputs_shape_and_content():
     models = [nn.init_model(ARCH, s) for s in range(3)]
     pool = _pool()
     feats = engine.model_outputs_on_unlabeled(models, pool)
-    assert feats.shape == (3, pool.n * 2)
-    assert np.array_equal(feats[1], nn.forward(models[1], pool.features).ravel())
-    with pytest.raises(ValueError):
-        engine.model_outputs_on_unlabeled(models, UnlabeledPool(np.zeros((0, 2))))
+    assert feats.shape == (3, len(pool) * 2)
+    assert np.array_equal(feats[1], nn.forward(models[1], pool).ravel())
+    with pytest.raises(ValueError, match="unlabeled pool is empty"):
+        engine.model_outputs_on_unlabeled(models, np.zeros((0, 2)))
 
 
 def test_exchange_plan_rejects_self_donor():
@@ -87,8 +86,11 @@ def test_assign_exchanges_donor_distribution_uniform():
     draws = 4000
     for t in range(1, draws + 1):
         counts[assign_exchanges(assignments, t, seed=7).donor[0]] += 1
-    _, p = stats.chisquare(list(counts.values()))
-    assert p > 1e-3
+    # Pearson's chi-squared statistic against uniform; the bound is the 0.999
+    # quantile of chi-squared with 3 degrees of freedom, so p > 1e-3
+    observed = np.array(list(counts.values()))
+    stat = float(np.sum((observed - draws / 4) ** 2 / (draws / 4)))
+    assert stat < 16.26623619623813
 
 
 def test_assign_exchanges_needs_two_clients():

@@ -293,8 +293,9 @@ def test_train_loop_matches_pure_sgd_step_bitwise(activation, pairing):
         model, peer, mutual, x, y, params, np.random.default_rng(5))
 
     trained = [m.copy() for m in (model, peer) if m is not None]
-    nn._train(trained[0], x, y, params, np.random.default_rng(5),
-              peer=trained[1] if peer is not None else None, mutual=mutual)
+    nn._train(trained[0], x, y, dataclasses.replace(params, dml=mutual),
+              np.random.default_rng(5),
+              peer=trained[1] if peer is not None else None)
     for got, want in zip(trained, [ref_model, ref_peer]):
         assert got.params.tobytes() == want.params.tobytes()
     # the oracle applies momentum: without it, it ends elsewhere

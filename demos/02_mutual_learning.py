@@ -7,9 +7,8 @@ alone. The printout tracks test accuracy per epoch.
 """
 import numpy as np
 
-from fedme import (ArchitectureSpec, cross_entropy, dml_losses_and_grads,
+from fedme import (ArchitectureSpec, batch_losses_and_grads, cross_entropy,
                    evaluate, forward, generate_synthetic, init_model, sgd_step)
-from fedme.nn import ce_loss_and_grad
 
 rng = np.random.default_rng(0)
 dataset = generate_synthetic(num_classes=4, dim=8, per_class_count=120,
@@ -39,10 +38,10 @@ def run(mutual):
         for idx in batches(train.n, 20, rng):
             x, y = train.features[idx], train.labels[idx]
             if mutual:
-                _, _, g_s, g_d = dml_losses_and_grads(small, deep, x, y)
+                _, (g_s, g_d) = batch_losses_and_grads(small, x, y, deep)
             else:
-                _, g_s = ce_loss_and_grad(small, x, y)
-                _, g_d = ce_loss_and_grad(deep, x, y)
+                _, (g_s,) = batch_losses_and_grads(small, x, y)
+                _, (g_d,) = batch_losses_and_grads(deep, x, y)
             small, buf_s = sgd_step(small, buf_s, g_s, lr=0.05, momentum=0.9)
             deep, buf_d = sgd_step(deep, buf_d, g_d, lr=0.05, momentum=0.9)
         _, acc_s = evaluate(small, test.features, test.labels)

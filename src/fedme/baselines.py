@@ -27,10 +27,11 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
     """The server keeps q global models. Every round each training unit i
     trains a copy of one on `train_sets[i]` (when q > 1, the one that best fits
     `shards[i]`'s validation split), and each model becomes the `weights`-mean
-    of its returned copies, or is carried over if none came back. Record i's
-    `client_ms` is unit i's choice and training (0 past the last unit), and
-    `server_ms` the averaging. Returns (global models, per-shard choice,
-    round records)."""
+    of its returned copies, or is carried over if none came back. All units
+    train in one lockstep `nn.train` call a round. Record i's `client_ms` is
+    unit i's choice and copy (0 past the last unit), `train_ms` the round's
+    training and `server_ms` the averaging. Returns (global models, per-shard
+    choice, round records)."""
     globals_ = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, g))
                 for g in range(q)]
     # every shard's train | validation | test rows stacked once, so each
@@ -51,20 +52,25 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
     choices = [0] * len(shards)
     records = []
     for t in range(1, config.rounds + 1):
-        returned = [[] for _ in range(q)]  # (trained copy, weight) per model
         client_ms = [0.0] * len(shards)
-        for i, train in enumerate(train_sets):
+        trained = []
+        for i in range(len(train_sets)):
             start = time.perf_counter()
             if q > 1:  # ties resolve to the lowest index
                 fits = [scores[g][3 * i + 1] for g in range(q)]
                 choices[i] = int(np.argmin([loss if criterion == "loss" else -acc
                                             for loss, acc in fits]))
-            model = globals_[choices[i]].copy()
-            rng = np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i))
-            nn._train(model, train.features, train.labels, config, rng)
-            returned[choices[i]].append((model, weights[i]))
+            trained.append(globals_[choices[i]].copy())
             client_ms[i] = (time.perf_counter() - start) * 1000.0
         start = time.perf_counter()
+        nn.train([nn.Job(model, None, train.features, train.labels,
+                         np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i)))
+                  for i, (model, train) in enumerate(zip(trained, train_sets))], config)
+        train_ms = (time.perf_counter() - start) * 1000.0
+        start = time.perf_counter()
+        returned = [[] for _ in range(q)]  # (trained copy, weight) per model
+        for i, model in enumerate(trained):
+            returned[choices[i]].append((model, weights[i]))
         for g, copies in enumerate(returned):
             if copies:  # weights normalised within the group
                 w = np.array([weight for _, weight in copies])
@@ -79,7 +85,8 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
                 round=t, client=shard.client_id, k=q, cluster=None, donor=None,
                 a=None, loss_p_train=loss_p_train, loss_ex_train=None,
                 loss_p_val=loss_p_val, loss_ex_val=None, val_acc=val_acc,
-                test_acc=test_acc, client_ms=client_ms[i], server_ms=server_ms))
+                test_acc=test_acc, client_ms=client_ms[i], server_ms=server_ms,
+                train_ms=train_ms))
     return globals_, choices, records
 
 

@@ -65,6 +65,7 @@ class RoundRecord:
     test_acc: float
     client_ms: float
     server_ms: float
+    train_ms: float
 
 
 @dataclass
@@ -129,12 +130,16 @@ def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
     return ExchangePlan(t, donors, cluster_of, k)
 
 
-def dml_train(model: Model, peer: Model | None, shard: ClientShard,
-              config: FedMeConfig, rng: np.random.Generator) -> None:
-    """Train the client's model and its borrowed `peer` (if any) in place on
-    identical batches of the shard's train split; with DML off each model gets
-    plain cross-entropy updates."""
-    nn._train(model, shard.train.features, shard.train.labels, config, rng, peer)
+def dml_train(models: list[Model], peers: list[Model | None],
+              shards: list[ClientShard], config: FedMeConfig,
+              rngs: list[np.random.Generator]) -> None:
+    """Train each client's model and its borrowed peer (if any) in place on
+    identical batches of the client's train split, drawn by the client's rng;
+    with DML off each model gets plain cross-entropy updates. All clients
+    train in one lockstep `nn.train` call."""
+    nn.train([nn.Job(model, peer, shard.train.features, shard.train.labels, rng)
+              for model, peer, shard, rng in zip(models, peers, shards, rngs,
+                                                  strict=True)], config)
 
 
 def model_tuning(loss_p_val: float, loss_ex_val: float, client_id: int,
@@ -186,16 +191,14 @@ def _plan_round(models: list[Model], pool: np.ndarray, t: int,
     return assign_exchanges(assignments, t, config.seed, donors_override)
 
 
-def _train_and_select(cid: int, model: Model, peer: Model | None,
-                      shard: ClientShard, plan: ExchangePlan, config: FedMeConfig,
-                      overrides: RoundOverrides) -> RoundRecord:
-    """Train client `cid`'s model and its borrowed `peer` in place, then pick
-    the lineage it keeps. The record's accuracies and server time are filled
-    in after redistribution."""
+def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
+            plan: ExchangePlan, config: FedMeConfig,
+            overrides: RoundOverrides) -> RoundRecord:
+    """Score client `cid`'s trained model and borrowed `peer`, then pick the
+    lineage it keeps. The record's accuracies and round-level times are
+    filled in later."""
     start = time.perf_counter()
     t, donor = plan.round, plan.donor.get(cid)
-    rng = np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, cid))
-    dml_train(model, peer, shard, config, rng)
     (loss_p_train, _), (loss_p_val, _) = nn.evaluate_splits(
         model, shard.features, shard.labels, shard.ends[:3])
     loss_ex_train = loss_ex_val = None
@@ -212,7 +215,8 @@ def _train_and_select(cid: int, model: Model, peer: Model | None,
         donor=donor, a=a, loss_p_train=loss_p_train, loss_ex_train=loss_ex_train,
         loss_p_val=loss_p_val, loss_ex_val=loss_ex_val,
         val_acc=float("nan"), test_acc=float("nan"),
-        client_ms=(time.perf_counter() - start) * 1000.0, server_ms=0.0)
+        client_ms=(time.perf_counter() - start) * 1000.0, server_ms=0.0,
+        train_ms=0.0)
 
 
 def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
@@ -240,29 +244,42 @@ def _run_rounds(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
         exchanged = {i: models[d].copy() for i, d in plan.donor.items()}
         server_ms = (time.perf_counter() - server_start) * 1000.0
 
-        round_records = [_train_and_select(i, model, exchanged.get(i), shard,
-                                           plan, config, overrides)
-                         for i, (model, shard) in enumerate(zip(models, shards))]
+        train_start = time.perf_counter()
+        peers = [exchanged.get(i) for i in range(len(models))]
+        dml_train(models, peers, shards, config,
+                  [np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i))
+                   for i in range(len(models))])
+        train_ms = (time.perf_counter() - train_start) * 1000.0
+
+        round_records = [_select(i, model, peer, shard, plan, config, overrides)
+                         for i, (model, peer, shard)
+                         in enumerate(zip(models, peers, shards))]
 
         server_start = time.perf_counter()
         models = redistribute(aggregate(models, exchanged, plan),
                               {r.client: r.a for r in round_records})
-        del exchanged  # its copies are dead weight through the next round's k-means
+        # the borrowed copies, and the training stacks their parameters are
+        # rows of, are dead weight through the next round's k-means
+        del exchanged, peers
         server_ms += (time.perf_counter() - server_start) * 1000.0
 
         for model, shard, record in zip(models, shards, round_records):
             (_, record.val_acc), (_, record.test_acc) = nn.evaluate_splits(
                 model, shard.features, shard.labels, shard.ends[1:])
             record.server_ms = server_ms
+            record.train_ms = train_ms
         records.extend(round_records)
 
     return models, records
 
 
-def fine_tune(model: Model, shard: ClientShard, config: FedMeConfig) -> Model:
-    """Plain cross-entropy retraining of a copy of `model` on the client's own
-    train split, for `config.epochs` epochs."""
-    tuned = model.copy()
-    rng = np.random.default_rng(derive_seed(config.seed, TAG_FINE_TUNE, shard.client_id))
-    nn._train(tuned, shard.train.features, shard.train.labels, config, rng)
+def fine_tune(models: list[Model], shards: list[ClientShard],
+              config: FedMeConfig) -> list[Model]:
+    """Plain cross-entropy retraining of a copy of each client's model on its
+    own train split, for `config.epochs` epochs, in one lockstep call."""
+    tuned = [model.copy() for model in models]
+    nn.train([nn.Job(model, None, shard.train.features, shard.train.labels,
+                     np.random.default_rng(derive_seed(config.seed, TAG_FINE_TUNE,
+                                                       shard.client_id)))
+              for model, shard in zip(tuned, shards, strict=True)], config)
     return tuned

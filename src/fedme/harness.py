@@ -193,21 +193,24 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
                     config: ExperimentConfig) -> list[ArchitectureSpec]:
     """Each client trains every candidate for `config.probe_epochs` epochs on
     its own train split and keeps the one with the best validation accuracy
-    (ties prefer fewer parameters, then the lower menu index)."""
-    probe = replace(config, epochs=config.probe_epochs)
-    choices = []
+    (ties prefer fewer parameters, then the lower menu index). Every probe
+    trains in one lockstep call."""
+    jobs = []
     for shard in shards:
-        scored = []
         for idx, arch in enumerate(menu):
             key = (config.seed, TAG_PROBE, shard.client_id, idx)
-            model = nn.init_model(arch, derive_seed(*key))
-            rng = np.random.default_rng(derive_seed(*key, 1))
-            nn._train(model, shard.train.features, shard.train.labels, probe, rng)
-            _, acc = nn.evaluate(model, shard.validation.features,
-                                 shard.validation.labels)
+            jobs.append(nn.Job(nn.init_model(arch, derive_seed(*key)), None,
+                               shard.train.features, shard.train.labels,
+                               np.random.default_rng(derive_seed(*key, 1))))
+    nn.train(jobs, replace(config, epochs=config.probe_epochs))
+    choices = []
+    for c, shard in enumerate(shards):
+        scored = []
+        for idx, arch in enumerate(menu):
+            _, acc = nn.evaluate(jobs[c * len(menu) + idx].model,
+                                 shard.validation.features, shard.validation.labels)
             scored.append((-acc, arch.parameter_count(), idx))
-        scored.sort()
-        choices.append(menu[scored[0][2]])
+        choices.append(menu[min(scored)[2]])
     return choices
 
 
@@ -301,7 +304,7 @@ def run_single(config: ExperimentConfig, seed: int) -> RunResult:
     val = [final[s.client_id].val_acc for s in shards]
     if config.fine_tune_epochs > 0:
         tune = replace(config, epochs=config.fine_tune_epochs)
-        tuned = [fine_tune(m, s, tune) for m, s in zip(models, shards)]
+        tuned = fine_tune(models, shards, tune)
         post = [nn.evaluate(m, s.test.features, s.test.labels)[1]
                 for m, s in zip(tuned, shards)]
     else:
@@ -352,9 +355,14 @@ def write_round_log(records: list[RoundRecord], path) -> None:
 
 
 def write_timings(records: list[RoundRecord], path) -> None:
-    lines = ["round,client,client_ms,server_ms"]
+    """Wall-clock sidecar of the round log. `client_ms` is the client's own
+    work outside training (FedMe: scoring and selection; server-model
+    baselines: the choice and copy of the model it trains); `train_ms` and
+    `server_ms` are round-level, repeated on each of the round's rows."""
+    lines = ["round,client,client_ms,server_ms,train_ms"]
     for r in records:
-        lines.append(f"{r.round},{r.client},{r.client_ms:.3f},{r.server_ms:.3f}")
+        lines.append(f"{r.round},{r.client},{r.client_ms:.3f},{r.server_ms:.3f},"
+                     f"{r.train_ms:.3f}")
     _write_csv(path, lines)
 
 

@@ -1,17 +1,21 @@
 """Minimal feed-forward classifier engine on flat parameter vectors.
 
 A model is its parameters: an architecture and a flat float64 vector, exactly
-what a checkpoint stores. Momentum exists only inside the private `_train`
-loop, which gives each model it steps a zero buffer and updates parameters in
-place, so callers copy a model first when the original must survive. Every
-other operation is pure; the public `sgd_step` takes the momentum buffer as an
-argument and returns stepped copies of the model and the buffer.
+what a checkpoint stores. Momentum exists only inside `train`, the one
+training loop, which gives each model it steps a zero buffer and updates
+parameters in place, so callers copy a model first when the original must
+survive. `train` runs many models in lockstep: the models stepping a batch of
+one architecture, row count and loss share one stacked step, with the bits of
+stepping each model alone. Every other operation is pure; the public
+`sgd_step` takes the momentum buffer as an argument and returns stepped
+copies of the model and the buffer.
 """
 from __future__ import annotations
 
 import functools
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +25,11 @@ CHECKPOINT_MAGIC = b"FEDM"
 CHECKPOINT_VERSION = 1
 
 LOG_CLAMP = 1e-12
+
+# Parameter bytes of the jobs `train` steps together. The stacks, momentum
+# buffers and gradients of a cohort scale with it, so it bounds the memory
+# lockstep training adds over training one model at a time.
+COHORT_BYTES = 512 * 1024
 
 
 class DimensionError(ValueError):
@@ -113,43 +122,61 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    e /= e.sum(axis=1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def _checked_features(model: Model, features) -> np.ndarray:
+def _checked_features(arch: ArchitectureSpec, features) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.arch.input_dim:
+    if X.ndim != 2 or X.shape[1] != arch.input_dim:
         raise DimensionError(
-            f"expected features of width {model.arch.input_dim}, got shape {X.shape}"
+            f"expected features of width {arch.input_dim}, got shape {X.shape}"
         )
     return X
 
 
-def _forward_cached(model: Model, features: np.ndarray):
-    """Forward pass keeping pre/post-activation values for backprop."""
-    X = _checked_features(model, features)
-    layers = _layer_slices(model.arch)
-    params = model.params
-    acts = [X]
+def _checked_labels(labels, rows: int, num_classes: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.shape != (rows,):
+        raise DimensionError(f"{rows} rows and labels of shape {labels.shape} "
+                             f"do not align")
+    if rows and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError(f"labels must lie in [0, {num_classes}), got range "
+                         f"[{labels.min()}, {labels.max()}]")
+    return labels
+
+
+def _checked_rows(arch: ArchitectureSpec, features, labels):
+    X = _checked_features(arch, features)
+    return X, _checked_labels(labels, len(X), arch.num_classes)
+
+
+def _forward_cached(arch: ArchitectureSpec, params: np.ndarray,
+                    features: np.ndarray):
+    """Forward pass of a stack of C models of one architecture, each on its
+    own batch: `params` is (C, P) and `features` (C, b, d). Returns the
+    (C, b, M) probabilities and the pre/post-activation values backprop
+    needs. Model c's slice has the bits of `forward` on its batch alone."""
+    layers = _layer_slices(arch)
+    stack = len(params)
+    acts = [features]
     zs = []
-    h = X
+    h = features
     for li, (w_sl, b_sl, fi, fo) in enumerate(layers):
-        z = h @ params[w_sl].reshape(fo, fi).T
-        z += params[b_sl]
+        z = np.matmul(h, params[:, w_sl].reshape(stack, fo, fi).transpose(0, 2, 1))
+        z += params[:, None, b_sl]
         zs.append(z)
         if li < len(layers) - 1:
-            h = _activate(z, model.arch.activation)
+            h = _activate(z, arch.activation)
             acts.append(h)
-    probs = _softmax(zs[-1])
-    return probs, acts, zs
+    return _softmax(zs[-1]), acts, zs
 
 
 def forward(model: Model, features: np.ndarray) -> np.ndarray:
     """Class-probability matrix; each row a softmax distribution. The same
     arithmetic as `_forward_cached`, keeping no activations."""
-    h = _checked_features(model, features)
+    h = _checked_features(model.arch, features)
     layers = _layer_slices(model.arch)
     params = model.params
     last = len(layers) - 1
@@ -160,37 +187,32 @@ def forward(model: Model, features: np.ndarray) -> np.ndarray:
     return _softmax(h)
 
 
-def _backprop(model: Model, acts, zs, dlogits: np.ndarray) -> np.ndarray:
-    """Flat gradient given the gradient of the loss w.r.t. output logits."""
-    layers = _layer_slices(model.arch)
-    params = model.params
+def _backprop(arch: ArchitectureSpec, params: np.ndarray, acts, zs,
+              dlogits: np.ndarray) -> np.ndarray:
+    """(C, P) gradients of a stack given the gradients of its losses w.r.t.
+    the (C, b, M) output logits."""
+    layers = _layer_slices(arch)
+    stack = len(params)
     grad = np.empty_like(params)
     delta = dlogits
     for li in range(len(layers) - 1, -1, -1):
         w_sl, b_sl, fi, fo = layers[li]
-        np.matmul(delta.T, acts[li], out=grad[w_sl].reshape(fo, fi))
-        np.add.reduce(delta, axis=0, out=grad[b_sl])  # np.sum, minus its dispatch
+        np.matmul(delta.transpose(0, 2, 1), acts[li],
+                  out=grad[:, w_sl].reshape(stack, fo, fi))
+        np.add.reduce(delta, axis=1, out=grad[:, b_sl])  # np.sum, minus its dispatch
         if li > 0:
-            delta = delta @ params[w_sl].reshape(fo, fi)
-            delta *= _activate_grad(zs[li - 1], acts[li], model.arch.activation)
+            delta = delta @ params[:, w_sl].reshape(stack, fo, fi)
+            delta *= _activate_grad(zs[li - 1], acts[li], arch.activation)
     return grad
-
-
-def _checked_labels(probs: np.ndarray, labels) -> np.ndarray:
-    labels = np.asarray(labels)
-    if probs.ndim != 2 or labels.shape != (probs.shape[0],):
-        raise DimensionError(f"probs {probs.shape} and labels {labels.shape} do not align")
-    m = probs.shape[1]
-    if labels.min() < 0 or labels.max() >= m:
-        raise ValueError(f"labels must lie in [0, {m}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
-    return labels
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true class, log clamped at 1e-12."""
     probs = np.asarray(probs, dtype=np.float64)
-    labels = _checked_labels(probs, labels)
+    if probs.ndim != 2:
+        raise DimensionError(f"expected a 2-D probability matrix, got shape "
+                             f"{probs.shape}")
+    labels = _checked_labels(labels, len(probs), probs.shape[1])
     picked = probs[np.arange(len(labels)), labels]
     return float(-np.mean(np.log(np.maximum(picked, LOG_CLAMP))))
 
@@ -207,54 +229,76 @@ def kl_divergence(target: np.ndarray, model_probs: np.ndarray) -> float:
     return float(per_row.mean())
 
 
-def dml_losses_and_grads(model_p: Model, model_ex: Model, features: np.ndarray,
-                         labels: np.ndarray):
-    """Mutual-learning losses and gradients for a pair of models on one batch.
+def _label_hits(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Flat positions of each row's true class in a (C, b, M) array."""
+    stack, rows = labels.shape
+    return np.arange(0, stack * rows * num_classes, num_classes).reshape(
+        stack, rows) + labels
 
-    Each model's loss is cross-entropy plus the KL pull toward the peer's
-    predictions; the peer's outputs are treated as constants when
-    differentiating, so the two gradients decouple.
+
+def dml_losses_and_grads(arch: ArchitectureSpec, params: np.ndarray, cached,
+                         labels: np.ndarray, peer_probs: np.ndarray):
+    """Mutual-learning losses and gradients of a stack of C models of one
+    architecture, each on its own batch with a peer that saw the same batch.
+
+    `cached` is the stack's forward pass on its (C, b, d) features as
+    `_forward_cached` returns it: the (C, b, M) probabilities and the values
+    backprop needs. `labels` is (C, b) and `peer_probs` (C, b, M) holds each
+    peer's predictions. A
+    model's loss is cross-entropy plus the KL pull toward its peer's
+    predictions, which are constants when differentiating, so a pair's two
+    gradients decouple. Returns the (C,) losses and (C, P) gradients.
     """
-    if not model_p.arch.compatible_with(model_ex.arch):
-        raise DimensionError("models do not share input_dim / num_classes")
-    probs_p, acts_p, zs_p = _forward_cached(model_p, features)
-    probs_ex, acts_ex, zs_ex = _forward_cached(model_ex, features)
-    labels = _checked_labels(probs_p, labels)
-    n = len(labels)
-    rows = np.arange(n)
-
-    # one clamped log per probability serves both the CE and the KL terms
-    log_p = np.log(np.maximum(probs_p, LOG_CLAMP))
-    log_ex = np.log(np.maximum(probs_ex, LOG_CLAMP))
-    log_ratio = log_ex - log_p
-    loss_p = float((probs_ex * log_ratio).sum() - log_p[rows, labels].sum()) / n
-    loss_ex = float(-(probs_p * log_ratio).sum() - log_ex[rows, labels].sum()) / n
-
+    probs, acts, zs = cached
+    n = labels.shape[1]
+    hits = _label_hits(labels, arch.num_classes)
+    log_p = np.log(np.maximum(probs, LOG_CLAMP))
+    log_peer = np.log(np.maximum(peer_probs, LOG_CLAMP))
+    losses = ((peer_probs * (log_peer - log_p)).sum(axis=(1, 2))
+              - log_p.reshape(-1)[hits].sum(axis=1)) / n
     # d/dlogits of mean CE is (p - y)/n; of mean KL(t || p) it is (p - t)/n.
-    dlogits_p = 2.0 * probs_p
-    dlogits_p[rows, labels] -= 1.0
-    dlogits_p -= probs_ex
-    dlogits_p /= n
-    dlogits_ex = 2.0 * probs_ex
-    dlogits_ex[rows, labels] -= 1.0
-    dlogits_ex -= probs_p
-    dlogits_ex /= n
-    grad_p = _backprop(model_p, acts_p, zs_p, dlogits_p)
-    grad_ex = _backprop(model_ex, acts_ex, zs_ex, dlogits_ex)
-    return loss_p, loss_ex, grad_p, grad_ex
+    dlogits = 2.0 * probs
+    dlogits.reshape(-1)[hits] -= 1.0
+    dlogits -= peer_probs
+    dlogits /= n
+    return losses, _backprop(arch, params, acts, zs, dlogits)
 
 
-def ce_loss_and_grad(model: Model, features: np.ndarray, labels: np.ndarray):
-    """Plain cross-entropy loss and gradient (no mutual-learning term)."""
-    probs, acts, zs = _forward_cached(model, features)
-    labels = _checked_labels(probs, labels)
-    n = len(labels)
-    rows = np.arange(n)
-    loss = float(-np.log(np.maximum(probs[rows, labels], LOG_CLAMP)).sum()) / n
+def ce_loss_and_grad(arch: ArchitectureSpec, params: np.ndarray, cached,
+                     labels: np.ndarray):
+    """Plain cross-entropy losses and gradients (no mutual-learning term) of
+    a stack of C models of one architecture, each on its own batch; the
+    arguments are those of `dml_losses_and_grads` without peers. Overwrites
+    the cached probabilities. Returns the (C,) losses and (C, P) gradients."""
+    probs, acts, zs = cached
+    n = labels.shape[1]
+    flat = probs.reshape(-1)
+    hits = _label_hits(labels, arch.num_classes)
+    losses = -np.log(np.maximum(flat[hits], LOG_CLAMP)).sum(axis=1) / n
     # probs becomes d/dlogits of mean CE, (p - y)/n
-    probs[rows, labels] -= 1.0
+    flat[hits] -= 1.0
     probs /= n
-    return loss, _backprop(model, acts, zs, probs)
+    return losses, _backprop(arch, params, acts, zs, probs)
+
+
+def batch_losses_and_grads(model: Model, features, labels,
+                           peer: Model | None = None):
+    """One batch's losses and gradients for `model` and, when given, `peer`:
+    by mutual learning between the two, or by cross-entropy alone with no
+    peer. The stacked kernels run on one-model stacks. Returns a list of
+    float losses and a list of gradients, one entry per model."""
+    models = [model] if peer is None else [model, peer]
+    if peer is not None and not model.arch.compatible_with(peer.arch):
+        raise DimensionError("models do not share input_dim / num_classes")
+    X, y = _checked_rows(model.arch, features, labels)
+    stacks = [(m.arch, m.params[None]) for m in models]
+    cached = [_forward_cached(arch, params, X[None]) for arch, params in stacks]
+    if peer is None:
+        out = [ce_loss_and_grad(*stacks[0], cached[0], y[None])]
+    else:
+        out = [dml_losses_and_grads(*stacks[i], cached[i], y[None],
+                                    cached[1 - i][0]) for i in (0, 1)]
+    return [float(loss[0]) for loss, _ in out], [grad[0] for _, grad in out]
 
 
 def _sgd_update(params: np.ndarray, buf: np.ndarray, grad: np.ndarray,
@@ -289,37 +333,193 @@ def sgd_step(model: Model, buf: np.ndarray, grad: np.ndarray, lr: float,
     return stepped, buf
 
 
-def _train(model: Model, features: np.ndarray, labels: np.ndarray, params,
-           rng: np.random.Generator, peer: Model | None = None) -> None:
-    """Train `model` in place with momentum SGD from a zero buffer for
-    `params.epochs` epochs of mini-batches, shuffled afresh each epoch by `rng`.
+class Job(NamedTuple):
+    """One model's training run for `train`: `model`, and `peer` when given,
+    on the rows `features` and `labels`, shuffled by `rng`."""
+
+    model: Model
+    peer: Model | None
+    features: np.ndarray
+    labels: np.ndarray
+    rng: np.random.Generator
+
+
+def train(jobs: list[Job], params) -> None:
+    """Train every job's models in place with momentum SGD from zero buffers
+    for `params.epochs` epochs of mini-batches, each job shuffled afresh each
+    epoch by its own `rng` (one `permutation` per epoch, drawn up front).
 
     `params` supplies epochs, batch_size, lr, momentum, weight_decay and dml.
-    A `peer` trains on the same batches: jointly by deep mutual learning when
-    `params.dml`, otherwise by its own cross-entropy, after `model` (the two
-    updates do not interact, so the order does not matter).
+    A job's `peer` trains on the same batches as its model: jointly by deep
+    mutual learning when `params.dml`, otherwise by its own cross-entropy.
+
+    Every model ends with the bits of training its job alone, batch by batch.
+    The jobs run in lockstep, in cohorts of at most `COHORT_BYTES` of
+    parameters: at each tick, the models stepping a batch of the same
+    architecture, row count and loss form one stack for the kernels and the
+    update. Each model's `params` is rebound to a row of its cohort's stack.
+    Every job is checked before any trains.
     """
-    n, size = len(labels), params.batch_size
-    perms = [rng.permutation(n) for _ in range(params.epochs)]
-    batches = [perm[start:start + size] for perm in perms
-               for start in range(0, n, size)]
-    if peer is not None and params.dml:
-        runs = [(model, peer)]
-    else:
-        runs = [(m, None) for m in (model, peer) if m is not None]
-    hyper = (params.lr, params.momentum, params.weight_decay)
-    for own, other in runs:
-        own_buf = np.zeros_like(own.params)
-        other_buf = None if other is None else np.zeros_like(other.params)
-        for batch in batches:
-            x, y = features[batch], labels[batch]
-            if other is None:
-                _, grad = ce_loss_and_grad(own, x, y)
-                _sgd_update(own.params, own_buf, grad, *hyper)
+    checked, seen = [], set()
+    for job in jobs:
+        for model in (job.model, job.peer):
+            if id(model) in seen:  # its stack row would be bound twice
+                raise ValueError("a model can train in one job only")
+            if model is not None:
+                seen.add(id(model))
+        if job.peer is not None and not job.model.arch.compatible_with(job.peer.arch):
+            raise DimensionError("models do not share input_dim / num_classes")
+        X, y = _checked_rows(job.model.arch, job.features, job.labels)
+        checked.append(job._replace(features=X, labels=y))
+    if params.epochs == 0:
+        return
+    for cohort in _cohorts(checked):
+        _train_cohort(cohort, params)
+
+
+def _cohorts(jobs: list[Job]):
+    """Consecutive runs of jobs whose parameters total at most
+    `COHORT_BYTES`, or one job alone; a job and its peer stay together."""
+    cohort, nbytes = [], 0
+    for job in jobs:
+        size = job.model.params.nbytes + (0 if job.peer is None else job.peer.params.nbytes)
+        if cohort and nbytes + size > COHORT_BYTES:
+            yield cohort
+            cohort, nbytes = [], 0
+        cohort.append(job)
+        nbytes += size
+    if cohort:
+        yield cohort
+
+
+class _Block(NamedTuple):
+    """The models of one architecture and loss in a cohort: rows
+    `lo:lo + len(entries)` of the architecture's stack, most batches first."""
+
+    arch: ArchitectureSpec
+    params: np.ndarray   # the architecture's (N, P) stack
+    buf: np.ndarray      # its momentum buffers
+    lo: int
+    dml: bool
+    entries: np.ndarray  # model index per row, into the cohort's models
+    ticks: np.ndarray    # batches to step per row, non-increasing
+    n: np.ndarray        # train rows of each row's job
+    batches: np.ndarray  # batches per epoch of each row's job
+    first: np.ndarray    # where each row's job's batch order starts
+
+    def stacks(self, t: int, size: int, order: np.ndarray):
+        """(row count, selection, positions, data rows) of each stack the
+        block steps at tick `t`; the selection of its rows is a slice where
+        they are consecutive and an index array where they are not."""
+        active = np.count_nonzero(self.ticks > t)
+        per_epoch = self.batches[:active]
+        k = t % per_epoch
+        at = self.first[:active] + (t // per_epoch) * self.n[:active] + k * size
+        counts = np.minimum(self.n[:active] - k * size, size)
+        for r in sorted(set(counts.tolist())):
+            pos = np.flatnonzero(counts == r)
+            if pos[-1] - pos[0] + 1 == len(pos):
+                sel = slice(self.lo + pos[0], self.lo + pos[-1] + 1)
             else:
-                _, _, grad, other_grad = dml_losses_and_grads(own, other, x, y)
-                _sgd_update(own.params, own_buf, grad, *hyper)
-                _sgd_update(other.params, other_buf, other_grad, *hyper)
+                sel = self.lo + pos
+            yield r, sel, pos, order[at[pos, None] + np.arange(r)]
+
+    def step(self, sel, params: np.ndarray, grads: np.ndarray, hyper) -> None:
+        """Momentum update of the selected rows, whose parameters `params`
+        the gradients were taken at."""
+        buf = self.buf[sel]
+        _sgd_update(params, buf, grads, *hyper)
+        if not isinstance(sel, slice):  # fancy indexing copied the rows
+            self.params[sel] = params
+            self.buf[sel] = buf
+
+
+def _train_cohort(jobs: list[Job], params) -> None:
+    """`train` on one cohort: each architecture's models as rows of one
+    stack, stepped tick by tick."""
+    size = params.batch_size
+    hyper = (params.lr, params.momentum, params.weight_decay)
+    # every job's batches, drawn up front: one permutation per epoch, kept
+    # with all the others as one array of positions in the stacked rows
+    offsets, features, labels, order = {}, [], [], []
+    stacked = 0
+    for job in jobs:
+        key = (id(job.features), id(job.labels))
+        if key not in offsets:
+            offsets[key] = stacked
+            features.append(job.features)
+            labels.append(job.labels)
+            stacked += len(job.labels)
+        order += [job.rng.permutation(len(job.labels)) + offsets[key]
+                  for _ in range(params.epochs)]
+    features, labels = np.concatenate(features), np.concatenate(labels)
+    order = np.concatenate(order)
+    n = np.array([len(job.labels) for job in jobs])
+    first = np.concatenate(([0], np.cumsum(n * params.epochs)[:-1]))
+    batches = -(-n // size)
+    ticks = params.epochs * batches
+
+    # the cohort's models, a job's model before its peer; DML partners
+    # point at each other
+    models, job_of, dml_of, partner = [], [], [], []
+    for j, job in enumerate(jobs):
+        dml = job.peer is not None and params.dml
+        pair = [job.model] if job.peer is None else [job.model, job.peer]
+        partner += [len(models) + 1, len(models)] if dml else [-1] * len(pair)
+        models += pair
+        job_of += [j] * len(pair)
+        dml_of += [dml] * len(pair)
+    partner = np.array(partner)
+    by_arch = {}
+    for e, m in enumerate(models):
+        by_arch.setdefault(m.arch, []).append(e)
+    blocks = []
+    for arch, members in by_arch.items():
+        members.sort(key=lambda e: (dml_of[e], -ticks[job_of[e]]))
+        stack = np.empty((len(members), arch.parameter_count()))
+        for row, e in enumerate(members):  # frees each original as it goes
+            stack[row] = models[e].params
+            models[e].params = stack[row]
+        buf = np.zeros_like(stack)
+        for dml in (False, True):
+            rows = [row for row, e in enumerate(members) if dml_of[e] == dml]
+            if rows:
+                entries = np.array(members[rows[0]:rows[-1] + 1])
+                jb = np.array([job_of[e] for e in entries])
+                blocks.append(_Block(arch, stack, buf, rows[0], dml, entries,
+                                     ticks[jb], n[jb], batches[jb], first[jb]))
+
+    slot = np.empty(len(models), dtype=np.int64)
+    for t in range(int(ticks.max())):
+        mutual = {}  # row count -> that tick's DML stacks
+        for blk in blocks:
+            if blk.ticks[0] <= t:
+                continue
+            for r, sel, pos, rows in blk.stacks(t, size, order):
+                if blk.dml:
+                    mutual.setdefault(r, []).append((blk, sel, pos, rows))
+                    continue
+                W = blk.params[sel]
+                _, grads = ce_loss_and_grad(
+                    blk.arch, W, _forward_cached(blk.arch, W, features[rows]),
+                    labels[rows])
+                blk.step(sel, W, grads, hyper)
+        # a DML model reads its partner's probabilities from the stack of
+        # the partner's architecture with the same row count
+        for stacks in mutual.values():
+            forwards, pooled = [], 0
+            for blk, sel, pos, rows in stacks:
+                W = blk.params[sel]
+                forwards.append((W, _forward_cached(blk.arch, W, features[rows])))
+                slot[blk.entries[pos]] = np.arange(pooled, pooled + len(pos))
+                pooled += len(pos)
+            probs = [cache[0] for _, cache in forwards]
+            probs = probs[0] if len(probs) == 1 else np.concatenate(probs)
+            for (blk, sel, pos, rows), (W, cache) in zip(stacks, forwards):
+                _, grads = dml_losses_and_grads(
+                    blk.arch, W, cache, labels[rows],
+                    probs[slot[partner[blk.entries[pos]]]])
+                blk.step(sel, W, grads, hyper)
 
 
 def average_params(models: list[Model]) -> Model:
@@ -350,7 +550,7 @@ def evaluate_splits(model: Model, features: np.ndarray, labels: np.ndarray,
     if any(b <= a for a, b in zip(ends[:-1], ends[1:])):
         raise ValueError("cannot evaluate on an empty split")
     probs = forward(model, features[start:stop])
-    labels = _checked_labels(probs, labels[start:stop])
+    labels = _checked_labels(labels[start:stop], len(probs), probs.shape[1])
     picked = probs[np.arange(len(labels)), labels]
     logp = np.log(np.maximum(picked, LOG_CLAMP))
     hit = probs.argmax(axis=1) == labels

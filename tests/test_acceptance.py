@@ -32,7 +32,7 @@ def _kink_free(model, x, margin=1e-3):
     sampled cases must keep every hidden pre-activation away from zero."""
     if model.arch.activation != "relu":
         return True
-    _, _, zs = nn._forward_cached(model, x)
+    _, _, zs = nn._forward_cached(model.arch, model.params[None], x[None])
     return all(np.min(np.abs(z)) > margin for z in zs[:-1])
 
 
@@ -57,7 +57,7 @@ def test_criterion_1_gradient_oracle():
             if _kink_free(model_p, x) and _kink_free(model_ex, x):
                 break
         y = rng.integers(0, arch_p.num_classes, size=len(x))
-        _, _, g_p, g_ex = nn.dml_losses_and_grads(model_p, model_ex, x, y)
+        _, (g_p, g_ex) = nn.batch_losses_and_grads(model_p, x, y, model_ex)
 
         def loss(params, which):
             p = Model(arch_p, params) if which == "p" else model_p

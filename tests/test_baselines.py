@@ -111,10 +111,11 @@ def test_fedavg_weighted_mean_exact(monkeypatch):
     outputs = iter([np.array([1.0, 1.0, 0, 0, 0, 0]),
                     np.array([3.0, 5.0, 0, 0, 0, 0])])
 
-    def pinned(model, features, labels, params, rng):
-        model.params[:] = next(outputs)
+    def pinned(jobs, params):
+        for job in jobs:
+            job.model.params[:] = next(outputs)
 
-    monkeypatch.setattr(baselines.nn, "_train", pinned)
+    monkeypatch.setattr(baselines.nn, "train", pinned)
     params = FedMeConfig(rounds=1, lr=0.05, seed=0)
     model, _ = baselines.run_fedavg(shards, TINY, params, "size")
     assert np.allclose(model.params[:2], [2.5, 4.0])
@@ -221,8 +222,8 @@ def test_every_algorithm_keeps_the_record_contract(num_clients, rounds, q, seed)
         "hypcluster": lambda: baselines.run_hypcluster(shards, ARCH, config, q)[2],
     }
     order = [(t, i) for t in range(1, rounds + 1) for i in range(num_clients)]
-    untimed = lambda records: [replace(r, client_ms=0.0, server_ms=0.0)
-                               for r in records]
+    untimed = lambda records: [replace(r, client_ms=0.0, server_ms=0.0,
+                                       train_ms=0.0) for r in records]
     for algorithm, run in runs.items():
         records = run()
         assert [(r.round, r.client) for r in records] == order, algorithm

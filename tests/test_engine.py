@@ -197,7 +197,7 @@ def test_dml_train_reduces_loss_and_keeps_momentum_within_round():
     model, peer = nn.init_model(ARCH, 0), nn.init_model(ARCH, 1)
     before_p, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
     config = FedMeConfig(rounds=1, epochs=3, lr=0.05)
-    engine.dml_train(model, peer, shard, config, np.random.default_rng(0))
+    engine.dml_train([model], [peer], [shard], config, [np.random.default_rng(0)])
     after_p, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
     after_ex, _ = nn.evaluate(peer, shard.train.features, shard.train.labels)
     assert after_p < before_p
@@ -205,8 +205,8 @@ def test_dml_train_reduces_loss_and_keeps_momentum_within_round():
     # a step from a zero buffer is a momentum-free step, so only a buffer
     # carried across the round's batches can set the two runs apart
     plain = nn.init_model(ARCH, 0)
-    engine.dml_train(plain, nn.init_model(ARCH, 1), shard,
-                     replace(config, momentum=0.0), np.random.default_rng(0))
+    engine.dml_train([plain], [nn.init_model(ARCH, 1)], [shard],
+                     replace(config, momentum=0.0), [np.random.default_rng(0)])
     assert not np.array_equal(plain.params, model.params)
 
 
@@ -338,8 +338,8 @@ def test_fine_tune_deterministic_and_nondestructive():
     model = nn.init_model(ARCH, 0)
     frozen = model.params.copy()
     params = FedMeConfig(rounds=1, epochs=3, lr=0.05, seed=5)
-    t1 = engine.fine_tune(model, shard, params)
-    t2 = engine.fine_tune(model, shard, params)
+    (t1,) = engine.fine_tune([model], [shard], params)
+    (t2,) = engine.fine_tune([model], [shard], params)
     assert np.array_equal(t1.params, t2.params)
     assert np.array_equal(model.params, frozen)
     before, _ = nn.evaluate(model, shard.train.features, shard.train.labels)

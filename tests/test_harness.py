@@ -161,7 +161,8 @@ def _final_records(val_accs, val_losses, rounds=3):
         return RoundRecord(round=t, client=i, k=1, cluster=None, donor=None,
                            a=None, loss_p_train=loss, loss_ex_train=None,
                            loss_p_val=loss, loss_ex_val=None, val_acc=acc,
-                           test_acc=acc, client_ms=0.0, server_ms=0.0)
+                           test_acc=acc, client_ms=0.0, server_ms=0.0,
+                           train_ms=0.0)
     return ([record(t, i, 1.0, 0.0) for t in range(1, rounds)
              for i in range(len(val_accs))]
             + [record(rounds, i, acc, loss) for i, (acc, loss)
@@ -291,6 +292,7 @@ def test_fedavg_timings_are_measured(tmp_path):
     rows = (tmp_path / "run_0" / "timings.csv").read_text().splitlines()[1:]
     assert len(rows) == 2 * 4
     assert all(float(row.split(",")[2]) > 0 for row in rows)  # client_ms
+    assert all(float(row.split(",")[4]) > 0 for row in rows)  # train_ms
 
 
 def test_run_experiment_byte_identical_logs(tmp_path):

@@ -145,7 +145,7 @@ def test_dml_identical_models_reduce_to_ce():
     model = nn.init_model(ARCH, 5)
     x = np.random.default_rng(0).normal(size=(6, 2))
     y = np.array([0, 1, 0, 1, 1, 0])
-    loss_p, loss_ex, g_p, g_ex = nn.dml_losses_and_grads(model, model.copy(), x, y)
+    (loss_p, loss_ex), (g_p, g_ex) = nn.batch_losses_and_grads(model, x, y, model.copy())
     ce = nn.cross_entropy(nn.forward(model, x), y)
     assert loss_p == pytest.approx(ce, abs=1e-12)
     assert loss_ex == pytest.approx(ce, abs=1e-12)
@@ -153,7 +153,7 @@ def test_dml_identical_models_reduce_to_ce():
 
     # a pair of different architectures: each loss is CE plus the KL pull
     peer = nn.init_model(ArchitectureSpec(2, (4, 3), 2, "tanh"), 6)
-    loss_p, loss_ex, _, _ = nn.dml_losses_and_grads(model, peer, x, y)
+    (loss_p, loss_ex), _ = nn.batch_losses_and_grads(model, x, y, peer)
     probs_p, probs_ex = nn.forward(model, x), nn.forward(peer, x)
     assert abs(loss_p - (nn.cross_entropy(probs_p, y)
                          + nn.kl_divergence(probs_ex, probs_p))) <= 1e-12
@@ -185,7 +185,7 @@ def test_dml_gradients_match_finite_differences():
         model_ex = nn.init_model(arch_ex, trial + 100)
         x = rng.normal(size=(4, 2))
         y = rng.integers(0, 2, size=4)
-        _, _, g_p, g_ex = nn.dml_losses_and_grads(model_p, model_ex, x, y)
+        _, (g_p, g_ex) = nn.batch_losses_and_grads(model_p, x, y, model_ex)
 
         def loss_p_of(params):
             probs_p = nn.forward(Model(arch_p, params), x)
@@ -206,7 +206,7 @@ def test_ce_gradient_matches_finite_differences():
     model = nn.init_model(ArchitectureSpec(3, (4, 3), 3), 2)
     x = rng.normal(size=(5, 3))
     y = rng.integers(0, 3, size=5)
-    _, grad = nn.ce_loss_and_grad(model, x, y)
+    _, (grad,) = nn.batch_losses_and_grads(model, x, y)
     fd = _fd_gradient(
         lambda p: nn.cross_entropy(nn.forward(Model(model.arch, p), x), y),
         model.params)
@@ -264,14 +264,14 @@ def _reference_train(model, peer, mutual, x, y, params, rng):
             batch = perm[start:start + params.batch_size]
             xb, yb = x[batch], y[batch]
             if peer is not None and mutual:
-                _, _, g, g_peer = nn.dml_losses_and_grads(model, peer, xb, yb)
+                _, (g, g_peer) = nn.batch_losses_and_grads(model, xb, yb, peer)
                 model, buf = nn.sgd_step(model, buf, g, *hyper)
                 peer, peer_buf = nn.sgd_step(peer, peer_buf, g_peer, *hyper)
                 continue
-            _, g = nn.ce_loss_and_grad(model, xb, yb)
+            _, (g,) = nn.batch_losses_and_grads(model, xb, yb)
             model, buf = nn.sgd_step(model, buf, g, *hyper)
             if peer is not None:
-                _, g_peer = nn.ce_loss_and_grad(peer, xb, yb)
+                _, (g_peer,) = nn.batch_losses_and_grads(peer, xb, yb)
                 peer, peer_buf = nn.sgd_step(peer, peer_buf, g_peer, *hyper)
     return model, peer
 
@@ -293,9 +293,9 @@ def test_train_loop_matches_pure_sgd_step_bitwise(activation, pairing):
         model, peer, mutual, x, y, params, np.random.default_rng(5))
 
     trained = [m.copy() for m in (model, peer) if m is not None]
-    nn._train(trained[0], x, y, dataclasses.replace(params, dml=mutual),
-              np.random.default_rng(5),
-              peer=trained[1] if peer is not None else None)
+    nn.train([nn.Job(trained[0], trained[1] if peer is not None else None, x, y,
+                     np.random.default_rng(5))],
+             dataclasses.replace(params, dml=mutual))
     for got, want in zip(trained, [ref_model, ref_peer]):
         assert got.params.tobytes() == want.params.tobytes()
     # the oracle applies momentum: without it, it ends elsewhere
@@ -303,6 +303,73 @@ def test_train_loop_matches_pure_sgd_step_bitwise(activation, pairing):
         model, peer, mutual, x, y, dataclasses.replace(params, momentum=0.0),
         np.random.default_rng(5))
     assert plain_model.params.tobytes() != ref_model.params.tobytes()
+
+
+# hidden widths to draw from; one of them as wide as fedme-many's models
+LOCKSTEP_MENU = ((3,), (64,), (4, 2), (5, 5, 5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lockstep_train_matches_pure_step_oracle_bitwise(data):
+    dim = data.draw(st.integers(1, 4), label="input_dim")
+    classes = data.draw(st.integers(2, 4), label="num_classes")
+    activation = data.draw(st.sampled_from(nn.ACTIVATIONS), label="activation")
+    params = FedMeConfig(epochs=data.draw(st.integers(1, 2), label="epochs"),
+                         batch_size=data.draw(st.integers(1, 20), label="batch_size"),
+                         lr=0.1, momentum=0.9, weight_decay=1e-3,
+                         dml=data.draw(st.booleans(), label="dml"))
+    menu = st.sampled_from(LOCKSTEP_MENU)
+    # (widths, peer widths or None, train rows, seed) per job
+    specs = data.draw(st.lists(
+        st.tuples(menu, st.none() | menu, st.integers(1, 90),
+                  st.integers(0, 2**16)), min_size=1, max_size=12), label="jobs")
+
+    def jobs():
+        made = []
+        for widths, peer_widths, n, seed in specs:
+            rng = np.random.default_rng(seed)
+            arch = ArchitectureSpec(dim, widths, classes, activation)
+            peer = None
+            if peer_widths is not None:
+                peer = nn.init_model(ArchitectureSpec(dim, peer_widths, classes,
+                                                      activation), seed + 1)
+            made.append(nn.Job(nn.init_model(arch, seed), peer,
+                               rng.normal(size=(n, dim)),
+                               rng.integers(0, classes, size=n),
+                               np.random.default_rng(seed + 2)))
+        return made
+
+    want = []
+    for job in jobs():
+        model, peer = _reference_train(job.model, job.peer, params.dml, job.features,
+                                       job.labels, params, job.rng)
+        want.append([m.params.tobytes() for m in (model, peer) if m is not None])
+
+    def trained_bytes(made):
+        return [[m.params.tobytes() for m in (job.model, job.peer) if m is not None]
+                for job in made]
+
+    made = jobs()
+    nn.train(made, params)
+    assert trained_bytes(made) == want
+
+    # a budget below one model's bytes puts every job in a cohort of its own,
+    # and a cohort never splits a job's model from its peer
+    cohorts = []
+    train_cohort = nn._train_cohort
+
+    def recording(cohort, p):
+        cohorts.append([{id(job.model), id(job.peer)} for job in cohort])
+        train_cohort(cohort, p)
+
+    made = jobs()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "COHORT_BYTES", 1)
+        mp.setattr(nn, "_train_cohort", recording)
+        nn.train(made, params)
+    assert trained_bytes(made) == want
+    assert cohorts == [[{id(job.model), id(job.peer)}] for job in made]
 
 
 def test_sgd_step_is_exact_and_leaves_its_arguments_unchanged():
@@ -370,10 +437,15 @@ def test_evaluate_rejects_empty_split():
         nn.evaluate(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
+def _cached_probs(model, features):
+    """The training forward pass's probabilities, on a one-model stack."""
+    return nn._forward_cached(model.arch, model.params[None], features[None])[0][0]
+
+
 def _evaluate_oracle(model, features, labels):
     """The scoring path before `evaluate_splits`: a cached forward pass, then
     `cross_entropy` and the mean of argmax hits on this split alone."""
-    probs, _, _ = nn._forward_cached(model, features)
+    probs = _cached_probs(model, features)
     return (nn.cross_entropy(probs, labels),
             float(np.mean(np.argmax(probs, axis=1) == labels)))
 
@@ -406,7 +478,7 @@ def test_evaluate_splits_is_bitwise_the_per_split_oracle(model, sizes, seed):
         want = [_evaluate_oracle(model, x[a:b], y[a:b])
                 for a, b in zip(ends[lo:hi - 1], ends[lo + 1:hi])]
         assert got == want
-    assert nn.forward(model, x).tobytes() == nn._forward_cached(model, x)[0].tobytes()
+    assert nn.forward(model, x).tobytes() == _cached_probs(model, x).tobytes()
 
 
 @pytest.mark.parametrize("sizes,hidden", [((1, 5, 4), (8,)), ((6, 5, 4), (1,))],
@@ -454,7 +526,8 @@ def test_trained_model_survives_a_checkpoint_field_for_field():
     x = rng.normal(size=(12, 3))
     y = rng.integers(0, 3, size=12)
     model = nn.init_model(ArchitectureSpec(3, (4,), 3), 0)
-    nn._train(model, x, y, FedMeConfig(rounds=1, epochs=2, batch_size=5), rng)
+    nn.train([nn.Job(model, None, x, y, rng)],
+             FedMeConfig(rounds=1, epochs=2, batch_size=5))
     restored = nn.deserialize_model(nn.serialize_model(model))
     for f in dataclasses.fields(Model):
         got, want = getattr(restored, f.name), getattr(model, f.name)

@@ -1,5 +1,5 @@
-"""Byte-identity gate: runs of the benchmark's `smoke` and `fedme-desk`
-workloads must write `rounds.csv` and checkpoints whose sha256 is the one
+"""Byte-identity gate: runs of the benchmark's `smoke`, `fedme-desk`,
+`baselines-desk` and `fedme-many` workloads must write `rounds.csv` and checkpoints whose sha256 is the one
 recorded in `perfbench/reference.json`.
 
 A change that moves any output bit fails here. If the change is meant, record
@@ -19,7 +19,8 @@ from fedme import harness  # noqa: E402
 
 
 @pytest.mark.parametrize("name, seed", [("smoke", s) for s in range(4)]
-                         + [("fedme-desk", 0)])
+                         + [("fedme-desk", 0), ("baselines-desk", 0),
+                            ("fedme-many", 0)])
 def test_outputs_match_reference_digest(name, seed, tmp_path):
     runner = worker.Runner(harness, name, [seed], str(tmp_path),
                            worker.load_reference())

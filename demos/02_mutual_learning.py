@@ -7,8 +7,9 @@ alone. The printout tracks test accuracy per epoch.
 """
 import numpy as np
 
-from fedme import (ArchitectureSpec, batch_losses_and_grads, cross_entropy,
-                   evaluate, forward, generate_synthetic, init_model, sgd_step)
+from fedme import (ArchitectureSpec, cross_entropy, evaluate, forward,
+                   generate_synthetic, init_model, sgd_step)
+from fedme.nn import batch_losses_and_grads
 
 rng = np.random.default_rng(0)
 dataset = generate_synthetic(num_classes=4, dim=8, per_class_count=120,

@@ -14,10 +14,10 @@ from .harness import (ConfigError, ExperimentConfig, SummaryReport,
                       best_local_init, build_federation, default_lr_grid,
                       grid_search_lr, parse_config, run_experiment, run_single,
                       stall_warning, sweep, write_round_log)
-from .nn import (ArchitectureSpec, Job, Model, average_params,
-                 batch_losses_and_grads, cross_entropy, deserialize_model,
-                 dml_losses_and_grads, evaluate, evaluate_splits, forward,
-                 init_model, kl_divergence, serialize_model, sgd_step, train)
+from .nn import (ArchitectureSpec, Job, Model, average_params, cross_entropy,
+                 deserialize_model, dml_losses_and_grads, evaluate,
+                 evaluate_splits, forward, init_model, kl_divergence,
+                 serialize_model, sgd_step, train)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -440,19 +440,19 @@ def _train_cohort(jobs: list[Job], params) -> None:
     size = params.batch_size
     hyper = (params.lr, params.momentum, params.weight_decay)
     # every job's batches, drawn up front: one permutation per epoch, kept
-    # with all the others as one array of positions in the stacked rows
-    offsets, features, labels, order = {}, [], [], []
-    stacked = 0
+    # with all the others as one array of positions in the rows of its
+    # input width, stacked
+    parts, stacked, order = {}, {}, []
     for job in jobs:
-        key = (id(job.features), id(job.labels))
-        if key not in offsets:
-            offsets[key] = stacked
-            features.append(job.features)
-            labels.append(job.labels)
-            stacked += len(job.labels)
-        order += [job.rng.permutation(len(job.labels)) + offsets[key]
+        dim = job.model.arch.input_dim
+        features, labels = parts.setdefault(dim, ([], []))
+        order += [job.rng.permutation(len(job.labels)) + stacked.get(dim, 0)
                   for _ in range(params.epochs)]
-    features, labels = np.concatenate(features), np.concatenate(labels)
+        stacked[dim] = stacked.get(dim, 0) + len(job.labels)
+        features.append(job.features)
+        labels.append(job.labels)
+    data = {dim: (np.concatenate(features), np.concatenate(labels))
+            for dim, (features, labels) in parts.items()}
     order = np.concatenate(order)
     n = np.array([len(job.labels) for job in jobs])
     first = np.concatenate(([0], np.cumsum(n * params.epochs)[:-1]))
@@ -491,34 +491,33 @@ def _train_cohort(jobs: list[Job], params) -> None:
 
     slot = np.empty(len(models), dtype=np.int64)
     for t in range(int(ticks.max())):
-        mutual = {}  # row count -> that tick's DML stacks
+        by_rows = {}  # row count -> that tick's stacks
         for blk in blocks:
-            if blk.ticks[0] <= t:
-                continue
-            for r, sel, pos, rows in blk.stacks(t, size, order):
-                if blk.dml:
-                    mutual.setdefault(r, []).append((blk, sel, pos, rows))
-                    continue
-                W = blk.params[sel]
-                _, grads = ce_loss_and_grad(
-                    blk.arch, W, _forward_cached(blk.arch, W, features[rows]),
-                    labels[rows])
-                blk.step(sel, W, grads, hyper)
+            if blk.ticks[0] > t:
+                for r, sel, pos, rows in blk.stacks(t, size, order):
+                    by_rows.setdefault(r, []).append((blk, sel, pos, rows))
         # a DML model reads its partner's probabilities from the stack of
-        # the partner's architecture with the same row count
-        for stacks in mutual.values():
-            forwards, pooled = [], 0
+        # the partner's architecture with the same row count, so every stack
+        # of a row count runs its forward pass before any steps
+        for stacks in by_rows.values():
+            forwards, probs = [], []
             for blk, sel, pos, rows in stacks:
                 W = blk.params[sel]
-                forwards.append((W, _forward_cached(blk.arch, W, features[rows])))
-                slot[blk.entries[pos]] = np.arange(pooled, pooled + len(pos))
-                pooled += len(pos)
-            probs = [cache[0] for _, cache in forwards]
-            probs = probs[0] if len(probs) == 1 else np.concatenate(probs)
-            for (blk, sel, pos, rows), (W, cache) in zip(stacks, forwards):
-                _, grads = dml_losses_and_grads(
-                    blk.arch, W, cache, labels[rows],
-                    probs[slot[partner[blk.entries[pos]]]])
+                X, y = data[blk.arch.input_dim]
+                cache = _forward_cached(blk.arch, W, X[rows])
+                forwards.append((W, cache, y[rows]))
+                if blk.dml:
+                    pooled = sum(map(len, probs))
+                    slot[blk.entries[pos]] = np.arange(pooled, pooled + len(pos))
+                    probs.append(cache[0])
+            if len(probs) > 1:
+                probs = [np.concatenate(probs)]
+            for (blk, sel, pos, _), (W, cache, y) in zip(stacks, forwards):
+                if blk.dml:
+                    peers = probs[0][slot[partner[blk.entries[pos]]]]
+                    _, grads = dml_losses_and_grads(blk.arch, W, cache, y, peers)
+                else:
+                    _, grads = ce_loss_and_grad(blk.arch, W, cache, y)
                 blk.step(sel, W, grads, hyper)
 
 

@@ -1,5 +1,3 @@
-import re
-
 import pytest
 
 from fedme import harness
@@ -40,17 +38,12 @@ def test_run_command(tmp_path, capsys):
     assert (out / "summary.csv").exists()
 
 
-# the summary line's wall time, e.g. ", 0.1s)": identical runs need not share it
-WALL_TIME = re.compile(r", \d+\.\ds\)$", re.MULTILINE)
-
-
 def test_run_seed_override(tmp_path, capsys):
     config = _write(tmp_path, "local_only")
     assert main(["run", "--config", config, "--seed", "7"]) == 0
     first = capsys.readouterr().out
-    assert WALL_TIME.search(first)
     assert main(["run", "--config", config, "--seed", "7"]) == 0
-    assert WALL_TIME.sub(")", capsys.readouterr().out) == WALL_TIME.sub(")", first)
+    assert capsys.readouterr().out == first
 
 
 def test_grid_search_command(tmp_path, capsys):

@@ -320,22 +320,25 @@ def test_lockstep_train_matches_pure_step_oracle_bitwise(data):
                          lr=0.1, momentum=0.9, weight_decay=1e-3,
                          dml=data.draw(st.booleans(), label="dml"))
     menu = st.sampled_from(LOCKSTEP_MENU)
-    # (widths, peer widths or None, train rows, seed) per job
+    # (widths, peer widths or None, train rows, seed, wider input) per job;
+    # jobs of two input widths share the call
     specs = data.draw(st.lists(
         st.tuples(menu, st.none() | menu, st.integers(1, 90),
-                  st.integers(0, 2**16)), min_size=1, max_size=12), label="jobs")
+                  st.integers(0, 2**16), st.booleans()),
+        min_size=1, max_size=12), label="jobs")
 
     def jobs():
         made = []
-        for widths, peer_widths, n, seed in specs:
+        for widths, peer_widths, n, seed, wider in specs:
             rng = np.random.default_rng(seed)
-            arch = ArchitectureSpec(dim, widths, classes, activation)
+            width = dim + 3 if wider else dim
+            arch = ArchitectureSpec(width, widths, classes, activation)
             peer = None
             if peer_widths is not None:
-                peer = nn.init_model(ArchitectureSpec(dim, peer_widths, classes,
+                peer = nn.init_model(ArchitectureSpec(width, peer_widths, classes,
                                                       activation), seed + 1)
             made.append(nn.Job(nn.init_model(arch, seed), peer,
-                               rng.normal(size=(n, dim)),
+                               rng.normal(size=(n, width)),
                                rng.integers(0, classes, size=n),
                                np.random.default_rng(seed + 2)))
         return made

@@ -54,6 +54,7 @@ def _cmd_run(args) -> None:
         config = validate_config(replace(config, seed=args.seed))
     report = run_experiment(config, args.out)
     print(report)
+    print(f"runtime {report.runtime_s:.1f}s", file=sys.stderr)
 
 
 def _cmd_grid_search(args) -> None:

@@ -45,11 +45,20 @@ def _nearest(points, tol, centroids, buf) -> np.ndarray:
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator,
-                    buf: np.ndarray) -> np.ndarray:
+                    buf: np.ndarray, dist: dict) -> np.ndarray:
+    """k-means++ seeding. Every centre it picks is a point, so `dist` keeps
+    each picked point's distances to all points by its index, for reuse by
+    the later restarts of one `kmeans` call."""
+    def dist_to(idx) -> np.ndarray:
+        if idx not in dist:
+            dist[idx] = _sq_dist(points, points[idx], buf)
+        return dist[idx]
+
     n = len(points)
     centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    d2 = _sq_dist(points, centroids[0], buf)
+    idx = rng.integers(n)
+    centroids[0] = points[idx]
+    d2 = dist_to(idx)
     for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -57,13 +66,13 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator,
             continue
         idx = rng.choice(n, p=d2 / total)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, _sq_dist(points, centroids[j], buf))
+        d2 = np.minimum(d2, dist_to(idx))
     return centroids
 
 
 def _lloyd(points: np.ndarray, tol: np.ndarray, k: int, rng: np.random.Generator,
-           buf: np.ndarray):
-    centroids = _kmeans_pp_init(points, k, rng, buf)
+           buf: np.ndarray, dist: dict):
+    centroids = _kmeans_pp_init(points, k, rng, buf, dist)
     for _ in range(MAX_ITER):
         assignments = _nearest(points, tol, centroids, buf)
         new_centroids = centroids.copy()
@@ -103,10 +112,11 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 8):
     norms, fp = np.sqrt(sq_norms), np.finfo(np.float64)
     tol = 4 * (points.shape[1] + 3) * (fp.eps * (norms + norms.max()) ** 2 + fp.tiny)
     buf = np.empty_like(points)
+    dist = {}
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        assignments, inertia = _lloyd(points, tol, k, rng, buf)
+        assignments, inertia = _lloyd(points, tol, k, rng, buf, dist)
         if best is None or inertia < best[1]:
             best = (assignments, inertia)
     return best

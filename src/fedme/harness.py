@@ -380,7 +380,7 @@ class SummaryReport:
         return (f"{self.algorithm}: test accuracy {self.mean:.4f} ± "
                 f"{self.std:.4f} over {len(self.per_repeat)} repeats "
                 f"(pre-fine-tuning {self.mean_pre_ft:.4f} ± "
-                f"{self.std_pre_ft:.4f}, {self.runtime_s:.1f}s)")
+                f"{self.std_pre_ft:.4f})")
 
 
 def _std(values, sample: bool) -> float:
@@ -418,7 +418,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> SummaryReport:
             lines.append(f"{r},{res.test_acc_post_ft:.12g},{res.test_acc_pre_ft:.12g}")
         lines.append(f"mean,{report.mean:.12g},{report.mean_pre_ft:.12g}")
         lines.append(f"std,{report.std:.12g},{report.std_pre_ft:.12g}")
-        lines.append(f"runtime_s,{report.runtime_s:.3f},")
         _write_csv(os.path.join(out_dir, "summary.csv"), lines)
     return report
 

@@ -4,11 +4,11 @@ A model is its parameters: an architecture and a flat float64 vector, exactly
 what a checkpoint stores. Momentum exists only inside `train`, the one
 training loop, which gives each model it steps a zero buffer and updates
 parameters in place, so callers copy a model first when the original must
-survive. `train` runs many models in lockstep: the models stepping a batch of
-one architecture, row count and loss share one stacked step, with the bits of
-stepping each model alone. Every other operation is pure; the public
-`sgd_step` takes the momentum buffer as an argument and returns stepped
-copies of the model and the buffer.
+survive. `train` runs many models in lockstep: at each tick, the models of
+one architecture and loss share one stacked step, short batches padded, with
+the bits of stepping each model alone. Every other operation is pure; the
+public `sgd_step` takes the momentum buffer as an argument and returns
+stepped copies of the model and the buffer.
 """
 from __future__ import annotations
 
@@ -122,8 +122,9 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
+    # the reductions of `.max` and `.sum`, without their Python wrappers
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -153,18 +154,26 @@ def _checked_rows(arch: ArchitectureSpec, features, labels):
 
 
 def _forward_cached(arch: ArchitectureSpec, params: np.ndarray,
-                    features: np.ndarray):
+                    features: np.ndarray, shorts=()):
     """Forward pass of a stack of C models of one architecture, each on its
     own batch: `params` is (C, P) and `features` (C, b, d). Returns the
     (C, b, M) probabilities and the pre/post-activation values backprop
-    needs. Model c's slice has the bits of `forward` on its batch alone."""
+    needs. Model c's slice has the bits of `forward` on its batch alone.
+
+    `shorts` lists (rows slice, row count r) of each run of models whose
+    batch has r < b real rows, padded to b. BLAS rounds a product
+    differently at another row count, so their products are redone on their
+    first r rows; the rest of the pass works row by row."""
     layers = _layer_slices(arch)
     stack = len(params)
     acts = [features]
     zs = []
     h = features
     for li, (w_sl, b_sl, fi, fo) in enumerate(layers):
-        z = np.matmul(h, params[:, w_sl].reshape(stack, fo, fi).transpose(0, 2, 1))
+        weights = params[:, w_sl].reshape(stack, fo, fi).transpose(0, 2, 1)
+        z = np.matmul(h, weights)
+        for sel, r in shorts:
+            np.matmul(h[sel, :r], weights[sel], out=z[sel, :r])
         z += params[:, None, b_sl]
         zs.append(z)
         if li < len(layers) - 1:
@@ -188,20 +197,31 @@ def forward(model: Model, features: np.ndarray) -> np.ndarray:
 
 
 def _backprop(arch: ArchitectureSpec, params: np.ndarray, acts, zs,
-              dlogits: np.ndarray) -> np.ndarray:
+              dlogits: np.ndarray, shorts=()) -> np.ndarray:
     """(C, P) gradients of a stack given the gradients of its losses w.r.t.
-    the (C, b, M) output logits."""
+    the (C, b, M) output logits. Each short run of `_forward_cached`'s
+    `shorts` has its weight gradient, bias sum and backprop delta redone on
+    its real rows."""
     layers = _layer_slices(arch)
     stack = len(params)
     grad = np.empty_like(params)
     delta = dlogits
     for li in range(len(layers) - 1, -1, -1):
         w_sl, b_sl, fi, fo = layers[li]
-        np.matmul(delta.transpose(0, 2, 1), acts[li],
-                  out=grad[:, w_sl].reshape(stack, fo, fi))
-        np.add.reduce(delta, axis=1, out=grad[:, b_sl])  # np.sum, minus its dispatch
+        grad_w = grad[:, w_sl].reshape(stack, fo, fi)
+        grad_b = grad[:, b_sl]
+        np.matmul(delta.transpose(0, 2, 1), acts[li], out=grad_w)
+        np.add.reduce(delta, axis=1, out=grad_b)  # np.sum, minus its dispatch
+        for sel, r in shorts:
+            d = delta[sel, :r]
+            np.matmul(d.transpose(0, 2, 1), acts[li][sel, :r], out=grad_w[sel])
+            np.add.reduce(d, axis=1, out=grad_b[sel])
         if li > 0:
-            delta = delta @ params[:, w_sl].reshape(stack, fo, fi)
+            weights = params[:, w_sl].reshape(stack, fo, fi)
+            below = np.matmul(delta, weights)
+            for sel, r in shorts:
+                np.matmul(delta[sel, :r], weights[sel], out=below[sel, :r])
+            delta = below
             delta *= _activate_grad(zs[li - 1], acts[li], arch.activation)
     return grad
 
@@ -236,49 +256,65 @@ def _label_hits(labels: np.ndarray, num_classes: int) -> np.ndarray:
         stack, rows) + labels
 
 
+def _row_counts(labels: np.ndarray, shorts) -> np.ndarray:
+    """Each model's count of real rows, as (C,) floats."""
+    n = np.full(len(labels), float(labels.shape[1]))
+    for sel, r in shorts:
+        n[sel] = r
+    return n
+
+
 def dml_losses_and_grads(arch: ArchitectureSpec, params: np.ndarray, cached,
-                         labels: np.ndarray, peer_probs: np.ndarray):
+                         labels: np.ndarray, peer_probs: np.ndarray, shorts=()):
     """Mutual-learning losses and gradients of a stack of C models of one
     architecture, each on its own batch with a peer that saw the same batch.
 
     `cached` is the stack's forward pass on its (C, b, d) features as
     `_forward_cached` returns it: the (C, b, M) probabilities and the values
     backprop needs. `labels` is (C, b) and `peer_probs` (C, b, M) holds each
-    peer's predictions. A
-    model's loss is cross-entropy plus the KL pull toward its peer's
-    predictions, which are constants when differentiating, so a pair's two
-    gradients decouple. Returns the (C,) losses and (C, P) gradients.
+    peer's predictions. `shorts` are the padded batches, as
+    `_forward_cached` takes them: their padding rows count in no loss, and
+    `_backprop` sums no gradient over them. A model's loss is cross-entropy
+    plus the KL pull toward its peer's predictions, which are constants when
+    differentiating, so a pair's two gradients decouple. Returns the (C,)
+    losses and (C, P) gradients.
     """
     probs, acts, zs = cached
-    n = labels.shape[1]
+    n = _row_counts(labels, shorts)
     hits = _label_hits(labels, arch.num_classes)
     log_p = np.log(np.maximum(probs, LOG_CLAMP))
     log_peer = np.log(np.maximum(peer_probs, LOG_CLAMP))
-    losses = ((peer_probs * (log_peer - log_p)).sum(axis=(1, 2))
-              - log_p.reshape(-1)[hits].sum(axis=1)) / n
+    row_losses = ((peer_probs * (log_peer - log_p)).sum(axis=2)
+                  - log_p.reshape(-1)[hits])
     # d/dlogits of mean CE is (p - y)/n; of mean KL(t || p) it is (p - t)/n.
     dlogits = 2.0 * probs
     dlogits.reshape(-1)[hits] -= 1.0
     dlogits -= peer_probs
-    dlogits /= n
-    return losses, _backprop(arch, params, acts, zs, dlogits)
+    dlogits /= n[:, None, None]
+    for sel, r in shorts:
+        row_losses[sel, r:] = 0.0
+    losses = row_losses.sum(axis=1) / n
+    return losses, _backprop(arch, params, acts, zs, dlogits, shorts)
 
 
 def ce_loss_and_grad(arch: ArchitectureSpec, params: np.ndarray, cached,
-                     labels: np.ndarray):
+                     labels: np.ndarray, shorts=()):
     """Plain cross-entropy losses and gradients (no mutual-learning term) of
     a stack of C models of one architecture, each on its own batch; the
     arguments are those of `dml_losses_and_grads` without peers. Overwrites
     the cached probabilities. Returns the (C,) losses and (C, P) gradients."""
     probs, acts, zs = cached
-    n = labels.shape[1]
+    n = _row_counts(labels, shorts)
     flat = probs.reshape(-1)
     hits = _label_hits(labels, arch.num_classes)
-    losses = -np.log(np.maximum(flat[hits], LOG_CLAMP)).sum(axis=1) / n
+    row_losses = -np.log(np.maximum(flat[hits], LOG_CLAMP))
     # probs becomes d/dlogits of mean CE, (p - y)/n
     flat[hits] -= 1.0
-    probs /= n
-    return losses, _backprop(arch, params, acts, zs, probs)
+    probs /= n[:, None, None]
+    for sel, r in shorts:
+        row_losses[sel, r:] = 0.0
+    losses = row_losses.sum(axis=1) / n
+    return losses, _backprop(arch, params, acts, zs, probs, shorts)
 
 
 def batch_losses_and_grads(model: Model, features, labels,
@@ -356,8 +392,12 @@ def train(jobs: list[Job], params) -> None:
     Every model ends with the bits of training its job alone, batch by batch.
     The jobs run in lockstep, in cohorts of at most `COHORT_BYTES` of
     parameters: at each tick, the models stepping a batch of the same
-    architecture, row count and loss form one stack for the kernels and the
-    update. Each model's `params` is rebound to a row of its cohort's stack.
+    architecture and loss form one stack for the kernels and the update.
+    Its batches are padded to the longest one's row count (the longest of
+    all the tick's DML stacks, for DML), and every matrix product and row
+    sum of a shorter batch is redone at its own row count
+    (`_forward_cached`, `_backprop`), which keeps the bits. Each model's
+    `params` is rebound to a row of its cohort's stack.
     Every job is checked before any trains.
     """
     checked, seen = [], set()
@@ -394,7 +434,9 @@ def _cohorts(jobs: list[Job]):
 
 class _Block(NamedTuple):
     """The models of one architecture and loss in a cohort: rows
-    `lo:lo + len(entries)` of the architecture's stack, most batches first."""
+    `lo:lo + len(entries)` of the architecture's stack, largest jobs first,
+    so that the models stepping at a tick are a prefix and the models of
+    one job's size are consecutive."""
 
     arch: ArchitectureSpec
     params: np.ndarray   # the architecture's (N, P) stack
@@ -407,31 +449,24 @@ class _Block(NamedTuple):
     batches: np.ndarray  # batches per epoch of each row's job
     first: np.ndarray    # where each row's job's batch order starts
 
-    def stacks(self, t: int, size: int, order: np.ndarray):
-        """(row count, selection, positions, data rows) of each stack the
-        block steps at tick `t`; the selection of its rows is a slice where
-        they are consecutive and an index array where they are not."""
+    def batch(self, t: int, size: int):
+        """The rows of the stack that step at tick `t`, a prefix of the
+        block's, as a slice; where each one's batch starts in the cohort's
+        batch order, and its row count."""
         active = np.count_nonzero(self.ticks > t)
         per_epoch = self.batches[:active]
         k = t % per_epoch
         at = self.first[:active] + (t // per_epoch) * self.n[:active] + k * size
         counts = np.minimum(self.n[:active] - k * size, size)
-        for r in sorted(set(counts.tolist())):
-            pos = np.flatnonzero(counts == r)
-            if pos[-1] - pos[0] + 1 == len(pos):
-                sel = slice(self.lo + pos[0], self.lo + pos[-1] + 1)
-            else:
-                sel = self.lo + pos
-            yield r, sel, pos, order[at[pos, None] + np.arange(r)]
+        return slice(self.lo, self.lo + active), at, counts
 
-    def step(self, sel, params: np.ndarray, grads: np.ndarray, hyper) -> None:
-        """Momentum update of the selected rows, whose parameters `params`
-        the gradients were taken at."""
-        buf = self.buf[sel]
-        _sgd_update(params, buf, grads, *hyper)
-        if not isinstance(sel, slice):  # fancy indexing copied the rows
-            self.params[sel] = params
-            self.buf[sel] = buf
+
+def _short_runs(counts: np.ndarray, padded: int) -> list:
+    """(rows slice, row count) of each run of consecutive models in a stack
+    whose batches have the same count of fewer than `padded` rows."""
+    edges = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), len(counts)]
+    return [(slice(a, b), int(counts[a])) for a, b in zip(edges[:-1], edges[1:])
+            if counts[a] < padded]
 
 
 def _train_cohort(jobs: list[Job], params) -> None:
@@ -475,7 +510,7 @@ def _train_cohort(jobs: list[Job], params) -> None:
         by_arch.setdefault(m.arch, []).append(e)
     blocks = []
     for arch, members in by_arch.items():
-        members.sort(key=lambda e: (dml_of[e], -ticks[job_of[e]]))
+        members.sort(key=lambda e: (dml_of[e], -n[job_of[e]]))
         stack = np.empty((len(members), arch.parameter_count()))
         for row, e in enumerate(members):  # frees each original as it goes
             stack[row] = models[e].params
@@ -489,36 +524,42 @@ def _train_cohort(jobs: list[Job], params) -> None:
                 blocks.append(_Block(arch, stack, buf, rows[0], dml, entries,
                                      ticks[jb], n[jb], batches[jb], first[jb]))
 
+    def padded_pass(blk, sel, at, counts, padded):
+        """The block's stacked forward pass at the tick, each batch padded
+        to `padded` rows by repeating its last one."""
+        pad = np.minimum(np.arange(padded), counts[:, None] - 1)
+        picked = order[at[:, None] + pad]
+        X, y = data[blk.arch.input_dim]
+        shorts = _short_runs(counts, padded)
+        W = blk.params[sel]
+        return W, _forward_cached(blk.arch, W, X[picked], shorts), y[picked], shorts
+
     slot = np.empty(len(models), dtype=np.int64)
     for t in range(int(ticks.max())):
-        by_rows = {}  # row count -> that tick's stacks
-        for blk in blocks:
-            if blk.ticks[0] > t:
-                for r, sel, pos, rows in blk.stacks(t, size, order):
-                    by_rows.setdefault(r, []).append((blk, sel, pos, rows))
+        steps = [(blk, *blk.batch(t, size)) for blk in blocks if blk.ticks[0] > t]
         # a DML model reads its partner's probabilities from the stack of
-        # the partner's architecture with the same row count, so every stack
-        # of a row count runs its forward pass before any steps
-        for stacks in by_rows.values():
-            forwards, probs = [], []
-            for blk, sel, pos, rows in stacks:
-                W = blk.params[sel]
-                X, y = data[blk.arch.input_dim]
-                cache = _forward_cached(blk.arch, W, X[rows])
-                forwards.append((W, cache, y[rows]))
-                if blk.dml:
-                    pooled = sum(map(len, probs))
-                    slot[blk.entries[pos]] = np.arange(pooled, pooled + len(pos))
-                    probs.append(cache[0])
-            if len(probs) > 1:
-                probs = [np.concatenate(probs)]
-            for (blk, sel, pos, _), (W, cache, y) in zip(stacks, forwards):
-                if blk.dml:
-                    peers = probs[0][slot[partner[blk.entries[pos]]]]
-                    _, grads = dml_losses_and_grads(blk.arch, W, cache, y, peers)
-                else:
-                    _, grads = ce_loss_and_grad(blk.arch, W, cache, y)
-                blk.step(sel, W, grads, hyper)
+        # the partner's architecture, so the DML stacks share one padded
+        # row count and all run their forward passes before any steps
+        mutual = [step for step in steps if step[0].dml]
+        padded = max((int(counts.max()) for *_, counts in mutual), default=0)
+        forwards, probs = [], []
+        for blk, sel, at, counts in mutual:
+            forwards.append(padded_pass(blk, sel, at, counts, padded))
+            pooled = sum(map(len, probs))
+            slot[blk.entries[:len(counts)]] = np.arange(pooled, pooled + len(counts))
+            probs.append(forwards[-1][1][0])
+        if len(probs) > 1:
+            probs = [np.concatenate(probs)]
+        for (blk, sel, _, _), (W, cache, y, shorts) in zip(mutual, forwards):
+            peers = probs[0][slot[partner[blk.entries[:len(W)]]]]
+            _, grads = dml_losses_and_grads(blk.arch, W, cache, y, peers, shorts)
+            _sgd_update(W, blk.buf[sel], grads, *hyper)
+        del forwards, probs
+        for blk, sel, at, counts in steps:
+            if not blk.dml:
+                W, cache, y, shorts = padded_pass(blk, sel, at, counts, int(counts.max()))
+                _, grads = ce_loss_and_grad(blk.arch, W, cache, y, shorts)
+                _sgd_update(W, blk.buf[sel], grads, *hyper)
 
 
 def average_params(models: list[Model]) -> Model:

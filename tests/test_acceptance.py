@@ -302,4 +302,6 @@ def test_criterion_10_determinism(tmp_path):
             a = (tmp_path / "a" / f"run_{r}" / name).read_bytes()
             b = (tmp_path / "b" / f"run_{r}" / name).read_bytes()
             ok &= a == b
+    ok &= ((tmp_path / "a" / "summary.csv").read_bytes()
+           == (tmp_path / "b" / "summary.csv").read_bytes())
     _report("10 (determinism)", bool(ok))

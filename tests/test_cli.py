@@ -33,7 +33,11 @@ def test_run_command(tmp_path, capsys):
     out = tmp_path / "artifacts"
     code = main(["run", "--config", _write(tmp_path), "--out", str(out)])
     assert code == 0
-    assert "fedme: test accuracy" in capsys.readouterr().out
+    printed = capsys.readouterr()
+    assert "fedme: test accuracy" in printed.out
+    # wall time goes to stderr, out of the deterministic stdout
+    assert "runtime" not in printed.out
+    assert printed.err.startswith("runtime ")
     assert (out / "run_0" / "rounds.csv").exists()
     assert (out / "summary.csv").exists()
 

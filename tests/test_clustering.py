@@ -227,3 +227,16 @@ def test_kmeans_matches_the_oracle_at_fedme_many_size():
     distinct = rng.dirichlet(np.full(4, 0.5), size=(30, 1000)).reshape(30, 4000)
     points = distinct[rng.integers(0, 30, size=48)]
     _assert_matches_oracle(points, 8, seed=3, restarts=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 12), dim=st.integers(1, 6), k_share=st.floats(0.0, 1.0),
+       kind=st.sampled_from(["duplicates", "grid", "normal"]),
+       data_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 32 - 1),
+       restarts=st.integers(2, 8))
+def test_kmeans_seeding_reuses_distances_with_the_oracles_bits(
+        n, dim, k_share, kind, data_seed, seed, restarts):
+    # k runs up to n and restarts pick the same points again, so the seeding
+    # reads distances it kept from an earlier pick of the same point
+    points = _points(kind, n, dim, np.random.default_rng(data_seed))
+    _assert_matches_oracle(points, 1 + round(k_share * (n - 1)), seed, restarts)

@@ -284,7 +284,7 @@ def test_run_experiment_artifacts(tmp_path):
             assert np.all(np.isfinite(model.params))
     summary = (tmp_path / "summary.csv").read_text().splitlines()
     assert summary[0] == "repeat,test_acc,test_acc_pre_ft"
-    assert len(summary) == 1 + 2 + 3  # repeats + mean + std + runtime
+    assert len(summary) == 1 + 2 + 2  # header + repeats + mean + std
 
 
 def test_fedavg_timings_are_measured(tmp_path):

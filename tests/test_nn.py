@@ -375,6 +375,101 @@ def test_lockstep_train_matches_pure_step_oracle_bitwise(data):
     assert cohorts == [[{id(job.model), id(job.peer)}] for job in made]
 
 
+def _jobs(archs, sizes, seed, peer_archs=None):
+    """One job per (arch, train size), with a peer of `peer_archs`' arch."""
+    made = []
+    for i, (arch, n) in enumerate(zip(archs, sizes)):
+        rng = np.random.default_rng([seed, i])
+        peer = (None if peer_archs is None
+                else nn.init_model(peer_archs[i], seed + 1000 + i))
+        made.append(nn.Job(nn.init_model(arch, seed + i), peer,
+                           rng.normal(size=(n, arch.input_dim)),
+                           rng.integers(0, arch.num_classes, size=n),
+                           np.random.default_rng([seed, i, 1])))
+    return made
+
+
+def _oracle_bytes(archs, sizes, params, peer_archs=None):
+    want = []
+    for job in _jobs(archs, sizes, 3, peer_archs):
+        trained = _reference_train(job.model, job.peer, params.dml, job.features,
+                                   job.labels, params, job.rng)
+        want.append([m.params.tobytes() for m in trained if m is not None])
+    return want
+
+
+def _trained_bytes(archs, sizes, params, peer_archs=None):
+    made = _jobs(archs, sizes, 3, peer_archs)
+    nn.train(made, params)
+    return [[m.params.tobytes() for m in (job.model, job.peer) if m is not None]
+            for job in made]
+
+
+@pytest.mark.parametrize("dml", [False, True])
+def test_short_batches_pad_into_one_stacked_step_per_tick(dml, monkeypatch):
+    # train sizes 21-26 end their one epoch on batches of 1-6 rows: one
+    # stacked kernel call for the full batches and one for the short ones
+    arch = ArchitectureSpec(3, (5,), 3)
+    peers = [arch] * 6 if dml else None
+    params = FedMeConfig(epochs=1, batch_size=20, lr=0.1, momentum=0.9,
+                         weight_decay=1e-3, dml=dml)
+    want = _oracle_bytes([arch] * 6, range(21, 27), params, peers)
+    kernel = "dml_losses_and_grads" if dml else "ce_loss_and_grad"
+    stacks = []
+    counted = getattr(nn, kernel)
+
+    def counting(*args):
+        stacks.append(args[1].shape[0])
+        return counted(*args)
+
+    monkeypatch.setattr(nn, kernel, counting)
+    assert _trained_bytes([arch] * 6, range(21, 27), params, peers) == want
+    assert stacks == ([12, 12] if dml else [6, 6])
+
+
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+@pytest.mark.parametrize("dml", [False, True])
+def test_padded_steps_keep_the_bits_at_the_shapes_blas_rounds_apart(activation, dml):
+    # fan-in and fan-out 1, 64-wide layers and one-row batches: the shapes
+    # where a product padded to another row count changes its bits
+    archs = [ArchitectureSpec(1, (64,), 3, activation),
+             ArchitectureSpec(1, (1, 64), 2, activation),
+             ArchitectureSpec(6, (64, 64), 4, activation)]
+    sizes = [40, 21, *range(22, 39), 1]  # short batches of 1-18 rows beside full ones
+    params = FedMeConfig(epochs=2, batch_size=20, lr=0.1, momentum=0.9,
+                         weight_decay=1e-3, dml=dml)
+    for arch in archs:
+        peer = ArchitectureSpec(arch.input_dim, (64,), arch.num_classes, activation)
+        peers = [peer] * len(sizes)
+        assert (_trained_bytes([arch] * len(sizes), sizes, params, peers)
+                == _oracle_bytes([arch] * len(sizes), sizes, params, peers))
+
+
+def test_padded_stack_losses_and_grads_match_the_one_model_adapter():
+    arch = ArchitectureSpec(3, (64, 4), 3)
+    peer_arch = ArchitectureSpec(3, (5,), 3, "tanh")
+    rows = [7, 7, 1, 4, 7]
+    made = _jobs([arch] * 5, rows, 8, [peer_arch] * 5)
+    # each batch padded to 7 rows with copies of its last row
+    pad = [np.minimum(np.arange(7), r - 1) for r in rows]
+    X = np.stack([job.features[p] for job, p in zip(made, pad)])
+    y = np.stack([job.labels[p] for job, p in zip(made, pad)])
+    shorts = [(slice(2, 3), 1), (slice(3, 4), 4)]
+    W = np.stack([job.model.params for job in made])
+    peers = np.stack([job.peer.params for job in made])
+    peer_probs = nn._forward_cached(peer_arch, peers, X, shorts)[0]
+    stacked = [nn.ce_loss_and_grad(arch, W, nn._forward_cached(arch, W, X, shorts),
+                                   y, shorts),
+               nn.dml_losses_and_grads(arch, W, nn._forward_cached(arch, W, X, shorts),
+                                       y, peer_probs, shorts)]
+    for c, job in enumerate(made):
+        for (losses, grads), peer in zip(stacked, (None, job.peer)):
+            (loss, *_), (grad, *_) = nn.batch_losses_and_grads(
+                job.model, job.features, job.labels, peer)
+            assert losses[c] == pytest.approx(loss, rel=1e-13, abs=1e-15)
+            assert grads[c].tobytes() == grad.tobytes()
+
+
 def test_sgd_step_is_exact_and_leaves_its_arguments_unchanged():
     model = nn.init_model(ARCH, 3)
     buf = np.linspace(0.5, -0.3, 17)

@@ -340,8 +340,6 @@ def batch_losses_and_grads(model: Model, features, labels,
 def _sgd_update(params: np.ndarray, buf: np.ndarray, grad: np.ndarray,
                 lr: float, momentum: float, weight_decay: float) -> None:
     """Momentum step of `params` and `buf` in place; `grad` is used as scratch."""
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
     if not np.isfinite(grad).all():
         raise ValueError(f"non-finite gradient at lr={lr:g}: training diverged")
     # buf = momentum * buf + (grad + weight_decay * params); params -= lr * buf
@@ -358,6 +356,8 @@ def sgd_step(model: Model, buf: np.ndarray, grad: np.ndarray, lr: float,
     """Classical momentum SGD; weight decay is added to the gradient first.
     Returns the stepped (model, momentum buffer) copies and leaves `model`,
     `buf` and `grad` unchanged."""
+    if not lr > 0:
+        raise ValueError(f"lr must be positive, got {lr}")
     grad = np.array(grad, dtype=np.float64)
     buf = np.array(buf, dtype=np.float64)
     if grad.shape != model.params.shape:
@@ -398,8 +398,14 @@ def train(jobs: list[Job], params) -> None:
     sum of a shorter batch is redone at its own row count
     (`_forward_cached`, `_backprop`), which keeps the bits. Each model's
     `params` is rebound to a row of its cohort's stack.
-    Every job is checked before any trains.
+    Every job and hyperparameter is checked before any job trains.
     """
+    if params.batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {params.batch_size}")
+    if params.epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {params.epochs}")
+    if not params.lr > 0:
+        raise ValueError(f"lr must be positive, got {params.lr}")
     checked, seen = [], set()
     for job in jobs:
         for model in (job.model, job.peer):
@@ -434,81 +440,145 @@ def _cohorts(jobs: list[Job]):
 
 class _Block(NamedTuple):
     """The models of one architecture and loss in a cohort: rows
-    `lo:lo + len(entries)` of the architecture's stack, largest jobs first,
-    so that the models stepping at a tick are a prefix and the models of
-    one job's size are consecutive."""
+    `lo:lo + rows` of the architecture's stack, largest jobs first, so that
+    the models stepping at a tick are a prefix and the models of one job's
+    size are consecutive."""
 
     arch: ArchitectureSpec
     params: np.ndarray   # the architecture's (N, P) stack
     buf: np.ndarray      # its momentum buffers
     lo: int
+    rows: int
     dml: bool
-    entries: np.ndarray  # model index per row, into the cohort's models
-    ticks: np.ndarray    # batches to step per row, non-increasing
-    n: np.ndarray        # train rows of each row's job
-    batches: np.ndarray  # batches per epoch of each row's job
-    first: np.ndarray    # where each row's job's batch order starts
-
-    def batch(self, t: int, size: int):
-        """The rows of the stack that step at tick `t`, a prefix of the
-        block's, as a slice; where each one's batch starts in the cohort's
-        batch order, and its row count."""
-        active = np.count_nonzero(self.ticks > t)
-        per_epoch = self.batches[:active]
-        k = t % per_epoch
-        at = self.first[:active] + (t // per_epoch) * self.n[:active] + k * size
-        counts = np.minimum(self.n[:active] - k * size, size)
-        return slice(self.lo, self.lo + active), at, counts
 
 
-def _short_runs(counts: np.ndarray, padded: int) -> list:
-    """(rows slice, row count) of each run of consecutive models in a stack
-    whose batches have the same count of fewer than `padded` rows."""
-    edges = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(), len(counts)]
-    return [(slice(a, b), int(counts[a])) for a, b in zip(edges[:-1], edges[1:])
-            if counts[a] < padded]
+def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarray,
+          order: np.ndarray, size: int, epochs: int) -> list[list[tuple]]:
+    """Every step of a cohort, planned before the first by array operations
+    over all its (block, tick, row) triples at once.
+
+    The blocks' rows are taken block after block: row i's job has `n[i]`
+    train rows, its `epochs` batch orders follow one another in `order` from
+    `first[i]`, and `mate[i]` is the row of its DML partner, or i itself.
+    Returns one list per tick of the steps of the blocks stepping at it, in
+    block order, each (block, rows, picks, shorts, peers):
+
+    - `rows`, the slice of the block's stack whose models step: a prefix of
+      the block's rows, as each row's job steps `epochs * ceil(n / size)`
+      batches;
+    - `picks`, the (C, b) rows of the cohort's data that form each model's
+      batch, the positions `order` holds for it, padded to `b` rows by
+      repeating its last one. `b` is the longest batch of the block at the
+      tick, or of all the tick's DML blocks for a DML block;
+    - `shorts`, (rows slice, row count r) of each run of consecutive models
+      whose batches have the same r < b real rows, relative to `rows`;
+    - `peers`, for a DML block, the position of each model's partner in the
+      probabilities of the tick's DML blocks, stacked in block order; None
+      otherwise.
+    """
+    sizes = np.array([blk.rows for blk in blocks])
+    top = np.cumsum(sizes) - sizes
+    block_of = np.repeat(np.arange(len(blocks)), sizes)
+    batches = -(-n // size)
+    ticks = epochs * batches
+    # one segment per (block, tick) that steps the block, block by block; a
+    # block's rows step non-increasing tick counts, so its rows that step at
+    # a tick are a prefix, `active` of them
+    span = ticks[top]
+    seg_first = np.cumsum(span) - span
+    segments = int(span.sum())
+    active = np.cumsum(np.bincount(seg_first[block_of], minlength=segments + 1)
+                       - np.bincount(seg_first[block_of] + ticks,
+                                     minlength=segments + 1))[:segments]
+    seg_block = np.repeat(np.arange(len(blocks)), span)
+    seg_tick = np.arange(segments) - seg_first[seg_block]
+    dml = np.array([blk.dml for blk in blocks])[seg_block]
+    # each (block, tick, row) triple, segment by segment: where its batch
+    # starts in `order`, and its count of real rows
+    start = np.cumsum(active) - active
+    seg = np.repeat(np.arange(segments), active)
+    within = np.arange(len(seg)) - start[seg]
+    row = top[seg_block[seg]] + within
+    tick = seg_tick[seg]
+    k = tick % batches[row]
+    at = first[row] + tick // batches[row] * n[row] + k * size
+    counts = np.minimum(n[row] - k * size, size)
+    padded = np.maximum.reduceat(counts, start)
+    shared = np.zeros(int(span.max(initial=0)), dtype=np.int64)
+    np.maximum.at(shared, seg_tick[dml], padded[dml])
+    padded[dml] = shared[seg_tick[dml]]
+    picks = np.minimum(np.arange(padded.max(initial=0)), counts[:, None] - 1)
+    picks += at[:, None]
+    picks = order[picks]
+    # where each DML block's models begin among its tick's DML models
+    stacked = np.zeros((len(blocks), len(shared)), dtype=np.int64)
+    stacked[seg_block[dml], seg_tick[dml]] = active[dml]
+    offset = np.cumsum(stacked, axis=0) - stacked
+    mates = mate[row]
+    peers = offset[block_of[mates], tick] + mates - top[block_of[mates]]
+    # runs of one short row count, broken at every segment
+    edge = np.ones(len(seg) + 1, dtype=bool)
+    edge[1:-1] = (seg[1:] != seg[:-1]) | (counts[1:] != counts[:-1])
+    bounds = np.flatnonzero(edge)
+    heads, tails = bounds[:-1], bounds[1:]
+    short = counts[heads] < padded[seg[heads]]
+    heads, tails = heads[short], tails[short]
+    shorts = [[] for _ in range(segments)]
+    for g, a, b, r in zip(seg[heads].tolist(), within[heads].tolist(),
+                          (tails - heads + within[heads]).tolist(),
+                          counts[heads].tolist()):
+        shorts[g].append((slice(a, b), r))
+
+    steps = [[] for _ in range(len(shared))]
+    for g, (b, t, s, e, p) in enumerate(zip(
+            seg_block.tolist(), seg_tick.tolist(), start.tolist(),
+            (start + active).tolist(), padded.tolist())):
+        blk = blocks[b]
+        steps[t].append((blk, slice(blk.lo, blk.lo + e - s), picks[s:e, :p],
+                         shorts[g], peers[s:e] if blk.dml else None))
+    return steps
 
 
 def _train_cohort(jobs: list[Job], params) -> None:
     """`train` on one cohort: each architecture's models as rows of one
-    stack, stepped tick by tick."""
-    size = params.batch_size
+    stack, stepped tick by tick as `_plan` schedules them."""
     hyper = (params.lr, params.momentum, params.weight_decay)
     # every job's batches, drawn up front: one permutation per epoch, kept
     # with all the others as one array of positions in the rows of its
-    # input width, stacked
-    parts, stacked, order = {}, {}, []
+    # input width, stacked once however many jobs train on them
+    parts, stacked, order, base = {}, {}, [], {}
     for job in jobs:
         dim = job.model.arch.input_dim
         features, labels = parts.setdefault(dim, ([], []))
-        order += [job.rng.permutation(len(job.labels)) + stacked.get(dim, 0)
+        key = (id(job.features), id(job.labels))
+        if key not in base:
+            base[key] = stacked.get(dim, 0)
+            stacked[dim] = base[key] + len(job.labels)
+            features.append(job.features)
+            labels.append(job.labels)
+        order += [job.rng.permutation(len(job.labels)) + base[key]
                   for _ in range(params.epochs)]
-        stacked[dim] = stacked.get(dim, 0) + len(job.labels)
-        features.append(job.features)
-        labels.append(job.labels)
     data = {dim: (np.concatenate(features), np.concatenate(labels))
             for dim, (features, labels) in parts.items()}
     order = np.concatenate(order)
     n = np.array([len(job.labels) for job in jobs])
     first = np.concatenate(([0], np.cumsum(n * params.epochs)[:-1]))
-    batches = -(-n // size)
-    ticks = params.epochs * batches
 
     # the cohort's models, a job's model before its peer; DML partners
-    # point at each other
+    # point at each other, and every other model at itself
     models, job_of, dml_of, partner = [], [], [], []
     for j, job in enumerate(jobs):
         dml = job.peer is not None and params.dml
         pair = [job.model] if job.peer is None else [job.model, job.peer]
-        partner += [len(models) + 1, len(models)] if dml else [-1] * len(pair)
+        own = list(range(len(models), len(models) + len(pair)))
+        partner += own[::-1] if dml else own
         models += pair
         job_of += [j] * len(pair)
         dml_of += [dml] * len(pair)
-    partner = np.array(partner)
     by_arch = {}
     for e, m in enumerate(models):
         by_arch.setdefault(m.arch, []).append(e)
-    blocks = []
+    blocks, ordered = [], []  # and each block's models, block after block
     for arch, members in by_arch.items():
         members.sort(key=lambda e: (dml_of[e], -n[job_of[e]]))
         stack = np.empty((len(members), arch.parameter_count()))
@@ -517,49 +587,40 @@ def _train_cohort(jobs: list[Job], params) -> None:
             models[e].params = stack[row]
         buf = np.zeros_like(stack)
         for dml in (False, True):
-            rows = [row for row, e in enumerate(members) if dml_of[e] == dml]
+            rows = [e for e in members if dml_of[e] == dml]
             if rows:
-                entries = np.array(members[rows[0]:rows[-1] + 1])
-                jb = np.array([job_of[e] for e in entries])
-                blocks.append(_Block(arch, stack, buf, rows[0], dml, entries,
-                                     ticks[jb], n[jb], batches[jb], first[jb]))
+                blocks.append(_Block(arch, stack, buf, members.index(rows[0]),
+                                     len(rows), dml))
+                ordered += rows
+    place = np.empty(len(models), dtype=np.int64)
+    place[ordered] = np.arange(len(ordered))
+    jb = np.array(job_of)[ordered]
+    plan = _plan(blocks, n[jb], first[jb], place[np.array(partner)[ordered]], order,
+                 params.batch_size, params.epochs)
+    del order
 
-    def padded_pass(blk, sel, at, counts, padded):
-        """The block's stacked forward pass at the tick, each batch padded
-        to `padded` rows by repeating its last one."""
-        pad = np.minimum(np.arange(padded), counts[:, None] - 1)
-        picked = order[at[:, None] + pad]
+    def padded_pass(blk, rows, picks, shorts):
+        """The block's stacked forward pass on its planned batches."""
         X, y = data[blk.arch.input_dim]
-        shorts = _short_runs(counts, padded)
-        W = blk.params[sel]
-        return W, _forward_cached(blk.arch, W, X[picked], shorts), y[picked], shorts
+        W = blk.params[rows]
+        return W, _forward_cached(blk.arch, W, X[picks], shorts), y[picks]
 
-    slot = np.empty(len(models), dtype=np.int64)
-    for t in range(int(ticks.max())):
-        steps = [(blk, *blk.batch(t, size)) for blk in blocks if blk.ticks[0] > t]
-        # a DML model reads its partner's probabilities from the stack of
-        # the partner's architecture, so the DML stacks share one padded
-        # row count and all run their forward passes before any steps
-        mutual = [step for step in steps if step[0].dml]
-        padded = max((int(counts.max()) for *_, counts in mutual), default=0)
-        forwards, probs = [], []
-        for blk, sel, at, counts in mutual:
-            forwards.append(padded_pass(blk, sel, at, counts, padded))
-            pooled = sum(map(len, probs))
-            slot[blk.entries[:len(counts)]] = np.arange(pooled, pooled + len(counts))
-            probs.append(forwards[-1][1][0])
+    for steps in plan:
+        # a DML model reads its partner's probabilities, so every DML stack
+        # runs its forward pass before any steps
+        mutual = [(step, padded_pass(*step[:4])) for step in steps if step[0].dml]
+        probs = [cache[0] for _, (_, cache, _) in mutual]
         if len(probs) > 1:
             probs = [np.concatenate(probs)]
-        for (blk, sel, _, _), (W, cache, y, shorts) in zip(mutual, forwards):
-            peers = probs[0][slot[partner[blk.entries[:len(W)]]]]
-            _, grads = dml_losses_and_grads(blk.arch, W, cache, y, peers, shorts)
-            _sgd_update(W, blk.buf[sel], grads, *hyper)
-        del forwards, probs
-        for blk, sel, at, counts in steps:
+        for (blk, rows, _, shorts, peers), (W, cache, y) in mutual:
+            _, grads = dml_losses_and_grads(blk.arch, W, cache, y, probs[0][peers], shorts)
+            _sgd_update(W, blk.buf[rows], grads, *hyper)
+        del mutual, probs
+        for blk, rows, picks, shorts, _ in steps:
             if not blk.dml:
-                W, cache, y, shorts = padded_pass(blk, sel, at, counts, int(counts.max()))
+                W, cache, y = padded_pass(blk, rows, picks, shorts)
                 _, grads = ce_loss_and_grad(blk.arch, W, cache, y, shorts)
-                _sgd_update(W, blk.buf[sel], grads, *hyper)
+                _sgd_update(W, blk.buf[rows], grads, *hyper)
 
 
 def average_params(models: list[Model]) -> Model:

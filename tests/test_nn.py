@@ -470,6 +470,176 @@ def test_padded_stack_losses_and_grads_match_the_one_model_adapter():
             assert grads[c].tobytes() == grad.tobytes()
 
 
+def test_dml_blocks_share_the_longest_batch_of_the_tick_across_architectures(monkeypatch):
+    # at tick 1 the (5,) block's longest batch has 13 rows and the (4, 4)
+    # block's 20: both stacks pad to 20 rows, and the 13-row batch, though
+    # the longest of its own stack, is redone at its own row count
+    small, deep = ArchitectureSpec(3, (5,), 3), ArchitectureSpec(3, (4, 4), 3)
+    archs, peers, sizes = [small, deep, small], [small, deep, deep], [25, 40, 33]
+    params = FedMeConfig(epochs=2, batch_size=20, lr=0.1, momentum=0.9,
+                         weight_decay=1e-3, dml=True)
+    want = _oracle_bytes(archs, sizes, params, peers)
+    stacks = []
+    counted = nn.dml_losses_and_grads
+
+    def counting(*args):
+        stacks.append((args[1].shape[0], args[3].shape[1], args[5]))
+        return counted(*args)
+
+    monkeypatch.setattr(nn, "dml_losses_and_grads", counting)
+    assert _trained_bytes(archs, sizes, params, peers) == want
+    full = [(3, 20, []), (3, 20, [])]
+    tick_1 = [(3, 20, [(slice(0, 1), 13), (slice(1, 3), 5)]),
+              (3, 20, [(slice(2, 3), 13)])]
+    assert stacks == full + tick_1 + full + tick_1
+
+
+def _plan_oracle(blocks, n, first, mate, order, size, epochs):
+    """The schedule `_plan` computes, worked out tick by tick: each block's
+    batches, padding and short runs by the formulas the tick loop applied
+    before the plan, and each DML model's partner by its block's place among
+    the tick's DML stacks."""
+    def short_runs(counts, padded):
+        edges = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(),
+                 len(counts)]
+        return [(slice(a, b), int(counts[a])) for a, b in zip(edges[:-1], edges[1:])
+                if counts[a] < padded]
+
+    tops = np.cumsum([0] + [blk.rows for blk in blocks])
+    ticks = epochs * -(-n // size)
+    steps = []
+    for t in range(int(ticks.max(initial=0))):
+        stepping = []
+        for b, blk in enumerate(blocks):
+            lo, hi = tops[b], tops[b + 1]
+            active = np.count_nonzero(ticks[lo:hi] > t)
+            if active:
+                per_epoch = -(-n[lo:lo + active] // size)
+                k = t % per_epoch
+                at = first[lo:lo + active] + (t // per_epoch) * n[lo:lo + active] + k * size
+                counts = np.minimum(n[lo:lo + active] - k * size, size)
+                stepping.append((b, active, at, counts))
+        widest = max((counts.max() for b, *_, counts in stepping if blocks[b].dml),
+                     default=0)
+        pooled, offset = 0, {}
+        for b, active, *_ in stepping:
+            if blocks[b].dml:
+                offset[b], pooled = pooled, pooled + active
+        tick = []
+        for b, active, at, counts in stepping:
+            blk = blocks[b]
+            padded = int(widest if blk.dml else counts.max())
+            pad = np.minimum(np.arange(padded), counts[:, None] - 1)
+            peers = None
+            if blk.dml:
+                mates = mate[tops[b]:tops[b] + active]
+                owner = np.searchsorted(tops, mates, side="right") - 1
+                peers = np.array([offset[o] + m - tops[o] for o, m in zip(owner, mates)])
+            tick.append((blk, slice(blk.lo, blk.lo + active), order[at[:, None] + pad],
+                         short_runs(counts, padded), peers))
+        steps.append(tick)
+    return steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_plan_matches_the_tick_by_tick_schedule(data):
+    size = data.draw(st.integers(1, 20), label="batch_size")
+    params = FedMeConfig(epochs=data.draw(st.integers(1, 3), label="epochs"),
+                         batch_size=size, lr=0.1, dml=data.draw(st.booleans(), label="dml"))
+    archs = [ArchitectureSpec(2, (w,), 2) for w in (1, 2, 3)]
+    rows = st.integers(1, 90) | st.integers(1, 90 // size).map(lambda m: m * size)
+    # (train rows, arch, peer arch or None) per job: with dml on, the jobs
+    # with a peer make DML blocks and the others CE blocks
+    specs = data.draw(st.lists(st.tuples(rows, st.sampled_from(archs),
+                                         st.none() | st.sampled_from(archs)),
+                               min_size=1, max_size=10), label="jobs")
+    rng = np.random.default_rng(0)
+    jobs = [nn.Job(nn.init_model(arch, 0), None if peer is None else nn.init_model(peer, 1),
+                   rng.normal(size=(m, 2)), rng.integers(0, 2, size=m),
+                   np.random.default_rng(i)) for i, (m, arch, peer) in enumerate(specs)]
+    planned = []
+    plan = nn._plan
+
+    def recording(*args):
+        planned.append((args, plan(*args)))
+        return []  # the schedule is all this test needs: train nothing
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "COHORT_BYTES", 2**40)
+        mp.setattr(nn, "_plan", recording)
+        nn.train(jobs, params)
+    (args, steps), = planned
+    want = _plan_oracle(*args)
+    assert len(steps) == len(want)
+    for got_tick, want_tick in zip(steps, want):
+        assert len(got_tick) == len(want_tick)
+        for got, expected in zip(got_tick, want_tick):
+            assert got[0] is expected[0] and got[1] == expected[1]
+            assert got[2].tobytes() == expected[2].tobytes()
+            assert got[2].shape == expected[2].shape
+            assert got[3] == expected[3]
+            if expected[4] is None:
+                assert got[4] is None
+            else:
+                assert np.array_equal(got[4], expected[4])
+
+
+def test_jobs_on_the_same_rows_stack_them_once(monkeypatch):
+    # as best-local probing does: several models train on one client's rows
+    archs = [ArchitectureSpec(3, (5,), 3), ArchitectureSpec(3, (4, 4), 3)]
+    params = FedMeConfig(epochs=2, batch_size=4, lr=0.1, momentum=0.9)
+    rng = np.random.default_rng(5)
+    rows = [(rng.normal(size=(m, 3)), rng.integers(0, 3, size=m)) for m in (11, 6)]
+    specs = [(archs[0], 0), (archs[1], 0), (archs[0], 1), (archs[1], 0)]
+
+    def jobs():
+        return [nn.Job(nn.init_model(arch, i), None, *rows[r], np.random.default_rng(i))
+                for i, (arch, r) in enumerate(specs)]
+
+    want = [_reference_train(job.model, None, False, job.features, job.labels, params,
+                             job.rng)[0].params.tobytes() for job in jobs()]
+    orders = []
+    plan = nn._plan
+
+    def recording(*args):
+        orders.append(args[4])
+        return plan(*args)
+
+    monkeypatch.setattr(nn, "_plan", recording)
+    made = jobs()
+    nn.train(made, params)
+    assert [job.model.params.tobytes() for job in made] == want
+    (order,) = orders
+    assert order.max() + 1 == 11 + 6
+
+
+@pytest.mark.parametrize("sizes", [[0], [0, 0], [5, 0, 12, 0]])
+def test_jobs_without_rows_keep_their_bits(sizes):
+    arch = ArchitectureSpec(3, (5,), 3)
+    params = FedMeConfig(epochs=2, batch_size=4, lr=0.1, momentum=0.9, dml=True)
+    made = _jobs([arch] * len(sizes), sizes, 3, [arch] * len(sizes))
+    before = [[m.params.tobytes() for m in (job.model, job.peer)] for job in made]
+    want = _oracle_bytes([arch] * len(sizes), sizes, params, [arch] * len(sizes))
+    nn.train(made, params)
+    got = [[m.params.tobytes() for m in (job.model, job.peer)] for job in made]
+    assert got == want
+    for m, job_got, job_before in zip(sizes, got, before):
+        assert (job_got == job_before) == (m == 0)
+
+
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("batch_size", -3),
+                                          ("epochs", -1), ("lr", 0.0), ("lr", -0.1)])
+def test_train_rejects_bad_hyperparameters_before_any_job_trains(field, value):
+    made = _jobs([ARCH], [9], 4)
+    before = made[0].model.params.tobytes()
+    params = dataclasses.replace(FedMeConfig(epochs=1, batch_size=4, lr=0.1),
+                                 **{field: value})
+    with pytest.raises(ValueError, match=field):
+        nn.train(made, params)
+    assert made[0].model.params.tobytes() == before
+
+
 def test_sgd_step_is_exact_and_leaves_its_arguments_unchanged():
     model = nn.init_model(ARCH, 3)
     buf = np.linspace(0.5, -0.3, 17)

@@ -1,5 +1,5 @@
 """Reference algorithms: Local-Only, Centralized, FedAvg, and HypCluster, on
-two loops. Local-Only is the FedMe round path (`engine._run_rounds`) with no
+two loops. Local-Only is the FedMe round path (`engine.run_fedme`) with no
 donors; the other three share the server-model loop `_run_server_models`. Both
 use the engine's RNG streams and evaluation, so accuracy comparisons are
 apples-to-apples; every training call starts from zero momentum.
@@ -14,7 +14,7 @@ import numpy as np
 from . import nn
 from .data import ClientShard, Dataset
 from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, RoundOverrides,
-                     RoundRecord, _run_rounds, derive_seed)
+                     RoundRecord, derive_seed, run_fedme)
 from .nn import ArchitectureSpec, Model
 
 FEDAVG_WEIGHTINGS = ("size", "uniform")
@@ -95,9 +95,9 @@ def run_local_only(shards: list[ClientShard], archs: list[ArchitectureSpec],
     """Each client trains its own model for rounds*epochs epochs, no
     communication: the FedMe round path with no donors and clustering off.
     Returns (per-client models, round records)."""
-    models, records = _run_rounds(shards, archs, None,
-                                  replace(config, clustering=False),
-                                  RoundOverrides(donors=lambda t, a: {}))
+    models, records = run_fedme(shards, archs, None,
+                                replace(config, clustering=False),
+                                RoundOverrides(donors=lambda t, a: {}))
     return models, [replace(r, cluster=None, a=None) for r in records]
 
 

@@ -213,6 +213,9 @@ def load_csv(path) -> Dataset:
         m, d = int(fields["M"]), int(fields["d"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
+    if m < 2 or d < 1:
+        raise ValueError(f"{path}: malformed header {lines[0]!r}: "
+                         f"need M >= 2 and d >= 1")
     features, labels = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -220,20 +220,14 @@ def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
 
 
 def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
-              pool: np.ndarray, config: FedMeConfig,
+              pool: np.ndarray | None, config: FedMeConfig,
               overrides: RoundOverrides | None = None):
     """Run the full exchange/train/tune/aggregate/redistribute loop; returns
-    (final per-client models, round records)."""
-    return _run_rounds(shards, archs, pool, config, overrides or RoundOverrides())
-
-
-def _run_rounds(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
-                pool: np.ndarray | None, config: FedMeConfig,
-                overrides: RoundOverrides):
-    """`run_fedme`'s loop, shared with Local-Only, which runs it with no
-    donors and clustering off and so never reads the pool."""
+    (final per-client models, round records). Local-Only runs it with no
+    donors and clustering off, and so with no pool."""
     if len(archs) != len(shards):
         raise ValueError("need one architecture per client")
+    overrides = overrides or RoundOverrides()
     models = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, i))
               for i, arch in enumerate(archs)]
     records: list[RoundRecord] = []

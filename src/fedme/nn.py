@@ -6,9 +6,12 @@ training loop, which gives each model it steps a zero buffer and updates
 parameters in place, so callers copy a model first when the original must
 survive. `train` runs many models in lockstep: at each tick, the models of
 one architecture and loss share one stacked step, short batches padded, with
-the bits of stepping each model alone. Every other operation is pure; the
-public `sgd_step` takes the momentum buffer as an argument and returns
-stepped copies of the model and the buffer.
+the bits of stepping each model alone. Its kernels return gradients only;
+losses are computed where they are reported (`evaluate_splits`). There is
+one forward pass, `_forward_cached`, on a stack of models; `forward` runs it
+on a stack of one. Every other operation is pure; the public `sgd_step`
+takes the momentum buffer as an argument and returns stepped copies of the
+model and the buffer.
 """
 from __future__ import annotations
 
@@ -158,7 +161,8 @@ def _forward_cached(arch: ArchitectureSpec, params: np.ndarray,
     """Forward pass of a stack of C models of one architecture, each on its
     own batch: `params` is (C, P) and `features` (C, b, d). Returns the
     (C, b, M) probabilities and the pre/post-activation values backprop
-    needs. Model c's slice has the bits of `forward` on its batch alone.
+    needs. Model c's slice has the bits of the pass on model c alone, which
+    is `forward`.
 
     `shorts` lists (rows slice, row count r) of each run of models whose
     batch has r < b real rows, padded to b. BLAS rounds a product
@@ -183,17 +187,10 @@ def _forward_cached(arch: ArchitectureSpec, params: np.ndarray,
 
 
 def forward(model: Model, features: np.ndarray) -> np.ndarray:
-    """Class-probability matrix; each row a softmax distribution. The same
-    arithmetic as `_forward_cached`, keeping no activations."""
-    h = _checked_features(model.arch, features)
-    layers = _layer_slices(model.arch)
-    params = model.params
-    last = len(layers) - 1
-    for li, (w_sl, b_sl, fi, fo) in enumerate(layers):
-        z = h @ params[w_sl].reshape(fo, fi).T
-        z += params[b_sl]
-        h = _activate(z, model.arch.activation) if li < last else z
-    return _softmax(h)
+    """Class-probability matrix; each row a softmax distribution. The
+    training forward pass on a stack of one model."""
+    X = _checked_features(model.arch, features)
+    return _forward_cached(model.arch, model.params[None], X[None])[0][0]
 
 
 def _backprop(arch: ArchitectureSpec, params: np.ndarray, acts, zs,
@@ -266,63 +263,46 @@ def _row_counts(labels: np.ndarray, shorts) -> np.ndarray:
 
 def dml_losses_and_grads(arch: ArchitectureSpec, params: np.ndarray, cached,
                          labels: np.ndarray, peer_probs: np.ndarray, shorts=()):
-    """Mutual-learning losses and gradients of a stack of C models of one
+    """Gradients of the mutual-learning loss of a stack of C models of one
     architecture, each on its own batch with a peer that saw the same batch.
 
     `cached` is the stack's forward pass on its (C, b, d) features as
     `_forward_cached` returns it: the (C, b, M) probabilities and the values
     backprop needs. `labels` is (C, b) and `peer_probs` (C, b, M) holds each
     peer's predictions. `shorts` are the padded batches, as
-    `_forward_cached` takes them: their padding rows count in no loss, and
-    `_backprop` sums no gradient over them. A model's loss is cross-entropy
-    plus the KL pull toward its peer's predictions, which are constants when
-    differentiating, so a pair's two gradients decouple. Returns the (C,)
-    losses and (C, P) gradients.
+    `_forward_cached` takes them: their padding rows carry no gradient. A
+    model's loss is the mean over its real rows of cross-entropy plus the KL
+    pull toward its peer's predictions, which are constants when
+    differentiating, so a pair's two gradients decouple. Returns the (C, P)
+    gradients.
     """
     probs, acts, zs = cached
-    n = _row_counts(labels, shorts)
-    hits = _label_hits(labels, arch.num_classes)
-    log_p = np.log(np.maximum(probs, LOG_CLAMP))
-    log_peer = np.log(np.maximum(peer_probs, LOG_CLAMP))
-    row_losses = ((peer_probs * (log_peer - log_p)).sum(axis=2)
-                  - log_p.reshape(-1)[hits])
     # d/dlogits of mean CE is (p - y)/n; of mean KL(t || p) it is (p - t)/n.
     dlogits = 2.0 * probs
-    dlogits.reshape(-1)[hits] -= 1.0
+    dlogits.reshape(-1)[_label_hits(labels, arch.num_classes)] -= 1.0
     dlogits -= peer_probs
-    dlogits /= n[:, None, None]
-    for sel, r in shorts:
-        row_losses[sel, r:] = 0.0
-    losses = row_losses.sum(axis=1) / n
-    return losses, _backprop(arch, params, acts, zs, dlogits, shorts)
+    dlogits /= _row_counts(labels, shorts)[:, None, None]
+    return _backprop(arch, params, acts, zs, dlogits, shorts)
 
 
 def ce_loss_and_grad(arch: ArchitectureSpec, params: np.ndarray, cached,
                      labels: np.ndarray, shorts=()):
-    """Plain cross-entropy losses and gradients (no mutual-learning term) of
+    """Gradients of the mean cross-entropy loss (no mutual-learning term) of
     a stack of C models of one architecture, each on its own batch; the
     arguments are those of `dml_losses_and_grads` without peers. Overwrites
-    the cached probabilities. Returns the (C,) losses and (C, P) gradients."""
+    the cached probabilities. Returns the (C, P) gradients."""
     probs, acts, zs = cached
-    n = _row_counts(labels, shorts)
-    flat = probs.reshape(-1)
-    hits = _label_hits(labels, arch.num_classes)
-    row_losses = -np.log(np.maximum(flat[hits], LOG_CLAMP))
     # probs becomes d/dlogits of mean CE, (p - y)/n
-    flat[hits] -= 1.0
-    probs /= n[:, None, None]
-    for sel, r in shorts:
-        row_losses[sel, r:] = 0.0
-    losses = row_losses.sum(axis=1) / n
-    return losses, _backprop(arch, params, acts, zs, probs, shorts)
+    probs.reshape(-1)[_label_hits(labels, arch.num_classes)] -= 1.0
+    probs /= _row_counts(labels, shorts)[:, None, None]
+    return _backprop(arch, params, acts, zs, probs, shorts)
 
 
-def batch_losses_and_grads(model: Model, features, labels,
-                           peer: Model | None = None):
-    """One batch's losses and gradients for `model` and, when given, `peer`:
-    by mutual learning between the two, or by cross-entropy alone with no
-    peer. The stacked kernels run on one-model stacks. Returns a list of
-    float losses and a list of gradients, one entry per model."""
+def batch_grads(model: Model, features, labels,
+                peer: Model | None = None) -> list[np.ndarray]:
+    """One batch's gradients for `model` and, when given, `peer`: by mutual
+    learning between the two, or by cross-entropy alone with no peer. The
+    stacked kernels run on one-model stacks. Returns one gradient per model."""
     models = [model] if peer is None else [model, peer]
     if peer is not None and not model.arch.compatible_with(peer.arch):
         raise DimensionError("models do not share input_dim / num_classes")
@@ -330,11 +310,9 @@ def batch_losses_and_grads(model: Model, features, labels,
     stacks = [(m.arch, m.params[None]) for m in models]
     cached = [_forward_cached(arch, params, X[None]) for arch, params in stacks]
     if peer is None:
-        out = [ce_loss_and_grad(*stacks[0], cached[0], y[None])]
-    else:
-        out = [dml_losses_and_grads(*stacks[i], cached[i], y[None],
-                                    cached[1 - i][0]) for i in (0, 1)]
-    return [float(loss[0]) for loss, _ in out], [grad[0] for _, grad in out]
+        return [ce_loss_and_grad(*stacks[0], cached[0], y[None])[0]]
+    return [dml_losses_and_grads(*stacks[i], cached[i], y[None], cached[1 - i][0])[0]
+            for i in (0, 1)]
 
 
 def _sgd_update(params: np.ndarray, buf: np.ndarray, grad: np.ndarray,
@@ -613,13 +591,13 @@ def _train_cohort(jobs: list[Job], params) -> None:
         if len(probs) > 1:
             probs = [np.concatenate(probs)]
         for (blk, rows, _, shorts, peers), (W, cache, y) in mutual:
-            _, grads = dml_losses_and_grads(blk.arch, W, cache, y, probs[0][peers], shorts)
+            grads = dml_losses_and_grads(blk.arch, W, cache, y, probs[0][peers], shorts)
             _sgd_update(W, blk.buf[rows], grads, *hyper)
         del mutual, probs
         for blk, rows, picks, shorts, _ in steps:
             if not blk.dml:
                 W, cache, y = padded_pass(blk, rows, picks, shorts)
-                _, grads = ce_loss_and_grad(blk.arch, W, cache, y, shorts)
+                grads = ce_loss_and_grad(blk.arch, W, cache, y, shorts)
                 _sgd_update(W, blk.buf[rows], grads, *hyper)
 
 

@@ -57,7 +57,7 @@ def test_criterion_1_gradient_oracle():
             if _kink_free(model_p, x) and _kink_free(model_ex, x):
                 break
         y = rng.integers(0, arch_p.num_classes, size=len(x))
-        _, (g_p, g_ex) = nn.batch_losses_and_grads(model_p, x, y, model_ex)
+        g_p, g_ex = nn.batch_grads(model_p, x, y, model_ex)
 
         def loss(params, which):
             p = Model(arch_p, params) if which == "p" else model_p

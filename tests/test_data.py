@@ -310,3 +310,8 @@ def test_load_csv_errors_name_the_line(tmp_path):
     path.write_text("1.0,2.0,0\n")
     with pytest.raises(ValueError, match="header"):
         data.load_csv(path)
+    # no feature columns, or one class: no model accepts either
+    for header, row in (("# M=2 d=0", "0"), ("# M=1 d=2", "1.0,2.0,0")):
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match="malformed header"):
+            data.load_csv(path)

@@ -7,9 +7,8 @@ alone. The printout tracks test accuracy per epoch.
 """
 import numpy as np
 
-from fedme import (ArchitectureSpec, cross_entropy, evaluate, forward,
-                   generate_synthetic, init_model, sgd_step)
-from fedme.nn import batch_grads
+from fedme import (ArchitectureSpec, FedMeConfig, cross_entropy, evaluate,
+                   forward, generate_synthetic, init_model, nn)
 
 rng = np.random.default_rng(0)
 dataset = generate_synthetic(num_classes=4, dim=8, per_class_count=120,
@@ -21,30 +20,18 @@ small_arch = ArchitectureSpec(8, (6,), 4)
 deep_arch = ArchitectureSpec(8, (12, 12), 4)
 
 
-def batches(n, size, rng):
-    order = rng.permutation(n)
-    for start in range(0, n, size):
-        yield order[start:start + size]
-
-
 def run(mutual):
     small = init_model(small_arch, 10)
     deep = init_model(deep_arch, 20)
-    # momentum buffers, carried across every step of the run
-    buf_s = np.zeros(small_arch.parameter_count())
-    buf_d = np.zeros(deep_arch.parameter_count())
+    # without mutual learning the deep peer trains by its own cross-entropy
+    # on the same batches; momentum restarts each epoch, as in a FedMe round
+    epoch = FedMeConfig(epochs=1, batch_size=20, lr=0.05, momentum=0.9,
+                        weight_decay=0.0, dml=mutual)
     rng = np.random.default_rng(42)
     history = []
-    for epoch in range(12):
-        for idx in batches(train.n, 20, rng):
-            x, y = train.features[idx], train.labels[idx]
-            if mutual:
-                g_s, g_d = batch_grads(small, x, y, deep)
-            else:
-                (g_s,) = batch_grads(small, x, y)
-                (g_d,) = batch_grads(deep, x, y)
-            small, buf_s = sgd_step(small, buf_s, g_s, lr=0.05, momentum=0.9)
-            deep, buf_d = sgd_step(deep, buf_d, g_d, lr=0.05, momentum=0.9)
+    for _ in range(12):
+        nn.train([nn.Job(small, deep, train.features, train.labels, rng)],
+                 epoch)
         _, acc_s = evaluate(small, test.features, test.labels)
         _, acc_d = evaluate(deep, test.features, test.labels)
         history.append((acc_s, acc_d))

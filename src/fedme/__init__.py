@@ -2,8 +2,8 @@
 
 from .clustering import cluster_count, kmeans
 from .data import (ClientShard, Dataset, PartitionSpec, dirichlet_partition,
-                   extract_unlabeled, generate_synthetic, label_skew, load_csv,
-                   save_csv, split_shard)
+                   extract_unlabeled, generate_synthetic, label_skew,
+                   split_shard)
 from .engine import (ExchangePlan, FedMeConfig, RoundOverrides, RoundRecord,
                      aggregate, assign_exchanges, dml_train, fine_tune,
                      model_outputs_on_unlabeled, model_tuning, redistribute,

@@ -200,47 +200,3 @@ def label_skew(shards_labels: list[np.ndarray], num_classes: int) -> float:
         hist = np.bincount(labels, minlength=num_classes) / len(labels)
         tvs.append(0.5 * np.abs(hist - global_hist).sum())
     return float(np.mean(tvs))
-
-
-def load_csv(path) -> Dataset:
-    """Read the `# M=<int> d=<int>` header format; errors name the line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError(f"{path}: missing '# M=<int> d=<int>' header line")
-    try:
-        fields = dict(part.split("=") for part in lines[0].lstrip("# ").split())
-        m, d = int(fields["M"]), int(fields["d"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
-    if m < 2 or d < 1:
-        raise ValueError(f"{path}: malformed header {lines[0]!r}: "
-                         f"need M >= 2 and d >= 1")
-    features, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != d + 1:
-            raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(cells)}")
-        try:
-            row = [float(c) for c in cells[:-1]]
-            label = int(cells[-1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: unparseable value") from exc
-        if not np.isfinite(row).all():
-            raise ValueError(f"{path}:{lineno}: non-finite feature value")
-        if not 0 <= label < m:
-            raise ValueError(f"{path}:{lineno}: label {label} outside [0, {m})")
-        features.append(row)
-        labels.append(label)
-    if not features:
-        raise ValueError(f"{path}: no data rows")
-    return Dataset(np.array(features), np.array(labels), m)
-
-
-def save_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# M={dataset.num_classes} d={dataset.dim}\n")
-        for row, label in zip(dataset.features, dataset.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")

@@ -244,7 +244,8 @@ class RunResult:
 
 
 def build_federation(config: ExperimentConfig, seed: int):
-    """Synthetic dataset -> unlabeled pool -> Dirichlet shards."""
+    """Synthetic dataset -> unlabeled pool -> Dirichlet shards. A partition
+    that leaves a client too few rows to split is a `ConfigError`."""
     dataset = generate_synthetic(config.num_classes, config.dim,
                                  config.per_class_count,
                                  config.class_separation, config.noise_sigma,
@@ -252,11 +253,14 @@ def build_federation(config: ExperimentConfig, seed: int):
     pool, remainder = extract_unlabeled(dataset, config.unlabeled_count, seed)
     spec = PartitionSpec(config.num_clients, alpha_label=config.alpha_label,
                          alpha_size=config.alpha_size, seed=seed)
-    parts = dirichlet_partition(remainder, spec)
     ratios = (config.train_frac, config.val_frac, config.test_frac)
-    shards = [split_shard(remainder, idx, i, ratios,
-                          derive_seed(seed, TAG_SPLIT, i))
-              for i, idx in enumerate(parts)]
+    try:
+        shards = [split_shard(remainder, idx, i, ratios,
+                              derive_seed(seed, TAG_SPLIT, i))
+                  for i, idx in enumerate(dirichlet_partition(remainder, spec))]
+    except ValueError as exc:
+        raise ConfigError(f"keys 'alpha_size', 'num_clients' and 'train_frac'/"
+                          f"'val_frac'/'test_frac': data seed {seed}: {exc}") from exc
     return shards, pool
 
 
@@ -272,9 +276,12 @@ def stall_warning(records: list[RoundRecord], num_classes: int) -> str | None:
             f"mean validation accuracy {acc:.4g} <= 1/{num_classes}")
 
 
-def run_single(config: ExperimentConfig, seed: int) -> RunResult:
+def run_single(config: ExperimentConfig, seed: int,
+               federation=None) -> RunResult:
+    """One seeded run; `federation` is `build_federation(config, seed)`'s
+    result when the caller has built it already."""
     config = replace(config, seed=seed)
-    shards, pool = build_federation(config, seed)
+    shards, pool = federation or build_federation(config, seed)
     archs = _client_archs(config, shards)
 
     if config.algorithm == "fedme":
@@ -387,13 +394,24 @@ def _std(values, sample: bool) -> float:
     return float(np.std(values, ddof=1 if sample and len(values) > 1 else 0))
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> SummaryReport:
+def _federations(config: ExperimentConfig) -> list:
+    """Every repeat's federation, in repeat order."""
+    return [build_federation(config, config.seed + r)
+            for r in range(config.repeats)]
+
+
+def run_experiment(config: ExperimentConfig, out_dir=None,
+                   federations=None) -> SummaryReport:
     """`repeats` independent runs seeded (master seed + repeat index), with
-    CSV logs, checkpoints, and a summary written under out_dir when given."""
+    CSV logs, checkpoints, and a summary written under out_dir when given.
+    Every repeat's federation (`_federations(config)` unless given) is built
+    before the first repeat trains, so a bad partition fails first."""
     start = time.perf_counter()
+    if federations is None:
+        federations = _federations(config)
     results = []
-    for r in range(config.repeats):
-        result = run_single(config, config.seed + r)
+    for r, federation in enumerate(federations):
+        result = run_single(config, config.seed + r, federation)
         results.append(result)
         if out_dir is not None:
             run_dir = os.path.join(out_dir, f"run_{r}")
@@ -433,9 +451,12 @@ def grid_search_lr(config: ExperimentConfig, grid=None):
     grid = sorted(grid if grid is not None else default_lr_grid())
     if not grid:
         raise ConfigError("learning-rate grid must be nonempty")
-    # every grid point is checked before the first run
+    # every grid point is checked before the first run; the learning rate
+    # does not enter the data, so the points share one federation
     configs = [validate_config(replace(config, lr=lr)) for lr in grid]
-    table = [(c.lr, run_single(c, config.seed).val_acc_uniform) for c in configs]
+    federation = build_federation(config, config.seed)
+    table = [(c.lr, run_single(c, config.seed, federation).val_acc_uniform)
+             for c in configs]
     best_lr = max(table, key=lambda row: (row[1], -row[0]))[0]
     return best_lr, table
 
@@ -470,21 +491,23 @@ def _sweep_config(config: ExperimentConfig, axis: str, value: str,
 def sweep(config: ExperimentConfig, axis: str, values: list[str],
           algorithms: list[str] | None = None, out_dir=None):
     """run_experiment per axis value (and algorithm), returning a table of
-    {(value, algorithm): SummaryReport}. Every config is checked before the
-    first run."""
+    {(value, algorithm): SummaryReport}. Every config is checked, and every
+    federation built, before the first run."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
     configs = {(value, alg): _sweep_config(config, axis, value, alg)
                for value in values for alg in algorithms or [config.algorithm]}
+    federations = {key: _federations(cfg) for key, cfg in configs.items()}
     table = {}
     for (value, alg), cfg in configs.items():
         sub_dir = None
         if out_dir is not None:
             sub_dir = os.path.join(out_dir, f"{axis}_{value}_{alg}".replace("+", "_"))
             os.makedirs(sub_dir, exist_ok=True)
-        table[(value, alg)] = run_experiment(cfg, sub_dir)
+        table[(value, alg)] = run_experiment(cfg, sub_dir,
+                                             federations[value, alg])
     if out_dir is not None:
         lines = [f"{axis},algorithm,mean,std,mean_pre_ft,std_pre_ft"]
         for (value, alg), report in table.items():

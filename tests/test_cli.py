@@ -1,6 +1,6 @@
 import pytest
 
-from fedme import harness
+from fedme import harness, nn
 from fedme.cli import main
 
 TINY = """\
@@ -179,3 +179,52 @@ def test_bad_sweep_or_grid_value_exits_one_before_any_run(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config error" in err and named in err
     assert not runs
+
+
+# a client draws 2 rows, too few for three splits
+SMALL_CLIENT = """\
+algorithm = fedme
+num_clients = 20
+num_classes = 2
+per_class_count = 30
+unlabeled_count = 10
+alpha_size = 0.05
+"""
+# repeats 0 and 1 (seeds 1 and 2) partition fine; repeat 2 (seed 3) does not
+LATE_REPEAT = """\
+algorithm = fedme
+num_clients = 10
+num_classes = 2
+per_class_count = 40
+unlabeled_count = 10
+alpha_size = 10
+seed = 1
+repeats = 3
+rounds = 2
+"""
+
+
+@pytest.mark.parametrize("text", [SMALL_CLIENT, LATE_REPEAT],
+                         ids=["small-client", "late-repeat"])
+def test_bad_partition_exits_one_naming_the_keys_before_any_training(
+        tmp_path, capsys, monkeypatch, text):
+    trained, real = [], nn.train
+    monkeypatch.setattr(nn, "train", lambda *a: (trained.append(a), real(*a)))
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    out = tmp_path / "artifacts"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for key in ("'alpha_size'", "'num_clients'", "'train_frac'"):
+        assert key in err
+    assert not trained
+    assert not (out / "run_0").exists()
+
+
+def test_partition_command_names_the_keys_of_a_bad_partition(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(SMALL_CLIENT)
+    assert main(["partition", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "'alpha_size'" in err

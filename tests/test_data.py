@@ -280,38 +280,3 @@ def test_extract_unlabeled():
     assert np.array_equal(combined, np.sort(ds.features[:, 0]))
     with pytest.raises(ValueError):
         data.extract_unlabeled(ds, 80, seed=4)
-
-
-def test_csv_round_trip(tmp_path):
-    ds = _toy(25, 3, seed=6)
-    path = tmp_path / "toy.csv"
-    data.save_csv(ds, path)
-    loaded = data.load_csv(path)
-    assert loaded.num_classes == 3
-    assert np.array_equal(loaded.features, ds.features)
-    assert np.array_equal(loaded.labels, ds.labels)
-
-
-def test_load_csv_errors_name_the_line(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("# M=2 d=2\n1.0,2.0,0\n1.0,oops,1\n")
-    with pytest.raises(ValueError, match=r":3:"):
-        data.load_csv(path)
-    path.write_text("# M=2 d=2\n1.0,0\n")
-    with pytest.raises(ValueError, match=r":2:.*fields"):
-        data.load_csv(path)
-    path.write_text("# M=2 d=2\n1.0,2.0,5\n")
-    with pytest.raises(ValueError, match=r":2:.*label"):
-        data.load_csv(path)
-    for value in ("nan", "inf", "-inf"):
-        path.write_text(f"# M=2 d=2\n1.0,2.0,0\n1.0,{value},0\n")
-        with pytest.raises(ValueError, match=r":3:.*non-finite"):
-            data.load_csv(path)
-    path.write_text("1.0,2.0,0\n")
-    with pytest.raises(ValueError, match="header"):
-        data.load_csv(path)
-    # no feature columns, or one class: no model accepts either
-    for header, row in (("# M=2 d=0", "0"), ("# M=1 d=2", "1.0,2.0,0")):
-        path.write_text(f"{header}\n{row}\n")
-        with pytest.raises(ValueError, match="malformed header"):
-            data.load_csv(path)

@@ -389,6 +389,56 @@ def test_sweep_multiple_algorithms():
     assert set(table) == {("0.5", "fedme"), ("0.5", "local_only")}
 
 
+def _count_training(monkeypatch):
+    calls = []
+    real = nn.train
+    monkeypatch.setattr(nn, "train", lambda *a: (calls.append(a), real(*a)))
+    return calls
+
+
+# 70 labelled rows over 10 clients: 7 each when IID, but Dirichlet sizes at
+# alpha_size 0.05 leave some client 2 rows, too few for three splits
+_SMALL_CLIENT = dict(num_clients=10, num_classes=2, per_class_count=40,
+                     unlabeled_count=10, alpha_size=0.05, repeats=1, rounds=1)
+
+
+def test_build_federation_names_the_keys_of_a_bad_partition():
+    config = _tiny(**_SMALL_CLIENT)
+    with pytest.raises(ConfigError, match="'alpha_size', 'num_clients'"):
+        build_federation(config, 0)
+    build_federation(replace(config, alpha_label=None), 0)
+
+
+def test_run_experiment_builds_every_federation_before_training(monkeypatch):
+    trained = _count_training(monkeypatch)
+    # seeds 1 and 2 partition fine; seed 3, the last repeat's, does not
+    config = _tiny(num_clients=10, num_classes=2, per_class_count=40,
+                   unlabeled_count=10, seed=1, repeats=3, rounds=1)
+    with pytest.raises(ConfigError, match="data seed 3"):
+        run_experiment(config)
+    assert not trained
+
+
+def test_sweep_builds_every_cell_before_training(monkeypatch, tmp_path):
+    trained = _count_training(monkeypatch)
+    config = _tiny("local_only", **_SMALL_CLIENT)
+    with pytest.raises(ConfigError, match="'alpha_size'"):
+        sweep(config, "alpha_label", ["iid", "0.5"], out_dir=str(tmp_path))
+    assert not trained
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_search_checks_every_point_before_training(monkeypatch):
+    trained = _count_training(monkeypatch)
+    with pytest.raises(ConfigError, match="'lr'"):
+        grid_search_lr(_tiny("local_only", repeats=1), [0.01, math.inf])
+    # the learning rate does not enter the data: every point shares one
+    # federation, so a bad partition fails before the first point trains
+    with pytest.raises(ConfigError, match="'alpha_size'"):
+        grid_search_lr(_tiny("local_only", **_SMALL_CLIENT), [0.01, 0.05])
+    assert not trained
+
+
 def test_std_population_vs_sample():
     vals = [0.1, 0.2, 0.3]
     assert harness._std(vals, False) == pytest.approx(np.std(vals))

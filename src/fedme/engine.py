@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .clustering import cluster_count, kmeans
+from .clustering import cluster_count, distinct_rows, kmeans
 from .data import ClientShard
 from .nn import Model
 
@@ -66,6 +66,8 @@ class RoundRecord:
     client_ms: float
     server_ms: float
     train_ms: float
+    pool_ms: float = 0.0
+    kmeans_ms: float = 0.0
 
 
 @dataclass
@@ -100,10 +102,15 @@ class RoundOverrides:
 
 
 def model_outputs_on_unlabeled(models: list[Model], pool: np.ndarray) -> np.ndarray:
-    """Row i is the flattened probability matrix of model i on the pool."""
+    """Row i is the flattened probability matrix of model i on the pool. Models
+    of one architecture with bit-identical parameters (the clients of one
+    lineage) are forwarded once and share the row."""
     if len(pool) == 0:
         raise ValueError("unlabeled pool is empty")
-    return np.stack([nn.forward(m, pool).ravel() for m in models])
+    bits = [m.params.view(np.int64) for m in models]
+    first, inverse = distinct_rows(
+        bits, [(m.arch, int(np.add.reduce(b))) for m, b in zip(models, bits)])
+    return np.stack([nn.forward(models[i], pool).ravel() for i in first])[inverse]
 
 
 def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
@@ -170,25 +177,33 @@ def redistribute(aggregated: dict[int, Model],
 
 
 def _plan_round(models: list[Model], pool: np.ndarray, t: int,
-                config: FedMeConfig, overrides: RoundOverrides) -> ExchangePlan:
-    """Cluster the clients on their pool predictions and draw one donor each."""
+                config: FedMeConfig, overrides: RoundOverrides):
+    """Cluster the clients on their pool predictions and draw one donor each.
+    Returns the plan and the milliseconds of the pool forward and k-means
+    (0 when the round has one cluster or scripted clusters)."""
     n = len(models)
     k = (cluster_count(t, config.cluster_thresholds, config.k_max, n)
          if config.clustering else 1)
+    pool_ms = kmeans_ms = 0.0
     assignments = overrides.clusters(t, n) if overrides.clusters else None
     if assignments is None:
         if k == 1:
             assignments = np.zeros(n, dtype=np.int64)
         else:
+            start = time.perf_counter()
             feats = model_outputs_on_unlabeled(models, pool)
             if not np.isfinite(feats).all():
                 raise ValueError(f"non-finite model outputs at lr={config.lr:g}: "
                                  f"training diverged")
+            clustered = time.perf_counter()
             assignments, _ = kmeans(
                 feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0],
                 config.kmeans_restarts)
+            pool_ms = (clustered - start) * 1000.0
+            kmeans_ms = (time.perf_counter() - clustered) * 1000.0
     donors_override = overrides.donors(t, assignments) if overrides.donors else None
-    return assign_exchanges(assignments, t, config.seed, donors_override)
+    plan = assign_exchanges(assignments, t, config.seed, donors_override)
+    return plan, pool_ms, kmeans_ms
 
 
 def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
@@ -234,9 +249,9 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
 
     for t in range(1, config.rounds + 1):
         server_start = time.perf_counter()
-        plan = _plan_round(models, pool, t, config, overrides)
+        plan, pool_ms, kmeans_ms = _plan_round(models, pool, t, config, overrides)
         exchanged = {i: models[d].copy() for i, d in plan.donor.items()}
-        server_ms = (time.perf_counter() - server_start) * 1000.0
+        server_ms = (time.perf_counter() - server_start) * 1000.0 - pool_ms - kmeans_ms
 
         train_start = time.perf_counter()
         peers = [exchanged.get(i) for i in range(len(models))]
@@ -262,6 +277,8 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
                 model, shard.features, shard.labels, shard.ends[1:])
             record.server_ms = server_ms
             record.train_ms = train_ms
+            record.pool_ms = pool_ms
+            record.kmeans_ms = kmeans_ms
         records.extend(round_records)
 
     return models, records

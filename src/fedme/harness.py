@@ -364,12 +364,14 @@ def write_round_log(records: list[RoundRecord], path) -> None:
 def write_timings(records: list[RoundRecord], path) -> None:
     """Wall-clock sidecar of the round log. `client_ms` is the client's own
     work outside training (FedMe: scoring and selection; server-model
-    baselines: the choice and copy of the model it trains); `train_ms` and
-    `server_ms` are round-level, repeated on each of the round's rows."""
-    lines = ["round,client,client_ms,server_ms,train_ms"]
+    baselines: the choice and copy of the model it trains); the rest are
+    round-level, repeated on each of the round's rows. `pool_ms` and
+    `kmeans_ms` are FedMe's pool forward pass and k-means (0 on a round with
+    one cluster, and for the baselines); `server_ms` is the other server work."""
+    lines = ["round,client,client_ms,server_ms,train_ms,pool_ms,kmeans_ms"]
     for r in records:
         lines.append(f"{r.round},{r.client},{r.client_ms:.3f},{r.server_ms:.3f},"
-                     f"{r.train_ms:.3f}")
+                     f"{r.train_ms:.3f},{r.pool_ms:.3f},{r.kmeans_ms:.3f}")
     _write_csv(path, lines)
 
 

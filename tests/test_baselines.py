@@ -223,7 +223,8 @@ def test_every_algorithm_keeps_the_record_contract(num_clients, rounds, q, seed)
     }
     order = [(t, i) for t in range(1, rounds + 1) for i in range(num_clients)]
     untimed = lambda records: [replace(r, client_ms=0.0, server_ms=0.0,
-                                       train_ms=0.0) for r in records]
+                                       train_ms=0.0, pool_ms=0.0, kmeans_ms=0.0)
+                               for r in records]
     for algorithm, run in runs.items():
         records = run()
         assert [(r.round, r.client) for r in records] == order, algorithm
@@ -237,4 +238,5 @@ def test_every_algorithm_keeps_the_record_contract(num_clients, rounds, q, seed)
             assert all(r.cluster is None and r.donor is None and r.a is None
                        and r.loss_ex_train is None and r.loss_ex_val is None
                        for r in records), algorithm
+            assert all(r.pool_ms == r.kmeans_ms == 0.0 for r in records), algorithm
         assert untimed(run()) == untimed(records), algorithm

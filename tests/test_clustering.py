@@ -240,3 +240,68 @@ def test_kmeans_seeding_reuses_distances_with_the_oracles_bits(
     # reads distances it kept from an earlier pick of the same point
     points = _points(kind, n, dim, np.random.default_rng(data_seed))
     _assert_matches_oracle(points, 1 + round(k_share * (n - 1)), seed, restarts)
+
+
+def test_kmeans_matches_the_oracle_near_the_overflow_bound():
+    # kmeans admits points whose 4 n max|x|^2 is finite; the Gram-form ranks
+    # must stay finite there too, which sums over raw member counts would not
+    rng = np.random.default_rng(7)
+    direction = np.array([1.0, 2.0, 2.0]) / 3.0
+    points = direction + 1e-3 * rng.normal(size=(48, 3))
+    points[0] = -direction
+    points *= 0.9 * np.sqrt(np.finfo(np.float64).max / (4 * 48))
+    assignments, inertia = kmeans(points, 2, seed=1, restarts=8)
+    assert np.isfinite(inertia)
+    assert set(assignments[1:]) == {1 - assignments[0]}
+    _assert_matches_oracle(points, 2, seed=1, restarts=8)
+
+
+def test_kmeans_seeding_computes_each_distinct_pair_at_most_once(monkeypatch):
+    rng = np.random.default_rng(30)
+    distinct = rng.normal(size=(30, 50))
+    points = distinct[np.concatenate([np.arange(30), rng.integers(0, 30, size=18)])]
+    seeding, rows = [False], [0]
+    sq_dist, init = clustering._sq_dist, clustering._kmeans_pp_init
+
+    def counted_sq_dist(a, b, buf):
+        rows[0] += len(a) if seeding[0] else 0
+        return sq_dist(a, b, buf)
+
+    def flagged_init(*args):
+        seeding[0] = True
+        try:
+            return init(*args)
+        finally:
+            seeding[0] = False
+
+    monkeypatch.setattr(clustering, "_sq_dist", counted_sq_dist)
+    monkeypatch.setattr(clustering, "_kmeans_pp_init", flagged_init)
+    assignments, inertia = kmeans(points, 8, seed=5, restarts=8)
+    assert 0 < rows[0] <= 30 * 29 // 2
+    monkeypatch.undo()
+    want_assignments, want_inertia = _oracle_kmeans(points, 8, 5, 8)
+    assert np.array_equal(assignments, want_assignments) and inertia == want_inertia
+
+
+def test_kmeans_matches_the_oracle_when_the_repair_moves_one_copy(monkeypatch):
+    # 3 distinct rows and k = 5: seeding runs out of distinct points and
+    # repeats one, so a cluster starts empty and the repair moves one copy of
+    # a duplicated row (every point is then 0 from its centroid: point 0)
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(3, 5))[[0, 1, 2, 0, 1, 2, 0, 0]]
+    full_rows = []
+    sq_dist = clustering._sq_dist
+    monkeypatch.setattr(clustering, "_sq_dist", lambda a, b, buf: full_rows.append(
+        len(a) == len(points)) or sq_dist(a, b, buf))
+    _assert_matches_oracle(points, 5, seed=2, restarts=4)
+    # every restart's inertia takes one full-length distance; the rest repair
+    assert sum(full_rows) > 4
+
+
+def test_kmeans_matches_the_oracle_with_odd_width_rows():
+    # with an odd d, the distinct rows gathered for a distance sit at other
+    # buffer alignments than the same rows among all points
+    rng = np.random.default_rng(11)
+    distinct = rng.dirichlet(np.ones(3), size=(20, 333)).reshape(20, 999)
+    points = distinct[rng.integers(0, 20, size=40)]
+    _assert_matches_oracle(points, 6, seed=9, restarts=8)

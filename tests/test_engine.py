@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedme import engine, nn
+from fedme.clustering import cluster_count
 from fedme.data import Dataset, split_shard
 from fedme.engine import (ExchangePlan, FedMeConfig, RoundOverrides,
                           assign_exchanges, derive_seed)
+from fedme.harness import write_timings
 from fedme.nn import ArchitectureSpec, Model
 
 ARCH = ArchitectureSpec(2, (4,), 2)
@@ -40,6 +42,38 @@ def test_model_outputs_shape_and_content():
     assert np.array_equal(feats[1], nn.forward(models[1], pool).ravel())
     with pytest.raises(ValueError, match="unlabeled pool is empty"):
         engine.model_outputs_on_unlabeled(models, np.zeros((0, 2)))
+
+
+def test_model_outputs_forward_each_distinct_model_once(monkeypatch):
+    base = [nn.init_model(ARCH, s) for s in range(3)]
+    tanh = Model(ArchitectureSpec(2, (4,), 2, activation="tanh"), base[0].params.copy())
+    # copies of one lineage share their parameter bytes; the tanh model
+    # shares them with base[0] but is another model
+    models = [base[0], base[1].copy(), base[0].copy(), tanh, base[2],
+              base[1].copy(), base[0].copy(), tanh.copy()]
+    pool = _pool()
+    want = np.stack([nn.forward(m, pool).ravel() for m in models])
+    calls = []
+    forward = nn.forward
+    monkeypatch.setattr(nn, "forward", lambda m, x: calls.append(m) or forward(m, x))
+    feats = engine.model_outputs_on_unlabeled(models, pool)
+    assert len(calls) == 4
+    assert feats.tobytes() == want.tobytes()
+    assert not np.array_equal(feats[0], feats[3])
+
+
+def test_run_fedme_times_the_pool_forward_and_kmeans_of_clustered_rounds(tmp_path):
+    thresholds = (3, 5)
+    config = FedMeConfig(rounds=6, lr=0.05, cluster_thresholds=thresholds, seed=3)
+    _, records = engine.run_fedme(_shards(), [ARCH] * 5, _pool(), config)
+    for r in records:
+        clustered = cluster_count(r.round, thresholds, config.k_max, 5) >= 2
+        assert (r.kmeans_ms > 0) == clustered, r.round
+        assert (r.pool_ms > 0) == clustered, r.round
+    write_timings(records, tmp_path / "timings.csv")
+    lines = (tmp_path / "timings.csv").read_text().splitlines()
+    assert lines[0] == "round,client,client_ms,server_ms,train_ms,pool_ms,kmeans_ms"
+    assert len(lines) == 1 + len(records)
 
 
 def test_exchange_plan_rejects_self_donor():

@@ -20,7 +20,8 @@ from fedme import harness  # noqa: E402
 
 @pytest.mark.parametrize("name, seed", [("smoke", s) for s in range(4)]
                          + [("fedme-desk", 0), ("baselines-desk", 0),
-                            ("fedme-many", 0)])
+                            ("fedme-many", 0), ("fedme-desk", 3),
+                            ("fedme-many", 3)])
 def test_outputs_match_reference_digest(name, seed, tmp_path):
     runner = worker.Runner(harness, name, [seed], str(tmp_path),
                            worker.load_reference())

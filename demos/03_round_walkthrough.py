@@ -4,7 +4,8 @@ Six clients with mixed architectures run the full exchange loop: cluster by
 model outputs on the unlabeled pool, receive a donor model, train both copies
 mutually, pick the better lineage on validation loss, then adopt the
 aggregated result. The table shows who borrowed from whom and which lineage
-each client kept as the cluster count opens up.
+each client kept as the cluster count opens up; the last line sums where the
+rounds' wall time went, span by span.
 """
 from fedme import (ArchitectureSpec, FedMeConfig, PartitionSpec,
                    dirichlet_partition, extract_unlabeled, generate_synthetic,
@@ -21,7 +22,7 @@ archs = [ArchitectureSpec(8, widths, 3)
 
 config = FedMeConfig(rounds=8, epochs=2, lr=0.05, cluster_thresholds=(4, 7),
                      seed=0)
-models, records = run_fedme(shards, archs, pool, config)
+models, records, laps = run_fedme(shards, archs, pool, config)
 
 print("round  K  client  cluster  donor  kept  val_acc")
 for r in records:
@@ -34,3 +35,7 @@ last = {r.client: r for r in records if r.round == config.rounds}
 for i, model in enumerate(models):
     print(f"  client {i}: hidden {model.arch.hidden_widths}, "
           f"last selection {last[i].a}, test acc {last[i].test_acc:.3f}")
+
+spent = {span: sum(spans[span] for spans in laps.rounds) for span in laps.rounds[0]}
+print("\nwall time by span: " + ", ".join(f"{span} {ms:.1f}"
+                                          for span, ms in spent.items()))

@@ -6,14 +6,13 @@ apples-to-apples; every training call starts from zero momentum.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 import numpy as np
 
 from . import nn
 from .data import ClientShard, Dataset
-from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, RoundOverrides,
+from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, Laps, RoundOverrides,
                      RoundRecord, derive_seed, run_fedme)
 from .nn import ArchitectureSpec, Model
 
@@ -28,10 +27,8 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
     trains a copy of one on `train_sets[i]` (when q > 1, the one that best fits
     `shards[i]`'s validation split), and each model becomes the `weights`-mean
     of its returned copies, or is carried over if none came back. All units
-    train in one lockstep `nn.train` call a round. Record i's `client_ms` is
-    unit i's choice and copy (0 past the last unit), `train_ms` the round's
-    training and `server_ms` the averaging. Returns (global models, per-shard
-    choice, round records)."""
+    train in one lockstep `nn.train` call a round. Returns (global models,
+    per-shard choice, round records, laps)."""
     globals_ = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, g))
                 for g in range(q)]
     # every shard's train | validation | test rows stacked once, so each
@@ -51,23 +48,20 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
     scores = score() if q > 1 else None
     choices = [0] * len(shards)
     records = []
+    laps = Laps(config.rounds)
     for t in range(1, config.rounds + 1):
-        client_ms = [0.0] * len(shards)
         trained = []
         for i in range(len(train_sets)):
-            start = time.perf_counter()
             if q > 1:  # ties resolve to the lowest index
                 fits = [scores[g][3 * i + 1] for g in range(q)]
                 choices[i] = int(np.argmin([loss if criterion == "loss" else -acc
                                             for loss, acc in fits]))
             trained.append(globals_[choices[i]].copy())
-            client_ms[i] = (time.perf_counter() - start) * 1000.0
-        start = time.perf_counter()
+        laps.lap(t, "server_ms")
         nn.train([nn.Job(model, None, train.features, train.labels,
                          np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i)))
                   for i, (model, train) in enumerate(zip(trained, train_sets))], config)
-        train_ms = (time.perf_counter() - start) * 1000.0
-        start = time.perf_counter()
+        laps.lap(t, "train_ms")
         returned = [[] for _ in range(q)]  # (trained copy, weight) per model
         for i, model in enumerate(trained):
             returned[choices[i]].append((model, weights[i]))
@@ -76,7 +70,7 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
                 w = np.array([weight for _, weight in copies])
                 globals_[g] = Model(arch, np.einsum(
                     "i,ij->j", w / w.sum(), np.stack([m.params for m, _ in copies])))
-        server_ms = (time.perf_counter() - start) * 1000.0
+        laps.lap(t, "server_ms")
         scores = score()
         for i, shard in enumerate(shards):
             (loss_p_train, _), (loss_p_val, val_acc), (_, test_acc) = (
@@ -85,20 +79,20 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
                 round=t, client=shard.client_id, k=q, cluster=None, donor=None,
                 a=None, loss_p_train=loss_p_train, loss_ex_train=None,
                 loss_p_val=loss_p_val, loss_ex_val=None, val_acc=val_acc,
-                test_acc=test_acc, client_ms=client_ms[i], server_ms=server_ms,
-                train_ms=train_ms))
-    return globals_, choices, records
+                test_acc=test_acc))
+        laps.lap(t, "score_ms")
+    return globals_, choices, records, laps
 
 
 def run_local_only(shards: list[ClientShard], archs: list[ArchitectureSpec],
                    config: FedMeConfig):
     """Each client trains its own model for rounds*epochs epochs, no
     communication: the FedMe round path with no donors and clustering off.
-    Returns (per-client models, round records)."""
-    models, records = run_fedme(shards, archs, None,
-                                replace(config, clustering=False),
-                                RoundOverrides(donors=lambda t, a: {}))
-    return models, [replace(r, cluster=None, a=None) for r in records]
+    Returns (per-client models, round records, laps)."""
+    models, records, laps = run_fedme(shards, archs, None,
+                                      replace(config, clustering=False),
+                                      RoundOverrides(donors=lambda t, a: {}))
+    return models, [replace(r, cluster=None, a=None) for r in records], laps
 
 
 def pool_train_splits(shards: list[ClientShard]) -> Dataset:
@@ -109,23 +103,25 @@ def pool_train_splits(shards: list[ClientShard]) -> Dataset:
 
 def run_centralized(shards: list[ClientShard], arch: ArchitectureSpec,
                     config: FedMeConfig):
-    """Pool all train splits and train a single model on the server."""
-    globals_, _, records = _run_server_models(
+    """Pool all train splits and train a single model on the server.
+    Returns (model, round records, laps)."""
+    globals_, _, records, laps = _run_server_models(
         [pool_train_splits(shards)], shards, arch, config, [1.0])
-    return globals_[0], records
+    return globals_[0], records, laps
 
 
 def run_fedavg(shards: list[ClientShard], arch: ArchitectureSpec,
                config: FedMeConfig, weighting: str = "size"):
     """Each round every client trains the global model; the server replaces it
-    with the (train-size-weighted) average of client models."""
+    with the (train-size-weighted) average of client models. Returns (model,
+    round records, laps)."""
     if weighting not in FEDAVG_WEIGHTINGS:
         raise ValueError(f"weighting must be one of {FEDAVG_WEIGHTINGS}, "
                          f"got {weighting!r}")
     weights = [float(s.train.n) if weighting == "size" else 1.0 for s in shards]
-    globals_, _, records = _run_server_models(
+    globals_, _, records, laps = _run_server_models(
         [s.train for s in shards], shards, arch, config, weights)
-    return globals_[0], records
+    return globals_[0], records, laps
 
 
 def run_hypcluster(shards: list[ClientShard], arch: ArchitectureSpec,
@@ -133,7 +129,7 @@ def run_hypcluster(shards: list[ClientShard], arch: ArchitectureSpec,
     """The server keeps q global models; every round each client trains only
     its best-fitting one (by validation loss, or accuracy when configured) and
     the server averages the returned copies per model, train-size-weighted.
-    Returns (global models, per-client final choice, round records)."""
+    Returns (global models, per-client final choice, round records, laps)."""
     if q < 2:
         raise ValueError(f"hypcluster needs q >= 2 global models, got {q}")
     if criterion not in HYPCLUSTER_CRITERIA:

@@ -4,7 +4,8 @@ per-lineage aggregation, and redistribution.
 
 Determinism: every random choice draws from a stream derived from
 (master seed, purpose tag, round, client), so results do not depend on the
-order in which client work is executed.
+order in which client work is executed. Wall time is kept out of
+`RoundRecord`: each runner returns it as `Laps`, one row of spans per round.
 """
 from __future__ import annotations
 
@@ -63,11 +64,24 @@ class RoundRecord:
     loss_ex_val: float | None
     val_acc: float
     test_acc: float
-    client_ms: float
-    server_ms: float
-    train_ms: float
-    pool_ms: float = 0.0
-    kmeans_ms: float = 0.0
+
+
+SPANS = ("pool_ms", "kmeans_ms", "train_ms", "score_ms", "server_ms")
+
+
+class Laps:
+    """A lap clock over the rounds of a run: `lap(t, span)` books the
+    milliseconds since the previous lap (or since the clock started) to round
+    t's span, so each round's spans add up to its wall time."""
+
+    def __init__(self, rounds: int):
+        self.rounds = [dict.fromkeys(SPANS, 0.0) for _ in range(rounds)]
+        self._last = time.perf_counter()
+
+    def lap(self, t: int, span: str) -> None:
+        now = time.perf_counter()
+        self.rounds[t - 1][span] += (now - self._last) * 1000.0
+        self._last = now
 
 
 @dataclass
@@ -177,42 +191,37 @@ def redistribute(aggregated: dict[int, Model],
 
 
 def _plan_round(models: list[Model], pool: np.ndarray, t: int,
-                config: FedMeConfig, overrides: RoundOverrides):
+                config: FedMeConfig, overrides: RoundOverrides,
+                laps: Laps) -> ExchangePlan:
     """Cluster the clients on their pool predictions and draw one donor each.
-    Returns the plan and the milliseconds of the pool forward and k-means
-    (0 when the round has one cluster or scripted clusters)."""
+    A round with several clusters and no scripted ones laps the pool forward
+    and k-means."""
     n = len(models)
     k = (cluster_count(t, config.cluster_thresholds, config.k_max, n)
          if config.clustering else 1)
-    pool_ms = kmeans_ms = 0.0
     assignments = overrides.clusters(t, n) if overrides.clusters else None
     if assignments is None:
         if k == 1:
             assignments = np.zeros(n, dtype=np.int64)
         else:
-            start = time.perf_counter()
             feats = model_outputs_on_unlabeled(models, pool)
             if not np.isfinite(feats).all():
                 raise ValueError(f"non-finite model outputs at lr={config.lr:g}: "
                                  f"training diverged")
-            clustered = time.perf_counter()
+            laps.lap(t, "pool_ms")
             assignments, _ = kmeans(
                 feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0],
                 config.kmeans_restarts)
-            pool_ms = (clustered - start) * 1000.0
-            kmeans_ms = (time.perf_counter() - clustered) * 1000.0
+            laps.lap(t, "kmeans_ms")
     donors_override = overrides.donors(t, assignments) if overrides.donors else None
-    plan = assign_exchanges(assignments, t, config.seed, donors_override)
-    return plan, pool_ms, kmeans_ms
+    return assign_exchanges(assignments, t, config.seed, donors_override)
 
 
 def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
             plan: ExchangePlan, config: FedMeConfig,
             overrides: RoundOverrides) -> RoundRecord:
     """Score client `cid`'s trained model and borrowed `peer`, then pick the
-    lineage it keeps. The record's accuracies and round-level times are
-    filled in later."""
-    start = time.perf_counter()
+    lineage it keeps. The record's accuracies are filled in later."""
     t, donor = plan.round, plan.donor.get(cid)
     (loss_p_train, _), (loss_p_val, _) = nn.evaluate_splits(
         model, shard.features, shard.labels, shard.ends[:3])
@@ -229,59 +238,53 @@ def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
         round=t, client=cid, k=plan.k, cluster=plan.cluster_of.get(cid),
         donor=donor, a=a, loss_p_train=loss_p_train, loss_ex_train=loss_ex_train,
         loss_p_val=loss_p_val, loss_ex_val=loss_ex_val,
-        val_acc=float("nan"), test_acc=float("nan"),
-        client_ms=(time.perf_counter() - start) * 1000.0, server_ms=0.0,
-        train_ms=0.0)
+        val_acc=float("nan"), test_acc=float("nan"))
 
 
 def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
               pool: np.ndarray | None, config: FedMeConfig,
               overrides: RoundOverrides | None = None):
     """Run the full exchange/train/tune/aggregate/redistribute loop; returns
-    (final per-client models, round records). Local-Only runs it with no
-    donors and clustering off, and so with no pool."""
+    (final per-client models, round records, laps). Local-Only runs it with
+    no donors and clustering off, and so with no pool."""
     if len(archs) != len(shards):
         raise ValueError("need one architecture per client")
     overrides = overrides or RoundOverrides()
     models = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, i))
               for i, arch in enumerate(archs)]
     records: list[RoundRecord] = []
+    laps = Laps(config.rounds)
 
     for t in range(1, config.rounds + 1):
-        server_start = time.perf_counter()
-        plan, pool_ms, kmeans_ms = _plan_round(models, pool, t, config, overrides)
+        plan = _plan_round(models, pool, t, config, overrides, laps)
         exchanged = {i: models[d].copy() for i, d in plan.donor.items()}
-        server_ms = (time.perf_counter() - server_start) * 1000.0 - pool_ms - kmeans_ms
-
-        train_start = time.perf_counter()
         peers = [exchanged.get(i) for i in range(len(models))]
+        laps.lap(t, "server_ms")
+
         dml_train(models, peers, shards, config,
                   [np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i))
                    for i in range(len(models))])
-        train_ms = (time.perf_counter() - train_start) * 1000.0
+        laps.lap(t, "train_ms")
 
         round_records = [_select(i, model, peer, shard, plan, config, overrides)
                          for i, (model, peer, shard)
                          in enumerate(zip(models, peers, shards))]
+        laps.lap(t, "score_ms")
 
-        server_start = time.perf_counter()
         models = redistribute(aggregate(models, exchanged, plan),
                               {r.client: r.a for r in round_records})
         # the borrowed copies, and the training stacks their parameters are
         # rows of, are dead weight through the next round's k-means
         del exchanged, peers
-        server_ms += (time.perf_counter() - server_start) * 1000.0
+        laps.lap(t, "server_ms")
 
         for model, shard, record in zip(models, shards, round_records):
             (_, record.val_acc), (_, record.test_acc) = nn.evaluate_splits(
                 model, shard.features, shard.labels, shard.ends[1:])
-            record.server_ms = server_ms
-            record.train_ms = train_ms
-            record.pool_ms = pool_ms
-            record.kmeans_ms = kmeans_ms
         records.extend(round_records)
+        laps.lap(t, "score_ms")
 
-    return models, records
+    return models, records, laps
 
 
 def fine_tune(models: list[Model], shards: list[ClientShard],

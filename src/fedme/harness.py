@@ -16,8 +16,8 @@ from .baselines import (FEDAVG_WEIGHTINGS, HYPCLUSTER_CRITERIA,
                         run_local_only)
 from .data import (ClientShard, PartitionSpec, dirichlet_partition,
                    extract_unlabeled, generate_synthetic, split_shard)
-from .engine import (TAG_PROBE, TAG_SPLIT, FedMeConfig, RoundRecord,
-                     derive_seed, fine_tune, run_fedme)
+from .engine import (SPANS, TAG_PROBE, TAG_SPLIT, FedMeConfig, Laps,
+                     RoundRecord, derive_seed, fine_tune, run_fedme)
 from .nn import ACTIVATIONS, ArchitectureSpec
 
 ALGORITHMS = ("fedme", "local_only", "centralized", "fedavg", "hypcluster")
@@ -237,6 +237,7 @@ class RunResult:
     models: list          # final per-client models (before fine-tuning)
     tuned_models: list    # after fine-tuning (same as models when disabled)
     records: list[RoundRecord]
+    laps: Laps            # wall time of each round's spans
     archs: list[ArchitectureSpec]
     test_acc_pre_ft: float
     test_acc_post_ft: float
@@ -285,18 +286,18 @@ def run_single(config: ExperimentConfig, seed: int,
     archs = _client_archs(config, shards)
 
     if config.algorithm == "fedme":
-        models, records = run_fedme(shards, archs, pool, config)
+        models, records, laps = run_fedme(shards, archs, pool, config)
     elif config.algorithm == "local_only":
-        models, records = run_local_only(shards, archs, config)
+        models, records, laps = run_local_only(shards, archs, config)
     elif config.algorithm == "centralized":
-        model, records = run_centralized(shards, archs[0], config)
+        model, records, laps = run_centralized(shards, archs[0], config)
         models = [model.copy() for _ in shards]
     elif config.algorithm == "fedavg":
-        model, records = run_fedavg(shards, archs[0], config,
-                                    config.fedavg_weighting)
+        model, records, laps = run_fedavg(shards, archs[0], config,
+                                          config.fedavg_weighting)
         models = [model.copy() for _ in shards]
     else:  # hypcluster
-        globals_, choices, records = run_hypcluster(
+        globals_, choices, records, laps = run_hypcluster(
             shards, archs[0], config, config.hypcluster_q,
             config.hypcluster_criterion)
         models = [globals_[c].copy() for c in choices]
@@ -317,7 +318,8 @@ def run_single(config: ExperimentConfig, seed: int,
     else:
         tuned, post = models, pre
     return RunResult(
-        models=models, tuned_models=tuned, records=records, archs=archs,
+        models=models, tuned_models=tuned, records=records, laps=laps,
+        archs=archs,
         test_acc_pre_ft=float(np.mean(pre)),
         test_acc_post_ft=float(np.mean(post)),
         val_acc_uniform=float(np.mean(val)))
@@ -361,17 +363,12 @@ def write_round_log(records: list[RoundRecord], path) -> None:
     _write_csv(path, lines)
 
 
-def write_timings(records: list[RoundRecord], path) -> None:
-    """Wall-clock sidecar of the round log. `client_ms` is the client's own
-    work outside training (FedMe: scoring and selection; server-model
-    baselines: the choice and copy of the model it trains); the rest are
-    round-level, repeated on each of the round's rows. `pool_ms` and
-    `kmeans_ms` are FedMe's pool forward pass and k-means (0 on a round with
-    one cluster, and for the baselines); `server_ms` is the other server work."""
-    lines = ["round,client,client_ms,server_ms,train_ms,pool_ms,kmeans_ms"]
-    for r in records:
-        lines.append(f"{r.round},{r.client},{r.client_ms:.3f},{r.server_ms:.3f},"
-                     f"{r.train_ms:.3f},{r.pool_ms:.3f},{r.kmeans_ms:.3f}")
+def write_timings(laps: Laps, path) -> None:
+    """Wall-clock sidecar of the round log: one row per round, its spans in
+    milliseconds (see `engine.SPANS`), which add up to the round's wall time."""
+    lines = [",".join(("round",) + SPANS)]
+    for t, spans in enumerate(laps.rounds, start=1):
+        lines.append(",".join([str(t)] + [f"{spans[s]:.3f}" for s in SPANS]))
     _write_csv(path, lines)
 
 
@@ -419,7 +416,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             run_dir = os.path.join(out_dir, f"run_{r}")
             os.makedirs(run_dir, exist_ok=True)
             write_round_log(result.records, os.path.join(run_dir, "rounds.csv"))
-            write_timings(result.records, os.path.join(run_dir, "timings.csv"))
+            write_timings(result.laps, os.path.join(run_dir, "timings.csv"))
             for i, model in enumerate(result.tuned_models):
                 _atomic_write(os.path.join(run_dir, f"client_{i}.model"),
                               nn.serialize_model(model))

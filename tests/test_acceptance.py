@@ -143,7 +143,7 @@ def test_criterion_4_tuning_rule_conformance():
     shards, pool = _shards_and_pool()
     arch = ArchitectureSpec(2, (4,), 2)
     config = FedMeConfig(rounds=6, lr=0.05, seed=5)
-    _, records = engine.run_fedme(shards, [arch] * 5, pool, config)
+    _, records, _ = engine.run_fedme(shards, [arch] * 5, pool, config)
     violations = 0
     for r in records:
         expected = r.client if r.loss_p_val <= r.loss_ex_val else r.donor
@@ -167,9 +167,9 @@ def test_criterion_5_running_example_trace():
         selections=lambda t, i, lp, lex: selections[t][i])
     shards, pool = _shards_and_pool()
     arch = ArchitectureSpec(2, (4,), 2)
-    models, records = engine.run_fedme(shards, [arch] * 5, pool,
-                                       FedMeConfig(rounds=2, lr=0.05, seed=9),
-                                       overrides)
+    models, records, _ = engine.run_fedme(shards, [arch] * 5, pool,
+                                          FedMeConfig(rounds=2, lr=0.05, seed=9),
+                                          overrides)
     ok = all(r.donor == donors[r.round][r.client] and
              r.a == selections[r.round][r.client] for r in records)
     # round-1 aggregation pairs: lineage 0 gathers {own copy, client 2's
@@ -216,16 +216,16 @@ def test_criterion_7_degeneracy_equivalences():
     arch = ArchitectureSpec(2, (4,), 2)
     stub = FedMeConfig(rounds=5, lr=0.05, tuning=False, dml=False,
                        clustering=False, seed=3)
-    models, _ = engine.run_fedme(shards, [arch] * 5, pool, stub,
-                                 RoundOverrides(donors=lambda t, a: {}))
+    models, _, _ = engine.run_fedme(shards, [arch] * 5, pool, stub,
+                                    RoundOverrides(donors=lambda t, a: {}))
     params = FedMeConfig(rounds=5, epochs=2, lr=0.05, seed=3)
-    local_models, _ = baselines.run_local_only(shards, [arch] * 5, params)
+    local_models, _, _ = baselines.run_local_only(shards, [arch] * 5, params)
     a_ok = all(np.array_equal(m.params, local.params)
                for m, local in zip(models, local_models))
 
     one = [shards[0]]
-    avg_model, _ = baselines.run_fedavg(one, arch, params)
-    cent_model, _ = baselines.run_centralized(one, arch, params)
+    avg_model, _, _ = baselines.run_fedavg(one, arch, params)
+    cent_model, _, _ = baselines.run_centralized(one, arch, params)
     b_ok = np.array_equal(avg_model.params, cent_model.params)
     _report("7 (degeneracy equivalences)", a_ok and b_ok)
 

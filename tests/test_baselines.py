@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,11 +34,11 @@ def _manual_shard(cid, train_n):
 def test_local_only_no_communication():
     shards = _shards()
     params = FedMeConfig(rounds=3, lr=0.05, seed=1)
-    models, records = baselines.run_local_only(shards, [ARCH] * 4, params)
+    models, records, _ = baselines.run_local_only(shards, [ARCH] * 4, params)
     assert len(models) == 4 and len(records) == 3 * 4
     for i in range(1, 4):
         assert not np.array_equal(models[0].params, models[i].params)
-    again, _ = baselines.run_local_only(shards, [ARCH] * 4, params)
+    again, _, _ = baselines.run_local_only(shards, [ARCH] * 4, params)
     for a, b in zip(models, again):
         assert np.array_equal(a.params, b.params)
 
@@ -48,7 +46,7 @@ def test_local_only_no_communication():
 def test_local_only_learns():
     shards = _shards()
     params = FedMeConfig(rounds=5, lr=0.05, seed=0)
-    models, records = baselines.run_local_only(shards, [ARCH] * 4, params)
+    models, records, _ = baselines.run_local_only(shards, [ARCH] * 4, params)
     final = [r.test_acc for r in records if r.round == 5]
     assert np.mean(final) > 0.7
 
@@ -58,10 +56,10 @@ def test_local_only_records_equal_fedme_without_donors():
     shards = _shards(5)
     stub = FedMeConfig(rounds=5, lr=0.05, tuning=False, dml=False,
                        clustering=False, seed=3)
-    _, fedme_records = engine.run_fedme(shards, [ARCH] * 5, None, stub,
-                                        RoundOverrides(donors=lambda t, a: {}))
+    _, fedme_records, _ = engine.run_fedme(shards, [ARCH] * 5, None, stub,
+                                           RoundOverrides(donors=lambda t, a: {}))
     params = FedMeConfig(rounds=5, epochs=2, lr=0.05, seed=3)
-    _, local_records = baselines.run_local_only(shards, [ARCH] * 5, params)
+    _, local_records, _ = baselines.run_local_only(shards, [ARCH] * 5, params)
     fields = ("round", "client", "loss_p_train", "loss_p_val", "val_acc",
               "test_acc")
     assert ([[getattr(r, f) for f in fields] for r in local_records]
@@ -69,7 +67,7 @@ def test_local_only_records_equal_fedme_without_donors():
 
 
 def test_local_only_single_client():
-    models, records = baselines.run_local_only(
+    models, records, _ = baselines.run_local_only(
         _shards(1), [ARCH], FedMeConfig(rounds=2, lr=0.05, seed=0))
     assert len(models) == 1 and [r.round for r in records] == [1, 2]
 
@@ -83,8 +81,8 @@ def test_pool_train_splits():
 def test_centralized_deterministic_and_learns():
     shards = _shards()
     params = FedMeConfig(rounds=5, lr=0.05, seed=2)
-    model, records = baselines.run_centralized(shards, ARCH, params)
-    model2, _ = baselines.run_centralized(shards, ARCH, params)
+    model, records, _ = baselines.run_centralized(shards, ARCH, params)
+    model2, _, _ = baselines.run_centralized(shards, ARCH, params)
     assert np.array_equal(model.params, model2.params)
     assert len(records) == 5 * 4
     assert np.mean([r.test_acc for r in records if r.round == 5]) > 0.8
@@ -98,8 +96,8 @@ def test_fedavg_weighting_modes_differ():
     shards = [split_shard(ds, np.arange(0, 30), 0, seed=0),
               split_shard(ds, np.arange(30, 90), 1, seed=1)]
     params = FedMeConfig(rounds=2, lr=0.05, seed=0)
-    by_size, _ = baselines.run_fedavg(shards, ARCH, params, "size")
-    uniform, _ = baselines.run_fedavg(shards, ARCH, params, "uniform")
+    by_size, _, _ = baselines.run_fedavg(shards, ARCH, params, "size")
+    uniform, _, _ = baselines.run_fedavg(shards, ARCH, params, "uniform")
     assert not np.array_equal(by_size.params, uniform.params)
     with pytest.raises(ValueError):
         baselines.run_fedavg(shards, ARCH, params, "median")
@@ -117,15 +115,15 @@ def test_fedavg_weighted_mean_exact(monkeypatch):
 
     monkeypatch.setattr(baselines.nn, "train", pinned)
     params = FedMeConfig(rounds=1, lr=0.05, seed=0)
-    model, _ = baselines.run_fedavg(shards, TINY, params, "size")
+    model, _, _ = baselines.run_fedavg(shards, TINY, params, "size")
     assert np.allclose(model.params[:2], [2.5, 4.0])
 
 
 def test_fedavg_single_client_equals_centralized():
     shard = _shards(2, 40)[0]
     params = FedMeConfig(rounds=3, lr=0.05, seed=4)
-    avg_model, _ = baselines.run_fedavg([shard], ARCH, params)
-    cent_model, _ = baselines.run_centralized([shard], ARCH, params)
+    avg_model, _, _ = baselines.run_fedavg([shard], ARCH, params)
+    cent_model, _, _ = baselines.run_centralized([shard], ARCH, params)
     assert np.array_equal(avg_model.params, cent_model.params)
 
 
@@ -141,7 +139,7 @@ def test_hypcluster_validation():
 def test_hypcluster_unchosen_models_carried_unchanged():
     shards = _shards()
     params = FedMeConfig(rounds=1, lr=0.05, seed=6)
-    globals_, choices, records = baselines.run_hypcluster(
+    globals_, choices, records, _ = baselines.run_hypcluster(
         shards, ARCH, params, q=3)
     assert len(records) == 4 and all(r.k == 3 for r in records)
     assert all(0 <= c < 3 for c in choices)
@@ -159,7 +157,7 @@ def test_hypcluster_ties_resolve_to_lowest_index(monkeypatch):
     monkeypatch.setattr(baselines.nn, "evaluate_splits",
                         lambda m, x, y, ends: [(1.0, 0.5)] * (len(ends) - 1))
     params = FedMeConfig(rounds=1, lr=0.05, seed=0)
-    _, choices, _ = baselines.run_hypcluster(shards, ARCH, params, q=2)
+    _, choices, _, _ = baselines.run_hypcluster(shards, ARCH, params, q=2)
     assert choices == [0, 0, 0, 0]
 
 
@@ -168,11 +166,11 @@ def test_server_model_records_score_each_clients_final_global(algorithm):
     shards = _shards(5, rows_each=24, seed=11)
     config = FedMeConfig(rounds=3, lr=0.05, seed=11)
     if algorithm == "fedavg":
-        final, records = baselines.run_fedavg(shards, ARCH, config)
+        final, records, _ = baselines.run_fedavg(shards, ARCH, config)
         globals_, choices = [final], [0] * len(shards)
     else:
-        globals_, choices, records = baselines.run_hypcluster(shards, ARCH,
-                                                              config, q=2)
+        globals_, choices, records, _ = baselines.run_hypcluster(shards, ARCH,
+                                                                 config, q=2)
         assert set(choices) == {0, 1}  # both models score some shard
     last = [r for r in records if r.round == 3]
     assert [r.client for r in last] == [s.client_id for s in shards]
@@ -198,7 +196,7 @@ def test_hypcluster_splits_label_swapped_tasks():
         ds = Dataset(feats, labels, 2)
         shards.append(split_shard(ds, np.arange(40), cid, seed=cid))
     params = FedMeConfig(rounds=20, lr=0.1, seed=0)
-    _, choices, records = baselines.run_hypcluster(shards, ARCH, params, q=2)
+    _, choices, records, _ = baselines.run_hypcluster(shards, ARCH, params, q=2)
     assert choices[0] == choices[1]
     assert choices[2] == choices[3]
     assert choices[0] != choices[2]
@@ -215,18 +213,15 @@ def test_every_algorithm_keeps_the_record_contract(num_clients, rounds, q, seed)
                          cluster_thresholds=(1, 2), k_max=2)
     archs = [ARCH] * num_clients
     runs = {
-        "fedme": lambda: engine.run_fedme(shards, archs, pool, config)[1],
-        "local_only": lambda: baselines.run_local_only(shards, archs, config)[1],
-        "centralized": lambda: baselines.run_centralized(shards, ARCH, config)[1],
-        "fedavg": lambda: baselines.run_fedavg(shards, ARCH, config)[1],
-        "hypcluster": lambda: baselines.run_hypcluster(shards, ARCH, config, q)[2],
+        "fedme": lambda: engine.run_fedme(shards, archs, pool, config),
+        "local_only": lambda: baselines.run_local_only(shards, archs, config),
+        "centralized": lambda: baselines.run_centralized(shards, ARCH, config),
+        "fedavg": lambda: baselines.run_fedavg(shards, ARCH, config),
+        "hypcluster": lambda: baselines.run_hypcluster(shards, ARCH, config, q),
     }
     order = [(t, i) for t in range(1, rounds + 1) for i in range(num_clients)]
-    untimed = lambda records: [replace(r, client_ms=0.0, server_ms=0.0,
-                                       train_ms=0.0, pool_ms=0.0, kmeans_ms=0.0)
-                               for r in records]
     for algorithm, run in runs.items():
-        records = run()
+        *_, records, laps = run()
         assert [(r.round, r.client) for r in records] == order, algorithm
         if algorithm == "fedme":
             # k-means may leave a requested cluster empty
@@ -238,5 +233,6 @@ def test_every_algorithm_keeps_the_record_contract(num_clients, rounds, q, seed)
             assert all(r.cluster is None and r.donor is None and r.a is None
                        and r.loss_ex_train is None and r.loss_ex_val is None
                        for r in records), algorithm
-            assert all(r.pool_ms == r.kmeans_ms == 0.0 for r in records), algorithm
-        assert untimed(run()) == untimed(records), algorithm
+            assert all(spans["pool_ms"] == spans["kmeans_ms"] == 0.0
+                       for spans in laps.rounds), algorithm
+        assert run()[-2] == records, algorithm

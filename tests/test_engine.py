@@ -1,4 +1,6 @@
+import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedme import engine, nn
+from fedme import baselines, engine, nn
 from fedme.clustering import cluster_count
 from fedme.data import Dataset, split_shard
 from fedme.engine import (ExchangePlan, FedMeConfig, RoundOverrides,
@@ -62,18 +64,39 @@ def test_model_outputs_forward_each_distinct_model_once(monkeypatch):
     assert not np.array_equal(feats[0], feats[3])
 
 
-def test_run_fedme_times_the_pool_forward_and_kmeans_of_clustered_rounds(tmp_path):
+@pytest.mark.parametrize("algorithm", ["fedme", "local_only", "centralized",
+                                       "fedavg", "hypcluster"])
+def test_laps_book_every_interval_of_a_round_once(algorithm, monkeypatch,
+                                                  tmp_path):
+    # a clock that advances 1 s per call makes every lap exactly 1000 ms
+    monkeypatch.setattr(engine, "time",
+                        SimpleNamespace(perf_counter=itertools.count().__next__))
+    lapped = []  # the round of every lap, in call order
+    lap = engine.Laps.lap
+    monkeypatch.setattr(engine.Laps, "lap", lambda self, t, span:
+                        lapped.append(t) or lap(self, t, span))
     thresholds = (3, 5)
     config = FedMeConfig(rounds=6, lr=0.05, cluster_thresholds=thresholds, seed=3)
-    _, records = engine.run_fedme(_shards(), [ARCH] * 5, _pool(), config)
-    for r in records:
-        clustered = cluster_count(r.round, thresholds, config.k_max, 5) >= 2
-        assert (r.kmeans_ms > 0) == clustered, r.round
-        assert (r.pool_ms > 0) == clustered, r.round
-    write_timings(records, tmp_path / "timings.csv")
-    lines = (tmp_path / "timings.csv").read_text().splitlines()
-    assert lines[0] == "round,client,client_ms,server_ms,train_ms,pool_ms,kmeans_ms"
-    assert len(lines) == 1 + len(records)
+    shards, archs = _shards(), [ARCH] * 5
+    run = {"fedme": lambda: engine.run_fedme(shards, archs, _pool(), config),
+           "local_only": lambda: baselines.run_local_only(shards, archs, config),
+           "centralized": lambda: baselines.run_centralized(shards, ARCH, config),
+           "fedavg": lambda: baselines.run_fedavg(shards, ARCH, config),
+           "hypcluster": lambda: baselines.run_hypcluster(shards, ARCH, config)}
+    laps = run[algorithm]()[-1]
+    assert lapped == sorted(lapped) and set(lapped) == set(range(1, 7))
+    write_timings(laps, tmp_path / "timings.csv")
+    header, *rows = [line.split(",") for line in
+                     (tmp_path / "timings.csv").read_text().splitlines()]
+    assert header == ["round", *engine.SPANS]
+    assert [int(row[0]) for row in rows] == list(range(1, 7))
+    assert sum(sum(spans.values()) for spans in laps.rounds) == 1000.0 * len(lapped)
+    for t, spans in enumerate(laps.rounds, start=1):
+        assert sum(spans.values()) == 1000.0 * lapped.count(t), t
+        clustered = (algorithm == "fedme"
+                     and cluster_count(t, thresholds, config.k_max, 5) >= 2)
+        assert (spans["pool_ms"] > 0) == clustered, t
+        assert (spans["kmeans_ms"] > 0) == clustered, t
 
 
 def test_exchange_plan_rejects_self_donor():
@@ -248,24 +271,17 @@ def test_run_fedme_deterministic():
     shards = _shards()
     archs = [ARCH] * 5
     config = FedMeConfig(rounds=3, lr=0.05, cluster_thresholds=(2,), seed=4)
-    models_a, records_a = engine.run_fedme(shards, archs, _pool(), config)
-    models_b, records_b = engine.run_fedme(shards, archs, _pool(), config)
+    models_a, records_a, _ = engine.run_fedme(shards, archs, _pool(), config)
+    models_b, records_b, _ = engine.run_fedme(shards, archs, _pool(), config)
     for ma, mb in zip(models_a, models_b):
         assert np.array_equal(ma.params, mb.params)
-    for ra, rb in zip(records_a, records_b):
-        # everything except wall-clock timings must match bit for bit
-        assert (ra.round, ra.client, ra.k, ra.cluster, ra.donor, ra.a) == \
-               (rb.round, rb.client, rb.k, rb.cluster, rb.donor, rb.a)
-        assert (ra.loss_p_train, ra.loss_ex_train, ra.loss_p_val, ra.loss_ex_val,
-                ra.val_acc, ra.test_acc) == \
-               (rb.loss_p_train, rb.loss_ex_train, rb.loss_p_val, rb.loss_ex_val,
-                rb.val_acc, rb.test_acc)
+    assert records_a == records_b
 
 
 def test_run_fedme_record_structure_and_schedule():
     shards = _shards()
     config = FedMeConfig(rounds=4, lr=0.05, cluster_thresholds=(2, 3), seed=1)
-    _, records = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
+    _, records, _ = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
     assert len(records) == 4 * 5
     by_round = {t: [r for r in records if r.round == t] for t in (1, 2, 3, 4)}
     assert all(r.k == 1 for r in by_round[1])
@@ -282,7 +298,7 @@ def test_run_fedme_heterogeneous_architectures():
     shards = _shards()
     archs = [ArchitectureSpec(2, w, 2) for w in ((4,), (4, 4), (8,), (4,), (8, 8))]
     config = FedMeConfig(rounds=2, lr=0.05, seed=2)
-    models, records = engine.run_fedme(shards, archs, _pool(), config)
+    models, records, _ = engine.run_fedme(shards, archs, _pool(), config)
     # a lineage keeps the architecture of whoever carried it; a client's final
     # model follows its selection chain back to the original owner
     a1 = {r.client: r.a for r in records if r.round == 1}
@@ -295,14 +311,14 @@ def test_run_fedme_clustering_off_keeps_k_one():
     shards = _shards()
     config = FedMeConfig(rounds=3, lr=0.05, cluster_thresholds=(2,),
                          clustering=False, seed=0)
-    _, records = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
+    _, records, _ = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
     assert all(r.k == 1 for r in records)
 
 
 def test_run_fedme_tuning_off_keeps_own_lineage():
     shards = _shards()
     config = FedMeConfig(rounds=2, lr=0.05, tuning=False, seed=0)
-    _, records = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
+    _, records, _ = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
     assert all(r.a == r.client for r in records)
 
 
@@ -311,8 +327,8 @@ def test_run_fedme_exchange_off_runs_the_empty_plan():
     archs = [ArchitectureSpec(2, w, 2) for w in ((4,), (4, 4), (8,), (4,), (8, 8))]
     config = FedMeConfig(rounds=3, lr=0.05, clustering=False, seed=6)
     no_exchange = RoundOverrides(donors=lambda t, a: {})
-    models, records = engine.run_fedme(shards, archs, _pool(), config,
-                                       no_exchange)
+    models, records, _ = engine.run_fedme(shards, archs, _pool(), config,
+                                          no_exchange)
     assert len(records) == 3 * 5
     for r in records:
         assert r.k == 1 and r.a == r.client
@@ -325,7 +341,7 @@ def test_run_fedme_exchange_off_runs_the_empty_plan():
         seen.append(loss_ex)
         return (i + 1) % 5 if t == 3 else None
 
-    moved, moved_records = engine.run_fedme(
+    moved, moved_records, _ = engine.run_fedme(
         shards, archs, _pool(), config,
         replace(no_exchange, selections=pick_next))
     assert seen == [None] * 15
@@ -349,8 +365,8 @@ def test_run_fedme_scripted_trace():
         selections=lambda t, i, lp, lex: selections[t][i])
     shards = _shards()
     config = FedMeConfig(rounds=2, lr=0.05, seed=9)
-    models, records = engine.run_fedme(shards, [ARCH] * 5, _pool(), config,
-                                       overrides)
+    models, records, _ = engine.run_fedme(shards, [ARCH] * 5, _pool(), config,
+                                          overrides)
     for r in records:
         assert r.donor == donors[r.round][r.client]
         assert r.a == selections[r.round][r.client]

@@ -161,8 +161,7 @@ def _final_records(val_accs, val_losses, rounds=3):
         return RoundRecord(round=t, client=i, k=1, cluster=None, donor=None,
                            a=None, loss_p_train=loss, loss_ex_train=None,
                            loss_p_val=loss, loss_ex_val=None, val_acc=acc,
-                           test_acc=acc, client_ms=0.0, server_ms=0.0,
-                           train_ms=0.0)
+                           test_acc=acc)
     return ([record(t, i, 1.0, 0.0) for t in range(1, rounds)
              for i in range(len(val_accs))]
             + [record(rounds, i, acc, loss) for i, (acc, loss)
@@ -287,12 +286,19 @@ def test_run_experiment_artifacts(tmp_path):
     assert len(summary) == 1 + 2 + 2  # header + repeats + mean + std
 
 
-def test_fedavg_timings_are_measured(tmp_path):
-    run_experiment(_tiny("fedavg", repeats=1), str(tmp_path))
-    rows = (tmp_path / "run_0" / "timings.csv").read_text().splitlines()[1:]
-    assert len(rows) == 2 * 4
-    assert all(float(row.split(",")[2]) > 0 for row in rows)  # client_ms
-    assert all(float(row.split(",")[4]) > 0 for row in rows)  # train_ms
+@pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+def test_timings_are_measured(tmp_path, algorithm):
+    run_experiment(_tiny(algorithm, repeats=1), str(tmp_path))
+    header, *rows = [line.split(",") for line in
+                     (tmp_path / "run_0" / "timings.csv").read_text().splitlines()]
+    assert header == ["round", "pool_ms", "kmeans_ms", "train_ms", "score_ms",
+                      "server_ms"]
+    spans = [dict(zip(header, map(float, row))) for row in rows]
+    assert [s["round"] for s in spans] == [1.0, 2.0]  # one row per round
+    assert all(s["train_ms"] > 0 and s["score_ms"] > 0 and s["server_ms"] > 0
+               for s in spans)
+    if algorithm != "fedme":
+        assert all(s["pool_ms"] == s["kmeans_ms"] == 0 for s in spans)
 
 
 def test_run_experiment_byte_identical_logs(tmp_path):

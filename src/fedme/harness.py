@@ -66,7 +66,6 @@ class ExperimentConfig(FedMeConfig):
     # protocol
     fine_tune_epochs: int = 5
     repeats: int = 5
-    sample_std: bool = False
 
 
 _DEFAULTS = ExperimentConfig(algorithm="fedme")
@@ -389,8 +388,9 @@ class SummaryReport:
                 f"{self.std_pre_ft:.4f})")
 
 
-def _std(values, sample: bool) -> float:
-    return float(np.std(values, ddof=1 if sample and len(values) > 1 else 0))
+def _std(values) -> float:
+    """Population standard deviation (ddof 0) of the repeats."""
+    return float(np.std(values))
 
 
 def _federations(config: ExperimentConfig) -> list:
@@ -426,8 +426,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     report = SummaryReport(
         algorithm=config.algorithm,
         per_repeat=finals,
-        mean=float(np.mean(finals)), std=_std(finals, config.sample_std),
-        mean_pre_ft=float(np.mean(pre)), std_pre_ft=_std(pre, config.sample_std),
+        mean=float(np.mean(finals)), std=_std(finals),
+        mean_pre_ft=float(np.mean(pre)), std_pre_ft=_std(pre),
         runtime_s=time.perf_counter() - start)
     if out_dir is not None:
         lines = ["repeat,test_acc,test_acc_pre_ft"]

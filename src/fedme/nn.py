@@ -4,14 +4,14 @@ A model is its parameters: an architecture and a flat float64 vector, exactly
 what a checkpoint stores. Momentum exists only inside `train`, the one
 training loop, which gives each model it steps a zero buffer and updates
 parameters in place, so callers copy a model first when the original must
-survive. `train` runs many models in lockstep: at each tick, the models of
-one architecture and loss share one stacked step, short batches padded, with
-the bits of stepping each model alone. Its kernels return gradients only;
-losses are computed where they are reported (`evaluate_splits`). There is
-one forward pass, `_forward_cached`, on a stack of models; `forward` runs it
-on a stack of one. Every other operation is pure; the public `sgd_step`
-takes the momentum buffer as an argument and returns stepped copies of the
-model and the buffer.
+survive. `train` runs many models of one input width in lockstep: at each
+tick, the models of one architecture and loss share one stacked step on the
+rows of one data stack, short batches padded, with the bits of stepping each
+model alone. Its kernels return gradients only; losses are computed where
+they are reported (`evaluate_splits`). There is one forward pass,
+`_forward_cached`, on a stack of models; `forward` runs it on a stack of one.
+Every other operation is pure; the public `sgd_step` takes the momentum
+buffer as an argument and returns stepped copies of the model and the buffer.
 """
 from __future__ import annotations
 
@@ -368,14 +368,16 @@ def train(jobs: list[Job], params) -> None:
     mutual learning when `params.dml`, otherwise by its own cross-entropy.
 
     Every model ends with the bits of training its job alone, batch by batch.
-    The jobs run in lockstep, in cohorts of at most `COHORT_BYTES` of
-    parameters: at each tick, the models stepping a batch of the same
-    architecture and loss form one stack for the kernels and the update.
-    Its batches are padded to the longest one's row count (the longest of
-    all the tick's DML stacks, for DML), and every matrix product and row
-    sum of a shorter batch is redone at its own row count
+    The jobs of one call share one input width, as the clients of one
+    federation do. They run in lockstep, in cohorts of at most
+    `COHORT_BYTES` of parameters: each cohort stacks its rows once, and the
+    models of one architecture and loss once, so at each tick the models
+    stepping a batch form a prefix of their stack for the kernels and the
+    update. Its batches are padded to the longest one's row count (the
+    longest of all the tick's DML stacks, for DML), and every matrix product
+    and row sum of a shorter batch is redone at its own row count
     (`_forward_cached`, `_backprop`), which keeps the bits. Each model's
-    `params` is rebound to a row of its cohort's stack.
+    `params` is rebound to a row of its stack.
     Every job and hyperparameter is checked before any job trains.
     """
     if params.batch_size < 1:
@@ -393,6 +395,10 @@ def train(jobs: list[Job], params) -> None:
                 seen.add(id(model))
         if job.peer is not None and not job.model.arch.compatible_with(job.peer.arch):
             raise DimensionError("models do not share input_dim / num_classes")
+        if job.model.arch.input_dim != jobs[0].model.arch.input_dim:
+            raise DimensionError(f"the jobs of one call share one input width: "
+                                 f"input_dim {job.model.arch.input_dim} after "
+                                 f"{jobs[0].model.arch.input_dim}")
         X, y = _checked_rows(job.model.arch, job.features, job.labels)
         checked.append(job._replace(features=X, labels=y))
     if params.epochs == 0:
@@ -417,16 +423,13 @@ def _cohorts(jobs: list[Job]):
 
 
 class _Block(NamedTuple):
-    """The models of one architecture and loss in a cohort: rows
-    `lo:lo + rows` of the architecture's stack, largest jobs first, so that
-    the models stepping at a tick are a prefix and the models of one job's
-    size are consecutive."""
+    """The models of one architecture and loss in a cohort as the rows of one
+    stack, largest jobs first, so that the models stepping at a tick are a
+    prefix and the models of one job's size are consecutive."""
 
     arch: ArchitectureSpec
-    params: np.ndarray   # the architecture's (N, P) stack
+    params: np.ndarray   # the block's (N, P) stack
     buf: np.ndarray      # its momentum buffers
-    lo: int
-    rows: int
     dml: bool
 
 
@@ -441,9 +444,8 @@ def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarr
     Returns one list per tick of the steps of the blocks stepping at it, in
     block order, each (block, rows, picks, shorts, peers):
 
-    - `rows`, the slice of the block's stack whose models step: a prefix of
-      the block's rows, as each row's job steps `epochs * ceil(n / size)`
-      batches;
+    - `rows`, the prefix `slice(c)` of the block's stack whose models step,
+      as each row's job steps `epochs * ceil(n / size)` batches;
     - `picks`, the (C, b) rows of the cohort's data that form each model's
       batch, the positions `order` holds for it, padded to `b` rows by
       repeating its last one. `b` is the longest batch of the block at the
@@ -454,7 +456,7 @@ def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarr
       probabilities of the tick's DML blocks, stacked in block order; None
       otherwise.
     """
-    sizes = np.array([blk.rows for blk in blocks])
+    sizes = np.array([len(blk.params) for blk in blocks])
     top = np.cumsum(sizes) - sizes
     block_of = np.repeat(np.arange(len(blocks)), sizes)
     batches = -(-n // size)
@@ -512,64 +514,53 @@ def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarr
             seg_block.tolist(), seg_tick.tolist(), start.tolist(),
             (start + active).tolist(), padded.tolist())):
         blk = blocks[b]
-        steps[t].append((blk, slice(blk.lo, blk.lo + e - s), picks[s:e, :p],
+        steps[t].append((blk, slice(e - s), picks[s:e, :p],
                          shorts[g], peers[s:e] if blk.dml else None))
     return steps
 
 
 def _train_cohort(jobs: list[Job], params) -> None:
-    """`train` on one cohort: each architecture's models as rows of one
-    stack, stepped tick by tick as `_plan` schedules them."""
+    """`train` on one cohort: the models of each architecture and loss as
+    the rows of one stack, stepped tick by tick as `_plan` schedules them."""
     hyper = (params.lr, params.momentum, params.weight_decay)
     # every job's batches, drawn up front: one permutation per epoch, kept
-    # with all the others as one array of positions in the rows of its
-    # input width, stacked once however many jobs train on them
-    parts, stacked, order, base = {}, {}, [], {}
+    # with all the others as one array of positions in the cohort's rows,
+    # where the rows of jobs that share them are stacked once
+    features, labels, order, base, top = [], [], [], {}, 0
     for job in jobs:
-        dim = job.model.arch.input_dim
-        features, labels = parts.setdefault(dim, ([], []))
         key = (id(job.features), id(job.labels))
         if key not in base:
-            base[key] = stacked.get(dim, 0)
-            stacked[dim] = base[key] + len(job.labels)
+            base[key], top = top, top + len(job.labels)
             features.append(job.features)
             labels.append(job.labels)
         order += [job.rng.permutation(len(job.labels)) + base[key]
                   for _ in range(params.epochs)]
-    data = {dim: (np.concatenate(features), np.concatenate(labels))
-            for dim, (features, labels) in parts.items()}
+    X, Y = np.concatenate(features), np.concatenate(labels)
     order = np.concatenate(order)
     n = np.array([len(job.labels) for job in jobs])
     first = np.concatenate(([0], np.cumsum(n * params.epochs)[:-1]))
 
     # the cohort's models, a job's model before its peer; DML partners
     # point at each other, and every other model at itself
-    models, job_of, dml_of, partner = [], [], [], []
+    models, job_of, partner, by_block = [], [], [], {}
     for j, job in enumerate(jobs):
         dml = job.peer is not None and params.dml
         pair = [job.model] if job.peer is None else [job.model, job.peer]
         own = list(range(len(models), len(models) + len(pair)))
         partner += own[::-1] if dml else own
+        for e, m in zip(own, pair):
+            by_block.setdefault((m.arch, dml), []).append(e)
         models += pair
         job_of += [j] * len(pair)
-        dml_of += [dml] * len(pair)
-    by_arch = {}
-    for e, m in enumerate(models):
-        by_arch.setdefault(m.arch, []).append(e)
     blocks, ordered = [], []  # and each block's models, block after block
-    for arch, members in by_arch.items():
-        members.sort(key=lambda e: (dml_of[e], -n[job_of[e]]))
+    for (arch, dml), members in by_block.items():
+        members.sort(key=lambda e: -n[job_of[e]])
         stack = np.empty((len(members), arch.parameter_count()))
         for row, e in enumerate(members):  # frees each original as it goes
             stack[row] = models[e].params
             models[e].params = stack[row]
-        buf = np.zeros_like(stack)
-        for dml in (False, True):
-            rows = [e for e in members if dml_of[e] == dml]
-            if rows:
-                blocks.append(_Block(arch, stack, buf, members.index(rows[0]),
-                                     len(rows), dml))
-                ordered += rows
+        blocks.append(_Block(arch, stack, np.zeros_like(stack), dml))
+        ordered += members
     place = np.empty(len(models), dtype=np.int64)
     place[ordered] = np.arange(len(ordered))
     jb = np.array(job_of)[ordered]
@@ -579,9 +570,8 @@ def _train_cohort(jobs: list[Job], params) -> None:
 
     def padded_pass(blk, rows, picks, shorts):
         """The block's stacked forward pass on its planned batches."""
-        X, y = data[blk.arch.input_dim]
         W = blk.params[rows]
-        return W, _forward_cached(blk.arch, W, X[picks], shorts), y[picks]
+        return W, _forward_cached(blk.arch, W, X[picks], shorts), Y[picks]
 
     for steps in plan:
         # a DML model reads its partner's probabilities, so every DML stack

@@ -445,8 +445,8 @@ def test_grid_search_checks_every_point_before_training(monkeypatch):
     assert not trained
 
 
-def test_std_population_vs_sample():
+def test_std_is_the_population_std():
     vals = [0.1, 0.2, 0.3]
-    assert harness._std(vals, False) == pytest.approx(np.std(vals))
-    assert harness._std(vals, True) == pytest.approx(np.std(vals, ddof=1))
-    assert harness._std([0.5], True) == 0.0
+    assert harness._std(vals) == pytest.approx(np.std(vals))
+    assert harness._std(vals) != pytest.approx(np.std(vals, ddof=1))
+    assert harness._std([0.5]) == 0.0

@@ -313,25 +313,22 @@ def test_lockstep_train_matches_pure_step_oracle_bitwise(data):
                          lr=0.1, momentum=0.9, weight_decay=1e-3,
                          dml=data.draw(st.booleans(), label="dml"))
     menu = st.sampled_from(LOCKSTEP_MENU)
-    # (widths, peer widths or None, train rows, seed, wider input) per job;
-    # jobs of two input widths share the call
+    # (widths, peer widths or None, train rows, seed) per job
     specs = data.draw(st.lists(
-        st.tuples(menu, st.none() | menu, st.integers(1, 90),
-                  st.integers(0, 2**16), st.booleans()),
+        st.tuples(menu, st.none() | menu, st.integers(1, 90), st.integers(0, 2**16)),
         min_size=1, max_size=12), label="jobs")
 
     def jobs():
         made = []
-        for widths, peer_widths, n, seed, wider in specs:
+        for widths, peer_widths, n, seed in specs:
             rng = np.random.default_rng(seed)
-            width = dim + 3 if wider else dim
-            arch = ArchitectureSpec(width, widths, classes, activation)
+            arch = ArchitectureSpec(dim, widths, classes, activation)
             peer = None
             if peer_widths is not None:
-                peer = nn.init_model(ArchitectureSpec(width, peer_widths, classes,
+                peer = nn.init_model(ArchitectureSpec(dim, peer_widths, classes,
                                                       activation), seed + 1)
             made.append(nn.Job(nn.init_model(arch, seed), peer,
-                               rng.normal(size=(n, width)),
+                               rng.normal(size=(n, dim)),
                                rng.integers(0, classes, size=n),
                                np.random.default_rng(seed + 2)))
         return made
@@ -369,11 +366,12 @@ def test_lockstep_train_matches_pure_step_oracle_bitwise(data):
 
 
 def _jobs(archs, sizes, seed, peer_archs=None):
-    """One job per (arch, train size), with a peer of `peer_archs`' arch."""
+    """One job per (arch, train size), with a peer of `peer_archs`' arch
+    where that is not None."""
     made = []
     for i, (arch, n) in enumerate(zip(archs, sizes)):
         rng = np.random.default_rng([seed, i])
-        peer = (None if peer_archs is None
+        peer = (None if peer_archs is None or peer_archs[i] is None
                 else nn.init_model(peer_archs[i], seed + 1000 + i))
         made.append(nn.Job(nn.init_model(arch, seed + i), peer,
                            rng.normal(size=(n, arch.input_dim)),
@@ -485,6 +483,19 @@ def test_dml_blocks_share_the_longest_batch_of_the_tick_across_architectures(mon
     assert stacks == full + tick_1 + full + tick_1
 
 
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+def test_dml_and_ce_jobs_of_one_architecture_keep_their_bits(activation):
+    # as a donor map that leaves clients out makes: DML jobs and CE jobs of
+    # one architecture in one call, each loss's models in a stack of its own
+    arch = ArchitectureSpec(3, (5,), 3, activation)
+    peers = [arch, None, ArchitectureSpec(3, (4, 4), 3, activation), None, arch]
+    sizes = [25, 40, 33, 7, 20]
+    params = FedMeConfig(epochs=2, batch_size=10, lr=0.1, momentum=0.9,
+                         weight_decay=1e-3, dml=True)
+    assert (_trained_bytes([arch] * 5, sizes, params, peers)
+            == _oracle_bytes([arch] * 5, sizes, params, peers))
+
+
 def _plan_oracle(blocks, n, first, mate, order, size, epochs):
     """The schedule `_plan` computes, worked out tick by tick: each block's
     batches, padding and short runs by the formulas the tick loop applied
@@ -496,7 +507,7 @@ def _plan_oracle(blocks, n, first, mate, order, size, epochs):
         return [(slice(a, b), int(counts[a])) for a, b in zip(edges[:-1], edges[1:])
                 if counts[a] < padded]
 
-    tops = np.cumsum([0] + [blk.rows for blk in blocks])
+    tops = np.cumsum([0] + [len(blk.params) for blk in blocks])
     ticks = epochs * -(-n // size)
     steps = []
     for t in range(int(ticks.max(initial=0))):
@@ -526,7 +537,7 @@ def _plan_oracle(blocks, n, first, mate, order, size, epochs):
                 mates = mate[tops[b]:tops[b] + active]
                 owner = np.searchsorted(tops, mates, side="right") - 1
                 peers = np.array([offset[o] + m - tops[o] for o, m in zip(owner, mates)])
-            tick.append((blk, slice(blk.lo, blk.lo + active), order[at[:, None] + pad],
+            tick.append((blk, slice(active), order[at[:, None] + pad],
                          short_runs(counts, padded), peers))
         steps.append(tick)
     return steps
@@ -629,6 +640,17 @@ def test_train_rejects_bad_hyperparameters_before_any_job_trains(field, value):
     with pytest.raises(ValueError, match=field):
         nn.train(made, params)
     assert made[0].model.params.tobytes() == before
+
+
+def test_train_rejects_jobs_of_two_input_widths_before_any_job_trains(monkeypatch):
+    # one job per cohort: the first job's cohort would train before the
+    # second's failed
+    monkeypatch.setattr(nn, "COHORT_BYTES", 1)
+    made = _jobs([ArchitectureSpec(3, (5,), 3), ArchitectureSpec(5, (5,), 3)], [9, 9], 4)
+    before = [job.model.params.tobytes() for job in made]
+    with pytest.raises(nn.DimensionError, match="input width"):
+        nn.train(made, FedMeConfig(epochs=1, batch_size=4, lr=0.1))
+    assert [job.model.params.tobytes() for job in made] == before
 
 
 def test_sgd_step_is_exact_and_leaves_its_arguments_unchanged():

@@ -8,7 +8,7 @@ the direct squared distance E: E(x, y) and E(y, x) have the same bits, as
 x - y is -(y - x) exactly; and a row's E has the same bits whichever other
 rows it is computed with, as each row is reduced on its own. k-means++
 seeding reads its distances from a table of distinct pairs, each filled in
-once, on first use.
+once, on first use, and its picks are held as point indices.
 
 Lloyd steps give each point the centroid of least E, first on ties. A
 centroid is the mean of its m members, so its exact value is c = sum_q w_q x_q
@@ -28,6 +28,38 @@ tol = 2b of the row's best has a larger E than that best, so E decides among
 the others: exact argmin. The tiny term covers products that underflow. As
 the weights sum to 1, every intermediate stays below 3 M^2, within the
 4 n M^2 that `kmeans` checks is finite.
+
+So Lloyd holds each centroid as its weights and its member list. Its stored
+value, `points[members].mean(axis=0)` (`_mean`; a seed's or a repair's is
+its point), is taken only where a direct distance needs it: to settle a
+near-tie, to repair an empty cluster, and where neither certificate below
+decides. Both certificates are evaluated with twice each rounding term (the
+shift's also with a relative margin of 1e-9, against the rounding of its own
+test); underflowing products move them by far less than that.
+- Shift. A restart stops once no centroid's stored value moves by SHIFT_TOL
+  or more in any coordinate; only centroids whose members changed can move.
+  For one with old and new weights w, w', the computed delta = w' - w is
+  within u (2 + u)(w + w') of the exact change, so with X the distinct rows
+  the exact means move by |X^T delta|_2 - 4.01 u M or more. The computed
+  delta.(G delta) is within gamma_(d+2v+1) N^2 of |X^T delta|_2^2, with
+  N = sum_q |delta_q| |x_q|. Each stored value is within gamma_n M of its
+  exact mean in every coordinate, and |z|_inf >= |z|_2 / sqrt(d). So the
+  stored value moved by SHIFT_TOL or more if
+  delta.(G delta) - gamma_(d+2v+1) N^2 >= (sqrt(d) (SHIFT_TOL + 2 gamma_n M)
+  + 4.01 u M)^2. One such centroid keeps the restart going; where none
+  qualifies, the stored values decide.
+- Inertia. A restart's inertia is the rounded sum of its n points' E. Each
+  E is within tol / 4 of its final rank plus the exact |x|^2, and the
+  computed |x|^2 and the sum rank + |x|^2 round off by far less than another
+  tol / 4; an n-term sum rounds off by at most gamma_n times the sum of its
+  terms' magnitudes. So with R_i the computed rank plus |x_i|^2, the inertia
+  lies within sum_i tol_i / 2 + 2 gamma_n (sum_i |R_i| + tol_i / 2) of
+  sum_i R_i.
+  A restart replaces the best so far when its interval lies below the
+  best's, and not when it lies at or above it. Where the intervals overlap
+  and each point's centroid has the same members in both runs, the inertias
+  have the same bits, so the best stays; otherwise both are taken exactly.
+  The returned inertia is the best's exact one.
 """
 from __future__ import annotations
 
@@ -74,8 +106,9 @@ def distinct_rows(bits, keys) -> tuple[np.ndarray, np.ndarray]:
 
 class _Rows:
     """The distinct rows of one `kmeans` call's points, shared by its restarts:
-    each point's distinct id, the rows' Gram matrix and rank tolerances, and
-    the table of their pair distances (see the module docstring)."""
+    each point's distinct id, the rows' Gram matrix, rank tolerances and
+    certificate constants, and the table of their pair distances (see the
+    module docstring)."""
 
     def __init__(self, points: np.ndarray, sq_norms: np.ndarray):
         self.points = points
@@ -87,8 +120,22 @@ class _Rows:
         x = np.take(points, self.first, axis=0, out=self.buf[:v], mode="clip")
         self.gram = x @ x.T
         n, d = points.shape
-        norms, fp = np.sqrt(sq_norms[self.first]), np.finfo(np.float64)
-        self.tol = 4 * (d + 2 * n + 4) * (fp.eps * (norms + norms.max()) ** 2 + fp.tiny)
+        fp = np.finfo(np.float64)
+        self.sq_norms = sq_norms[self.first]
+        self.norms = np.sqrt(self.sq_norms)
+        big = self.norms.max()
+        self.tol = 4 * (d + 2 * n + 4) * (fp.eps * (self.norms + big) ** 2 + fp.tiny)
+
+        def gamma(j):
+            return j * fp.epsneg / (1 - j * fp.epsneg)
+
+        # shift: delta.(G delta) - shift_coef N^2 >= shift_floor proves a move
+        self.shift_coef = 2 * gamma(d + 2 * v + 1)
+        self.shift_floor = (np.sqrt(d) * (SHIFT_TOL + 4 * gamma(n) * big + 2 * fp.tiny)
+                            + 8 * fp.epsneg * big) ** 2 * (1 + 1e-9)
+        # inertia: the interval's radius is spread_base + spread_coef sum |R_i|
+        self.spread_coef = 4 * gamma(n + 1)
+        self.spread_base = self.tol[self.inverse].sum() * (1 + self.spread_coef)
         self._table = np.zeros((v, v))
         self._done = np.zeros(v, dtype=bool)
 
@@ -106,23 +153,69 @@ class _Rows:
         return self._table[q, self.inverse]
 
 
-def _nearest(rows: _Rows, centroids: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _mean(rows: _Rows, members: np.ndarray) -> np.ndarray:
+    """points[members].mean(axis=0), with the copy made in the rows' buffer."""
+    return np.take(rows.points, members, axis=0, out=rows.buf[:len(members)],
+                   mode="clip").mean(axis=0)
+
+
+class _Centroids:
+    """Lloyd's k centroids, each held as its weights over the distinct rows
+    and its member points; a seed or a repair has its point as its one
+    member. A value is taken on first use, and kept."""
+
+    def __init__(self, rows: _Rows, members: list, weights: np.ndarray, values: list):
+        self.rows, self.members, self.weights, self._values = rows, members, weights, values
+
+    @classmethod
+    def at_points(cls, rows: _Rows, picks: list) -> _Centroids:
+        picks = np.array(picks)
+        weights = np.zeros((len(picks), len(rows.first)))
+        weights[np.arange(len(picks)), rows.inverse[picks]] = 1.0
+        return cls(rows, list(picks[:, None]), weights, [None] * len(picks))
+
+    def copy(self) -> _Centroids:
+        return _Centroids(self.rows, self.members.copy(), self.weights.copy(),
+                          self._values.copy())
+
+    def set(self, j: int, members: np.ndarray) -> None:
+        self.members[j], self._values[j] = members, None
+        self.weights[j] = np.bincount(self.rows.inverse[members],
+                                      minlength=self.weights.shape[1]) / len(members)
+
+    def value(self, j: int) -> np.ndarray:
+        if self._values[j] is None:
+            m = self.members[j]
+            # a one-row mean has the row's bits
+            self._values[j] = self.rows.points[m[0]] if len(m) == 1 else _mean(self.rows, m)
+        return self._values[j]
+
+    def gather(self, assignments: np.ndarray) -> np.ndarray:
+        """Each point's centroid value, gathered into the rows' buffer."""
+        values = np.empty((len(self.members), self.rows.points.shape[1]))
+        for j in set(assignments.tolist()):
+            values[j] = self.value(j)
+        return np.take(values, assignments, axis=0, out=self.rows.buf, mode="clip")
+
+
+def _nearest(rows: _Rows, cents: _Centroids):
     """Each distinct row's nearest centroid by direct distance, ranked in the
-    Gram form (see the module docstring)."""
+    Gram form (see the module docstring); returns it and the ranks."""
+    weights = cents.weights
     dots = rows.gram @ weights.T
     ranks = np.einsum("jq,qj->j", weights, dots) - 2.0 * dots
     near = ranks <= (ranks.min(axis=1) + rows.tol)[:, None]
     assignments = near.argmax(axis=1)
     for i in (near.sum(axis=1) > 1).nonzero()[0]:
         cand = near[i].nonzero()[0]
+        values = np.array([cents.value(j) for j in cand])
         point = rows.points[rows.first[i]]
-        assignments[i] = cand[_sq_dist(centroids[cand], point, rows.buf).argmin()]
-    return assignments
+        assignments[i] = cand[_sq_dist(values, point, rows.buf).argmin()]
+    return assignments, ranks
 
 
-def _kmeans_pp_init(rows: _Rows, k: int, rng: np.random.Generator):
-    """k-means++ seeding. Every centre it picks is a point; returns the
-    centres and their weights over the distinct rows."""
+def _kmeans_pp_init(rows: _Rows, k: int, rng: np.random.Generator) -> list:
+    """k-means++ seeding; returns the indices of the points it picks."""
     n = len(rows.points)
     picks = [rng.integers(n)]
     d2 = rows.dist_to(picks[0])
@@ -133,52 +226,99 @@ def _kmeans_pp_init(rows: _Rows, k: int, rng: np.random.Generator):
             continue
         picks.append(rng.choice(n, p=d2 / total))
         d2 = np.minimum(d2, rows.dist_to(picks[-1]))
-    weights = np.zeros((k, len(rows.first)))
-    weights[np.arange(k), rows.inverse[picks]] = 1.0
-    return rows.points[picks], weights
+    return picks
 
 
-def _lloyd(rows: _Rows, k: int, rng: np.random.Generator):
+def _moved(old: _Centroids, new: _Centroids, changed: list) -> bool:
+    """Whether some stored value moved by SHIFT_TOL or more in a coordinate."""
+    return any(np.abs(new.value(j) - old.value(j)).max() >= SHIFT_TOL for j in changed)
+
+
+def _shifted(rows: _Rows, old: _Centroids, new: _Centroids, changed: list) -> bool:
+    """Whether the centroids moved by SHIFT_TOL or more: proved from the Gram
+    form for all centroids at once where it can be, else taken on the changed
+    ones' values (see the module docstring). The others have delta = 0."""
+    delta = new.weights - old.weights
+    sq = np.einsum("jq,jq->j", delta @ rows.gram, delta)
+    spread = np.abs(delta) @ rows.norms
+    if (sq - rows.shift_coef * spread * spread >= rows.shift_floor).any():
+        return True
+    return _moved(old, new, changed)
+
+
+def _inertia(rows: _Rows, cents: _Centroids, assignments: np.ndarray) -> float:
+    gathered = cents.gather(assignments)
+    return float(_sq_dist(rows.points, gathered, rows.buf).sum())
+
+
+class _Run:
+    """One restart's assignments and centroids, and an interval [lo, hi] that
+    holds its inertia; the inertia itself is taken on first use."""
+
+    def __init__(self, rows: _Rows, cents: _Centroids, nearest: np.ndarray,
+                 ranks: np.ndarray):
+        self.rows, self.cents = rows, cents
+        self.assignments = nearest[rows.inverse]
+        dists = (ranks[np.arange(len(nearest)), nearest] + rows.sq_norms)[rows.inverse]
+        radius = rows.spread_base + rows.spread_coef * np.abs(dists).sum()
+        centre = dists.sum()
+        self.lo, self.hi, self._inertia = centre - radius, centre + radius, None
+
+    def inertia(self) -> float:
+        if self._inertia is None:
+            self._inertia = _inertia(self.rows, self.cents, self.assignments)
+        return self._inertia
+
+    def below(self, other: _Run) -> bool:
+        """Whether this run's inertia is less than the other's."""
+        if self.hi < other.lo:
+            return True
+        if self.lo >= other.hi:
+            return False
+        pairs = set(zip(self.assignments.tolist(), other.assignments.tolist()))
+        if all(self.cents.members[j].tobytes() == other.cents.members[l].tobytes()
+               for j, l in pairs):
+            return False  # each point's centroid has the same members: equal inertias
+        return self.inertia() < other.inertia()
+
+
+def _lloyd(rows: _Rows, k: int, rng: np.random.Generator) -> _Run:
     points, inverse, buf = rows.points, rows.inverse, rows.buf
-    centroids, weights = _kmeans_pp_init(rows, k, rng)
-    assignments = _nearest(rows, centroids, weights)[inverse]
+    cents = _Centroids.at_points(rows, _kmeans_pp_init(rows, k, rng))
+    nearest, ranks = _nearest(rows, cents)
+    assignments = nearest[inverse]
     # the centroids that may not be the mean of their members in `assignments`
     stale = np.ones(k, dtype=bool)
     for _ in range(MAX_ITER):
         counts = np.bincount(assignments, minlength=k)
         if not stale.any() and counts.all():
             break  # the means would not move: a shift of 0
-        new_centroids, new_weights = centroids.copy(), weights.copy()
-        for j in (stale & (counts > 0)).nonzero()[0]:
-            members = (assignments == j).nonzero()[0]
-            # points[members].mean(axis=0), with the copy made in `buf`
-            new_centroids[j] = np.take(points, members, axis=0, out=buf[:len(members)],
-                                       mode="clip").mean(axis=0)
-            new_weights[j] = np.bincount(inverse[members],
-                                         minlength=weights.shape[1]) / len(members)
+        new = cents.copy()
+        changed = (stale & (counts > 0)).nonzero()[0].tolist()
+        for j in changed:
+            new.set(j, (assignments == j).nonzero()[0])
         means_of, stale = assignments, counts == 0
         if stale.any():
             # repair empty clusters with the point farthest from its own centroid
             assignments = assignments.copy()
             for j in range(k):
                 if not (assignments == j).any():
-                    gathered = np.take(centroids, assignments, axis=0, out=buf, mode="clip")
+                    gathered = cents.gather(assignments)
                     farthest = int(_sq_dist(points, gathered, buf).argmax())
                     assignments[farthest] = j
-                    new_centroids[j] = points[farthest]
-                    new_weights[j] = 0.0
-                    new_weights[j, inverse[farthest]] = 1.0
+                    new.set(j, np.array([farthest]))
                     stale[j] = True
-        shift = np.abs(new_centroids - centroids).max()
-        centroids, weights = new_centroids, new_weights
-        assignments = _nearest(rows, centroids, weights)[inverse]
-        if shift < SHIFT_TOL:
+                    changed.append(j)
+        shifted = _shifted(rows, cents, new, changed)
+        cents = new
+        nearest, ranks = _nearest(rows, cents)
+        assignments = nearest[inverse]
+        if not shifted:
             break
         # the same members give the same mean, bit for bit
         moved = assignments != means_of
         stale[assignments[moved]] = stale[means_of[moved]] = True
-    gathered = np.take(centroids, assignments, axis=0, out=buf, mode="clip")
-    return assignments, float(_sq_dist(points, gathered, buf).sum())
+    return _Run(rows, cents, nearest, ranks)
 
 
 def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 8):
@@ -198,7 +338,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 8):
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        assignments, inertia = _lloyd(rows, k, rng)
-        if best is None or inertia < best[1]:
-            best = (assignments, inertia)
-    return best
+        run = _lloyd(rows, k, rng)
+        if best is None or run.below(best):
+            best = run
+    return best.assignments, best.inertia()

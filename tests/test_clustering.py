@@ -220,13 +220,84 @@ def test_kmeans_matches_the_direct_distance_oracle_bit_for_bit(
     _assert_matches_oracle(points, min(k, n), seed, restarts)
 
 
-def test_kmeans_matches_the_oracle_at_fedme_many_size():
+def _fedme_many_points():
     # 48 clients' prediction vectors over a 1000-row pool of 4 classes; the
     # clients of one lineage share a model, so some vectors repeat
     rng = np.random.default_rng(48)
     distinct = rng.dirichlet(np.full(4, 0.5), size=(30, 1000)).reshape(30, 4000)
-    points = distinct[rng.integers(0, 30, size=48)]
-    _assert_matches_oracle(points, 8, seed=3, restarts=8)
+    return distinct[rng.integers(0, 30, size=48)]
+
+
+def test_kmeans_matches_the_oracle_at_fedme_many_size():
+    _assert_matches_oracle(_fedme_many_points(), 8, seed=3, restarts=8)
+
+
+def _counter(monkeypatch, owner, name, within=None):
+    """Count the calls of owner.name; with `within`, the name of a clustering
+    function, only the calls made while that function runs."""
+    calls, active = [0], [within is None]
+    wrapped = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += active[0]
+        return wrapped(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    if within is not None:
+        outer = getattr(clustering, within)
+
+        def flagged(*args):
+            active[0] = True
+            try:
+                return outer(*args)
+            finally:
+                active[0] = False
+
+        monkeypatch.setattr(clustering, within, flagged)
+    return calls
+
+
+def test_kmeans_takes_at_most_k_member_means_per_restart(monkeypatch):
+    # a centroid's mean is taken only where a direct distance needs it. Here
+    # no near-tie, repair or inconclusive shift bound needs one, and no two
+    # restarts' inertia intervals overlap: only the best restart's k are taken
+    means = _counter(monkeypatch, clustering, "_mean")
+    ties = _counter(monkeypatch, clustering, "_sq_dist", within="_nearest")
+    repairs = _counter(monkeypatch, clustering._Centroids, "gather", within="_lloyd")
+    shifts = _counter(monkeypatch, clustering, "_moved")
+    kmeans(_fedme_many_points(), 8, seed=3, restarts=8)
+    assert ties[0] == repairs[0] == shifts[0] == 0
+    assert 0 < means[0] <= 8
+
+
+_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("points, k, seed, restarts, counted, within", [
+    # a corner's two nearest corners tie, as do opposite corners' centroids
+    pytest.param(_SQUARE, 2, 0, 4, "_sq_dist", "_nearest", id="near-tie"),
+    # three distinct rows for five clusters: seeding repeats a point
+    pytest.param(np.random.default_rng(3).normal(size=(3, 5))[[0, 1, 2, 0, 1, 2, 0, 0]],
+                 5, 2, 4, "gather", "_lloyd", id="repair"),
+    # rows 1e-13 apart move the means far less than the shift bound resolves
+    pytest.param(np.random.default_rng(1).normal(size=(1, 5))
+                 + 1e-13 * np.random.default_rng(2).normal(size=(12, 5)),
+                 3, 0, 2, "_moved", None, id="shift-jitter"),
+    # three copies of a row: their mean is an ulp off the row, weights equal
+    pytest.param(np.array([[0.1] * 3] * 3 + [[5.0] * 3]), 2, 0, 1, "_moved", None,
+                 id="shift-one-ulp"),
+    # left-right and top-bottom halves: other members, the same inertia
+    pytest.param(_SQUARE, 2, 1, 4, "_inertia", None, id="overlapping-inertias"),
+])
+def test_kmeans_fallbacks_match_the_oracle(monkeypatch, points, k, seed, restarts,
+                                           counted, within):
+    owner = clustering._Centroids if counted == "gather" else clustering
+    calls = _counter(monkeypatch, owner, counted, within)
+    assignments, inertia = kmeans(points, k, seed, restarts)
+    # the best restart's inertia is always taken once; a second is an overlap
+    assert calls[0] >= (2 if counted == "_inertia" else 1)
+    want_assignments, want_inertia = _oracle_kmeans(points, k, seed, restarts)
+    assert np.array_equal(assignments, want_assignments) and inertia == want_inertia
 
 
 @settings(max_examples=150, deadline=None)

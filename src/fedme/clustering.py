@@ -215,17 +215,19 @@ def _nearest(rows: _Rows, cents: _Centroids):
 
 
 def _kmeans_pp_init(rows: _Rows, k: int, rng: np.random.Generator) -> list:
-    """k-means++ seeding; returns the indices of the points it picks."""
+    """k-means++ seeding; returns the indices of the points it picks. The
+    last pick's distances are never read, so they are not computed."""
     n = len(rows.points)
     picks = [rng.integers(n)]
     d2 = rows.dist_to(picks[0])
-    for _ in range(1, k):
+    for j in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             picks.append(rng.integers(n))
             continue
         picks.append(rng.choice(n, p=d2 / total))
-        d2 = np.minimum(d2, rows.dist_to(picks[-1]))
+        if j < k - 1:
+            d2 = np.minimum(d2, rows.dist_to(picks[-1]))
     return picks
 
 

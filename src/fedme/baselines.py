@@ -16,19 +16,15 @@ from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, Laps, RoundOverrides,
                      RoundRecord, derive_seed, run_fedme)
 from .nn import ArchitectureSpec, Model
 
-FEDAVG_WEIGHTINGS = ("size", "uniform")
-HYPCLUSTER_CRITERIA = ("loss", "accuracy")
-
 
 def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
-                       arch: ArchitectureSpec, config: FedMeConfig,
-                       weights: list[float], q: int = 1, criterion: str = "loss"):
+                       arch: ArchitectureSpec, config: FedMeConfig, q: int = 1):
     """The server keeps q global models. Every round each training unit i
     trains a copy of one on `train_sets[i]` (when q > 1, the one that best fits
-    `shards[i]`'s validation split), and each model becomes the `weights`-mean
-    of its returned copies, or is carried over if none came back. All units
-    train in one lockstep `nn.train` call a round. Returns (global models,
-    per-shard choice, round records, laps)."""
+    `shards[i]`'s validation split by loss), and each model becomes the mean of
+    its returned copies weighted by their units' train rows, or is carried
+    over if none came back. All units train in one lockstep `nn.train` call a
+    round. Returns (global models, per-shard choice, round records, laps)."""
     globals_ = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, g))
                 for g in range(q)]
     # every shard's train | validation | test rows stacked once, so each
@@ -53,23 +49,20 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
         trained = []
         for i in range(len(train_sets)):
             if q > 1:  # ties resolve to the lowest index
-                fits = [scores[g][3 * i + 1] for g in range(q)]
-                choices[i] = int(np.argmin([loss if criterion == "loss" else -acc
-                                            for loss, acc in fits]))
+                choices[i] = int(np.argmin([scores[g][3 * i + 1][0]
+                                            for g in range(q)]))
             trained.append(globals_[choices[i]].copy())
         laps.lap(t, "server_ms")
         nn.train([nn.Job(model, None, train.features, train.labels,
                          np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i)))
                   for i, (model, train) in enumerate(zip(trained, train_sets))], config)
         laps.lap(t, "train_ms")
-        returned = [[] for _ in range(q)]  # (trained copy, weight) per model
-        for i, model in enumerate(trained):
-            returned[choices[i]].append((model, weights[i]))
-        for g, copies in enumerate(returned):
-            if copies:  # weights normalised within the group
-                w = np.array([weight for _, weight in copies])
+        for g in range(q):
+            units = [i for i in range(len(trained)) if choices[i] == g]
+            if units:  # train rows as weights, normalised within the group
+                w = np.array([float(train_sets[i].n) for i in units])
                 globals_[g] = Model(arch, np.einsum(
-                    "i,ij->j", w / w.sum(), np.stack([m.params for m, _ in copies])))
+                    "i,ij->j", w / w.sum(), np.stack([trained[i].params for i in units])))
         laps.lap(t, "server_ms")
         scores = score()
         for i, shard in enumerate(shards):
@@ -106,34 +99,26 @@ def run_centralized(shards: list[ClientShard], arch: ArchitectureSpec,
     """Pool all train splits and train a single model on the server.
     Returns (model, round records, laps)."""
     globals_, _, records, laps = _run_server_models(
-        [pool_train_splits(shards)], shards, arch, config, [1.0])
+        [pool_train_splits(shards)], shards, arch, config)
     return globals_[0], records, laps
 
 
 def run_fedavg(shards: list[ClientShard], arch: ArchitectureSpec,
-               config: FedMeConfig, weighting: str = "size"):
+               config: FedMeConfig):
     """Each round every client trains the global model; the server replaces it
-    with the (train-size-weighted) average of client models. Returns (model,
+    with the train-size-weighted average of client models. Returns (model,
     round records, laps)."""
-    if weighting not in FEDAVG_WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {FEDAVG_WEIGHTINGS}, "
-                         f"got {weighting!r}")
-    weights = [float(s.train.n) if weighting == "size" else 1.0 for s in shards]
     globals_, _, records, laps = _run_server_models(
-        [s.train for s in shards], shards, arch, config, weights)
+        [s.train for s in shards], shards, arch, config)
     return globals_[0], records, laps
 
 
 def run_hypcluster(shards: list[ClientShard], arch: ArchitectureSpec,
-                   config: FedMeConfig, q: int = 2, criterion: str = "loss"):
+                   config: FedMeConfig, q: int = 2):
     """The server keeps q global models; every round each client trains only
-    its best-fitting one (by validation loss, or accuracy when configured) and
-    the server averages the returned copies per model, train-size-weighted.
-    Returns (global models, per-client final choice, round records, laps)."""
+    its best-fitting one (by validation loss) and the server averages the
+    returned copies per model, train-size-weighted. Returns (global models,
+    per-client final choice, round records, laps)."""
     if q < 2:
         raise ValueError(f"hypcluster needs q >= 2 global models, got {q}")
-    if criterion not in HYPCLUSTER_CRITERIA:
-        raise ValueError(f"criterion must be one of {HYPCLUSTER_CRITERIA}, "
-                         f"got {criterion!r}")
-    return _run_server_models([s.train for s in shards], shards, arch, config,
-                              [float(s.train.n) for s in shards], q, criterion)
+    return _run_server_models([s.train for s in shards], shards, arch, config, q)

@@ -163,9 +163,9 @@ def dirichlet_partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarra
 
 
 def split_shard(dataset: Dataset, indices, client_id: int,
-                ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
                 seed: int = 0) -> ClientShard:
     """Seeded shuffle then contiguous train/validation/test cut."""
+    ratios = (0.6, 0.2, 0.2)
     idx = np.asarray(indices, dtype=np.int64)
     rng = np.random.default_rng(seed)
     idx = idx[rng.permutation(len(idx))]

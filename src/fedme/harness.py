@@ -11,8 +11,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import nn
-from .baselines import (FEDAVG_WEIGHTINGS, HYPCLUSTER_CRITERIA,
-                        run_centralized, run_fedavg, run_hypcluster,
+from .baselines import (run_centralized, run_fedavg, run_hypcluster,
                         run_local_only)
 from .data import (ClientShard, PartitionSpec, dirichlet_partition,
                    extract_unlabeled, generate_synthetic, split_shard)
@@ -48,9 +47,6 @@ class ExperimentConfig(FedMeConfig):
     # partition
     alpha_label: float | None = 0.5  # None means IID
     alpha_size: float = 10.0
-    train_frac: float = 0.6
-    val_frac: float = 0.2
-    test_frac: float = 0.2
     unlabeled_count: int = 100
     # model menu and initialization
     model_menu: tuple[tuple[int, ...], ...] = ((8,), (8, 8), (8, 8, 8),
@@ -60,9 +56,7 @@ class ExperimentConfig(FedMeConfig):
     model_index: int = 0
     probe_epochs: int = 10
     # baselines
-    fedavg_weighting: str = "size"
     hypcluster_q: int = 2
-    hypcluster_criterion: str = "loss"
     # protocol
     fine_tune_epochs: int = 5
     repeats: int = 5
@@ -112,8 +106,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"key '{key}': must be finite, got {value}")
     positive = ("rounds", "batch_size", "lr", "per_class_count", "noise_sigma",
-                "alpha_size", "train_frac", "val_frac", "test_frac",
-                "unlabeled_count", "k_max", "kmeans_restarts", "repeats")
+                "alpha_size", "unlabeled_count", "k_max", "kmeans_restarts", "repeats")
     for key in positive:
         if getattr(c, key) <= 0:
             raise ConfigError(f"key '{key}': must be positive, got {getattr(c, key)}")
@@ -143,13 +136,9 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if list(c.cluster_thresholds) != sorted(c.cluster_thresholds):
         raise ConfigError(f"key 'cluster_thresholds': must be ascending, "
                           f"got {c.cluster_thresholds}")
-    choices = (("activation", ACTIVATIONS),
-               ("fedavg_weighting", FEDAVG_WEIGHTINGS),
-               ("hypcluster_criterion", HYPCLUSTER_CRITERIA))
-    for key, allowed in choices:
-        if getattr(c, key) not in allowed:
-            raise ConfigError(f"key '{key}': must be one of {allowed}, "
-                              f"got {getattr(c, key)!r}")
+    if c.activation not in ACTIVATIONS:
+        raise ConfigError(f"key 'activation': must be one of {ACTIVATIONS}, "
+                          f"got {c.activation!r}")
     try:
         menu_archs(c)
     except ValueError as exc:
@@ -253,14 +242,13 @@ def build_federation(config: ExperimentConfig, seed: int):
     pool, remainder = extract_unlabeled(dataset, config.unlabeled_count, seed)
     spec = PartitionSpec(config.num_clients, alpha_label=config.alpha_label,
                          alpha_size=config.alpha_size, seed=seed)
-    ratios = (config.train_frac, config.val_frac, config.test_frac)
     try:
-        shards = [split_shard(remainder, idx, i, ratios,
-                              derive_seed(seed, TAG_SPLIT, i))
+        shards = [split_shard(remainder, idx, i,
+                              seed=derive_seed(seed, TAG_SPLIT, i))
                   for i, idx in enumerate(dirichlet_partition(remainder, spec))]
     except ValueError as exc:
-        raise ConfigError(f"keys 'alpha_size', 'num_clients' and 'train_frac'/"
-                          f"'val_frac'/'test_frac': data seed {seed}: {exc}") from exc
+        raise ConfigError(f"keys 'alpha_size', 'num_clients' and "
+                          f"'per_class_count': data seed {seed}: {exc}") from exc
     return shards, pool
 
 
@@ -292,13 +280,11 @@ def run_single(config: ExperimentConfig, seed: int,
         model, records, laps = run_centralized(shards, archs[0], config)
         models = [model.copy() for _ in shards]
     elif config.algorithm == "fedavg":
-        model, records, laps = run_fedavg(shards, archs[0], config,
-                                          config.fedavg_weighting)
+        model, records, laps = run_fedavg(shards, archs[0], config)
         models = [model.copy() for _ in shards]
     else:  # hypcluster
         globals_, choices, records, laps = run_hypcluster(
-            shards, archs[0], config, config.hypcluster_q,
-            config.hypcluster_criterion)
+            shards, archs[0], config, config.hypcluster_q)
         models = [globals_[c].copy() for c in choices]
 
     stalled = stall_warning(records, config.num_classes)

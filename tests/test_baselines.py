@@ -88,21 +88,6 @@ def test_centralized_deterministic_and_learns():
     assert np.mean([r.test_acc for r in records if r.round == 5]) > 0.8
 
 
-def test_fedavg_weighting_modes_differ():
-    rng = np.random.default_rng(4)
-    centers = np.array([[2.0, 0.0], [-2.0, 0.0]])
-    labels = rng.integers(0, 2, size=90)
-    ds = Dataset(centers[labels] + rng.normal(size=(90, 2)), labels, 2)
-    shards = [split_shard(ds, np.arange(0, 30), 0, seed=0),
-              split_shard(ds, np.arange(30, 90), 1, seed=1)]
-    params = FedMeConfig(rounds=2, lr=0.05, seed=0)
-    by_size, _, _ = baselines.run_fedavg(shards, ARCH, params, "size")
-    uniform, _, _ = baselines.run_fedavg(shards, ARCH, params, "uniform")
-    assert not np.array_equal(by_size.params, uniform.params)
-    with pytest.raises(ValueError):
-        baselines.run_fedavg(shards, ARCH, params, "median")
-
-
 def test_fedavg_weighted_mean_exact(monkeypatch):
     # pin the local updates so the server-side average is checkable by hand
     shards = [_manual_shard(0, 1), _manual_shard(1, 3)]
@@ -115,7 +100,7 @@ def test_fedavg_weighted_mean_exact(monkeypatch):
 
     monkeypatch.setattr(baselines.nn, "train", pinned)
     params = FedMeConfig(rounds=1, lr=0.05, seed=0)
-    model, _, _ = baselines.run_fedavg(shards, TINY, params, "size")
+    model, _, _ = baselines.run_fedavg(shards, TINY, params)
     assert np.allclose(model.params[:2], [2.5, 4.0])
 
 
@@ -132,8 +117,6 @@ def test_hypcluster_validation():
     params = FedMeConfig(rounds=1, lr=0.05)
     with pytest.raises(ValueError):
         baselines.run_hypcluster(shards, ARCH, params, q=1)
-    with pytest.raises(ValueError):
-        baselines.run_hypcluster(shards, ARCH, params, criterion="auc")
 
 
 def test_hypcluster_unchosen_models_carried_unchanged():

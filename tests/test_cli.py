@@ -99,8 +99,8 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("cluster_thresholds", "30,10"),
-    ("hypcluster_criterion", "bogus"),
-    ("fedavg_weighting", "foo"),
+    ("hypcluster_q", "1"),
+    ("kmeans_restarts", "0"),
     ("activation", "gelu"),
     ("num_classes", "1"),
     ("dim", "1"),
@@ -112,7 +112,7 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     ("alpha_label", "nan"),
     ("lr", "nan"),
     ("noise_sigma", "inf"),
-    ("train_frac", "inf"),
+    ("class_separation", "inf"),
     ("seed", "-1"),
     ("__class__", "x"),
     ("__doc__", "x"),
@@ -216,7 +216,7 @@ def test_bad_partition_exits_one_naming_the_keys_before_any_training(
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err
-    for key in ("'alpha_size'", "'num_clients'", "'train_frac'"):
+    for key in ("'alpha_size'", "'num_clients'", "'per_class_count'"):
         assert key in err
     assert not trained
     assert not (out / "run_0").exists()

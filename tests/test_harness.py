@@ -53,7 +53,9 @@ def test_parse_config_unknown_key_names_it(tmp_path):
         parse_config(path)
 
 
-@pytest.mark.parametrize("key", ["exchange", "schedule"])
+@pytest.mark.parametrize("key", ["exchange", "schedule", "fedavg_weighting",
+                                 "hypcluster_criterion", "train_frac",
+                                 "val_frac", "test_frac"])
 def test_parse_config_rejects_keys_that_are_not_fields(tmp_path, key):
     path = tmp_path / "bad.cfg"
     path.write_text(f"algorithm = fedme\n{key} = off\n")

@@ -80,10 +80,10 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
 def run_local_only(shards: list[ClientShard], archs: list[ArchitectureSpec],
                    config: FedMeConfig):
     """Each client trains its own model for rounds*epochs epochs, no
-    communication: the FedMe round path with no donors and clustering off.
-    Returns (per-client models, round records, laps)."""
+    communication: the FedMe round path with no donors and an empty cluster
+    schedule. Returns (per-client models, round records, laps)."""
     models, records, laps = run_fedme(shards, archs, None,
-                                      replace(config, clustering=False),
+                                      replace(config, cluster_thresholds=()),
                                       RoundOverrides(donors=lambda t, a: {}))
     return models, [replace(r, cluster=None, a=None) for r in records], laps
 

@@ -99,10 +99,8 @@ class FedMeConfig:
     seed: int = 0
     cluster_thresholds: tuple[int, ...] = (25, 38, 46)
     k_max: int = 4
-    kmeans_restarts: int = 8
     tuning: bool = True
     dml: bool = True
-    clustering: bool = True
 
 
 @dataclass
@@ -197,8 +195,7 @@ def _plan_round(models: list[Model], pool: np.ndarray, t: int,
     A round with several clusters and no scripted ones laps the pool forward
     and k-means."""
     n = len(models)
-    k = (cluster_count(t, config.cluster_thresholds, config.k_max, n)
-         if config.clustering else 1)
+    k = cluster_count(t, config.cluster_thresholds, config.k_max, n)
     assignments = overrides.clusters(t, n) if overrides.clusters else None
     if assignments is None:
         if k == 1:
@@ -210,8 +207,7 @@ def _plan_round(models: list[Model], pool: np.ndarray, t: int,
                                  f"training diverged")
             laps.lap(t, "pool_ms")
             assignments, _ = kmeans(
-                feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0],
-                config.kmeans_restarts)
+                feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0])
             laps.lap(t, "kmeans_ms")
     donors_override = overrides.donors(t, assignments) if overrides.donors else None
     return assign_exchanges(assignments, t, config.seed, donors_override)
@@ -246,7 +242,7 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
               overrides: RoundOverrides | None = None):
     """Run the full exchange/train/tune/aggregate/redistribute loop; returns
     (final per-client models, round records, laps). Local-Only runs it with
-    no donors and clustering off, and so with no pool."""
+    no donors and an empty cluster schedule, and so with no pool."""
     if len(archs) != len(shards):
         raise ValueError("need one architecture per client")
     overrides = overrides or RoundOverrides()

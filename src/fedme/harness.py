@@ -17,10 +17,10 @@ from .data import (ClientShard, PartitionSpec, dirichlet_partition,
                    extract_unlabeled, generate_synthetic, split_shard)
 from .engine import (SPANS, TAG_PROBE, TAG_SPLIT, FedMeConfig, Laps,
                      RoundRecord, derive_seed, fine_tune, run_fedme)
-from .nn import ACTIVATIONS, ArchitectureSpec
+from .nn import ArchitectureSpec
 
 ALGORITHMS = ("fedme", "local_only", "centralized", "fedavg", "hypcluster")
-INIT_POLICIES = ("best_local", "fixed_index", "round_robin")
+INIT_POLICIES = ("best_local", "round_robin")
 
 ROUND_LOG_HEADER = ("round,client,K,cluster,donor,a,loss_p_train,loss_ex_train,"
                     "loss_p_val,loss_ex_val,val_acc,test_acc,client_ms,server_ms")
@@ -51,12 +51,8 @@ class ExperimentConfig(FedMeConfig):
     # model menu and initialization
     model_menu: tuple[tuple[int, ...], ...] = ((8,), (8, 8), (8, 8, 8),
                                                (8, 8, 8, 8))
-    activation: str = "relu"
     init_policy: str = "best_local"
-    model_index: int = 0
     probe_epochs: int = 10
-    # baselines
-    hypcluster_q: int = 2
     # protocol
     fine_tune_epochs: int = 5
     repeats: int = 5
@@ -101,12 +97,13 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"key 'algorithm': must be one of {ALGORITHMS}, "
                           f"got {c.algorithm!r}")
     if c.init_policy not in INIT_POLICIES:
-        raise ConfigError(f"key 'init_policy': must be one of {INIT_POLICIES}")
+        raise ConfigError(f"key 'init_policy': must be one of {INIT_POLICIES}, "
+                          f"got {c.init_policy!r}")
     for key, value in vars(c).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"key '{key}': must be finite, got {value}")
     positive = ("rounds", "batch_size", "lr", "per_class_count", "noise_sigma",
-                "alpha_size", "unlabeled_count", "k_max", "kmeans_restarts", "repeats")
+                "alpha_size", "unlabeled_count", "k_max", "repeats")
     for key in positive:
         if getattr(c, key) <= 0:
             raise ConfigError(f"key '{key}': must be positive, got {getattr(c, key)}")
@@ -121,7 +118,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"key 'num_clients': {c.num_clients} clients x {c.num_classes} "
                           f"classes exceed the {labelled} labelled rows")
     nonnegative = ("epochs", "momentum", "weight_decay", "class_separation",
-                   "probe_epochs", "fine_tune_epochs", "model_index", "seed")
+                   "probe_epochs", "fine_tune_epochs", "seed")
     for key in nonnegative:
         if getattr(c, key) < 0:
             raise ConfigError(f"key '{key}': must be >= 0, got {getattr(c, key)}")
@@ -129,16 +126,10 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"key 'alpha_label': must be positive or 'iid'")
     if not c.model_menu:
         raise ConfigError("key 'model_menu': must list at least one candidate")
-    if c.model_index >= len(c.model_menu):
-        raise ConfigError(f"key 'model_index': {c.model_index} is outside the menu")
-    if c.hypcluster_q < 2:
-        raise ConfigError("key 'hypcluster_q': must be >= 2")
-    if list(c.cluster_thresholds) != sorted(c.cluster_thresholds):
-        raise ConfigError(f"key 'cluster_thresholds': must be ascending, "
-                          f"got {c.cluster_thresholds}")
-    if c.activation not in ACTIVATIONS:
-        raise ConfigError(f"key 'activation': must be one of {ACTIVATIONS}, "
-                          f"got {c.activation!r}")
+    thresholds = list(c.cluster_thresholds)
+    if thresholds != sorted(set(thresholds)) or min(thresholds, default=1) < 1:
+        raise ConfigError(f"key 'cluster_thresholds': must be round numbers >= 1 "
+                          f"in strictly ascending order, got {c.cluster_thresholds}")
     try:
         menu_archs(c)
     except ValueError as exc:
@@ -172,8 +163,7 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def menu_archs(config: ExperimentConfig) -> list[ArchitectureSpec]:
-    return [ArchitectureSpec(config.dim, widths, config.num_classes,
-                             config.activation)
+    return [ArchitectureSpec(config.dim, widths, config.num_classes)
             for widths in config.model_menu]
 
 
@@ -205,11 +195,8 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
 def _client_archs(config: ExperimentConfig, shards):
     menu = menu_archs(config)
     shared = config.algorithm in ("centralized", "fedavg", "hypcluster")
-    if (config.init_policy == "fixed_index"
-            or (config.init_policy == "round_robin" and shared)):
-        return [menu[config.model_index]] * len(shards)
     if config.init_policy == "round_robin":
-        return [menu[i % len(menu)] for i in range(len(shards))]
+        return [menu[0 if shared else i % len(menu)] for i in range(len(shards))]
     choices = best_local_init(shards, menu, config)
     if shared:
         # these algorithms average across clients, so settle on the
@@ -283,8 +270,7 @@ def run_single(config: ExperimentConfig, seed: int,
         model, records, laps = run_fedavg(shards, archs[0], config)
         models = [model.copy() for _ in shards]
     else:  # hypcluster
-        globals_, choices, records, laps = run_hypcluster(
-            shards, archs[0], config, config.hypcluster_q)
+        globals_, choices, records, laps = run_hypcluster(shards, archs[0], config)
         models = [globals_[c].copy() for c in choices]
 
     stalled = stall_warning(records, config.num_classes)
@@ -448,11 +434,11 @@ def grid_search_lr(config: ExperimentConfig, grid=None):
 
 SWEEP_AXES = ("alpha_label", "ablation", "architecture")
 
-_ABLATION_FLAGS = {"mt": "tuning", "dml": "dml", "mc": "clustering"}
+_ABLATION_FLAGS = ("mt", "dml", "mc")
 
 
-def _sweep_config(config: ExperimentConfig, axis: str, value: str,
-                  algorithm: str) -> ExperimentConfig:
+def _sweep_config(config: ExperimentConfig, axis: str,
+                  value: str) -> ExperimentConfig:
     """The validated config for one axis value; a bad value names the axis."""
     try:
         if axis == "alpha_label":
@@ -463,27 +449,33 @@ def _sweep_config(config: ExperimentConfig, axis: str, value: str,
             if unknown:
                 raise ConfigError(f"unknown ablation flags {unknown}; "
                                   f"use combinations of mt, dml, mc")
-            changes = {name: (flag in flags) for flag, name in _ABLATION_FLAGS.items()}
+            changes = {"tuning": "mt" in flags, "dml": "dml" in flags}
+            if "mc" not in flags:
+                changes["cluster_thresholds"] = ()
         elif value.lower() == "auto":  # architecture
             changes = {"init_policy": "best_local"}
         else:
-            changes = {"init_policy": "fixed_index", "model_index": int(value) - 1}
-        return validate_config(replace(config, algorithm=algorithm, **changes))
+            i = int(value)
+            if not 1 <= i <= len(config.model_menu):
+                raise ConfigError(f"must be a menu position in "
+                                  f"1..{len(config.model_menu)}")
+            changes = {"init_policy": "round_robin",
+                       "model_menu": (config.model_menu[i - 1],)}
+        return validate_config(replace(config, **changes))
     except ValueError as exc:
         raise ConfigError(f"sweep axis '{axis}', value {value!r}: {exc}") from exc
 
 
-def sweep(config: ExperimentConfig, axis: str, values: list[str],
-          algorithms: list[str] | None = None, out_dir=None):
-    """run_experiment per axis value (and algorithm), returning a table of
+def sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir=None):
+    """run_experiment per axis value, returning a table of
     {(value, algorithm): SummaryReport}. Every config is checked, and every
     federation built, before the first run."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
-    configs = {(value, alg): _sweep_config(config, axis, value, alg)
-               for value in values for alg in algorithms or [config.algorithm]}
+    configs = {(value, config.algorithm): _sweep_config(config, axis, value)
+               for value in values}
     federations = {key: _federations(cfg) for key, cfg in configs.items()}
     table = {}
     for (value, alg), cfg in configs.items():

@@ -215,7 +215,7 @@ def test_criterion_7_degeneracy_equivalences():
     shards, pool = _shards_and_pool()
     arch = ArchitectureSpec(2, (4,), 2)
     stub = FedMeConfig(rounds=5, lr=0.05, tuning=False, dml=False,
-                       clustering=False, seed=3)
+                       cluster_thresholds=(), seed=3)
     models, _, _ = engine.run_fedme(shards, [arch] * 5, pool, stub,
                                     RoundOverrides(donors=lambda t, a: {}))
     params = FedMeConfig(rounds=5, epochs=2, lr=0.05, seed=3)

@@ -55,7 +55,7 @@ def test_local_only_records_equal_fedme_without_donors():
     # the criterion-7 stub: exchange, tuning, DML and clustering all off
     shards = _shards(5)
     stub = FedMeConfig(rounds=5, lr=0.05, tuning=False, dml=False,
-                       clustering=False, seed=3)
+                       cluster_thresholds=(), seed=3)
     _, fedme_records, _ = engine.run_fedme(shards, [ARCH] * 5, None, stub,
                                            RoundOverrides(donors=lambda t, a: {}))
     params = FedMeConfig(rounds=5, epochs=2, lr=0.05, seed=3)

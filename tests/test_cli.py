@@ -14,7 +14,7 @@ per_class_count = 40
 noise_sigma = 1.0
 unlabeled_count = 20
 model_menu = 4
-init_policy = fixed_index
+init_policy = round_robin
 cluster_thresholds = 2
 probe_epochs = 1
 fine_tune_epochs = 1
@@ -99,6 +99,12 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("cluster_thresholds", "30,10"),
+    ("cluster_thresholds", "2,2"),
+    ("cluster_thresholds", "0,1"),
+    ("init_policy", "fixed_index"),
+    ("k_max", "0"),
+    ("repeats", "0"),
+    # removed keys are unknown keys
     ("hypcluster_q", "1"),
     ("kmeans_restarts", "0"),
     ("activation", "gelu"),

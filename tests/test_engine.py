@@ -307,14 +307,6 @@ def test_run_fedme_heterogeneous_architectures():
         assert model.arch == archs[a1[a2[i]]]
 
 
-def test_run_fedme_clustering_off_keeps_k_one():
-    shards = _shards()
-    config = FedMeConfig(rounds=3, lr=0.05, cluster_thresholds=(2,),
-                         clustering=False, seed=0)
-    _, records, _ = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
-    assert all(r.k == 1 for r in records)
-
-
 def test_run_fedme_tuning_off_keeps_own_lineage():
     shards = _shards()
     config = FedMeConfig(rounds=2, lr=0.05, tuning=False, seed=0)
@@ -325,7 +317,7 @@ def test_run_fedme_tuning_off_keeps_own_lineage():
 def test_run_fedme_exchange_off_runs_the_empty_plan():
     shards = _shards()
     archs = [ArchitectureSpec(2, w, 2) for w in ((4,), (4, 4), (8,), (4,), (8, 8))]
-    config = FedMeConfig(rounds=3, lr=0.05, clustering=False, seed=6)
+    config = FedMeConfig(rounds=3, lr=0.05, cluster_thresholds=(), seed=6)
     no_exchange = RoundOverrides(donors=lambda t, a: {})
     models, records, _ = engine.run_fedme(shards, archs, _pool(), config,
                                           no_exchange)

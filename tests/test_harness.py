@@ -18,7 +18,7 @@ def _tiny(algorithm="fedme", **kw):
     base = dict(algorithm=algorithm, num_clients=4, rounds=2, epochs=1,
                 num_classes=3, dim=4, per_class_count=40, class_separation=3.0,
                 noise_sigma=1.0, unlabeled_count=20,
-                model_menu=((4,),), init_policy="fixed_index",
+                model_menu=((4,),), init_policy="round_robin",
                 cluster_thresholds=(2,), probe_epochs=1, fine_tune_epochs=1,
                 repeats=2, lr=0.05, seed=0)
     base.update(kw)
@@ -55,7 +55,9 @@ def test_parse_config_unknown_key_names_it(tmp_path):
 
 @pytest.mark.parametrize("key", ["exchange", "schedule", "fedavg_weighting",
                                  "hypcluster_criterion", "train_frac",
-                                 "val_frac", "test_frac"])
+                                 "val_frac", "test_frac", "clustering",
+                                 "kmeans_restarts", "hypcluster_q",
+                                 "activation", "model_index"])
 def test_parse_config_rejects_keys_that_are_not_fields(tmp_path, key):
     path = tmp_path / "bad.cfg"
     path.write_text(f"algorithm = fedme\n{key} = off\n")
@@ -67,12 +69,11 @@ def test_run_fedme_gets_every_fedme_key_from_the_file_with_the_run_seed(
         tmp_path, monkeypatch):
     settings = {"rounds": "3", "epochs": "1", "lr": "0.02", "momentum": "0.5",
                 "weight_decay": "0.001", "batch_size": "7", "seed": "4",
-                "cluster_thresholds": "2,3", "k_max": "3",
-                "kmeans_restarts": "2", "tuning": "off", "dml": "off",
-                "clustering": "off"}
+                "cluster_thresholds": "2,3", "k_max": "3", "tuning": "off",
+                "dml": "off"}
     assert set(settings) == {f.name for f in fields(FedMeConfig)}
     path = tmp_path / "exp.cfg"
-    path.write_text("algorithm = fedme\ninit_policy = fixed_index\n" +
+    path.write_text("algorithm = fedme\ninit_policy = round_robin\n" +
                     "".join(f"{k} = {v}\n" for k, v in settings.items()))
     received = []
 
@@ -89,8 +90,8 @@ def test_run_fedme_gets_every_fedme_key_from_the_file_with_the_run_seed(
     got = {f.name: getattr(received[0], f.name) for f in fields(FedMeConfig)}
     assert got == dict(rounds=3, epochs=1, lr=0.02, momentum=0.5,
                        weight_decay=0.001, batch_size=7, seed=9,
-                       cluster_thresholds=(2, 3), k_max=3, kmeans_restarts=2,
-                       tuning=False, dml=False, clustering=False)
+                       cluster_thresholds=(2, 3), k_max=3, tuning=False,
+                       dml=False)
 
 
 def test_parse_config_missing_algorithm(tmp_path):
@@ -120,8 +121,6 @@ def test_validate_config_ranges():
         _tiny(rounds=0)
     with pytest.raises(ConfigError, match="'alpha_label'"):
         _tiny(alpha_label=-0.5)
-    with pytest.raises(ConfigError, match="'model_index'"):
-        _tiny(model_index=5)
     with pytest.raises(ConfigError, match="'init_policy'"):
         _tiny(init_policy="random")
 
@@ -390,11 +389,25 @@ def test_sweep_architecture_axis():
         sweep(config, "num_clients", ["3"])
 
 
-def test_sweep_multiple_algorithms():
-    config = _tiny("fedme", repeats=1, rounds=1)
-    table = sweep(config, "alpha_label", ["0.5"],
-                  algorithms=["fedme", "local_only"])
-    assert set(table) == {("0.5", "fedme"), ("0.5", "local_only")}
+def test_sweep_sets_the_schedule_and_menu_of_each_cell(monkeypatch):
+    cells = []
+    monkeypatch.setattr(harness, "run_experiment",
+                        lambda cfg, *args: cells.append(cfg))
+    base = _tiny("fedme", model_menu=((4,), (4, 4)), cluster_thresholds=(2, 3),
+                 repeats=1, rounds=1)
+    sweep(base, "ablation", ["none", "mt+dml+mc"])
+    none, full = cells
+    assert not none.tuning and not none.dml and none.cluster_thresholds == ()
+    assert full.tuning and full.dml and full.cluster_thresholds == (2, 3)
+    cells.clear()
+    sweep(base, "architecture", ["2", "auto"])
+    two, auto = cells
+    assert two.init_policy == "round_robin" and two.model_menu == ((4, 4),)
+    assert auto.init_policy == "best_local" and auto.model_menu == base.model_menu
+    cells.clear()
+    with pytest.raises(ConfigError, match="'architecture'"):
+        sweep(base, "architecture", ["1", "3"])
+    assert not cells
 
 
 def _count_training(monkeypatch):

@@ -15,7 +15,7 @@ dataset = generate_synthetic(num_classes=3, dim=8, per_class_count=150,
                              class_separation=3.0, noise_sigma=1.2, seed=4)
 pool, rest = extract_unlabeled(dataset, count=60, seed=4)
 parts = dirichlet_partition(rest, PartitionSpec(6, alpha_label=0.5, seed=4))
-shards = [split_shard(rest, idx, i, seed=i) for i, idx in enumerate(parts)]
+shards = [split_shard(rest, idx, seed=i) for i, idx in enumerate(parts)]
 
 archs = [ArchitectureSpec(8, widths, 3)
          for widths in ((6,), (6, 6), (6,), (10,), (6, 6), (10,))]

@@ -65,11 +65,11 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
                     "i,ij->j", w / w.sum(), np.stack([trained[i].params for i in units])))
         laps.lap(t, "server_ms")
         scores = score()
-        for i, shard in enumerate(shards):
+        for i in range(len(shards)):
             (loss_p_train, _), (loss_p_val, val_acc), (_, test_acc) = (
                 scores[choices[i]][3 * i:3 * i + 3])
             records.append(RoundRecord(
-                round=t, client=shard.client_id, k=q, cluster=None, donor=None,
+                round=t, client=i, k=q, cluster=None, donor=None,
                 a=None, loss_p_train=loss_p_train, loss_ex_train=None,
                 loss_p_val=loss_p_val, loss_ex_val=None, val_acc=val_acc,
                 test_acc=test_acc))
@@ -97,20 +97,16 @@ def pool_train_splits(shards: list[ClientShard]) -> Dataset:
 def run_centralized(shards: list[ClientShard], arch: ArchitectureSpec,
                     config: FedMeConfig):
     """Pool all train splits and train a single model on the server.
-    Returns (model, round records, laps)."""
-    globals_, _, records, laps = _run_server_models(
-        [pool_train_splits(shards)], shards, arch, config)
-    return globals_[0], records, laps
+    Returns (global models, per-client choice, round records, laps)."""
+    return _run_server_models([pool_train_splits(shards)], shards, arch, config)
 
 
 def run_fedavg(shards: list[ClientShard], arch: ArchitectureSpec,
                config: FedMeConfig):
     """Each round every client trains the global model; the server replaces it
-    with the train-size-weighted average of client models. Returns (model,
-    round records, laps)."""
-    globals_, _, records, laps = _run_server_models(
-        [s.train for s in shards], shards, arch, config)
-    return globals_[0], records, laps
+    with the train-size-weighted average of client models. Returns (global
+    models, per-client choice, round records, laps)."""
+    return _run_server_models([s.train for s in shards], shards, arch, config)
 
 
 def run_hypcluster(shards: list[ClientShard], arch: ArchitectureSpec,

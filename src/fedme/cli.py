@@ -89,9 +89,9 @@ def _cmd_partition(args) -> None:
         classes = range(config.num_classes)
         print("client,n_train,n_val,n_test," +
               ",".join(f"class_{c}" for c in classes))
-        for shard in shards:
+        for i, shard in enumerate(shards):
             hist = np.bincount(shard.labels, minlength=config.num_classes)
-            print(f"{shard.client_id},{shard.train.n},{shard.validation.n},"
+            print(f"{i},{shard.train.n},{shard.validation.n},"
                   f"{shard.test.n}," + ",".join(str(h) for h in hist))
     else:
         sizes = [shard.n for shard in shards]

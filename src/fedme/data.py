@@ -41,9 +41,9 @@ class Dataset:
 class ClientShard:
     """A client's train, validation and test splits, held as row views of one
     stacked `features`/`labels` pair: split s is rows `ends[s]:ends[s + 1]`,
-    so one forward pass can score any run of consecutive splits."""
+    so one forward pass can score any run of consecutive splits. A client is
+    known by its index in the federation's shard list."""
 
-    client_id: int
     train: Dataset
     validation: Dataset
     test: Dataset
@@ -162,8 +162,7 @@ def dirichlet_partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarra
     return [np.flatnonzero(owner == i) for i in range(k)]
 
 
-def split_shard(dataset: Dataset, indices, client_id: int,
-                seed: int = 0) -> ClientShard:
+def split_shard(dataset: Dataset, indices, seed: int = 0) -> ClientShard:
     """Seeded shuffle then contiguous train/validation/test cut."""
     ratios = (0.6, 0.2, 0.2)
     idx = np.asarray(indices, dtype=np.int64)
@@ -172,11 +171,11 @@ def split_shard(dataset: Dataset, indices, client_id: int,
     sizes = _largest_remainder(np.asarray(ratios, dtype=np.float64), len(idx))
     if sizes.min() < 1:
         raise ValueError(
-            f"client {client_id}: split of {len(idx)} rows at ratios {ratios} "
+            f"split of {len(idx)} rows at ratios {ratios} "
             f"leaves an empty partition")
     bounds = np.cumsum(sizes)[:-1]
     tr, va, te = np.split(idx, bounds)
-    return ClientShard(client_id, dataset.subset(tr), dataset.subset(va),
+    return ClientShard(dataset.subset(tr), dataset.subset(va),
                        dataset.subset(te))
 
 

@@ -289,7 +289,7 @@ def fine_tune(models: list[Model], shards: list[ClientShard],
     own train split, for `config.epochs` epochs, in one lockstep call."""
     tuned = [model.copy() for model in models]
     nn.train([nn.Job(model, None, shard.train.features, shard.train.labels,
-                     np.random.default_rng(derive_seed(config.seed, TAG_FINE_TUNE,
-                                                       shard.client_id)))
-              for model, shard in zip(tuned, shards, strict=True)], config)
+                     np.random.default_rng(derive_seed(config.seed, TAG_FINE_TUNE, i)))
+              for i, (model, shard) in enumerate(zip(tuned, shards, strict=True))],
+             config)
     return tuned

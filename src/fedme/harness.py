@@ -174,9 +174,9 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
     (ties prefer fewer parameters, then the lower menu index). Every probe
     trains in one lockstep call."""
     jobs = []
-    for shard in shards:
+    for i, shard in enumerate(shards):
         for idx, arch in enumerate(menu):
-            key = (config.seed, TAG_PROBE, shard.client_id, idx)
+            key = (config.seed, TAG_PROBE, i, idx)
             jobs.append(nn.Job(nn.init_model(arch, derive_seed(*key)), None,
                                shard.train.features, shard.train.labels,
                                np.random.default_rng(derive_seed(*key, 1))))
@@ -229,13 +229,15 @@ def build_federation(config: ExperimentConfig, seed: int):
     pool, remainder = extract_unlabeled(dataset, config.unlabeled_count, seed)
     spec = PartitionSpec(config.num_clients, alpha_label=config.alpha_label,
                          alpha_size=config.alpha_size, seed=seed)
+    shards, where = [], ""
     try:
-        shards = [split_shard(remainder, idx, i,
-                              seed=derive_seed(seed, TAG_SPLIT, i))
-                  for i, idx in enumerate(dirichlet_partition(remainder, spec))]
+        for i, idx in enumerate(dirichlet_partition(remainder, spec)):
+            where = f"client {i}: "
+            shards.append(split_shard(remainder, idx,
+                                      seed=derive_seed(seed, TAG_SPLIT, i)))
     except ValueError as exc:
         raise ConfigError(f"keys 'alpha_size', 'num_clients' and "
-                          f"'per_class_count': data seed {seed}: {exc}") from exc
+                          f"'per_class_count': data seed {seed}: {where}{exc}") from exc
     return shards, pool
 
 
@@ -263,14 +265,10 @@ def run_single(config: ExperimentConfig, seed: int,
         models, records, laps = run_fedme(shards, archs, pool, config)
     elif config.algorithm == "local_only":
         models, records, laps = run_local_only(shards, archs, config)
-    elif config.algorithm == "centralized":
-        model, records, laps = run_centralized(shards, archs[0], config)
-        models = [model.copy() for _ in shards]
-    elif config.algorithm == "fedavg":
-        model, records, laps = run_fedavg(shards, archs[0], config)
-        models = [model.copy() for _ in shards]
-    else:  # hypcluster
-        globals_, choices, records, laps = run_hypcluster(shards, archs[0], config)
+    else:  # read per call: perfbench's tracer rebinds the runners' names
+        run = {"centralized": run_centralized, "fedavg": run_fedavg,
+               "hypcluster": run_hypcluster}[config.algorithm]
+        globals_, choices, records, laps = run(shards, archs[0], config)
         models = [globals_[c].copy() for c in choices]
 
     stalled = stall_warning(records, config.num_classes)
@@ -279,8 +277,8 @@ def run_single(config: ExperimentConfig, seed: int,
                       f"{stalled}", RuntimeWarning, stacklevel=2)
     # the last round's records already hold the final models' accuracies
     final = {r.client: r for r in records if r.round == config.rounds}
-    pre = [final[s.client_id].test_acc for s in shards]
-    val = [final[s.client_id].val_acc for s in shards]
+    pre = [final[i].test_acc for i in range(len(shards))]
+    val = [final[i].val_acc for i in range(len(shards))]
     if config.fine_tune_epochs > 0:
         tune = replace(config, epochs=config.fine_tune_epochs)
         tuned = fine_tune(models, shards, tune)

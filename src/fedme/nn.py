@@ -1,7 +1,8 @@
 """Minimal feed-forward classifier engine on flat parameter vectors.
 
 A model is its parameters: an architecture and a flat float64 vector, exactly
-what a checkpoint stores. Momentum exists only inside `train`, the one
+what a checkpoint stores. Hidden layers are ReLU, so a checkpoint's activation
+code (byte 6) is always 0. Momentum exists only inside `train`, the one
 training loop, which gives each model it steps a zero buffer and updates
 parameters in place, so callers copy a model first when the original must
 survive. `train` runs many models of one input width in lockstep: at each
@@ -22,8 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "tanh")
-
 CHECKPOINT_MAGIC = b"FEDM"
 CHECKPOINT_VERSION = 1
 
@@ -41,12 +40,11 @@ class DimensionError(ValueError):
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """Layer-shape descriptor for a fully connected softmax classifier."""
+    """Layer-shape descriptor for a fully connected ReLU softmax classifier."""
 
     input_dim: int
     hidden_widths: tuple[int, ...]
     num_classes: int
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
@@ -58,8 +56,6 @@ class ArchitectureSpec:
             raise ValueError(f"expected 1..4 hidden layers, got {len(self.hidden_widths)}")
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError(f"hidden widths must be positive, got {self.hidden_widths}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
     @property
     def layer_widths(self) -> tuple[int, ...]:
@@ -110,18 +106,6 @@ def init_model(arch: ArchitectureSpec, seed: int) -> Model:
         limit = np.sqrt(6.0 / (fi + fo))
         params[w_sl] = rng.uniform(-limit, limit, fi * fo)
     return Model(arch, params)
-
-
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return z > 0.0  # multiplies like the 0/1 float mask
-    return 1.0 - a * a
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -181,7 +165,7 @@ def _forward_cached(arch: ArchitectureSpec, params: np.ndarray,
         z += params[:, None, b_sl]
         zs.append(z)
         if li < len(layers) - 1:
-            h = _activate(z, arch.activation)
+            h = np.maximum(z, 0.0)
             acts.append(h)
     return _softmax(zs[-1]), acts, zs
 
@@ -219,7 +203,7 @@ def _backprop(arch: ArchitectureSpec, params: np.ndarray, acts, zs,
             for sel, r in shorts:
                 np.matmul(delta[sel, :r], weights[sel], out=below[sel, :r])
             delta = below
-            delta *= _activate_grad(zs[li - 1], acts[li], arch.activation)
+            delta *= zs[li - 1] > 0.0  # multiplies like the 0/1 float mask
     return grad
 
 
@@ -634,12 +618,12 @@ def evaluate(model: Model, features: np.ndarray, labels: np.ndarray):
 
 
 def serialize_model(model: Model) -> bytes:
-    """Binary checkpoint: magic | version u16 | activation u8 | layer count u8 |
-    widths u32 LE | params f64 LE."""
+    """Binary checkpoint: magic | version u16 | activation u8 (byte 6, always
+    0, for ReLU) | layer count u8 | widths u32 LE | params f64 LE."""
     widths = model.arch.layer_widths
     header = CHECKPOINT_MAGIC
     header += struct.pack("<H", CHECKPOINT_VERSION)
-    header += struct.pack("<B", ACTIVATIONS.index(model.arch.activation))
+    header += struct.pack("<B", 0)
     header += struct.pack("<B", len(widths))
     header += struct.pack(f"<{len(widths)}I", *widths)
     return header + model.params.astype("<f8").tobytes()
@@ -652,7 +636,7 @@ def deserialize_model(data: bytes) -> Model:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     act_code, n_widths = struct.unpack_from("<BB", data, 6)
-    if act_code >= len(ACTIVATIONS):
+    if act_code != 0:
         raise ValueError(f"unknown activation code {act_code}")
     if n_widths < 3:
         raise ValueError(f"checkpoint declares {n_widths} layer widths, need >= 3")
@@ -660,8 +644,7 @@ def deserialize_model(data: bytes) -> Model:
     if len(data) < header_len:
         raise ValueError("truncated checkpoint header")
     widths = struct.unpack_from(f"<{n_widths}I", data, 8)
-    arch = ArchitectureSpec(widths[0], tuple(widths[1:-1]), widths[-1],
-                            ACTIVATIONS[act_code])
+    arch = ArchitectureSpec(widths[0], tuple(widths[1:-1]), widths[-1])
     expected = header_len + 8 * arch.parameter_count()
     if len(data) != expected:
         raise ValueError(f"checkpoint size {len(data)} does not match "

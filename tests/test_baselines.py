@@ -20,7 +20,7 @@ def _shards(num_clients=4, rows_each=30, seed=0):
     labels = rng.integers(0, 2, size=n)
     features = centers[labels] + rng.normal(size=(n, 2))
     ds = Dataset(features, labels, 2)
-    return [split_shard(ds, np.arange(i * rows_each, (i + 1) * rows_each), i,
+    return [split_shard(ds, np.arange(i * rows_each, (i + 1) * rows_each),
                         seed=derive_seed(seed, TAG_SPLIT, i))
             for i in range(num_clients)]
 
@@ -28,7 +28,7 @@ def _shards(num_clients=4, rows_each=30, seed=0):
 def _manual_shard(cid, train_n):
     rng = np.random.default_rng(cid)
     mk = lambda n: Dataset(rng.normal(size=(n, 1)), rng.integers(0, 2, size=n), 2)
-    return ClientShard(cid, mk(train_n), mk(2), mk(2))
+    return ClientShard(mk(train_n), mk(2), mk(2))
 
 
 def test_local_only_no_communication():
@@ -81,8 +81,8 @@ def test_pool_train_splits():
 def test_centralized_deterministic_and_learns():
     shards = _shards()
     params = FedMeConfig(rounds=5, lr=0.05, seed=2)
-    model, records, _ = baselines.run_centralized(shards, ARCH, params)
-    model2, _, _ = baselines.run_centralized(shards, ARCH, params)
+    (model,), _, records, _ = baselines.run_centralized(shards, ARCH, params)
+    (model2,), _, _, _ = baselines.run_centralized(shards, ARCH, params)
     assert np.array_equal(model.params, model2.params)
     assert len(records) == 5 * 4
     assert np.mean([r.test_acc for r in records if r.round == 5]) > 0.8
@@ -100,15 +100,15 @@ def test_fedavg_weighted_mean_exact(monkeypatch):
 
     monkeypatch.setattr(baselines.nn, "train", pinned)
     params = FedMeConfig(rounds=1, lr=0.05, seed=0)
-    model, _, _ = baselines.run_fedavg(shards, TINY, params)
+    (model,), _, _, _ = baselines.run_fedavg(shards, TINY, params)
     assert np.allclose(model.params[:2], [2.5, 4.0])
 
 
 def test_fedavg_single_client_equals_centralized():
     shard = _shards(2, 40)[0]
     params = FedMeConfig(rounds=3, lr=0.05, seed=4)
-    avg_model, _, _ = baselines.run_fedavg([shard], ARCH, params)
-    cent_model, _, _ = baselines.run_centralized([shard], ARCH, params)
+    (avg_model,), _, _, _ = baselines.run_fedavg([shard], ARCH, params)
+    (cent_model,), _, _, _ = baselines.run_centralized([shard], ARCH, params)
     assert np.array_equal(avg_model.params, cent_model.params)
 
 
@@ -149,14 +149,13 @@ def test_server_model_records_score_each_clients_final_global(algorithm):
     shards = _shards(5, rows_each=24, seed=11)
     config = FedMeConfig(rounds=3, lr=0.05, seed=11)
     if algorithm == "fedavg":
-        final, records, _ = baselines.run_fedavg(shards, ARCH, config)
-        globals_, choices = [final], [0] * len(shards)
+        globals_, choices, records, _ = baselines.run_fedavg(shards, ARCH, config)
     else:
         globals_, choices, records, _ = baselines.run_hypcluster(shards, ARCH,
                                                                  config, q=2)
         assert set(choices) == {0, 1}  # both models score some shard
     last = [r for r in records if r.round == 3]
-    assert [r.client for r in last] == [s.client_id for s in shards]
+    assert [r.client for r in last] == list(range(len(shards)))
     for r, shard, c in zip(last, shards, choices):
         model = globals_[c]
         loss_train, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
@@ -177,7 +176,7 @@ def test_hypcluster_splits_label_swapped_tasks():
         if cid >= 2:
             labels = 1 - labels
         ds = Dataset(feats, labels, 2)
-        shards.append(split_shard(ds, np.arange(40), cid, seed=cid))
+        shards.append(split_shard(ds, np.arange(40), seed=cid))
     params = FedMeConfig(rounds=20, lr=0.1, seed=0)
     _, choices, records, _ = baselines.run_hypcluster(shards, ARCH, params, q=2)
     assert choices[0] == choices[1]

@@ -210,10 +210,10 @@ rounds = 2
 """
 
 
-@pytest.mark.parametrize("text", [SMALL_CLIENT, LATE_REPEAT],
+@pytest.mark.parametrize("text,client", [(SMALL_CLIENT, 0), (LATE_REPEAT, 3)],
                          ids=["small-client", "late-repeat"])
 def test_bad_partition_exits_one_naming_the_keys_before_any_training(
-        tmp_path, capsys, monkeypatch, text):
+        tmp_path, capsys, monkeypatch, text, client):
     trained, real = [], nn.train
     monkeypatch.setattr(nn, "train", lambda *a: (trained.append(a), real(*a)))
     path = tmp_path / "exp.cfg"
@@ -224,6 +224,7 @@ def test_bad_partition_exits_one_naming_the_keys_before_any_training(
     assert "config error" in err
     for key in ("'alpha_size'", "'num_clients'", "'per_class_count'"):
         assert key in err
+    assert f": client {client}: split of " in err
     assert not trained
     assert not (out / "run_0").exists()
 

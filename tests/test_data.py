@@ -219,8 +219,7 @@ def test_label_skew_monotone_in_alpha():
 
 def test_split_shard_partitions_and_ratio():
     ds = _toy(100, 4)
-    shard = data.split_shard(ds, np.arange(50), 3, seed=8)
-    assert shard.client_id == 3
+    shard = data.split_shard(ds, np.arange(50), seed=8)
     assert (shard.train.n, shard.validation.n, shard.test.n) == (30, 10, 10)
     got = np.sort(np.concatenate([
         shard.train.features[:, 0], shard.validation.features[:, 0],
@@ -241,7 +240,7 @@ def _assert_views_of_stack(shard):
 
 def test_split_shard_splits_are_views_of_one_stack():
     ds = _toy(100, 4)
-    shard = data.split_shard(ds, np.arange(7, 60), 3, seed=8)
+    shard = data.split_shard(ds, np.arange(7, 60), seed=8)
     _assert_views_of_stack(shard)
     assert shard.ends == (0, 32, 43, 53)
     assert np.array_equal(np.sort(shard.features[:, 0]), np.sort(ds.features[7:60, 0]))
@@ -251,7 +250,7 @@ def test_client_shard_from_separate_datasets_holds_one_copy():
     rng = np.random.default_rng(2)
     mk = lambda n: Dataset(rng.normal(size=(n, 3)), rng.integers(0, 2, size=n), 2)
     train, validation, test = mk(5), mk(2), mk(4)
-    shard = data.ClientShard(0, train, validation, test)
+    shard = data.ClientShard(train, validation, test)
     _assert_views_of_stack(shard)
     assert shard.ends == (0, 5, 7, 11)
     assert np.array_equal(shard.features, np.concatenate(
@@ -261,7 +260,7 @@ def test_client_shard_from_separate_datasets_holds_one_copy():
 
 def test_split_shard_rounding_keeps_total():
     ds = _toy(100, 4)
-    shard = data.split_shard(ds, np.arange(23), 0, seed=1)
+    shard = data.split_shard(ds, np.arange(23), seed=1)
     assert shard.n == 23
     assert min(shard.train.n, shard.validation.n, shard.test.n) >= 1
 
@@ -269,7 +268,7 @@ def test_split_shard_rounding_keeps_total():
 def test_split_shard_rejects_empty_piece():
     ds = _toy(100, 4)
     with pytest.raises(ValueError):
-        data.split_shard(ds, np.arange(2), 0, seed=0)
+        data.split_shard(ds, np.arange(2), seed=0)
 
 
 def test_extract_unlabeled():

@@ -27,7 +27,7 @@ def _shards(num_clients=5, rows_each=30, seed=0):
     labels = rng.integers(0, 2, size=n)
     features = centers[labels] + rng.normal(size=(n, 2))
     ds = Dataset(features, labels, 2)
-    return [split_shard(ds, np.arange(i * rows_each, (i + 1) * rows_each), i,
+    return [split_shard(ds, np.arange(i * rows_each, (i + 1) * rows_each),
                         seed=derive_seed(seed, engine.TAG_SPLIT, i))
             for i in range(num_clients)]
 
@@ -47,12 +47,13 @@ def test_model_outputs_shape_and_content():
 
 
 def test_model_outputs_forward_each_distinct_model_once(monkeypatch):
-    base = [nn.init_model(ARCH, s) for s in range(3)]
-    tanh = Model(ArchitectureSpec(2, (4,), 2, activation="tanh"), base[0].params.copy())
-    # copies of one lineage share their parameter bytes; the tanh model
-    # shares them with base[0] but is another model
-    models = [base[0], base[1].copy(), base[0].copy(), tanh, base[2],
-              base[1].copy(), base[0].copy(), tanh.copy()]
+    # (3,) and (3, 1) both have 17 parameters at input 2 with 2 classes
+    base = [nn.init_model(ArchitectureSpec(2, (3,), 2), s) for s in range(3)]
+    twin = Model(ArchitectureSpec(2, (3, 1), 2), base[0].params.copy())
+    # copies of one lineage share their parameter bytes; the twin shares
+    # them with base[0] but is another architecture, so another model
+    models = [base[0], base[1].copy(), base[0].copy(), twin, base[2],
+              base[1].copy(), base[0].copy(), twin.copy()]
     pool = _pool()
     want = np.stack([nn.forward(m, pool).ravel() for m in models])
     calls = []

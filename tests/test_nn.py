@@ -28,8 +28,6 @@ def test_arch_validation():
         ArchitectureSpec(2, (1, 1, 1, 1, 1), 2)
     with pytest.raises(ValueError):
         ArchitectureSpec(2, (3,), 1)
-    with pytest.raises(ValueError):
-        ArchitectureSpec(2, (3,), 2, activation="sigmoid")
 
 
 def test_exchange_compatibility_ignores_hidden_widths():
@@ -172,7 +170,7 @@ def _max_rel_err(analytic, numeric):
 def test_dml_gradients_match_finite_differences():
     rng = np.random.default_rng(123)
     for trial in range(5):
-        arch_p = ArchitectureSpec(2, (3,), 2, activation=("relu", "tanh")[trial % 2])
+        arch_p = ArchitectureSpec(2, (3,), 2)
         arch_ex = ArchitectureSpec(2, (4,), 2)
         model_p = nn.init_model(arch_p, trial)
         model_ex = nn.init_model(arch_ex, trial + 100)
@@ -269,18 +267,17 @@ def _reference_train(model, peer, mutual, x, y, params, rng):
     return model, peer
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("pairing", ["single", "mutual", "separate"])
-def test_train_loop_matches_pure_sgd_step_bitwise(activation, pairing):
+def test_train_loop_matches_pure_sgd_step_bitwise(pairing):
     rng = np.random.default_rng(21)
     x = rng.normal(size=(31, 3))  # 31 rows: the last batch of 7 is short
     y = rng.integers(0, 3, size=31)
     params = FedMeConfig(rounds=1, epochs=3, lr=0.1, momentum=0.9,
                             weight_decay=1e-3, batch_size=7)
-    model = nn.init_model(ArchitectureSpec(3, (5,), 3, activation), 1)
+    model = nn.init_model(ArchitectureSpec(3, (5,), 3), 1)
     peer = None
     if pairing != "single":
-        peer = nn.init_model(ArchitectureSpec(3, (4, 6), 3, activation), 2)
+        peer = nn.init_model(ArchitectureSpec(3, (4, 6), 3), 2)
     mutual = pairing == "mutual"
     ref_model, ref_peer = _reference_train(
         model, peer, mutual, x, y, params, np.random.default_rng(5))
@@ -307,7 +304,6 @@ LOCKSTEP_MENU = ((3,), (64,), (4, 2), (5, 5, 5))
 def test_lockstep_train_matches_pure_step_oracle_bitwise(data):
     dim = data.draw(st.integers(1, 4), label="input_dim")
     classes = data.draw(st.integers(2, 4), label="num_classes")
-    activation = data.draw(st.sampled_from(nn.ACTIVATIONS), label="activation")
     params = FedMeConfig(epochs=data.draw(st.integers(1, 2), label="epochs"),
                          batch_size=data.draw(st.integers(1, 20), label="batch_size"),
                          lr=0.1, momentum=0.9, weight_decay=1e-3,
@@ -322,11 +318,11 @@ def test_lockstep_train_matches_pure_step_oracle_bitwise(data):
         made = []
         for widths, peer_widths, n, seed in specs:
             rng = np.random.default_rng(seed)
-            arch = ArchitectureSpec(dim, widths, classes, activation)
+            arch = ArchitectureSpec(dim, widths, classes)
             peer = None
             if peer_widths is not None:
-                peer = nn.init_model(ArchitectureSpec(dim, peer_widths, classes,
-                                                      activation), seed + 1)
+                peer = nn.init_model(ArchitectureSpec(dim, peer_widths, classes),
+                                     seed + 1)
             made.append(nn.Job(nn.init_model(arch, seed), peer,
                                rng.normal(size=(n, dim)),
                                rng.integers(0, classes, size=n),
@@ -418,19 +414,18 @@ def test_short_batches_pad_into_one_stacked_step_per_tick(dml, monkeypatch):
     assert stacks == ([12, 12] if dml else [6, 6])
 
 
-@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
 @pytest.mark.parametrize("dml", [False, True])
-def test_padded_steps_keep_the_bits_at_the_shapes_blas_rounds_apart(activation, dml):
+def test_padded_steps_keep_the_bits_at_the_shapes_blas_rounds_apart(dml):
     # fan-in and fan-out 1, 64-wide layers and one-row batches: the shapes
     # where a product padded to another row count changes its bits
-    archs = [ArchitectureSpec(1, (64,), 3, activation),
-             ArchitectureSpec(1, (1, 64), 2, activation),
-             ArchitectureSpec(6, (64, 64), 4, activation)]
+    archs = [ArchitectureSpec(1, (64,), 3),
+             ArchitectureSpec(1, (1, 64), 2),
+             ArchitectureSpec(6, (64, 64), 4)]
     sizes = [40, 21, *range(22, 39), 1]  # short batches of 1-18 rows beside full ones
     params = FedMeConfig(epochs=2, batch_size=20, lr=0.1, momentum=0.9,
                          weight_decay=1e-3, dml=dml)
     for arch in archs:
-        peer = ArchitectureSpec(arch.input_dim, (64,), arch.num_classes, activation)
+        peer = ArchitectureSpec(arch.input_dim, (64,), arch.num_classes)
         peers = [peer] * len(sizes)
         assert (_trained_bytes([arch] * len(sizes), sizes, params, peers)
                 == _oracle_bytes([arch] * len(sizes), sizes, params, peers))
@@ -438,7 +433,7 @@ def test_padded_steps_keep_the_bits_at_the_shapes_blas_rounds_apart(activation, 
 
 def test_padded_stack_losses_and_grads_match_the_one_model_adapter():
     arch = ArchitectureSpec(3, (64, 4), 3)
-    peer_arch = ArchitectureSpec(3, (5,), 3, "tanh")
+    peer_arch = ArchitectureSpec(3, (5,), 3)
     rows = [7, 7, 1, 4, 7]
     made = _jobs([arch] * 5, rows, 8, [peer_arch] * 5)
     # each batch padded to 7 rows with copies of its last row
@@ -483,12 +478,11 @@ def test_dml_blocks_share_the_longest_batch_of_the_tick_across_architectures(mon
     assert stacks == full + tick_1 + full + tick_1
 
 
-@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
-def test_dml_and_ce_jobs_of_one_architecture_keep_their_bits(activation):
+def test_dml_and_ce_jobs_of_one_architecture_keep_their_bits():
     # as a donor map that leaves clients out makes: DML jobs and CE jobs of
     # one architecture in one call, each loss's models in a stack of its own
-    arch = ArchitectureSpec(3, (5,), 3, activation)
-    peers = [arch, None, ArchitectureSpec(3, (4, 4), 3, activation), None, arch]
+    arch = ArchitectureSpec(3, (5,), 3)
+    peers = [arch, None, ArchitectureSpec(3, (4, 4), 3), None, arch]
     sizes = [25, 40, 33, 7, 20]
     params = FedMeConfig(epochs=2, batch_size=10, lr=0.1, momentum=0.9,
                          weight_decay=1e-3, dml=True)
@@ -738,7 +732,7 @@ def _desk_models(draw):
     arch = ArchitectureSpec(
         draw(st.integers(1, 16)),
         tuple(draw(st.lists(st.integers(2, 16), min_size=1, max_size=4))),
-        draw(st.integers(2, 8)), draw(st.sampled_from(nn.ACTIVATIONS)))
+        draw(st.integers(2, 8)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return Model(arch, rng.normal(scale=draw(st.sampled_from((0.3, 1.0, 4.0))),
                                   size=arch.parameter_count()))
@@ -771,7 +765,7 @@ def test_evaluate_splits_matches_the_oracle_to_rounding_where_blas_uses_gemv(
     # matrix-matrix code that the stacked rows take, so these cases agree
     # with the per-split oracle only to rounding.
     rng = np.random.default_rng(5)
-    model = nn.init_model(ArchitectureSpec(12, hidden, 3, "tanh"), 5)
+    model = nn.init_model(ArchitectureSpec(12, hidden, 3), 5)
     n = sum(sizes)
     x, y = rng.normal(size=(n, 12)), rng.integers(0, 3, size=n)
     ends = (0, sizes[0], sizes[0] + sizes[1], n)
@@ -795,7 +789,7 @@ def test_evaluate_splits_rejects_bad_splits():
 
 
 def test_serialize_round_trip():
-    model = nn.init_model(ArchitectureSpec(3, (4, 2), 5, "tanh"), 31)
+    model = nn.init_model(ArchitectureSpec(3, (4, 2), 5), 31)
     model.params[0] = -1.25e-7
     restored = nn.deserialize_model(nn.serialize_model(model))
     assert restored.arch == model.arch
@@ -836,12 +830,20 @@ def test_deserialize_rejects_corruption():
         nn.deserialize_model(bad_version)
 
 
+def test_deserialize_rejects_any_activation_code_but_relu():
+    blob = nn.serialize_model(nn.init_model(ARCH, 0))
+    assert blob[6] == 0  # ReLU
+    for code in (1, 2, 255):
+        with pytest.raises(ValueError, match=f"unknown activation code {code}$"):
+            nn.deserialize_model(blob[:6] + bytes([code]) + blob[7:])
+
+
 @st.composite
 def _models(draw):
     arch = ArchitectureSpec(
         draw(st.integers(1, 6)),
         tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))),
-        draw(st.integers(2, 5)), draw(st.sampled_from(nn.ACTIVATIONS)))
+        draw(st.integers(2, 5)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return Model(arch, rng.normal(size=arch.parameter_count()))
 
@@ -861,13 +863,5 @@ def test_checkpoint_round_trips_and_rejects_truncation_and_header_flips(model):
         for bit in range(8):
             flipped = bytearray(blob)
             flipped[byte] ^= 1 << bit
-            if (byte, bit) == (6, 0):
-                # byte 6 is the activation code, and relu (0) and tanh (1)
-                # differ only in bit 0: this flip gives a valid checkpoint of
-                # the other activation, which the format cannot detect
-                other = nn.deserialize_model(bytes(flipped))
-                assert other.arch.activation != model.arch.activation
-                assert other.params.tobytes() == model.params.tobytes()
-                continue
             with pytest.raises(ValueError):
                 nn.deserialize_model(bytes(flipped))

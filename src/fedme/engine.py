@@ -9,6 +9,8 @@ order in which client work is executed. Wall time is kept out of
 """
 from __future__ import annotations
 
+import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -30,7 +32,19 @@ TAG_PROBE = 7
 
 
 def derive_seed(*keys: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(list(keys))
+    """`SeedSequence(list(keys))`, given the uint32 words numpy derives from
+    that list (each key's 32-bit words, low word first, key after key) as an
+    array, which numpy takes as it is instead of converting each key."""
+    words = []
+    for key in keys:
+        key = operator.index(key)
+        if key < 0:
+            raise ValueError(f"expected non-negative integer keys, got {key}")
+        words.append(key & 0xFFFFFFFF)
+        while key > 0xFFFFFFFF:
+            key >>= 32
+            words.append(key & 0xFFFFFFFF)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 @dataclass
@@ -217,10 +231,15 @@ def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
             plan: ExchangePlan, config: FedMeConfig,
             overrides: RoundOverrides) -> RoundRecord:
     """Score client `cid`'s trained model and borrowed `peer`, then pick the
-    lineage it keeps. The record's accuracies are filled in later."""
+    lineage it keeps. A client that borrows nothing and lends nothing, as
+    every Local-Only client, gets its trained model back if it keeps its
+    lineage, so one pass also scores its test split and the record takes its
+    accuracies from it; every other record's are filled in later."""
     t, donor = plan.round, plan.donor.get(cid)
-    (loss_p_train, _), (loss_p_val, _) = nn.evaluate_splits(
-        model, shard.features, shard.labels, shard.ends[:3])
+    alone = donor is None and cid not in plan.donor.values()
+    scores = nn.evaluate_splits(model, shard.features, shard.labels,
+                                shard.ends if alone else shard.ends[:3])
+    (loss_p_train, _), (loss_p_val, _) = scores[:2]
     loss_ex_train = loss_ex_val = None
     if donor is not None:
         (loss_ex_train, _), (loss_ex_val, _) = nn.evaluate_splits(
@@ -230,11 +249,14 @@ def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
     if a is None:
         a = (model_tuning(loss_p_val, loss_ex_val, cid, donor)
              if config.tuning and donor is not None else cid)
+    val_acc = test_acc = float("nan")
+    if alone and a == cid:  # its trained model is its next model
+        (_, val_acc), (_, test_acc) = scores[1:]
     return RoundRecord(
         round=t, client=cid, k=plan.k, cluster=plan.cluster_of.get(cid),
         donor=donor, a=a, loss_p_train=loss_p_train, loss_ex_train=loss_ex_train,
         loss_p_val=loss_p_val, loss_ex_val=loss_ex_val,
-        val_acc=float("nan"), test_acc=float("nan"))
+        val_acc=val_acc, test_acc=test_acc)
 
 
 def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
@@ -275,8 +297,9 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
         laps.lap(t, "server_ms")
 
         for model, shard, record in zip(models, shards, round_records):
-            (_, record.val_acc), (_, record.test_acc) = nn.evaluate_splits(
-                model, shard.features, shard.labels, shard.ends[1:])
+            if math.isnan(record.test_acc):  # not scored by `_select`
+                (_, record.val_acc), (_, record.test_acc) = nn.evaluate_splits(
+                    model, shard.features, shard.labels, shard.ends[1:])
         records.extend(round_records)
         laps.lap(t, "score_ms")
 

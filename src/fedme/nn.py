@@ -8,9 +8,14 @@ parameters in place, so callers copy a model first when the original must
 survive. `train` runs many models of one input width in lockstep: at each
 tick, the models of one architecture and loss share one stacked step on the
 rows of one data stack, short batches padded, with the bits of stepping each
-model alone. Its kernels return gradients only; losses are computed where
-they are reported (`evaluate_splits`). There is one forward pass,
-`_forward_cached`, on a stack of models; `forward` runs it on a stack of one.
+model alone. A block binds the views its steps read once per cohort, and
+again only when its stepping prefix shrinks (`_bind`): each layer's
+transposed weights and biases for the forward pass, its weights for
+backprop, and its weight- and bias-gradient views into the cohort's one
+gradient buffer, so a step makes none. Its kernels return gradients only;
+losses are computed where they are reported (`evaluate_splits`). There is
+one forward pass, `_forward_cached`, on the layer views of a stack of
+models; `forward` builds them for a stack of one.
 Every other operation is pure; the public `sgd_step` takes the momentum
 buffer as an argument and returns stepped copies of the model and the buffer.
 """
@@ -140,31 +145,58 @@ def _checked_rows(arch: ArchitectureSpec, features, labels):
     return X, _checked_labels(labels, len(X), arch.num_classes)
 
 
-def _forward_cached(arch: ArchitectureSpec, params: np.ndarray,
-                    features: np.ndarray, shorts=()):
+def _forward_views(arch: ArchitectureSpec, params: np.ndarray) -> list[tuple]:
+    """The forward pass's views of each layer of a (C, P) parameter stack:
+    its (C, fi, fo) transposed weights and (C, 1, fo) biases."""
+    stack = len(params)
+    return [(params[:, w_sl].reshape(stack, fo, fi).transpose(0, 2, 1),
+             params[:, None, b_sl]) for w_sl, b_sl, fi, fo in _layer_slices(arch)]
+
+
+class _Stack(NamedTuple):
+    """A (C, P) parameter stack and its (C, P) gradient stack, with the
+    views of them that every step reads, made once: per layer, the forward
+    pass's views (`_forward_views`), and the (C, fo, fi) weights backprop
+    multiplies by with the (C, fo, fi) weight- and (C, fo) bias-gradient
+    views into `grad` that it writes."""
+
+    params: np.ndarray
+    forward: list
+    backward: list
+    grad: np.ndarray
+
+
+def _bind(arch: ArchitectureSpec, params: np.ndarray, grad: np.ndarray) -> _Stack:
+    """The `_Stack` of the (C, P) stacks `params` and `grad`."""
+    stack = len(params)
+    backward = [(params[:, w_sl].reshape(stack, fo, fi),
+                 grad[:, w_sl].reshape(stack, fo, fi), grad[:, b_sl])
+                for w_sl, b_sl, fi, fo in _layer_slices(arch)]
+    return _Stack(params, _forward_views(arch, params), backward, grad)
+
+
+def _forward_cached(layers: list[tuple], features: np.ndarray, shorts=()):
     """Forward pass of a stack of C models of one architecture, each on its
-    own batch: `params` is (C, P) and `features` (C, b, d). Returns the
-    (C, b, M) probabilities and the pre/post-activation values backprop
-    needs. Model c's slice has the bits of the pass on model c alone, which
-    is `forward`.
+    own batch: `layers` are the (C, P) stack's `_forward_views` and
+    `features` is (C, b, d). Returns the (C, b, M) probabilities and the
+    pre/post-activation values backprop needs. Model c's slice has the bits
+    of the pass on model c alone, which is `forward`.
 
     `shorts` lists (rows slice, row count r) of each run of models whose
     batch has r < b real rows, padded to b. BLAS rounds a product
     differently at another row count, so their products are redone on their
     first r rows; the rest of the pass works row by row."""
-    layers = _layer_slices(arch)
-    stack = len(params)
+    last = len(layers) - 1
     acts = [features]
     zs = []
     h = features
-    for li, (w_sl, b_sl, fi, fo) in enumerate(layers):
-        weights = params[:, w_sl].reshape(stack, fo, fi).transpose(0, 2, 1)
+    for li, (weights, bias) in enumerate(layers):
         z = np.matmul(h, weights)
         for sel, r in shorts:
             np.matmul(h[sel, :r], weights[sel], out=z[sel, :r])
-        z += params[:, None, b_sl]
+        z += bias
         zs.append(z)
-        if li < len(layers) - 1:
+        if li < last:
             h = np.maximum(z, 0.0)
             acts.append(h)
     return _softmax(zs[-1]), acts, zs
@@ -174,23 +206,17 @@ def forward(model: Model, features: np.ndarray) -> np.ndarray:
     """Class-probability matrix; each row a softmax distribution. The
     training forward pass on a stack of one model."""
     X = _checked_features(model.arch, features)
-    return _forward_cached(model.arch, model.params[None], X[None])[0][0]
+    return _forward_cached(_forward_views(model.arch, model.params[None]), X[None])[0][0]
 
 
-def _backprop(arch: ArchitectureSpec, params: np.ndarray, acts, zs,
-              dlogits: np.ndarray, shorts=()) -> np.ndarray:
-    """(C, P) gradients of a stack given the gradients of its losses w.r.t.
-    the (C, b, M) output logits. Each short run of `_forward_cached`'s
-    `shorts` has its weight gradient, bias sum and backprop delta redone on
-    its real rows."""
-    layers = _layer_slices(arch)
-    stack = len(params)
-    grad = np.empty_like(params)
+def _backprop(stack: _Stack, acts, zs, dlogits: np.ndarray, shorts=()) -> np.ndarray:
+    """Gradients of a stack, given the gradients of its losses w.r.t. the
+    (C, b, M) output logits, written into and returned as `stack.grad`. Each
+    short run of `_forward_cached`'s `shorts` has its weight gradient, bias
+    sum and backprop delta redone on its real rows."""
     delta = dlogits
-    for li in range(len(layers) - 1, -1, -1):
-        w_sl, b_sl, fi, fo = layers[li]
-        grad_w = grad[:, w_sl].reshape(stack, fo, fi)
-        grad_b = grad[:, b_sl]
+    for li in range(len(stack.backward) - 1, -1, -1):
+        weights, grad_w, grad_b = stack.backward[li]
         np.matmul(delta.transpose(0, 2, 1), acts[li], out=grad_w)
         np.add.reduce(delta, axis=1, out=grad_b)  # np.sum, minus its dispatch
         for sel, r in shorts:
@@ -198,13 +224,12 @@ def _backprop(arch: ArchitectureSpec, params: np.ndarray, acts, zs,
             np.matmul(d.transpose(0, 2, 1), acts[li][sel, :r], out=grad_w[sel])
             np.add.reduce(d, axis=1, out=grad_b[sel])
         if li > 0:
-            weights = params[:, w_sl].reshape(stack, fo, fi)
             below = np.matmul(delta, weights)
             for sel, r in shorts:
                 np.matmul(delta[sel, :r], weights[sel], out=below[sel, :r])
             delta = below
             delta *= zs[li - 1] > 0.0  # multiplies like the 0/1 float mask
-    return grad
+    return stack.grad
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -230,56 +255,49 @@ def kl_divergence(target: np.ndarray, model_probs: np.ndarray) -> float:
     return float(per_row.mean())
 
 
-def _label_hits(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Flat positions of each row's true class in a (C, b, M) array."""
-    stack, rows = labels.shape
-    return np.arange(0, stack * rows * num_classes, num_classes).reshape(
-        stack, rows) + labels
+def _row_offsets(stack: int, rows: int, num_classes: int) -> np.ndarray:
+    """Flat position of each (model, row)'s first class in a (C, b, M) array;
+    adding a (C, b) label array gives the positions of the true classes."""
+    return np.arange(0, stack * rows * num_classes, num_classes).reshape(stack, rows)
 
 
-def _row_counts(labels: np.ndarray, shorts) -> np.ndarray:
-    """Each model's count of real rows, as (C,) floats."""
-    n = np.full(len(labels), float(labels.shape[1]))
-    for sel, r in shorts:
-        n[sel] = r
-    return n
-
-
-def dml_losses_and_grads(arch: ArchitectureSpec, params: np.ndarray, cached,
-                         labels: np.ndarray, peer_probs: np.ndarray, shorts=()):
+def dml_losses_and_grads(stack: _Stack, cached, hits: np.ndarray, counts: np.ndarray,
+                         peer_probs: np.ndarray, shorts=()):
     """Gradients of the mutual-learning loss of a stack of C models of one
     architecture, each on its own batch with a peer that saw the same batch.
 
-    `cached` is the stack's forward pass on its (C, b, d) features as
-    `_forward_cached` returns it: the (C, b, M) probabilities and the values
-    backprop needs. `labels` is (C, b) and `peer_probs` (C, b, M) holds each
-    peer's predictions. `shorts` are the padded batches, as
-    `_forward_cached` takes them: their padding rows carry no gradient. A
-    model's loss is the mean over its real rows of cross-entropy plus the KL
-    pull toward its peer's predictions, which are constants when
-    differentiating, so a pair's two gradients decouple. Returns the (C, P)
-    gradients.
+    `stack` binds the (C, P) parameters and a gradient stack. `cached` is its
+    forward pass on its (C, b, d) features as `_forward_cached` returns it:
+    the (C, b, M) probabilities and the values backprop needs. `hits` holds
+    the (C, b) flat positions of each row's true class among the
+    probabilities, `counts` the (C, 1, 1) float count of each model's real
+    rows, and `peer_probs` (C, b, M) each peer's predictions. `shorts` are
+    the padded batches, as `_forward_cached` takes them: their padding rows
+    carry no gradient. A model's loss is the mean over its real rows of
+    cross-entropy plus the KL pull toward its peer's predictions, which are
+    constants when differentiating, so a pair's two gradients decouple.
+    Returns the (C, P) gradients, `stack.grad`.
     """
     probs, acts, zs = cached
     # d/dlogits of mean CE is (p - y)/n; of mean KL(t || p) it is (p - t)/n.
     dlogits = 2.0 * probs
-    dlogits.reshape(-1)[_label_hits(labels, arch.num_classes)] -= 1.0
+    dlogits.reshape(-1)[hits] -= 1.0
     dlogits -= peer_probs
-    dlogits /= _row_counts(labels, shorts)[:, None, None]
-    return _backprop(arch, params, acts, zs, dlogits, shorts)
+    dlogits /= counts
+    return _backprop(stack, acts, zs, dlogits, shorts)
 
 
-def ce_loss_and_grad(arch: ArchitectureSpec, params: np.ndarray, cached,
-                     labels: np.ndarray, shorts=()):
+def ce_loss_and_grad(stack: _Stack, cached, hits: np.ndarray, counts: np.ndarray,
+                     shorts=()):
     """Gradients of the mean cross-entropy loss (no mutual-learning term) of
     a stack of C models of one architecture, each on its own batch; the
     arguments are those of `dml_losses_and_grads` without peers. Overwrites
-    the cached probabilities. Returns the (C, P) gradients."""
+    the cached probabilities. Returns the (C, P) gradients, `stack.grad`."""
     probs, acts, zs = cached
     # probs becomes d/dlogits of mean CE, (p - y)/n
-    probs.reshape(-1)[_label_hits(labels, arch.num_classes)] -= 1.0
-    probs /= _row_counts(labels, shorts)[:, None, None]
-    return _backprop(arch, params, acts, zs, probs, shorts)
+    probs.reshape(-1)[hits] -= 1.0
+    probs /= counts
+    return _backprop(stack, acts, zs, probs, shorts)
 
 
 def batch_grads(model: Model, features, labels,
@@ -291,11 +309,13 @@ def batch_grads(model: Model, features, labels,
     if peer is not None and not model.arch.compatible_with(peer.arch):
         raise DimensionError("models do not share input_dim / num_classes")
     X, y = _checked_rows(model.arch, features, labels)
-    stacks = [(m.arch, m.params[None]) for m in models]
-    cached = [_forward_cached(arch, params, X[None]) for arch, params in stacks]
+    stacks = [_bind(m.arch, m.params[None], np.empty((1, len(m.params)))) for m in models]
+    cached = [_forward_cached(stack.forward, X[None]) for stack in stacks]
+    hits = _row_offsets(1, len(y), model.arch.num_classes) + y
+    counts = np.full((1, 1, 1), float(len(y)))
     if peer is None:
-        return [ce_loss_and_grad(*stacks[0], cached[0], y[None])[0]]
-    return [dml_losses_and_grads(*stacks[i], cached[i], y[None], cached[1 - i][0])[0]
+        return [ce_loss_and_grad(stacks[0], cached[0], hits, counts)[0]]
+    return [dml_losses_and_grads(stacks[i], cached[i], hits, counts, cached[1 - i][0])[0]
             for i in (0, 1)]
 
 
@@ -361,8 +381,13 @@ def train(jobs: list[Job], params) -> None:
     longest of all the tick's DML stacks, for DML), and every matrix product
     and row sum of a shorter batch is redone at its own row count
     (`_forward_cached`, `_backprop`), which keeps the bits. Each model's
-    `params` is rebound to a row of its stack.
-    Every job and hyperparameter is checked before any job trains.
+    `params` is rebound to a row of its stack. A block binds the views its
+    steps read once per cohort, and again only when its stepping prefix
+    shrinks (`_bind`); its gradients go to one buffer that the cohort's
+    steps share.
+    Every job and hyperparameter is checked before any job trains. A
+    non-finite gradient raises `ValueError` naming the positions in `jobs`
+    of the jobs whose gradients are not finite.
     """
     if params.batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {params.batch_size}")
@@ -387,8 +412,10 @@ def train(jobs: list[Job], params) -> None:
         checked.append(job._replace(features=X, labels=y))
     if params.epochs == 0:
         return
+    start = 0
     for cohort in _cohorts(checked):
-        _train_cohort(cohort, params)
+        _train_cohort(cohort, params, start)
+        start += len(cohort)
 
 
 def _cohorts(jobs: list[Job]):
@@ -414,7 +441,10 @@ class _Block(NamedTuple):
     arch: ArchitectureSpec
     params: np.ndarray   # the block's (N, P) stack
     buf: np.ndarray      # its momentum buffers
+    grad: np.ndarray     # its gradients, a view of the cohort's one buffer
     dml: bool
+    jobs: np.ndarray     # each row's job, as its position in the `train` call
+    bound: dict          # (c, b) -> the views a step of c models on b rows reads
 
 
 def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarray,
@@ -426,16 +456,17 @@ def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarr
     train rows, its `epochs` batch orders follow one another in `order` from
     `first[i]`, and `mate[i]` is the row of its DML partner, or i itself.
     Returns one list per tick of the steps of the blocks stepping at it, in
-    block order, each (block, rows, picks, shorts, peers):
+    block order, each (block, c, picks, counts, shorts, peers):
 
-    - `rows`, the prefix `slice(c)` of the block's stack whose models step,
-      as each row's job steps `epochs * ceil(n / size)` batches;
-    - `picks`, the (C, b) rows of the cohort's data that form each model's
+    - `c`, the count of the block's first rows whose models step, as each
+      row's job steps `epochs * ceil(n / size)` batches;
+    - `picks`, the (c, b) rows of the cohort's data that form each model's
       batch, the positions `order` holds for it, padded to `b` rows by
       repeating its last one. `b` is the longest batch of the block at the
       tick, or of all the tick's DML blocks for a DML block;
+    - `counts`, each model's count of real rows, as (c, 1, 1) floats;
     - `shorts`, (rows slice, row count r) of each run of consecutive models
-      whose batches have the same r < b real rows, relative to `rows`;
+      whose batches have the same r < b real rows;
     - `peers`, for a DML block, the position of each model's partner in the
       probabilities of the tick's DML blocks, stacked in block order; None
       otherwise.
@@ -474,6 +505,7 @@ def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarr
     picks = np.minimum(np.arange(padded.max(initial=0)), counts[:, None] - 1)
     picks += at[:, None]
     picks = order[picks]
+    reals = counts.astype(np.float64).reshape(-1, 1, 1)
     # where each DML block's models begin among its tick's DML models
     stacked = np.zeros((len(blocks), len(shared)), dtype=np.int64)
     stacked[seg_block[dml], seg_tick[dml]] = active[dml]
@@ -498,14 +530,15 @@ def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarr
             seg_block.tolist(), seg_tick.tolist(), start.tolist(),
             (start + active).tolist(), padded.tolist())):
         blk = blocks[b]
-        steps[t].append((blk, slice(e - s), picks[s:e, :p],
+        steps[t].append((blk, e - s, picks[s:e, :p], reals[s:e],
                          shorts[g], peers[s:e] if blk.dml else None))
     return steps
 
 
-def _train_cohort(jobs: list[Job], params) -> None:
-    """`train` on one cohort: the models of each architecture and loss as
-    the rows of one stack, stepped tick by tick as `_plan` schedules them."""
+def _train_cohort(jobs: list[Job], params, start: int) -> None:
+    """`train` on one cohort, the jobs at positions `start` on of its call:
+    the models of each architecture and loss as the rows of one stack,
+    stepped tick by tick as `_plan` schedules them."""
     hyper = (params.lr, params.momentum, params.weight_decay)
     # every job's batches, drawn up front: one permutation per epoch, kept
     # with all the others as one array of positions in the cohort's rows,
@@ -536,6 +569,10 @@ def _train_cohort(jobs: list[Job], params) -> None:
             by_block.setdefault((m.arch, dml), []).append(e)
         models += pair
         job_of += [j] * len(pair)
+    # one gradient buffer for all blocks: a step's update spends its
+    # gradients before the next step's kernel writes any
+    grads = np.empty(max(len(members) * arch.parameter_count()
+                         for (arch, _), members in by_block.items()))
     blocks, ordered = [], []  # and each block's models, block after block
     for (arch, dml), members in by_block.items():
         members.sort(key=lambda e: -n[job_of[e]])
@@ -543,7 +580,9 @@ def _train_cohort(jobs: list[Job], params) -> None:
         for row, e in enumerate(members):  # frees each original as it goes
             stack[row] = models[e].params
             models[e].params = stack[row]
-        blocks.append(_Block(arch, stack, np.zeros_like(stack), dml))
+        blocks.append(_Block(arch, stack, np.zeros_like(stack),
+                             grads[:stack.size].reshape(stack.shape), dml,
+                             np.array([start + job_of[e] for e in members]), {}))
         ordered += members
     place = np.empty(len(models), dtype=np.int64)
     place[ordered] = np.arange(len(ordered))
@@ -552,27 +591,44 @@ def _train_cohort(jobs: list[Job], params) -> None:
                  params.batch_size, params.epochs)
     del order
 
-    def padded_pass(blk, rows, picks, shorts):
-        """The block's stacked forward pass on its planned batches."""
-        W = blk.params[rows]
-        return W, _forward_cached(blk.arch, W, X[picks], shorts), Y[picks]
+    def padded_pass(blk, c, picks, shorts):
+        """The block's stacked forward pass on its planned batches, with the
+        views of its first c models and the positions of the labels."""
+        bound = blk.bound.get((c, picks.shape[1]))
+        if bound is None:
+            if blk.bound and next(iter(blk.bound))[0] != c:
+                blk.bound.clear()  # a block's stepping prefix never grows back
+            bound = blk.bound[c, picks.shape[1]] = (
+                _bind(blk.arch, blk.params[:c], blk.grad[:c]), blk.buf[:c],
+                _row_offsets(c, picks.shape[1], blk.arch.num_classes))
+        stack, buf, offsets = bound
+        return (stack, buf, _forward_cached(stack.forward, X[picks], shorts),
+                offsets + Y[picks])
+
+    def update(blk, stack, buf, grads):
+        try:
+            _sgd_update(stack.params, buf, grads, *hyper)
+        except ValueError as exc:  # non-finite gradients: name their jobs
+            bad = ~np.isfinite(grads).all(axis=1)
+            raise ValueError(f"{exc} in the jobs at positions "
+                             f"{np.unique(blk.jobs[:len(bad)][bad]).tolist()}") from None
 
     for steps in plan:
         # a DML model reads its partner's probabilities, so every DML stack
         # runs its forward pass before any steps
-        mutual = [(step, padded_pass(*step[:4])) for step in steps if step[0].dml]
-        probs = [cache[0] for _, (_, cache, _) in mutual]
+        mutual = [(step, padded_pass(*step[:3], step[4])) for step in steps
+                  if step[0].dml]
+        probs = [cache[0] for _, (_, _, cache, _) in mutual]
         if len(probs) > 1:
             probs = [np.concatenate(probs)]
-        for (blk, rows, _, shorts, peers), (W, cache, y) in mutual:
-            grads = dml_losses_and_grads(blk.arch, W, cache, y, probs[0][peers], shorts)
-            _sgd_update(W, blk.buf[rows], grads, *hyper)
+        for (blk, _, _, counts, shorts, peers), (stack, buf, cache, hits) in mutual:
+            update(blk, stack, buf, dml_losses_and_grads(stack, cache, hits, counts,
+                                                         probs[0][peers], shorts))
         del mutual, probs
-        for blk, rows, picks, shorts, _ in steps:
+        for blk, c, picks, counts, shorts, _ in steps:
             if not blk.dml:
-                W, cache, y = padded_pass(blk, rows, picks, shorts)
-                grads = ce_loss_and_grad(blk.arch, W, cache, y, shorts)
-                _sgd_update(W, blk.buf[rows], grads, *hyper)
+                stack, buf, cache, hits = padded_pass(blk, c, picks, shorts)
+                update(blk, stack, buf, ce_loss_and_grad(stack, cache, hits, counts, shorts))
 
 
 def average_params(models: list[Model]) -> Model:

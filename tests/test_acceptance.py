@@ -30,7 +30,8 @@ def _report(name, ok):
 def _kink_free(model, x, margin=1e-3):
     """Central differences are invalid where a relu unit sits at its kink, so
     sampled cases must keep every hidden pre-activation away from zero."""
-    _, _, zs = nn._forward_cached(model.arch, model.params[None], x[None])
+    _, _, zs = nn._forward_cached(nn._forward_views(model.arch, model.params[None]),
+                                  x[None])
     return all(np.min(np.abs(z)) > margin for z in zs[:-1])
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fedme import baselines, engine, nn
 from fedme.clustering import cluster_count
-from fedme.data import Dataset, split_shard
+from fedme.data import ClientShard, Dataset, split_shard
 from fedme.engine import (ExchangePlan, FedMeConfig, RoundOverrides,
                           assign_exchanges, derive_seed)
 from fedme.harness import write_timings
@@ -98,6 +98,22 @@ def test_laps_book_every_interval_of_a_round_once(algorithm, monkeypatch,
                      and cluster_count(t, thresholds, config.k_max, 5) >= 2)
         assert (spans["pool_ms"] > 0) == clustered, t
         assert (spans["kmeans_ms"] > 0) == clustered, t
+
+
+@pytest.mark.parametrize("keys", [(0,), (2**32 - 1,), (2**32,), (2**64 + 3,),
+                                  (7, 2**32, 0, 2**64 + 3, 1),
+                                  (np.int64(5), np.uint32(2**32 - 1), np.uint64(2**63 + 1))])
+def test_derive_seed_streams_equal_the_list_forms(keys):
+    got = np.random.default_rng(derive_seed(*keys))
+    want = np.random.default_rng(np.random.SeedSequence(list(keys)))
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random(4).tobytes() == want.random(4).tobytes()
+
+
+@pytest.mark.parametrize("keys", [(-1,), (3, np.int64(-2))])
+def test_derive_seed_rejects_negative_keys(keys):
+    with pytest.raises(ValueError, match="non-negative"):
+        derive_seed(*keys)
 
 
 def test_exchange_plan_rejects_self_donor():
@@ -342,6 +358,66 @@ def test_run_fedme_exchange_off_runs_the_empty_plan():
         assert model.arch == archs[(i + 1) % 5]
         assert np.array_equal(model.params, models[(i + 1) % 5].params)
     assert [r.a for r in moved_records if r.round == 3] == [1, 2, 3, 4, 0]
+
+
+def test_local_only_scores_each_round_on_its_redistributed_models(monkeypatch):
+    redistributed = []
+    redistribute = engine.redistribute
+
+    def recording(aggregated, selections):
+        models = redistribute(aggregated, selections)
+        redistributed.append([m.copy() for m in models])  # training rebinds params
+        return models
+
+    monkeypatch.setattr(engine, "redistribute", recording)
+    shards = _shards()
+    _, records, _ = baselines.run_local_only(shards, [ARCH] * 5,
+                                             FedMeConfig(rounds=3, lr=0.05, seed=4))
+    assert len(records) == 3 * 5
+    for r in records:
+        model, shard = redistributed[r.round - 1][r.client], shards[r.client]
+        assert [r.val_acc, r.test_acc] == [nn.evaluate(model, s.features, s.labels)[1]
+                                           for s in (shard.validation, shard.test)]
+
+
+@pytest.mark.parametrize("algorithm, per_client", [("local_only", 1), ("fedme", 3)])
+def test_evaluate_splits_calls_per_client_and_round(algorithm, per_client, monkeypatch):
+    # a Local-Only client scores train | val | test in one pass; a FedMe
+    # client scores its model and its peer, then its redistributed model
+    calls = []
+    evaluate_splits = nn.evaluate_splits
+    monkeypatch.setattr(nn, "evaluate_splits",
+                        lambda *args: calls.append(args) or evaluate_splits(*args))
+    config = FedMeConfig(rounds=3, lr=0.05, seed=2)
+    if algorithm == "fedme":
+        engine.run_fedme(_shards(), [ARCH] * 5, _pool(), config)
+    else:
+        baselines.run_local_only(_shards(), [ARCH] * 5, config)
+    assert len(calls) == per_client * 5 * 3
+
+
+def test_a_donorless_client_that_adopts_another_lineage_is_rescored():
+    # client 0 learns the swapped labels, so on client 1's rows its lineage
+    # scores unlike client 1's own; client 1 adopts it in round 2, and
+    # nobody borrows
+    shards = _shards()
+    shards[0] = ClientShard(*(Dataset(s.features, 1 - s.labels, 2)
+                              for s in (shards[0].train, shards[0].validation,
+                                        shards[0].test)))
+    config = FedMeConfig(rounds=2, lr=0.05, cluster_thresholds=(), seed=6)
+    alone = RoundOverrides(donors=lambda t, a: {})
+    _, kept, _ = engine.run_fedme(shards, [ARCH] * 5, None, config, alone)
+    models, records, _ = engine.run_fedme(
+        shards, [ARCH] * 5, None, config,
+        replace(alone, selections=lambda t, i, lp, lex: 0 if (t, i) == (2, 1) else None))
+    adopted = records[5 + 1]
+    assert (adopted.round, adopted.client, adopted.a) == (2, 1, 0)
+    assert np.array_equal(models[1].params, models[0].params)
+    shard = shards[1]
+    want = [nn.evaluate(models[1], s.features, s.labels)[1]
+            for s in (shard.validation, shard.test)]
+    assert [adopted.val_acc, adopted.test_acc] == want
+    assert want != [kept[5 + 1].val_acc, kept[5 + 1].test_acc]
 
 
 def test_run_fedme_scripted_trace():

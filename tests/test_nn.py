@@ -348,9 +348,9 @@ def test_lockstep_train_matches_pure_step_oracle_bitwise(data):
     cohorts = []
     train_cohort = nn._train_cohort
 
-    def recording(cohort, p):
+    def recording(cohort, p, start):
         cohorts.append([{id(job.model), id(job.peer)} for job in cohort])
-        train_cohort(cohort, p)
+        train_cohort(cohort, p, start)
 
     made = jobs()
     with pytest.MonkeyPatch.context() as mp:
@@ -406,7 +406,7 @@ def test_short_batches_pad_into_one_stacked_step_per_tick(dml, monkeypatch):
     counted = getattr(nn, kernel)
 
     def counting(*args):
-        stacks.append(args[1].shape[0])
+        stacks.append(args[0].params.shape[0])
         return counted(*args)
 
     monkeypatch.setattr(nn, kernel, counting)
@@ -443,11 +443,15 @@ def test_padded_stack_losses_and_grads_match_the_one_model_adapter():
     shorts = [(slice(2, 3), 1), (slice(3, 4), 4)]
     W = np.stack([job.model.params for job in made])
     peers = np.stack([job.peer.params for job in made])
-    peer_probs = nn._forward_cached(peer_arch, peers, X, shorts)[0]
-    stacked = [nn.ce_loss_and_grad(arch, W, nn._forward_cached(arch, W, X, shorts),
-                                   y, shorts),
-               nn.dml_losses_and_grads(arch, W, nn._forward_cached(arch, W, X, shorts),
-                                       y, peer_probs, shorts)]
+    peer_probs = nn._forward_cached(nn._forward_views(peer_arch, peers), X, shorts)[0]
+    hits = nn._row_offsets(5, 7, arch.num_classes) + y
+    counts = np.array(rows, dtype=float).reshape(5, 1, 1)
+    stacks = [nn._bind(arch, W, np.empty_like(W)) for _ in range(2)]
+    stacked = [nn.ce_loss_and_grad(stacks[0], nn._forward_cached(stacks[0].forward, X, shorts),
+                                   hits, counts, shorts),
+               nn.dml_losses_and_grads(stacks[1],
+                                       nn._forward_cached(stacks[1].forward, X, shorts),
+                                       hits, counts, peer_probs, shorts)]
     for c, job in enumerate(made):
         for grads, peer in zip(stacked, (None, job.peer)):
             grad, *_ = nn.batch_grads(job.model, job.features, job.labels, peer)
@@ -467,7 +471,7 @@ def test_dml_blocks_share_the_longest_batch_of_the_tick_across_architectures(mon
     counted = nn.dml_losses_and_grads
 
     def counting(*args):
-        stacks.append((args[1].shape[0], args[3].shape[1], args[5]))
+        stacks.append((args[0].params.shape[0], args[2].shape[1], args[5]))
         return counted(*args)
 
     monkeypatch.setattr(nn, "dml_losses_and_grads", counting)
@@ -492,9 +496,9 @@ def test_dml_and_ce_jobs_of_one_architecture_keep_their_bits():
 
 def _plan_oracle(blocks, n, first, mate, order, size, epochs):
     """The schedule `_plan` computes, worked out tick by tick: each block's
-    batches, padding and short runs by the formulas the tick loop applied
-    before the plan, and each DML model's partner by its block's place among
-    the tick's DML stacks."""
+    batches, real-row counts, padding and short runs by the formulas the
+    tick loop applied before the plan, and each DML model's partner by its
+    block's place among the tick's DML stacks."""
     def short_runs(counts, padded):
         edges = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(),
                  len(counts)]
@@ -531,7 +535,8 @@ def _plan_oracle(blocks, n, first, mate, order, size, epochs):
                 mates = mate[tops[b]:tops[b] + active]
                 owner = np.searchsorted(tops, mates, side="right") - 1
                 peers = np.array([offset[o] + m - tops[o] for o, m in zip(owner, mates)])
-            tick.append((blk, slice(active), order[at[:, None] + pad],
+            tick.append((blk, active, order[at[:, None] + pad],
+                         counts.astype(float).reshape(-1, 1, 1),
                          short_runs(counts, padded), peers))
         steps.append(tick)
     return steps
@@ -574,11 +579,13 @@ def test_plan_matches_the_tick_by_tick_schedule(data):
             assert got[0] is expected[0] and got[1] == expected[1]
             assert got[2].tobytes() == expected[2].tobytes()
             assert got[2].shape == expected[2].shape
-            assert got[3] == expected[3]
-            if expected[4] is None:
-                assert got[4] is None
+            assert got[3].tobytes() == expected[3].tobytes()
+            assert got[3].shape == expected[3].shape
+            assert got[4] == expected[4]
+            if expected[5] is None:
+                assert got[5] is None
             else:
-                assert np.array_equal(got[4], expected[4])
+                assert np.array_equal(got[5], expected[5])
 
 
 def test_jobs_on_the_same_rows_stack_them_once(monkeypatch):
@@ -622,6 +629,22 @@ def test_jobs_without_rows_keep_their_bits(sizes):
     assert got == want
     for m, job_got, job_before in zip(sizes, got, before):
         assert (job_got == job_before) == (m == 0)
+
+
+@pytest.mark.parametrize("budget", [nn.COHORT_BYTES, 1], ids=["shared-cohort", "own-cohorts"])
+@pytest.mark.parametrize("dml", [False, True])
+def test_a_divergence_names_the_positions_of_its_jobs(dml, budget, monkeypatch):
+    # a budget below one model's bytes puts each job in a cohort of its own,
+    # where its position in the cohort is 0, not its position in the call
+    monkeypatch.setattr(nn, "COHORT_BYTES", budget)
+    arch = ArchitectureSpec(3, (5,), 3)
+    made = _jobs([arch] * 4, [9, 12, 7, 10], 6, [arch] * 4 if dml else None)
+    made[1] = made[1]._replace(features=made[1].features * 1e300)
+    params = FedMeConfig(epochs=2, batch_size=4, lr=0.1, momentum=0.9, dml=dml)
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(ValueError, match=r"lr=0.1: training diverged in the jobs "
+                                          r"at positions \[1\]$")):
+        nn.train(made, params)
 
 
 @pytest.mark.parametrize("field, value", [("batch_size", 0), ("batch_size", -3),
@@ -714,7 +737,8 @@ def test_evaluate_rejects_empty_split():
 
 def _cached_probs(model, features):
     """The training forward pass's probabilities, on a one-model stack."""
-    return nn._forward_cached(model.arch, model.params[None], features[None])[0][0]
+    views = nn._forward_views(model.arch, model.params[None])
+    return nn._forward_cached(views, features[None])[0][0]
 
 
 def _evaluate_oracle(model, features, labels):

@@ -44,7 +44,7 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
     scores = score() if q > 1 else None
     choices = [0] * len(shards)
     records = []
-    laps = Laps(config.rounds)
+    laps = Laps()
     for t in range(1, config.rounds + 1):
         trained = []
         for i in range(len(train_sets)):

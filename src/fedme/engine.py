@@ -84,16 +84,19 @@ SPANS = ("pool_ms", "kmeans_ms", "train_ms", "score_ms", "server_ms")
 
 
 class Laps:
-    """A lap clock over the rounds of a run: `lap(t, span)` books the
-    milliseconds since the previous lap (or since the clock started) to round
-    t's span, so each round's spans add up to its wall time."""
+    """A lap clock over the rounds of a run, lapped in order: `lap(t, span)`
+    books the milliseconds since the previous lap (or since the clock
+    started) to round t's span, which `rounds` gains at the round's first
+    lap, so each round's spans add up to its wall time."""
 
-    def __init__(self, rounds: int):
-        self.rounds = [dict.fromkeys(SPANS, 0.0) for _ in range(rounds)]
+    def __init__(self):
+        self.rounds: list[dict[str, float]] = []
         self._last = time.perf_counter()
 
     def lap(self, t: int, span: str) -> None:
         now = time.perf_counter()
+        while len(self.rounds) < t:
+            self.rounds.append(dict.fromkeys(SPANS, 0.0))
         self.rounds[t - 1][span] += (now - self._last) * 1000.0
         self._last = now
 
@@ -140,14 +143,17 @@ def model_outputs_on_unlabeled(models: list[Model], pool: np.ndarray) -> np.ndar
 
 
 def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
-                     donors_override: dict[int, int] | None = None) -> ExchangePlan:
+                     donors_override: dict[int, int] | None = None,
+                     k: int | None = None) -> ExchangePlan:
     """Donor per receiver, uniform within the receiver's cluster (excluding
     itself); a singleton falls back to a uniform draw over all other clients.
     Draws are independent per receiver, so duplicate donors are allowed. An
-    override is the whole donor map: a client it leaves out borrows nothing."""
+    override is the whole donor map: a client it leaves out borrows nothing.
+    The plan's `k` is the cluster count the round scheduled, which k-means
+    may leave without some labels; by default, the largest label plus one."""
     assignments = np.asarray(assignments)
     n = len(assignments)
-    k = int(assignments.max()) + 1
+    k = int(assignments.max()) + 1 if k is None else k
     cluster_of = {i: int(assignments[i]) for i in range(n)}
     if donors_override is not None:
         return ExchangePlan(t, dict(donors_override), cluster_of, k)
@@ -209,9 +215,10 @@ def _plan_round(models: list[Model], pool: np.ndarray, t: int,
     A round with several clusters and no scripted ones laps the pool forward
     and k-means."""
     n = len(models)
-    k = cluster_count(t, config.cluster_thresholds, config.k_max, n)
+    k = None
     assignments = overrides.clusters(t, n) if overrides.clusters else None
     if assignments is None:
+        k = cluster_count(t, config.cluster_thresholds, config.k_max, n)
         if k == 1:
             assignments = np.zeros(n, dtype=np.int64)
         else:
@@ -224,7 +231,7 @@ def _plan_round(models: list[Model], pool: np.ndarray, t: int,
                 feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0])
             laps.lap(t, "kmeans_ms")
     donors_override = overrides.donors(t, assignments) if overrides.donors else None
-    return assign_exchanges(assignments, t, config.seed, donors_override)
+    return assign_exchanges(assignments, t, config.seed, donors_override, k)
 
 
 def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
@@ -271,7 +278,7 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
     models = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, i))
               for i, arch in enumerate(archs)]
     records: list[RoundRecord] = []
-    laps = Laps(config.rounds)
+    laps = Laps()
 
     for t in range(1, config.rounds + 1):
         plan = _plan_round(models, pool, t, config, overrides, laps)

@@ -5,17 +5,18 @@ what a checkpoint stores. Hidden layers are ReLU, so a checkpoint's activation
 code (byte 6) is always 0. Momentum exists only inside `train`, the one
 training loop, which gives each model it steps a zero buffer and updates
 parameters in place, so callers copy a model first when the original must
-survive. `train` runs many models of one input width in lockstep: at each
-tick, the models of one architecture and loss share one stacked step on the
-rows of one data stack, short batches padded, with the bits of stepping each
-model alone. A block binds the views its steps read once per cohort, and
-again only when its stepping prefix shrinks (`_bind`): each layer's
-transposed weights and biases for the forward pass, its weights for
-backprop, and its weight- and bias-gradient views into the cohort's one
-gradient buffer, so a step makes none. Its kernels return gradients only;
-losses are computed where they are reported (`evaluate_splits`). There is
-one forward pass, `_forward_cached`, on the layer views of a stack of
-models; `forward` builds them for a stack of one.
+survive. `train` runs many models of one input width and class count in
+lockstep: at each tick, the models of one architecture and loss share one
+stacked step on the rows of one data stack, short batches padded, with the
+bits of stepping each model alone. `_plan` schedules every step of a cohort
+before the first, with the positions of its labels, and binds the views a
+block's steps read once per prefix height (`_bind`): each layer's transposed
+weights and biases for the forward pass, its weights for backprop, and its
+weight- and bias-gradient views into the cohort's one gradient buffer, so a
+step makes none. Its kernels return gradients only; losses are computed
+where they are reported (`evaluate_splits`). There is one forward pass,
+`_forward_cached`, on the layer views of a stack of models; `forward` builds
+them for a stack of one.
 Every other operation is pure; the public `sgd_step` takes the momentum
 buffer as an argument and returns stepped copies of the model and the buffer.
 """
@@ -255,12 +256,6 @@ def kl_divergence(target: np.ndarray, model_probs: np.ndarray) -> float:
     return float(per_row.mean())
 
 
-def _row_offsets(stack: int, rows: int, num_classes: int) -> np.ndarray:
-    """Flat position of each (model, row)'s first class in a (C, b, M) array;
-    adding a (C, b) label array gives the positions of the true classes."""
-    return np.arange(0, stack * rows * num_classes, num_classes).reshape(stack, rows)
-
-
 def dml_losses_and_grads(stack: _Stack, cached, hits: np.ndarray, counts: np.ndarray,
                          peer_probs: np.ndarray, shorts=()):
     """Gradients of the mutual-learning loss of a stack of C models of one
@@ -311,7 +306,7 @@ def batch_grads(model: Model, features, labels,
     X, y = _checked_rows(model.arch, features, labels)
     stacks = [_bind(m.arch, m.params[None], np.empty((1, len(m.params)))) for m in models]
     cached = [_forward_cached(stack.forward, X[None]) for stack in stacks]
-    hits = _row_offsets(1, len(y), model.arch.num_classes) + y
+    hits = np.arange(len(y)) * model.arch.num_classes + y
     counts = np.full((1, 1, 1), float(len(y)))
     if peer is None:
         return [ce_loss_and_grad(stacks[0], cached[0], hits, counts)[0]]
@@ -372,8 +367,8 @@ def train(jobs: list[Job], params) -> None:
     mutual learning when `params.dml`, otherwise by its own cross-entropy.
 
     Every model ends with the bits of training its job alone, batch by batch.
-    The jobs of one call share one input width, as the clients of one
-    federation do. They run in lockstep, in cohorts of at most
+    The jobs of one call share one input width and one class count, as the
+    clients of one federation do. They run in lockstep, in cohorts of at most
     `COHORT_BYTES` of parameters: each cohort stacks its rows once, and the
     models of one architecture and loss once, so at each tick the models
     stepping a batch form a prefix of their stack for the kernels and the
@@ -381,10 +376,9 @@ def train(jobs: list[Job], params) -> None:
     longest of all the tick's DML stacks, for DML), and every matrix product
     and row sum of a shorter batch is redone at its own row count
     (`_forward_cached`, `_backprop`), which keeps the bits. Each model's
-    `params` is rebound to a row of its stack. A block binds the views its
-    steps read once per cohort, and again only when its stepping prefix
-    shrinks (`_bind`); its gradients go to one buffer that the cohort's
-    steps share.
+    `params` is rebound to a row of its stack. The steps of a block that
+    step its first c models share one binding of their views (`_bind`), and
+    every block's gradients go to one buffer that the cohort's steps share.
     Every job and hyperparameter is checked before any job trains. A
     non-finite gradient raises `ValueError` naming the positions in `jobs`
     of the jobs whose gradients are not finite.
@@ -404,10 +398,9 @@ def train(jobs: list[Job], params) -> None:
                 seen.add(id(model))
         if job.peer is not None and not job.model.arch.compatible_with(job.peer.arch):
             raise DimensionError("models do not share input_dim / num_classes")
-        if job.model.arch.input_dim != jobs[0].model.arch.input_dim:
-            raise DimensionError(f"the jobs of one call share one input width: "
-                                 f"input_dim {job.model.arch.input_dim} after "
-                                 f"{jobs[0].model.arch.input_dim}")
+        if not job.model.arch.compatible_with(jobs[0].model.arch):
+            raise DimensionError(f"the jobs of one call share one input width and class "
+                                 f"count: {job.model.arch} after {jobs[0].model.arch}")
         X, y = _checked_rows(job.model.arch, job.features, job.labels)
         checked.append(job._replace(features=X, labels=y))
     if params.epochs == 0:
@@ -444,26 +437,30 @@ class _Block(NamedTuple):
     grad: np.ndarray     # its gradients, a view of the cohort's one buffer
     dml: bool
     jobs: np.ndarray     # each row's job, as its position in the `train` call
-    bound: dict          # (c, b) -> the views a step of c models on b rows reads
 
 
 def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarray,
-          order: np.ndarray, size: int, epochs: int) -> list[list[tuple]]:
+          order: np.ndarray, labels: np.ndarray, size: int,
+          epochs: int) -> list[list[tuple]]:
     """Every step of a cohort, planned before the first by array operations
     over all its (block, tick, row) triples at once.
 
     The blocks' rows are taken block after block: row i's job has `n[i]`
     train rows, its `epochs` batch orders follow one another in `order` from
-    `first[i]`, and `mate[i]` is the row of its DML partner, or i itself.
+    `first[i]`, and `mate[i]` is the row of its DML partner, or i itself;
+    `labels` are the labels of the cohort's rows, of one class count M.
     Returns one list per tick of the steps of the blocks stepping at it, in
-    block order, each (block, c, picks, counts, shorts, peers):
+    block order, each (block, stack, buf, picks, hits, counts, shorts, peers):
 
-    - `c`, the count of the block's first rows whose models step, as each
+    - `stack` and `buf`, the `_bind` of the block's first c rows and their
+      momentum rows, made once per (block, c): c of its rows step, as each
       row's job steps `epochs * ceil(n / size)` batches;
     - `picks`, the (c, b) rows of the cohort's data that form each model's
       batch, the positions `order` holds for it, padded to `b` rows by
       repeating its last one. `b` is the longest batch of the block at the
       tick, or of all the tick's DML blocks for a DML block;
+    - `hits`, the (c, b) flat positions `(m * b + r) * M + label` of the true
+      classes of the rows r of model m's batch in the (c, b, M) probabilities;
     - `counts`, each model's count of real rows, as (c, 1, 1) floats;
     - `shorts`, (rows slice, row count r) of each run of consecutive models
       whose batches have the same r < b real rows;
@@ -505,6 +502,11 @@ def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarr
     picks = np.minimum(np.arange(padded.max(initial=0)), counts[:, None] - 1)
     picks += at[:, None]
     picks = order[picks]
+    # built in place: a temporary the size of `picks` raises the peak memory
+    hits = labels[picks].astype(np.int64, copy=False)
+    classes = blocks[0].arch.num_classes
+    hits += (within * padded[seg] * classes)[:, None]
+    hits += np.arange(picks.shape[1]) * classes
     reals = counts.astype(np.float64).reshape(-1, 1, 1)
     # where each DML block's models begin among its tick's DML models
     stacked = np.zeros((len(blocks), len(shared)), dtype=np.int64)
@@ -525,13 +527,15 @@ def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarr
                           counts[heads].tolist()):
         shorts[g].append((slice(a, b), r))
 
-    steps = [[] for _ in range(len(shared))]
-    for g, (b, t, s, e, p) in enumerate(zip(
+    steps, bound = [[] for _ in range(len(shared))], {}
+    for g, (b, t, s, c, p) in enumerate(zip(
             seg_block.tolist(), seg_tick.tolist(), start.tolist(),
-            (start + active).tolist(), padded.tolist())):
-        blk = blocks[b]
-        steps[t].append((blk, e - s, picks[s:e, :p], reals[s:e],
-                         shorts[g], peers[s:e] if blk.dml else None))
+            active.tolist(), padded.tolist())):
+        blk, rows = blocks[b], slice(s, s + c)
+        if (b, c) not in bound:
+            bound[b, c] = _bind(blk.arch, blk.params[:c], blk.grad[:c]), blk.buf[:c]
+        steps[t].append((blk, *bound[b, c], picks[rows, :p], hits[rows, :p], reals[rows],
+                         shorts[g], peers[rows] if blk.dml else None))
     return steps
 
 
@@ -582,28 +586,14 @@ def _train_cohort(jobs: list[Job], params, start: int) -> None:
             models[e].params = stack[row]
         blocks.append(_Block(arch, stack, np.zeros_like(stack),
                              grads[:stack.size].reshape(stack.shape), dml,
-                             np.array([start + job_of[e] for e in members]), {}))
+                             np.array([start + job_of[e] for e in members])))
         ordered += members
     place = np.empty(len(models), dtype=np.int64)
     place[ordered] = np.arange(len(ordered))
     jb = np.array(job_of)[ordered]
     plan = _plan(blocks, n[jb], first[jb], place[np.array(partner)[ordered]], order,
-                 params.batch_size, params.epochs)
-    del order
-
-    def padded_pass(blk, c, picks, shorts):
-        """The block's stacked forward pass on its planned batches, with the
-        views of its first c models and the positions of the labels."""
-        bound = blk.bound.get((c, picks.shape[1]))
-        if bound is None:
-            if blk.bound and next(iter(blk.bound))[0] != c:
-                blk.bound.clear()  # a block's stepping prefix never grows back
-            bound = blk.bound[c, picks.shape[1]] = (
-                _bind(blk.arch, blk.params[:c], blk.grad[:c]), blk.buf[:c],
-                _row_offsets(c, picks.shape[1], blk.arch.num_classes))
-        stack, buf, offsets = bound
-        return (stack, buf, _forward_cached(stack.forward, X[picks], shorts),
-                offsets + Y[picks])
+                 Y, params.batch_size, params.epochs)
+    del order, Y
 
     def update(blk, stack, buf, grads):
         try:
@@ -616,18 +606,18 @@ def _train_cohort(jobs: list[Job], params, start: int) -> None:
     for steps in plan:
         # a DML model reads its partner's probabilities, so every DML stack
         # runs its forward pass before any steps
-        mutual = [(step, padded_pass(*step[:3], step[4])) for step in steps
-                  if step[0].dml]
-        probs = [cache[0] for _, (_, _, cache, _) in mutual]
+        mutual = [(step, _forward_cached(step[1].forward, X[step[3]], step[6]))
+                  for step in steps if step[0].dml]
+        probs = [cache[0] for _, cache in mutual]
         if len(probs) > 1:
             probs = [np.concatenate(probs)]
-        for (blk, _, _, counts, shorts, peers), (stack, buf, cache, hits) in mutual:
+        for (blk, stack, buf, _, hits, counts, shorts, peers), cache in mutual:
             update(blk, stack, buf, dml_losses_and_grads(stack, cache, hits, counts,
                                                          probs[0][peers], shorts))
         del mutual, probs
-        for blk, c, picks, counts, shorts, _ in steps:
+        for blk, stack, buf, picks, hits, counts, shorts, _ in steps:
             if not blk.dml:
-                stack, buf, cache, hits = padded_pass(blk, c, picks, shorts)
+                cache = _forward_cached(stack.forward, X[picks], shorts)
                 update(blk, stack, buf, ce_loss_and_grad(stack, cache, hits, counts, shorts))
 
 

@@ -150,6 +150,15 @@ def test_negative_seed_override_exits_one_before_any_work(tmp_path, capsys,
     assert not built
 
 
+def test_an_error_without_a_message_is_named_by_its_type(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("fedme.cli.run_experiment", out_of_memory)
+    assert main(["run", "--config", _write(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 @pytest.mark.parametrize("alg", ["fedme", "local_only"])
 def test_diverged_run_names_the_learning_rate(tmp_path, capsys, alg):
     path = tmp_path / "exp.cfg"

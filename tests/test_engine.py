@@ -167,6 +167,27 @@ def test_assign_exchanges_donor_distribution_uniform():
     assert stat < 16.26623619623813
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_a_round_records_its_scheduled_cluster_count(seed):
+    # 4 copies of one model and 2 of another give k-means 2 distinct
+    # prediction vectors, so it leaves one of the 3 scheduled clusters empty
+    a, b = nn.init_model(ARCH, 0), nn.init_model(ARCH, 1)
+    models = [a.copy() for _ in range(4)] + [b.copy() for _ in range(2)]
+    config = FedMeConfig(cluster_thresholds=(1, 2), k_max=3, seed=seed)
+    assert cluster_count(2, config.cluster_thresholds, config.k_max, 6) == 3
+    plan = engine._plan_round(models, _pool(), 2, config, RoundOverrides(), engine.Laps())
+    assert len(set(plan.cluster_of.values())) == 2
+    assert plan.k == 3
+
+
+def test_scripted_clusters_count_their_largest_label_plus_one():
+    config = FedMeConfig(cluster_thresholds=(1, 2), k_max=3)
+    models = [nn.init_model(ARCH, i) for i in range(4)]
+    scripted = RoundOverrides(clusters=lambda t, n: np.array([0, 0, 1, 1]))
+    plan = engine._plan_round(models, _pool(), 2, config, scripted, engine.Laps())
+    assert plan.k == 2
+
+
 def test_assign_exchanges_needs_two_clients():
     with pytest.raises(ValueError):
         assign_exchanges(np.zeros(1, dtype=int), 1, seed=0)

@@ -444,7 +444,8 @@ def test_padded_stack_losses_and_grads_match_the_one_model_adapter():
     W = np.stack([job.model.params for job in made])
     peers = np.stack([job.peer.params for job in made])
     peer_probs = nn._forward_cached(nn._forward_views(peer_arch, peers), X, shorts)[0]
-    hits = nn._row_offsets(5, 7, arch.num_classes) + y
+    # the flat position of each row's label in the (5, 7, M) probabilities
+    hits = np.arange(5 * 7).reshape(5, 7) * arch.num_classes + y
     counts = np.array(rows, dtype=float).reshape(5, 1, 1)
     stacks = [nn._bind(arch, W, np.empty_like(W)) for _ in range(2)]
     stacked = [nn.ce_loss_and_grad(stacks[0], nn._forward_cached(stacks[0].forward, X, shorts),
@@ -494,11 +495,12 @@ def test_dml_and_ce_jobs_of_one_architecture_keep_their_bits():
             == _oracle_bytes([arch] * 5, sizes, params, peers))
 
 
-def _plan_oracle(blocks, n, first, mate, order, size, epochs):
+def _plan_oracle(blocks, n, first, mate, order, labels, size, epochs):
     """The schedule `_plan` computes, worked out tick by tick: each block's
-    batches, real-row counts, padding and short runs by the formulas the
-    tick loop applied before the plan, and each DML model's partner by its
-    block's place among the tick's DML stacks."""
+    prefix height c, batches, label positions, real-row counts, padding and
+    short runs by the formulas the tick loop applied before the plan, and
+    each DML model's partner by its block's place among the tick's DML
+    stacks."""
     def short_runs(counts, padded):
         edges = [0, *(np.flatnonzero(counts[1:] != counts[:-1]) + 1).tolist(),
                  len(counts)]
@@ -535,7 +537,11 @@ def _plan_oracle(blocks, n, first, mate, order, size, epochs):
                 mates = mate[tops[b]:tops[b] + active]
                 owner = np.searchsorted(tops, mates, side="right") - 1
                 peers = np.array([offset[o] + m - tops[o] for o, m in zip(owner, mates)])
-            tick.append((blk, active, order[at[:, None] + pad],
+            picks = order[at[:, None] + pad]
+            # row r of model m's batch in the (c, b, M) probabilities
+            hits = ((np.arange(active)[:, None] * padded + np.arange(padded))
+                    * blk.arch.num_classes + labels[picks])
+            tick.append((blk, active, picks, hits,
                          counts.astype(float).reshape(-1, 1, 1),
                          short_runs(counts, padded), peers))
         steps.append(tick)
@@ -575,17 +581,49 @@ def test_plan_matches_the_tick_by_tick_schedule(data):
     assert len(steps) == len(want)
     for got_tick, want_tick in zip(steps, want):
         assert len(got_tick) == len(want_tick)
-        for got, expected in zip(got_tick, want_tick):
-            assert got[0] is expected[0] and got[1] == expected[1]
-            assert got[2].tobytes() == expected[2].tobytes()
-            assert got[2].shape == expected[2].shape
-            assert got[3].tobytes() == expected[3].tobytes()
-            assert got[3].shape == expected[3].shape
-            assert got[4] == expected[4]
-            if expected[5] is None:
-                assert got[5] is None
+        for (blk, stack, buf, *got), (want_blk, c, *expected) in zip(got_tick, want_tick):
+            assert blk is want_blk
+            # the stack and momentum rows are views of the block's first c rows
+            for view, rows in ((stack.params, blk.params), (stack.grad, blk.grad),
+                               (buf, blk.buf)):
+                assert view.shape == rows[:c].shape
+                assert np.shares_memory(view, rows[:c])
+                assert not np.shares_memory(view, rows[c:])
+            for got_array, want_array in zip(got[:3], expected[:3]):  # picks, hits, counts
+                assert got_array.tobytes() == want_array.tobytes()
+                assert got_array.shape == want_array.shape
+            assert got[3] == expected[3]
+            if expected[4] is None:
+                assert got[4] is None
             else:
-                assert np.array_equal(got[5], expected[5])
+                assert np.array_equal(got[4], expected[4])
+
+
+def test_a_block_binds_each_prefix_height_once(monkeypatch):
+    # per block, train sizes 15, 15 and 5 on batches of 10 over 2 epochs:
+    # its 3 models step batches of 10 then 5 rows, then its first 2 do the
+    # same, so each prefix height steps at two padded lengths
+    archs = [ArchitectureSpec(3, (5,), 3), ArchitectureSpec(3, (4, 4), 3)] * 3
+    sizes = [15, 15, 15, 15, 5, 5]
+    params = FedMeConfig(epochs=2, batch_size=10, lr=0.1, momentum=0.9)
+    want = _oracle_bytes(archs, sizes, params)
+    binds, steps = [], []
+    bind, kernel = nn._bind, nn.ce_loss_and_grad
+
+    def counting_bind(arch, stack, grad):
+        binds.append((arch, len(stack)))
+        return bind(arch, stack, grad)
+
+    def counting_kernel(stack, cached, hits, *rest):
+        steps.append((len(stack.params), hits.shape[1]))
+        return kernel(stack, cached, hits, *rest)
+
+    monkeypatch.setattr(nn, "_bind", counting_bind)
+    monkeypatch.setattr(nn, "ce_loss_and_grad", counting_kernel)
+    assert _trained_bytes(archs, sizes, params) == want
+    assert sorted(set(steps)) == [(2, 5), (2, 10), (3, 5), (3, 10)]
+    assert sorted(binds, key=str) == sorted({(arch, c) for arch in archs[:2]
+                                             for c in (2, 3)}, key=str)
 
 
 def test_jobs_on_the_same_rows_stack_them_once(monkeypatch):
@@ -666,6 +704,16 @@ def test_train_rejects_jobs_of_two_input_widths_before_any_job_trains(monkeypatc
     made = _jobs([ArchitectureSpec(3, (5,), 3), ArchitectureSpec(5, (5,), 3)], [9, 9], 4)
     before = [job.model.params.tobytes() for job in made]
     with pytest.raises(nn.DimensionError, match="input width"):
+        nn.train(made, FedMeConfig(epochs=1, batch_size=4, lr=0.1))
+    assert [job.model.params.tobytes() for job in made] == before
+
+
+def test_train_rejects_jobs_of_two_class_counts_before_any_job_trains(monkeypatch):
+    monkeypatch.setattr(nn, "COHORT_BYTES", 1)
+    made = _jobs([ArchitectureSpec(3, (5,), 3), ArchitectureSpec(3, (5,), 4)], [9, 9], 4)
+    before = [job.model.params.tobytes() for job in made]
+    with pytest.raises(nn.DimensionError,
+                       match=r"class count: .*num_classes=4\).*num_classes=3\)$"):
         nn.train(made, FedMeConfig(epochs=1, batch_size=4, lr=0.1))
     assert [job.model.params.tobytes() for job in made] == before
 

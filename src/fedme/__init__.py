@@ -16,8 +16,8 @@ from .harness import (ConfigError, ExperimentConfig, SummaryReport,
                       stall_warning, sweep, write_round_log)
 from .nn import (ArchitectureSpec, Job, Model, average_params, cross_entropy,
                  deserialize_model, dml_losses_and_grads, evaluate,
-                 evaluate_splits, forward, init_model, kl_divergence,
-                 serialize_model, sgd_step, train)
+                 evaluate_splits, forward, init_model, serialize_model,
+                 sgd_step, train)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

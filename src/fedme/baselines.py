@@ -13,7 +13,7 @@ import numpy as np
 from . import nn
 from .data import ClientShard, Dataset
 from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, Laps, RoundOverrides,
-                     RoundRecord, derive_seed, run_fedme)
+                     RoundRecord, derive_seed, locate_divergence, run_fedme)
 from .nn import ArchitectureSpec, Model
 
 
@@ -39,6 +39,9 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
     def score():  # scores[g][3 * i + s]: (loss, acc) of model g on that split
         return [nn.evaluate_splits(g, features, labels, ends) for g in globals_]
 
+    def who(jobs):  # Centralized's one unit trains on every client's rows
+        return f"clients {jobs if len(train_sets) > 1 else list(range(len(shards)))}"
+
     # a round's choices read the scores of the models it starts from, which
     # are the previous round's record scores
     scores = score() if q > 1 else None
@@ -53,9 +56,10 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
                                             for g in range(q)]))
             trained.append(globals_[choices[i]].copy())
         laps.lap(t, "server_ms")
-        nn.train([nn.Job(model, None, train.features, train.labels,
-                         np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i)))
-                  for i, (model, train) in enumerate(zip(trained, train_sets))], config)
+        with locate_divergence(f"round {t}", who):
+            nn.train([nn.Job(model, None, train.features, train.labels,
+                             np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i)))
+                      for i, (model, train) in enumerate(zip(trained, train_sets))], config)
         laps.lap(t, "train_ms")
         for g in range(q):
             units = [i for i in range(len(trained)) if choices[i] == g]
@@ -110,11 +114,9 @@ def run_fedavg(shards: list[ClientShard], arch: ArchitectureSpec,
 
 
 def run_hypcluster(shards: list[ClientShard], arch: ArchitectureSpec,
-                   config: FedMeConfig, q: int = 2):
-    """The server keeps q global models; every round each client trains only
-    its best-fitting one (by validation loss) and the server averages the
-    returned copies per model, train-size-weighted. Returns (global models,
-    per-client final choice, round records, laps)."""
-    if q < 2:
-        raise ValueError(f"hypcluster needs q >= 2 global models, got {q}")
-    return _run_server_models([s.train for s in shards], shards, arch, config, q)
+                   config: FedMeConfig):
+    """The server keeps q = 2 global models; every round each client trains
+    only its best-fitting one (by validation loss) and the server averages
+    the returned copies per model, train-size-weighted. Returns (global
+    models, per-client final choice, round records, laps)."""
+    return _run_server_models([s.train for s in shards], shards, arch, config, 2)

@@ -9,6 +9,7 @@ order in which client work is executed. Wall time is kept out of
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import time
@@ -130,6 +131,19 @@ class RoundOverrides:
     selections: "callable | None" = None  # (t, client, loss_p, loss_ex) -> a
 
 
+@contextlib.contextmanager
+def locate_divergence(where: str, name=lambda jobs: f"clients {jobs}"):
+    """Train, or forward the pool, at `where` (a round, say) with numpy's
+    overflow warnings silenced (no bits change): a `nn.DivergenceError` reports
+    them, and names `where` and, by `name`, the jobs that diverged."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except nn.DivergenceError as exc:
+        exc.args = (f"{where}: {exc.reason} for {name(exc.jobs)}",)
+        raise
+
+
 def model_outputs_on_unlabeled(models: list[Model], pool: np.ndarray) -> np.ndarray:
     """Row i is the flattened probability matrix of model i on the pool. Models
     of one architecture with bit-identical parameters (the clients of one
@@ -222,10 +236,12 @@ def _plan_round(models: list[Model], pool: np.ndarray, t: int,
         if k == 1:
             assignments = np.zeros(n, dtype=np.int64)
         else:
-            feats = model_outputs_on_unlabeled(models, pool)
-            if not np.isfinite(feats).all():
-                raise ValueError(f"non-finite model outputs at lr={config.lr:g}: "
-                                 f"training diverged")
+            with locate_divergence(f"round {t}"):
+                feats = model_outputs_on_unlabeled(models, pool)
+                bad = (~np.isfinite(feats).all(axis=1)).nonzero()[0].tolist()
+                if bad:
+                    raise nn.DivergenceError(f"non-finite model outputs at "
+                                             f"lr={config.lr:g}: training diverged", bad)
             laps.lap(t, "pool_ms")
             assignments, _ = kmeans(
                 feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0])
@@ -286,9 +302,10 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
         peers = [exchanged.get(i) for i in range(len(models))]
         laps.lap(t, "server_ms")
 
-        dml_train(models, peers, shards, config,
-                  [np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i))
-                   for i in range(len(models))])
+        with locate_divergence(f"round {t}"):
+            dml_train(models, peers, shards, config,
+                      [np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i))
+                       for i in range(len(models))])
         laps.lap(t, "train_ms")
 
         round_records = [_select(i, model, peer, shard, plan, config, overrides)
@@ -318,8 +335,9 @@ def fine_tune(models: list[Model], shards: list[ClientShard],
     """Plain cross-entropy retraining of a copy of each client's model on its
     own train split, for `config.epochs` epochs, in one lockstep call."""
     tuned = [model.copy() for model in models]
-    nn.train([nn.Job(model, None, shard.train.features, shard.train.labels,
-                     np.random.default_rng(derive_seed(config.seed, TAG_FINE_TUNE, i)))
-              for i, (model, shard) in enumerate(zip(tuned, shards, strict=True))],
-             config)
+    with locate_divergence("fine-tuning"):
+        nn.train([nn.Job(model, None, shard.train.features, shard.train.labels,
+                         np.random.default_rng(derive_seed(config.seed, TAG_FINE_TUNE, i)))
+                  for i, (model, shard) in enumerate(zip(tuned, shards, strict=True))],
+                 config)
     return tuned

@@ -16,7 +16,8 @@ from .baselines import (run_centralized, run_fedavg, run_hypcluster,
 from .data import (ClientShard, PartitionSpec, dirichlet_partition,
                    extract_unlabeled, generate_synthetic, split_shard)
 from .engine import (SPANS, TAG_PROBE, TAG_SPLIT, FedMeConfig, Laps,
-                     RoundRecord, derive_seed, fine_tune, run_fedme)
+                     RoundRecord, derive_seed, fine_tune, locate_divergence,
+                     run_fedme)
 from .nn import ArchitectureSpec
 
 ALGORITHMS = ("fedme", "local_only", "centralized", "fedavg", "hypcluster")
@@ -180,7 +181,10 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
             jobs.append(nn.Job(nn.init_model(arch, derive_seed(*key)), None,
                                shard.train.features, shard.train.labels,
                                np.random.default_rng(derive_seed(*key, 1))))
-    nn.train(jobs, replace(config, epochs=config.probe_epochs))
+    with locate_divergence("best-local probing", lambda jobs: (
+            f"clients {[j // len(menu) for j in jobs]} on menu candidates "
+            f"{[j % len(menu) for j in jobs]}")):
+        nn.train(jobs, replace(config, epochs=config.probe_epochs))
     choices = []
     for c, shard in enumerate(shards):
         scored = []
@@ -259,33 +263,36 @@ def run_single(config: ExperimentConfig, seed: int,
     result when the caller has built it already."""
     config = replace(config, seed=seed)
     shards, pool = federation or build_federation(config, seed)
-    archs = _client_archs(config, shards)
+    try:  # a divergence names its run
+        archs = _client_archs(config, shards)
+        if config.algorithm == "fedme":
+            models, records, laps = run_fedme(shards, archs, pool, config)
+        elif config.algorithm == "local_only":
+            models, records, laps = run_local_only(shards, archs, config)
+        else:  # read per call: perfbench's tracer rebinds the runners' names
+            run = {"centralized": run_centralized, "fedavg": run_fedavg,
+                   "hypcluster": run_hypcluster}[config.algorithm]
+            globals_, choices, records, laps = run(shards, archs[0], config)
+            models = [globals_[c].copy() for c in choices]
 
-    if config.algorithm == "fedme":
-        models, records, laps = run_fedme(shards, archs, pool, config)
-    elif config.algorithm == "local_only":
-        models, records, laps = run_local_only(shards, archs, config)
-    else:  # read per call: perfbench's tracer rebinds the runners' names
-        run = {"centralized": run_centralized, "fedavg": run_fedavg,
-               "hypcluster": run_hypcluster}[config.algorithm]
-        globals_, choices, records, laps = run(shards, archs[0], config)
-        models = [globals_[c].copy() for c in choices]
-
-    stalled = stall_warning(records, config.num_classes)
-    if stalled:
-        warnings.warn(f"{config.algorithm} seed {seed} at lr={config.lr:g}: "
-                      f"{stalled}", RuntimeWarning, stacklevel=2)
-    # the last round's records already hold the final models' accuracies
-    final = {r.client: r for r in records if r.round == config.rounds}
-    pre = [final[i].test_acc for i in range(len(shards))]
-    val = [final[i].val_acc for i in range(len(shards))]
-    if config.fine_tune_epochs > 0:
-        tune = replace(config, epochs=config.fine_tune_epochs)
-        tuned = fine_tune(models, shards, tune)
-        post = [nn.evaluate(m, s.test.features, s.test.labels)[1]
-                for m, s in zip(tuned, shards)]
-    else:
-        tuned, post = models, pre
+        stalled = stall_warning(records, config.num_classes)
+        if stalled:
+            warnings.warn(f"{config.algorithm} seed {seed} at lr={config.lr:g}: "
+                          f"{stalled}", RuntimeWarning, stacklevel=2)
+        # the last round's records already hold the final models' accuracies
+        final = {r.client: r for r in records if r.round == config.rounds}
+        pre = [final[i].test_acc for i in range(len(shards))]
+        val = [final[i].val_acc for i in range(len(shards))]
+        if config.fine_tune_epochs > 0:
+            tune = replace(config, epochs=config.fine_tune_epochs)
+            tuned = fine_tune(models, shards, tune)
+            post = [nn.evaluate(m, s.test.features, s.test.labels)[1]
+                    for m, s in zip(tuned, shards)]
+        else:
+            tuned, post = models, pre
+    except nn.DivergenceError as exc:
+        exc.args = (f"{config.algorithm}, data seed {seed}, {exc}",)
+        raise
     return RunResult(
         models=models, tuned_models=tuned, records=records, laps=laps,
         archs=archs,

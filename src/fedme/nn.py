@@ -44,6 +44,15 @@ class DimensionError(ValueError):
     """Input shape does not match the model architecture."""
 
 
+class DivergenceError(ValueError):
+    """Training went non-finite, as `reason` says, in the jobs at positions
+    `jobs` of a `train` call; callers that know those jobs name them."""
+
+    def __init__(self, reason: str, jobs: list[int]):
+        super().__init__(f"{reason} in the jobs at positions {jobs}")
+        self.reason, self.jobs = reason, jobs
+
+
 @dataclass(frozen=True)
 class ArchitectureSpec:
     """Layer-shape descriptor for a fully connected ReLU softmax classifier."""
@@ -139,11 +148,6 @@ def _checked_labels(labels, rows: int, num_classes: int) -> np.ndarray:
         raise ValueError(f"labels must lie in [0, {num_classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
     return labels
-
-
-def _checked_rows(arch: ArchitectureSpec, features, labels):
-    X = _checked_features(arch, features)
-    return X, _checked_labels(labels, len(X), arch.num_classes)
 
 
 def _forward_views(arch: ArchitectureSpec, params: np.ndarray) -> list[tuple]:
@@ -244,18 +248,6 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(picked, LOG_CLAMP))))
 
 
-def kl_divergence(target: np.ndarray, model_probs: np.ndarray) -> float:
-    """Mean over rows of sum_m target * log(target / model_probs)."""
-    target = np.asarray(target, dtype=np.float64)
-    model_probs = np.asarray(model_probs, dtype=np.float64)
-    if target.shape != model_probs.shape:
-        raise DimensionError(f"shape mismatch {target.shape} vs {model_probs.shape}")
-    t = np.maximum(target, 0.0)
-    ratio = np.log(np.maximum(t, LOG_CLAMP)) - np.log(np.maximum(model_probs, LOG_CLAMP))
-    per_row = np.where(t > 0.0, t * ratio, 0.0).sum(axis=1)
-    return float(per_row.mean())
-
-
 def dml_losses_and_grads(stack: _Stack, cached, hits: np.ndarray, counts: np.ndarray,
                          peer_probs: np.ndarray, shorts=()):
     """Gradients of the mutual-learning loss of a stack of C models of one
@@ -295,25 +287,6 @@ def ce_loss_and_grad(stack: _Stack, cached, hits: np.ndarray, counts: np.ndarray
     return _backprop(stack, acts, zs, probs, shorts)
 
 
-def batch_grads(model: Model, features, labels,
-                peer: Model | None = None) -> list[np.ndarray]:
-    """One batch's gradients for `model` and, when given, `peer`: by mutual
-    learning between the two, or by cross-entropy alone with no peer. The
-    stacked kernels run on one-model stacks. Returns one gradient per model."""
-    models = [model] if peer is None else [model, peer]
-    if peer is not None and not model.arch.compatible_with(peer.arch):
-        raise DimensionError("models do not share input_dim / num_classes")
-    X, y = _checked_rows(model.arch, features, labels)
-    stacks = [_bind(m.arch, m.params[None], np.empty((1, len(m.params)))) for m in models]
-    cached = [_forward_cached(stack.forward, X[None]) for stack in stacks]
-    hits = np.arange(len(y)) * model.arch.num_classes + y
-    counts = np.full((1, 1, 1), float(len(y)))
-    if peer is None:
-        return [ce_loss_and_grad(stacks[0], cached[0], hits, counts)[0]]
-    return [dml_losses_and_grads(stacks[i], cached[i], hits, counts, cached[1 - i][0])[0]
-            for i in (0, 1)]
-
-
 def _sgd_update(params: np.ndarray, buf: np.ndarray, grad: np.ndarray,
                 lr: float, momentum: float, weight_decay: float) -> None:
     """Momentum step of `params` and `buf` in place; `grad` is used as scratch."""
@@ -337,10 +310,8 @@ def sgd_step(model: Model, buf: np.ndarray, grad: np.ndarray, lr: float,
         raise ValueError(f"lr must be positive, got {lr}")
     grad = np.array(grad, dtype=np.float64)
     buf = np.array(buf, dtype=np.float64)
-    if grad.shape != model.params.shape:
-        raise DimensionError("gradient length does not match parameters")
-    if buf.shape != model.params.shape:
-        raise DimensionError("momentum buffer length does not match parameters")
+    if grad.shape != model.params.shape or buf.shape != model.params.shape:
+        raise DimensionError("gradient or momentum buffer length does not match parameters")
     stepped = model.copy()
     _sgd_update(stepped.params, buf, grad, lr, momentum, weight_decay)
     return stepped, buf
@@ -380,8 +351,8 @@ def train(jobs: list[Job], params) -> None:
     step its first c models share one binding of their views (`_bind`), and
     every block's gradients go to one buffer that the cohort's steps share.
     Every job and hyperparameter is checked before any job trains. A
-    non-finite gradient raises `ValueError` naming the positions in `jobs`
-    of the jobs whose gradients are not finite.
+    non-finite gradient raises `DivergenceError` naming the positions in
+    `jobs` of the jobs whose gradients are not finite.
     """
     if params.batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {params.batch_size}")
@@ -401,7 +372,8 @@ def train(jobs: list[Job], params) -> None:
         if not job.model.arch.compatible_with(jobs[0].model.arch):
             raise DimensionError(f"the jobs of one call share one input width and class "
                                  f"count: {job.model.arch} after {jobs[0].model.arch}")
-        X, y = _checked_rows(job.model.arch, job.features, job.labels)
+        X = _checked_features(job.model.arch, job.features)
+        y = _checked_labels(job.labels, len(X), job.model.arch.num_classes)
         checked.append(job._replace(features=X, labels=y))
     if params.epochs == 0:
         return
@@ -600,8 +572,8 @@ def _train_cohort(jobs: list[Job], params, start: int) -> None:
             _sgd_update(stack.params, buf, grads, *hyper)
         except ValueError as exc:  # non-finite gradients: name their jobs
             bad = ~np.isfinite(grads).all(axis=1)
-            raise ValueError(f"{exc} in the jobs at positions "
-                             f"{np.unique(blk.jobs[:len(bad)][bad]).tolist()}") from None
+            raise DivergenceError(str(exc),
+                                  np.unique(blk.jobs[:len(bad)][bad]).tolist()) from None
 
     for steps in plan:
         # a DML model reads its partner's probabilities, so every DML stack

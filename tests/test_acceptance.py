@@ -4,7 +4,6 @@ The two trend checks (ordering across algorithms, fine-tuning gain under
 heterogeneity) run the full desk-scale protocol and take a couple of minutes
 combined; everything else is fast.
 """
-import itertools
 import time
 from dataclasses import replace
 
@@ -13,11 +12,12 @@ import pytest
 
 from fedme import baselines, engine, nn
 from fedme.clustering import kmeans
-from fedme.data import Dataset, split_shard
-from fedme.engine import (FedMeConfig, RoundOverrides, assign_exchanges,
-                          derive_seed)
+from fedme.engine import FedMeConfig, RoundOverrides, assign_exchanges
 from fedme.harness import ExperimentConfig, run_experiment, validate_config
 from fedme.nn import ArchitectureSpec, Model
+from reference import (batch_grads, best_partition_inertia, dml_loss,
+                       fd_gradient, kink_free, kl_divergence, max_rel_err,
+                       toy_federation)
 
 
 def _report(name, ok):
@@ -27,18 +27,9 @@ def _report(name, ok):
 
 # ---------------------------------------------------------------- criterion 1
 
-def _kink_free(model, x, margin=1e-3):
-    """Central differences are invalid where a relu unit sits at its kink, so
-    sampled cases must keep every hidden pre-activation away from zero."""
-    _, _, zs = nn._forward_cached(nn._forward_views(model.arch, model.params[None]),
-                                  x[None])
-    return all(np.min(np.abs(z)) > margin for z in zs[:-1])
-
-
 def test_criterion_1_gradient_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(1)
-    eps = 1e-5
     worst = 0.0
     for case in range(50):
         layers = tuple(int(w) for w in rng.integers(1, 4, size=rng.integers(1, 3)))
@@ -52,28 +43,15 @@ def test_criterion_1_gradient_oracle():
         model_ex = nn.init_model(arch_ex, case + 1000)
         while True:
             x = rng.normal(size=(int(rng.integers(2, 7)), arch_p.input_dim))
-            if _kink_free(model_p, x) and _kink_free(model_ex, x):
+            if kink_free(model_p, x) and kink_free(model_ex, x):
                 break
         y = rng.integers(0, arch_p.num_classes, size=len(x))
-        g_p, g_ex = nn.batch_grads(model_p, x, y, model_ex)
-
-        def loss(params, which):
-            p = Model(arch_p, params) if which == "p" else model_p
-            e = Model(arch_ex, params) if which == "ex" else model_ex
-            probs_p, probs_ex = nn.forward(p, x), nn.forward(e, x)
-            if which == "p":
-                return nn.cross_entropy(probs_p, y) + nn.kl_divergence(probs_ex, probs_p)
-            return nn.cross_entropy(probs_ex, y) + nn.kl_divergence(probs_p, probs_ex)
-
-        for grad, model, which in ((g_p, model_p, "p"), (g_ex, model_ex, "ex")):
-            fd = np.zeros_like(grad)
-            for j in range(len(grad)):
-                up, down = model.params.copy(), model.params.copy()
-                up[j] += eps
-                down[j] -= eps
-                fd[j] = (loss(up, which) - loss(down, which)) / (2 * eps)
-            scale = np.maximum(np.abs(grad) + np.abs(fd), 1e-8)
-            worst = max(worst, float(np.max(np.abs(grad - fd) / scale)))
+        g_p, g_ex = batch_grads(model_p, x, y, model_ex)
+        fd_p = fd_gradient(lambda p: dml_loss(Model(arch_p, p), model_ex, x, y),
+                           model_p.params)
+        fd_ex = fd_gradient(lambda p: dml_loss(Model(arch_ex, p), model_p, x, y),
+                            model_ex.params)
+        worst = max(worst, float(max_rel_err(g_p, fd_p)), float(max_rel_err(g_ex, fd_ex)))
     elapsed = time.perf_counter() - start
     _report("1 (gradient oracle)", worst < 1e-4 and elapsed < 30.0)
 
@@ -85,13 +63,13 @@ def test_criterion_2_loss_identities():
     ok = True
     for m in (2, 3, 5):
         p = rng.dirichlet(np.ones(m), size=8)
-        ok &= abs(nn.kl_divergence(p, p)) <= 1e-12
+        ok &= abs(kl_divergence(p, p)) <= 1e-12
         uniform = np.full((8, m), 1.0 / m)
         labels = rng.integers(0, m, size=8)
         ok &= abs(nn.cross_entropy(uniform, labels) - np.log(m)) <= 1e-9
     pairs = rng.dirichlet(np.ones(4), size=(10_000, 2))
     for p, q in pairs:
-        ok &= nn.kl_divergence(p[None], q[None]) >= -1e-12
+        ok &= kl_divergence(p[None], q[None]) >= -1e-12
     _report("2 (loss identities)", bool(ok))
 
 
@@ -120,25 +98,10 @@ def test_criterion_3_aggregation_exactness():
     _report("3 (aggregation exactness)", bool(ok))
 
 
-# ------------------------------------------------------- shared run fixtures
-
-def _shards_and_pool(num_clients=5, rows_each=30, seed=0):
-    rng = np.random.default_rng(seed)
-    n = num_clients * rows_each
-    centers = np.array([[2.0, 0.0], [-2.0, 0.0]])
-    labels = rng.integers(0, 2, size=n)
-    ds = Dataset(centers[labels] + rng.normal(size=(n, 2)), labels, 2)
-    shards = [split_shard(ds, np.arange(i * rows_each, (i + 1) * rows_each),
-                          seed=derive_seed(seed, engine.TAG_SPLIT, i))
-              for i in range(num_clients)]
-    pool = rng.normal(size=(40, 2))
-    return shards, pool
-
-
 # ---------------------------------------------------------------- criterion 4
 
 def test_criterion_4_tuning_rule_conformance():
-    shards, pool = _shards_and_pool()
+    shards, pool = toy_federation(5)
     arch = ArchitectureSpec(2, (4,), 2)
     config = FedMeConfig(rounds=6, lr=0.05, seed=5)
     _, records, _ = engine.run_fedme(shards, [arch] * 5, pool, config)
@@ -163,7 +126,7 @@ def test_criterion_5_running_example_trace():
         clusters=lambda t, n: clusters[t],
         donors=lambda t, a: donors[t],
         selections=lambda t, i, lp, lex: selections[t][i])
-    shards, pool = _shards_and_pool()
+    shards, pool = toy_federation(5)
     arch = ArchitectureSpec(2, (4,), 2)
     models, records, _ = engine.run_fedme(shards, [arch] * 5, pool,
                                           FedMeConfig(rounds=2, lr=0.05, seed=9),
@@ -182,20 +145,6 @@ def test_criterion_5_running_example_trace():
 
 # ---------------------------------------------------------------- criterion 6
 
-def _best_partition_inertia(points, k):
-    best = np.inf
-    for labels in itertools.product(range(k), repeat=len(points)):
-        if len(set(labels)) < k:
-            continue
-        labels = np.array(labels)
-        total = 0.0
-        for j in range(k):
-            members = points[labels == j]
-            total += ((members - members.mean(axis=0)) ** 2).sum()
-        best = min(best, total)
-    return best
-
-
 def test_criterion_6_kmeans_oracle():
     rng = np.random.default_rng(6)
     ok = True
@@ -203,14 +152,14 @@ def test_criterion_6_kmeans_oracle():
         k = int(rng.integers(2, 4))
         pts = rng.normal(size=(int(rng.integers(k + 1, 9)), 2))
         _, inertia = kmeans(pts, k, seed=trial, restarts=20)
-        ok &= abs(inertia - _best_partition_inertia(pts, k)) <= 1e-9
+        ok &= abs(inertia - best_partition_inertia(pts, k)) <= 1e-9
     _report("6 (k-means oracle)", bool(ok))
 
 
 # ---------------------------------------------------------------- criterion 7
 
 def test_criterion_7_degeneracy_equivalences():
-    shards, pool = _shards_and_pool()
+    shards, pool = toy_federation(5)
     arch = ArchitectureSpec(2, (4,), 2)
     stub = FedMeConfig(rounds=5, lr=0.05, tuning=False, dml=False,
                        cluster_thresholds=(), seed=3)

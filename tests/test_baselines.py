@@ -6,23 +6,12 @@ from hypothesis import strategies as st
 from fedme import baselines, engine, nn
 from fedme.clustering import cluster_count
 from fedme.data import ClientShard, Dataset, split_shard
-from fedme.engine import TAG_SPLIT, FedMeConfig, RoundOverrides, derive_seed
+from fedme.engine import TAG_INIT, FedMeConfig, RoundOverrides, derive_seed
 from fedme.nn import ArchitectureSpec
+from reference import toy_shards
 
 ARCH = ArchitectureSpec(2, (4,), 2)
 TINY = ArchitectureSpec(1, (1,), 2)
-
-
-def _shards(num_clients=4, rows_each=30, seed=0):
-    rng = np.random.default_rng(seed)
-    n = num_clients * rows_each
-    centers = np.array([[2.0, 0.0], [-2.0, 0.0]])
-    labels = rng.integers(0, 2, size=n)
-    features = centers[labels] + rng.normal(size=(n, 2))
-    ds = Dataset(features, labels, 2)
-    return [split_shard(ds, np.arange(i * rows_each, (i + 1) * rows_each),
-                        seed=derive_seed(seed, TAG_SPLIT, i))
-            for i in range(num_clients)]
 
 
 def _manual_shard(cid, train_n):
@@ -32,7 +21,7 @@ def _manual_shard(cid, train_n):
 
 
 def test_local_only_no_communication():
-    shards = _shards()
+    shards = toy_shards(4)
     params = FedMeConfig(rounds=3, lr=0.05, seed=1)
     models, records, _ = baselines.run_local_only(shards, [ARCH] * 4, params)
     assert len(models) == 4 and len(records) == 3 * 4
@@ -44,7 +33,7 @@ def test_local_only_no_communication():
 
 
 def test_local_only_learns():
-    shards = _shards()
+    shards = toy_shards(4)
     params = FedMeConfig(rounds=5, lr=0.05, seed=0)
     models, records, _ = baselines.run_local_only(shards, [ARCH] * 4, params)
     final = [r.test_acc for r in records if r.round == 5]
@@ -53,7 +42,7 @@ def test_local_only_learns():
 
 def test_local_only_records_equal_fedme_without_donors():
     # the criterion-7 stub: exchange, tuning, DML and clustering all off
-    shards = _shards(5)
+    shards = toy_shards(5)
     stub = FedMeConfig(rounds=5, lr=0.05, tuning=False, dml=False,
                        cluster_thresholds=(), seed=3)
     _, fedme_records, _ = engine.run_fedme(shards, [ARCH] * 5, None, stub,
@@ -68,18 +57,18 @@ def test_local_only_records_equal_fedme_without_donors():
 
 def test_local_only_single_client():
     models, records, _ = baselines.run_local_only(
-        _shards(1), [ARCH], FedMeConfig(rounds=2, lr=0.05, seed=0))
+        toy_shards(1), [ARCH], FedMeConfig(rounds=2, lr=0.05, seed=0))
     assert len(models) == 1 and [r.round for r in records] == [1, 2]
 
 
 def test_pool_train_splits():
-    shards = _shards()
+    shards = toy_shards(4)
     pooled = baselines.pool_train_splits(shards)
     assert pooled.n == sum(s.train.n for s in shards)
 
 
 def test_centralized_deterministic_and_learns():
-    shards = _shards()
+    shards = toy_shards(4)
     params = FedMeConfig(rounds=5, lr=0.05, seed=2)
     (model,), _, records, _ = baselines.run_centralized(shards, ARCH, params)
     (model2,), _, _, _ = baselines.run_centralized(shards, ARCH, params)
@@ -105,54 +94,36 @@ def test_fedavg_weighted_mean_exact(monkeypatch):
 
 
 def test_fedavg_single_client_equals_centralized():
-    shard = _shards(2, 40)[0]
+    shard = toy_shards(2, 40)[0]
     params = FedMeConfig(rounds=3, lr=0.05, seed=4)
     (avg_model,), _, _, _ = baselines.run_fedavg([shard], ARCH, params)
     (cent_model,), _, _, _ = baselines.run_centralized([shard], ARCH, params)
     assert np.array_equal(avg_model.params, cent_model.params)
 
 
-def test_hypcluster_validation():
-    shards = _shards()
-    params = FedMeConfig(rounds=1, lr=0.05)
-    with pytest.raises(ValueError):
-        baselines.run_hypcluster(shards, ARCH, params, q=1)
-
-
-def test_hypcluster_unchosen_models_carried_unchanged():
-    shards = _shards()
-    params = FedMeConfig(rounds=1, lr=0.05, seed=6)
-    globals_, choices, records, _ = baselines.run_hypcluster(
-        shards, ARCH, params, q=3)
-    assert len(records) == 4 and all(r.k == 3 for r in records)
-    assert all(0 <= c < 3 for c in choices)
-    from fedme.engine import TAG_INIT
-    for g in range(3):
-        init = nn.init_model(ARCH, derive_seed(params.seed, TAG_INIT, g))
-        if g in choices:
-            assert not np.array_equal(globals_[g].params, init.params)
-        else:
-            assert np.array_equal(globals_[g].params, init.params)
-
-
 def test_hypcluster_ties_resolve_to_lowest_index(monkeypatch):
-    shards = _shards()
+    # every score ties, so every client trains global 0 and global 1 is
+    # carried over unchanged
+    shards = toy_shards(4)
     monkeypatch.setattr(baselines.nn, "evaluate_splits",
                         lambda m, x, y, ends: [(1.0, 0.5)] * (len(ends) - 1))
     params = FedMeConfig(rounds=1, lr=0.05, seed=0)
-    _, choices, _, _ = baselines.run_hypcluster(shards, ARCH, params, q=2)
+    globals_, choices, records, _ = baselines.run_hypcluster(shards, ARCH, params)
     assert choices == [0, 0, 0, 0]
+    assert len(records) == 4 and all(r.k == 2 for r in records)
+    for g in range(2):
+        init = nn.init_model(ARCH, derive_seed(params.seed, TAG_INIT, g))
+        assert np.array_equal(globals_[g].params, init.params) == (g == 1)
 
 
 @pytest.mark.parametrize("algorithm", ["fedavg", "hypcluster"])
 def test_server_model_records_score_each_clients_final_global(algorithm):
-    shards = _shards(5, rows_each=24, seed=11)
+    shards = toy_shards(5, rows_each=24, seed=11)
     config = FedMeConfig(rounds=3, lr=0.05, seed=11)
     if algorithm == "fedavg":
         globals_, choices, records, _ = baselines.run_fedavg(shards, ARCH, config)
     else:
-        globals_, choices, records, _ = baselines.run_hypcluster(shards, ARCH,
-                                                                 config, q=2)
+        globals_, choices, records, _ = baselines.run_hypcluster(shards, ARCH, config)
         assert set(choices) == {0, 1}  # both models score some shard
     last = [r for r in records if r.round == 3]
     assert [r.client for r in last] == list(range(len(shards)))
@@ -178,7 +149,7 @@ def test_hypcluster_splits_label_swapped_tasks():
         ds = Dataset(feats, labels, 2)
         shards.append(split_shard(ds, np.arange(40), seed=cid))
     params = FedMeConfig(rounds=20, lr=0.1, seed=0)
-    _, choices, records, _ = baselines.run_hypcluster(shards, ARCH, params, q=2)
+    _, choices, records, _ = baselines.run_hypcluster(shards, ARCH, params)
     assert choices[0] == choices[1]
     assert choices[2] == choices[3]
     assert choices[0] != choices[2]
@@ -187,9 +158,9 @@ def test_hypcluster_splits_label_swapped_tasks():
 
 @settings(max_examples=8, deadline=None)
 @given(num_clients=st.integers(2, 6), rounds=st.integers(1, 3),
-       q=st.integers(2, 3), seed=st.integers(0, 2**16))
-def test_every_algorithm_keeps_the_record_contract(num_clients, rounds, q, seed):
-    shards = _shards(num_clients, rows_each=15, seed=seed)
+       seed=st.integers(0, 2**16))
+def test_every_algorithm_keeps_the_record_contract(num_clients, rounds, seed):
+    shards = toy_shards(num_clients, rows_each=15, seed=seed)
     pool = np.random.default_rng(seed).normal(size=(10, 2))
     config = FedMeConfig(rounds=rounds, lr=0.05, seed=seed,
                          cluster_thresholds=(1, 2), k_max=2)
@@ -199,7 +170,7 @@ def test_every_algorithm_keeps_the_record_contract(num_clients, rounds, q, seed)
         "local_only": lambda: baselines.run_local_only(shards, archs, config),
         "centralized": lambda: baselines.run_centralized(shards, ARCH, config),
         "fedavg": lambda: baselines.run_fedavg(shards, ARCH, config),
-        "hypcluster": lambda: baselines.run_hypcluster(shards, ARCH, config, q),
+        "hypcluster": lambda: baselines.run_hypcluster(shards, ARCH, config),
     }
     order = [(t, i) for t in range(1, rounds + 1) for i in range(num_clients)]
     for algorithm, run in runs.items():
@@ -210,7 +181,7 @@ def test_every_algorithm_keeps_the_record_contract(num_clients, rounds, q, seed)
             assert all(r.k == cluster_count(r.round, (1, 2), 2, num_clients)
                        for r in records)
         else:
-            k = q if algorithm == "hypcluster" else 1
+            k = 2 if algorithm == "hypcluster" else 1
             assert all(r.k == k for r in records), algorithm
             assert all(r.cluster is None and r.donor is None and r.a is None
                        and r.loss_ex_train is None and r.loss_ex_val is None

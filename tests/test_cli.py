@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from fedme import harness, nn
@@ -167,6 +169,36 @@ def test_diverged_run_names_the_learning_rate(tmp_path, capsys, alg):
         assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "lr=1e+300: training diverged" in err
+
+
+DIVERGING = """\
+algorithm = {alg}
+num_clients = 4
+rounds = 3
+per_class_count = 60
+unlabeled_count = 20
+repeats = 1
+fine_tune_epochs = 0
+"""
+
+
+@pytest.mark.parametrize("alg, keys, named", [
+    ("fedme", "init_policy = round_robin\nclass_separation = 1e300\n",
+     "fedme, data seed 0, round 1: non-finite gradient at lr=0.05: training "
+     "diverged for clients [0, 1]"),
+    ("fedavg", "init_policy = best_local\nprobe_epochs = 2\nlr = 1e300\n",
+     "fedavg, data seed 0, best-local probing: non-finite gradient at lr=1e+300: "
+     "training diverged for clients [0, 1, 2, 3] on menu candidates [0, 0, 0, 0]"),
+], ids=["huge-features", "huge-lr-probe"])
+def test_a_divergence_names_its_run_phase_and_clients(tmp_path, capsys, alg, keys,
+                                                      named):
+    path = tmp_path / "exp.cfg"
+    path.write_text(DIVERGING.format(alg=alg) + keys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_duplicate_config_key_exits_one_naming_its_line(tmp_path, capsys):

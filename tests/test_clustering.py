@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +5,7 @@ from hypothesis import strategies as st
 
 from fedme import clustering
 from fedme.clustering import cluster_count, kmeans
+from reference import best_partition_inertia, oracle_kmeans
 
 
 def test_schedule_validation():
@@ -102,93 +101,19 @@ def test_kmeans_inertia_never_rises_with_more_restarts(n, dim, k, data_seed, see
     assert all(b <= a for a, b in zip(inertias, inertias[1:]))
 
 
-def _best_partition_inertia(points, k):
-    """Exhaustive optimum over all assignments of points to k groups."""
-    best = np.inf
-    for labels in itertools.product(range(k), repeat=len(points)):
-        if len(set(labels)) < k:
-            continue
-        labels = np.array(labels)
-        total = 0.0
-        for j in range(k):
-            members = points[labels == j]
-            total += ((members - members.mean(axis=0)) ** 2).sum()
-        best = min(best, total)
-    return best
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_kmeans_matches_exhaustive_optimum_on_small_instances(k):
     rng = np.random.default_rng(2024 + k)
     for trial in range(10):
         pts = rng.normal(size=(rng.integers(k + 1, 8), 2))
         _, inertia = kmeans(pts, k, seed=trial, restarts=20)
-        assert inertia == pytest.approx(_best_partition_inertia(pts, k),
+        assert inertia == pytest.approx(best_partition_inertia(pts, k),
                                         rel=1e-9, abs=1e-12)
-
-
-# The k-means of the parent design, kept as the reference: every distance is
-# the direct form, taken from an (n, k, d) difference.
-def _oracle_squared_distances(points, centroids):
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-def _oracle_kmeans_pp_init(points, k, rng):
-    n = len(points)
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    diff = points - centroids[0]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            centroids[j] = points[rng.integers(n)]
-            continue
-        idx = rng.choice(n, p=d2 / total)
-        centroids[j] = points[idx]
-        diff = points - centroids[j]
-        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
-    return centroids
-
-
-def _oracle_lloyd(points, k, rng):
-    centroids = _oracle_kmeans_pp_init(points, k, rng)
-    for _ in range(clustering.MAX_ITER):
-        d2 = _oracle_squared_distances(points, centroids)
-        assignments = d2.argmin(axis=1)
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = assignments == j
-            if members.any():
-                new_centroids[j] = points[members].mean(axis=0)
-        for j in range(k):
-            if not (assignments == j).any():
-                farthest = int(d2[np.arange(len(points)), assignments].argmax())
-                assignments[farthest] = j
-                new_centroids[j] = points[farthest]
-        shift = np.abs(new_centroids - centroids).max()
-        centroids = new_centroids
-        if shift < clustering.SHIFT_TOL:
-            break
-    d2 = _oracle_squared_distances(points, centroids)
-    assignments = d2.argmin(axis=1)
-    return assignments, float(d2[np.arange(len(points)), assignments].sum())
-
-
-def _oracle_kmeans(points, k, seed, restarts):
-    best = None
-    for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        assignments, inertia = _oracle_lloyd(points, k, rng)
-        if best is None or inertia < best[1]:
-            best = (assignments, inertia)
-    return best
 
 
 def _assert_matches_oracle(points, k, seed, restarts):
     assignments, inertia = kmeans(points, k, seed, restarts)
-    want_assignments, want_inertia = _oracle_kmeans(points, k, seed, restarts)
+    want_assignments, want_inertia = oracle_kmeans(points, k, seed, restarts)
     assert np.array_equal(assignments, want_assignments)
     assert inertia == want_inertia
 
@@ -296,7 +221,7 @@ def test_kmeans_fallbacks_match_the_oracle(monkeypatch, points, k, seed, restart
     assignments, inertia = kmeans(points, k, seed, restarts)
     # the best restart's inertia is always taken once; a second is an overlap
     assert calls[0] >= (2 if counted == "_inertia" else 1)
-    want_assignments, want_inertia = _oracle_kmeans(points, k, seed, restarts)
+    want_assignments, want_inertia = oracle_kmeans(points, k, seed, restarts)
     assert np.array_equal(assignments, want_assignments) and inertia == want_inertia
 
 
@@ -350,7 +275,7 @@ def test_kmeans_seeding_computes_each_distinct_pair_at_most_once(monkeypatch):
     assignments, inertia = kmeans(points, 8, seed=5, restarts=8)
     assert 0 < rows[0] <= 30 * 29 // 2
     monkeypatch.undo()
-    want_assignments, want_inertia = _oracle_kmeans(points, 8, 5, 8)
+    want_assignments, want_inertia = oracle_kmeans(points, 8, 5, 8)
     assert np.array_equal(assignments, want_assignments) and inertia == want_inertia
 
 

@@ -10,26 +10,15 @@ from hypothesis import strategies as st
 
 from fedme import baselines, engine, nn
 from fedme.clustering import cluster_count
-from fedme.data import ClientShard, Dataset, split_shard
+from fedme.data import ClientShard, Dataset
 from fedme.engine import (ExchangePlan, FedMeConfig, RoundOverrides,
                           assign_exchanges, derive_seed)
 from fedme.harness import write_timings
 from fedme.nn import ArchitectureSpec, Model
+from reference import toy_shards
 
 ARCH = ArchitectureSpec(2, (4,), 2)
 TINY = ArchitectureSpec(1, (1,), 2)  # 6 parameters
-
-
-def _shards(num_clients=5, rows_each=30, seed=0):
-    rng = np.random.default_rng(seed)
-    n = num_clients * rows_each
-    centers = np.array([[2.0, 0.0], [-2.0, 0.0]])
-    labels = rng.integers(0, 2, size=n)
-    features = centers[labels] + rng.normal(size=(n, 2))
-    ds = Dataset(features, labels, 2)
-    return [split_shard(ds, np.arange(i * rows_each, (i + 1) * rows_each),
-                        seed=derive_seed(seed, engine.TAG_SPLIT, i))
-            for i in range(num_clients)]
 
 
 def _pool(seed=0, n=40):
@@ -78,7 +67,7 @@ def test_laps_book_every_interval_of_a_round_once(algorithm, monkeypatch,
                         lapped.append(t) or lap(self, t, span))
     thresholds = (3, 5)
     config = FedMeConfig(rounds=6, lr=0.05, cluster_thresholds=thresholds, seed=3)
-    shards, archs = _shards(), [ARCH] * 5
+    shards, archs = toy_shards(5), [ARCH] * 5
     run = {"fedme": lambda: engine.run_fedme(shards, archs, _pool(), config),
            "local_only": lambda: baselines.run_local_only(shards, archs, config),
            "centralized": lambda: baselines.run_centralized(shards, ARCH, config),
@@ -288,7 +277,7 @@ def test_redistribute_independent_copies():
 
 
 def test_dml_train_reduces_loss_and_keeps_momentum_within_round():
-    shard = _shards(1, 60)[0]
+    shard = toy_shards(1, 60)[0]
     model, peer = nn.init_model(ARCH, 0), nn.init_model(ARCH, 1)
     before_p, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
     config = FedMeConfig(rounds=1, epochs=3, lr=0.05)
@@ -306,7 +295,7 @@ def test_dml_train_reduces_loss_and_keeps_momentum_within_round():
 
 
 def test_run_fedme_deterministic():
-    shards = _shards()
+    shards = toy_shards(5)
     archs = [ARCH] * 5
     config = FedMeConfig(rounds=3, lr=0.05, cluster_thresholds=(2,), seed=4)
     models_a, records_a, _ = engine.run_fedme(shards, archs, _pool(), config)
@@ -317,7 +306,7 @@ def test_run_fedme_deterministic():
 
 
 def test_run_fedme_record_structure_and_schedule():
-    shards = _shards()
+    shards = toy_shards(5)
     config = FedMeConfig(rounds=4, lr=0.05, cluster_thresholds=(2, 3), seed=1)
     _, records, _ = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
     assert len(records) == 4 * 5
@@ -333,7 +322,7 @@ def test_run_fedme_record_structure_and_schedule():
 
 
 def test_run_fedme_heterogeneous_architectures():
-    shards = _shards()
+    shards = toy_shards(5)
     archs = [ArchitectureSpec(2, w, 2) for w in ((4,), (4, 4), (8,), (4,), (8, 8))]
     config = FedMeConfig(rounds=2, lr=0.05, seed=2)
     models, records, _ = engine.run_fedme(shards, archs, _pool(), config)
@@ -346,14 +335,14 @@ def test_run_fedme_heterogeneous_architectures():
 
 
 def test_run_fedme_tuning_off_keeps_own_lineage():
-    shards = _shards()
+    shards = toy_shards(5)
     config = FedMeConfig(rounds=2, lr=0.05, tuning=False, seed=0)
     _, records, _ = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
     assert all(r.a == r.client for r in records)
 
 
 def test_run_fedme_exchange_off_runs_the_empty_plan():
-    shards = _shards()
+    shards = toy_shards(5)
     archs = [ArchitectureSpec(2, w, 2) for w in ((4,), (4, 4), (8,), (4,), (8, 8))]
     config = FedMeConfig(rounds=3, lr=0.05, cluster_thresholds=(), seed=6)
     no_exchange = RoundOverrides(donors=lambda t, a: {})
@@ -391,7 +380,7 @@ def test_local_only_scores_each_round_on_its_redistributed_models(monkeypatch):
         return models
 
     monkeypatch.setattr(engine, "redistribute", recording)
-    shards = _shards()
+    shards = toy_shards(5)
     _, records, _ = baselines.run_local_only(shards, [ARCH] * 5,
                                              FedMeConfig(rounds=3, lr=0.05, seed=4))
     assert len(records) == 3 * 5
@@ -411,9 +400,9 @@ def test_evaluate_splits_calls_per_client_and_round(algorithm, per_client, monke
                         lambda *args: calls.append(args) or evaluate_splits(*args))
     config = FedMeConfig(rounds=3, lr=0.05, seed=2)
     if algorithm == "fedme":
-        engine.run_fedme(_shards(), [ARCH] * 5, _pool(), config)
+        engine.run_fedme(toy_shards(5), [ARCH] * 5, _pool(), config)
     else:
-        baselines.run_local_only(_shards(), [ARCH] * 5, config)
+        baselines.run_local_only(toy_shards(5), [ARCH] * 5, config)
     assert len(calls) == per_client * 5 * 3
 
 
@@ -421,7 +410,7 @@ def test_a_donorless_client_that_adopts_another_lineage_is_rescored():
     # client 0 learns the swapped labels, so on client 1's rows its lineage
     # scores unlike client 1's own; client 1 adopts it in round 2, and
     # nobody borrows
-    shards = _shards()
+    shards = toy_shards(5)
     shards[0] = ClientShard(*(Dataset(s.features, 1 - s.labels, 2)
                               for s in (shards[0].train, shards[0].validation,
                                         shards[0].test)))
@@ -453,7 +442,7 @@ def test_run_fedme_scripted_trace():
         clusters=lambda t, n: clusters[t],
         donors=lambda t, a: donors[t],
         selections=lambda t, i, lp, lex: selections[t][i])
-    shards = _shards()
+    shards = toy_shards(5)
     config = FedMeConfig(rounds=2, lr=0.05, seed=9)
     models, records, _ = engine.run_fedme(shards, [ARCH] * 5, _pool(), config,
                                           overrides)
@@ -474,7 +463,7 @@ def test_run_fedme_scripted_trace():
 
 
 def test_fine_tune_deterministic_and_nondestructive():
-    shard = _shards(1, 60)[0]
+    shard = toy_shards(1, 60)[0]
     model = nn.init_model(ARCH, 0)
     frozen = model.params.copy()
     params = FedMeConfig(rounds=1, epochs=3, lr=0.05, seed=5)

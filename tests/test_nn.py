@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from fedme import nn
 from fedme.engine import FedMeConfig
 from fedme.nn import ArchitectureSpec, Model
+from reference import (batch_grads, cached_probs, dml_loss, evaluate_oracle,
+                       fd_gradient, kl_divergence, max_rel_err, reference_train)
 
 ARCH = ArchitectureSpec(2, (3,), 2)
 
@@ -115,15 +117,15 @@ def test_cross_entropy_rejects_bad_labels():
 def test_kl_identity_zero():
     rng = np.random.default_rng(3)
     p = rng.dirichlet(np.ones(4), size=10)
-    assert abs(nn.kl_divergence(p, p)) <= 1e-12
+    assert abs(kl_divergence(p, p)) <= 1e-12
 
 
 def test_kl_hand_case_and_asymmetry():
     p = np.array([[0.9, 0.1]])
     q = np.array([[0.5, 0.5]])
     expected = 0.9 * math.log(1.8) + 0.1 * math.log(0.2)
-    assert nn.kl_divergence(p, q) == pytest.approx(expected)
-    assert nn.kl_divergence(q, p) != pytest.approx(expected)
+    assert kl_divergence(p, q) == pytest.approx(expected)
+    assert kl_divergence(q, p) != pytest.approx(expected)
 
 
 def test_kl_nonnegative_random_pairs():
@@ -131,12 +133,12 @@ def test_kl_nonnegative_random_pairs():
     for _ in range(200):
         p = rng.dirichlet(np.ones(5), size=3)
         q = rng.dirichlet(np.ones(5), size=3)
-        assert nn.kl_divergence(p, q) >= -1e-12
+        assert kl_divergence(p, q) >= -1e-12
 
 
 def test_kl_shape_mismatch():
     with pytest.raises(nn.DimensionError):
-        nn.kl_divergence(np.ones((1, 2)) / 2, np.ones((2, 2)) / 2)
+        kl_divergence(np.ones((1, 2)) / 2, np.ones((2, 2)) / 2)
 
 
 def test_dml_identical_models_reduce_to_ce():
@@ -146,25 +148,10 @@ def test_dml_identical_models_reduce_to_ce():
     model = nn.init_model(ARCH, 5)
     x = np.random.default_rng(0).normal(size=(6, 2))
     y = np.array([0, 1, 0, 1, 1, 0])
-    g_p, g_ex = nn.batch_grads(model, x, y, model.copy())
-    (g_ce,) = nn.batch_grads(model, x, y)
+    g_p, g_ex = batch_grads(model, x, y, model.copy())
+    (g_ce,) = batch_grads(model, x, y)
     assert np.allclose(g_p, g_ex, rtol=0.0, atol=1e-12)
     assert np.allclose(g_p, g_ce, rtol=0.0, atol=1e-12)
-
-
-def _fd_gradient(loss_fn, params, eps=1e-5):
-    grad = np.zeros_like(params)
-    for i in range(len(params)):
-        up, down = params.copy(), params.copy()
-        up[i] += eps
-        down[i] -= eps
-        grad[i] = (loss_fn(up) - loss_fn(down)) / (2 * eps)
-    return grad
-
-
-def _max_rel_err(analytic, numeric):
-    scale = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
-    return np.max(np.abs(analytic - numeric) / scale)
 
 
 def test_dml_gradients_match_finite_differences():
@@ -176,20 +163,13 @@ def test_dml_gradients_match_finite_differences():
         model_ex = nn.init_model(arch_ex, trial + 100)
         x = rng.normal(size=(4, 2))
         y = rng.integers(0, 2, size=4)
-        g_p, g_ex = nn.batch_grads(model_p, x, y, model_ex)
-
-        def loss_p_of(params):
-            probs_p = nn.forward(Model(arch_p, params), x)
-            probs_ex = nn.forward(model_ex, x)
-            return nn.cross_entropy(probs_p, y) + nn.kl_divergence(probs_ex, probs_p)
-
-        def loss_ex_of(params):
-            probs_p = nn.forward(model_p, x)
-            probs_ex = nn.forward(Model(arch_ex, params), x)
-            return nn.cross_entropy(probs_ex, y) + nn.kl_divergence(probs_p, probs_ex)
-
-        assert _max_rel_err(g_p, _fd_gradient(loss_p_of, model_p.params)) < 1e-4
-        assert _max_rel_err(g_ex, _fd_gradient(loss_ex_of, model_ex.params)) < 1e-4
+        g_p, g_ex = batch_grads(model_p, x, y, model_ex)
+        fd_p = fd_gradient(lambda p: dml_loss(Model(arch_p, p), model_ex, x, y),
+                           model_p.params)
+        fd_ex = fd_gradient(lambda p: dml_loss(Model(arch_ex, p), model_p, x, y),
+                            model_ex.params)
+        assert max_rel_err(g_p, fd_p) < 1e-4
+        assert max_rel_err(g_ex, fd_ex) < 1e-4
 
 
 def test_ce_gradient_matches_finite_differences():
@@ -197,11 +177,11 @@ def test_ce_gradient_matches_finite_differences():
     model = nn.init_model(ArchitectureSpec(3, (4, 3), 3), 2)
     x = rng.normal(size=(5, 3))
     y = rng.integers(0, 3, size=5)
-    (grad,) = nn.batch_grads(model, x, y)
-    fd = _fd_gradient(
+    (grad,) = batch_grads(model, x, y)
+    fd = fd_gradient(
         lambda p: nn.cross_entropy(nn.forward(Model(model.arch, p), x), y),
         model.params)
-    assert _max_rel_err(grad, fd) < 1e-4
+    assert max_rel_err(grad, fd) < 1e-4
 
 
 def test_sgd_plain_step():
@@ -243,30 +223,6 @@ def test_sgd_rejects_gradient_or_buffer_of_wrong_length():
         nn.sgd_step(model, np.zeros(18), np.zeros(17), lr=0.1)
 
 
-def _reference_train(model, peer, mutual, x, y, params, rng):
-    """Epoch/batch loop over the pure public step, as a bitwise oracle; each
-    model's momentum buffer starts at zero."""
-    hyper = (params.lr, params.momentum, params.weight_decay)
-    buf = np.zeros_like(model.params)
-    peer_buf = None if peer is None else np.zeros_like(peer.params)
-    for _ in range(params.epochs):
-        perm = rng.permutation(len(y))
-        for start in range(0, len(y), params.batch_size):
-            batch = perm[start:start + params.batch_size]
-            xb, yb = x[batch], y[batch]
-            if peer is not None and mutual:
-                g, g_peer = nn.batch_grads(model, xb, yb, peer)
-                model, buf = nn.sgd_step(model, buf, g, *hyper)
-                peer, peer_buf = nn.sgd_step(peer, peer_buf, g_peer, *hyper)
-                continue
-            (g,) = nn.batch_grads(model, xb, yb)
-            model, buf = nn.sgd_step(model, buf, g, *hyper)
-            if peer is not None:
-                (g_peer,) = nn.batch_grads(peer, xb, yb)
-                peer, peer_buf = nn.sgd_step(peer, peer_buf, g_peer, *hyper)
-    return model, peer
-
-
 @pytest.mark.parametrize("pairing", ["single", "mutual", "separate"])
 def test_train_loop_matches_pure_sgd_step_bitwise(pairing):
     rng = np.random.default_rng(21)
@@ -279,7 +235,7 @@ def test_train_loop_matches_pure_sgd_step_bitwise(pairing):
     if pairing != "single":
         peer = nn.init_model(ArchitectureSpec(3, (4, 6), 3), 2)
     mutual = pairing == "mutual"
-    ref_model, ref_peer = _reference_train(
+    ref_model, ref_peer = reference_train(
         model, peer, mutual, x, y, params, np.random.default_rng(5))
 
     trained = [m.copy() for m in (model, peer) if m is not None]
@@ -289,7 +245,7 @@ def test_train_loop_matches_pure_sgd_step_bitwise(pairing):
     for got, want in zip(trained, [ref_model, ref_peer]):
         assert got.params.tobytes() == want.params.tobytes()
     # the oracle applies momentum: without it, it ends elsewhere
-    plain_model, _ = _reference_train(
+    plain_model, _ = reference_train(
         model, peer, mutual, x, y, dataclasses.replace(params, momentum=0.0),
         np.random.default_rng(5))
     assert plain_model.params.tobytes() != ref_model.params.tobytes()
@@ -331,7 +287,7 @@ def test_lockstep_train_matches_pure_step_oracle_bitwise(data):
 
     want = []
     for job in jobs():
-        model, peer = _reference_train(job.model, job.peer, params.dml, job.features,
+        model, peer = reference_train(job.model, job.peer, params.dml, job.features,
                                        job.labels, params, job.rng)
         want.append([m.params.tobytes() for m in (model, peer) if m is not None])
 
@@ -379,7 +335,7 @@ def _jobs(archs, sizes, seed, peer_archs=None):
 def _oracle_bytes(archs, sizes, params, peer_archs=None):
     want = []
     for job in _jobs(archs, sizes, 3, peer_archs):
-        trained = _reference_train(job.model, job.peer, params.dml, job.features,
+        trained = reference_train(job.model, job.peer, params.dml, job.features,
                                    job.labels, params, job.rng)
         want.append([m.params.tobytes() for m in trained if m is not None])
     return want
@@ -455,7 +411,7 @@ def test_padded_stack_losses_and_grads_match_the_one_model_adapter():
                                        hits, counts, peer_probs, shorts)]
     for c, job in enumerate(made):
         for grads, peer in zip(stacked, (None, job.peer)):
-            grad, *_ = nn.batch_grads(job.model, job.features, job.labels, peer)
+            grad, *_ = batch_grads(job.model, job.features, job.labels, peer)
             assert grads[c].tobytes() == grad.tobytes()
 
 
@@ -638,7 +594,7 @@ def test_jobs_on_the_same_rows_stack_them_once(monkeypatch):
         return [nn.Job(nn.init_model(arch, i), None, *rows[r], np.random.default_rng(i))
                 for i, (arch, r) in enumerate(specs)]
 
-    want = [_reference_train(job.model, None, False, job.features, job.labels, params,
+    want = [reference_train(job.model, None, False, job.features, job.labels, params,
                              job.rng)[0].params.tobytes() for job in jobs()]
     orders = []
     plan = nn._plan
@@ -783,20 +739,6 @@ def test_evaluate_rejects_empty_split():
         nn.evaluate(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
 
-def _cached_probs(model, features):
-    """The training forward pass's probabilities, on a one-model stack."""
-    views = nn._forward_views(model.arch, model.params[None])
-    return nn._forward_cached(views, features[None])[0][0]
-
-
-def _evaluate_oracle(model, features, labels):
-    """The scoring path before `evaluate_splits`: a cached forward pass, then
-    `cross_entropy` and the mean of argmax hits on this split alone."""
-    probs = _cached_probs(model, features)
-    return (nn.cross_entropy(probs, labels),
-            float(np.mean(np.argmax(probs, axis=1) == labels)))
-
-
 @st.composite
 def _desk_models(draw):
     """Models of the desk shapes: fan-in at most 16 into every layer, and no
@@ -822,10 +764,10 @@ def test_evaluate_splits_is_bitwise_the_per_split_oracle(model, sizes, seed):
     ends = (0, sizes[0], sizes[0] + sizes[1], n)
     for lo, hi in ((0, 4), (0, 3), (1, 4)):
         got = nn.evaluate_splits(model, x, y, ends[lo:hi])
-        want = [_evaluate_oracle(model, x[a:b], y[a:b])
+        want = [evaluate_oracle(model, x[a:b], y[a:b])
                 for a, b in zip(ends[lo:hi - 1], ends[lo + 1:hi])]
         assert got == want
-    assert nn.forward(model, x).tobytes() == _cached_probs(model, x).tobytes()
+    assert nn.forward(model, x).tobytes() == cached_probs(model, x).tobytes()
 
 
 @pytest.mark.parametrize("sizes,hidden", [((1, 5, 4), (8,)), ((6, 5, 4), (1,))],
@@ -842,7 +784,7 @@ def test_evaluate_splits_matches_the_oracle_to_rounding_where_blas_uses_gemv(
     x, y = rng.normal(size=(n, 12)), rng.integers(0, 3, size=n)
     ends = (0, sizes[0], sizes[0] + sizes[1], n)
     got = nn.evaluate_splits(model, x, y, ends)
-    want = [_evaluate_oracle(model, x[a:b], y[a:b])
+    want = [evaluate_oracle(model, x[a:b], y[a:b])
             for a, b in zip(ends, ends[1:])]
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 

@@ -101,19 +101,30 @@ def test_fedavg_single_client_equals_centralized():
     assert np.array_equal(avg_model.params, cent_model.params)
 
 
-def test_hypcluster_ties_resolve_to_lowest_index(monkeypatch):
-    # every score ties, so every client trains global 0 and global 1 is
-    # carried over unchanged
-    shards = toy_shards(4)
+def _tie_every_score(monkeypatch):
     monkeypatch.setattr(baselines.nn, "evaluate_splits",
                         lambda m, x, y, ends: [(1.0, 0.5)] * (len(ends) - 1))
-    params = FedMeConfig(rounds=1, lr=0.05, seed=0)
-    globals_, choices, records, _ = baselines.run_hypcluster(shards, ARCH, params)
-    assert choices == [0, 0, 0, 0]
+
+
+def test_hypcluster_unchosen_models_carried_unchanged(monkeypatch):
+    # every score ties, so every client trains global 0 and global 1 is
+    # carried over unchanged
+    _tie_every_score(monkeypatch)
+    params = FedMeConfig(rounds=1, lr=0.05, seed=6)
+    globals_, choices, records, _ = baselines.run_hypcluster(
+        toy_shards(4), ARCH, params)
     assert len(records) == 4 and all(r.k == 2 for r in records)
+    assert 1 not in choices
     for g in range(2):
         init = nn.init_model(ARCH, derive_seed(params.seed, TAG_INIT, g))
         assert np.array_equal(globals_[g].params, init.params) == (g == 1)
+
+
+def test_hypcluster_ties_resolve_to_lowest_index(monkeypatch):
+    _tie_every_score(monkeypatch)
+    params = FedMeConfig(rounds=1, lr=0.05, seed=0)
+    _, choices, _, _ = baselines.run_hypcluster(toy_shards(4), ARCH, params)
+    assert choices == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("algorithm", ["fedavg", "hypcluster"])

@@ -13,7 +13,7 @@ import numpy as np
 from . import nn
 from .data import ClientShard, Dataset
 from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, Laps, RoundOverrides,
-                     RoundRecord, derive_seed, locate_divergence, run_fedme)
+                     RoundRecord, check_outputs, derive_seed, locate_divergence, run_fedme)
 from .nn import ArchitectureSpec, Model
 
 
@@ -68,7 +68,10 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
                 globals_[g] = Model(arch, np.einsum(
                     "i,ij->j", w / w.sum(), np.stack([trained[i].params for i in units])))
         laps.lap(t, "server_ms")
-        scores = score()
+        with locate_divergence(f"round {t}"):
+            scores = score()
+            check_outputs([scores[choices[i]][3 * i + 1][0] for i in range(len(shards))],
+                          config.lr)
         for i in range(len(shards)):
             (loss_p_train, _), (loss_p_val, val_acc), (_, test_acc) = (
                 scores[choices[i]][3 * i:3 * i + 3])

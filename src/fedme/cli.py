@@ -77,8 +77,8 @@ def _cmd_sweep(args) -> None:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     table = sweep(config, args.axis, values, out_dir=args.out)
     print(f"{args.axis},algorithm,mean,std,mean_pre_ft,std_pre_ft")
-    for (value, alg), report in table.items():
-        print(f"{value},{alg},{report.mean:.6g},{report.std:.6g},"
+    for value, report in table.items():
+        print(f"{value},{config.algorithm},{report.mean:.6g},{report.std:.6g},"
               f"{report.mean_pre_ft:.6g},{report.std_pre_ft:.6g}")
 
 

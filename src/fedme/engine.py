@@ -144,6 +144,15 @@ def locate_divergence(where: str, name=lambda jobs: f"clients {jobs}"):
         raise
 
 
+def check_outputs(outputs, lr: float) -> None:
+    """Raise `nn.DivergenceError` naming the clients whose row of `outputs`
+    (pool predictions, or validation losses) holds a non-finite value."""
+    bad = (~np.isfinite(outputs).reshape(len(outputs), -1).all(axis=1)).nonzero()[0]
+    if len(bad):
+        raise nn.DivergenceError(f"non-finite model outputs at lr={lr:g}: training "
+                                 f"diverged", bad.tolist())
+
+
 def model_outputs_on_unlabeled(models: list[Model], pool: np.ndarray) -> np.ndarray:
     """Row i is the flattened probability matrix of model i on the pool. Models
     of one architecture with bit-identical parameters (the clients of one
@@ -238,10 +247,7 @@ def _plan_round(models: list[Model], pool: np.ndarray, t: int,
         else:
             with locate_divergence(f"round {t}"):
                 feats = model_outputs_on_unlabeled(models, pool)
-                bad = (~np.isfinite(feats).all(axis=1)).nonzero()[0].tolist()
-                if bad:
-                    raise nn.DivergenceError(f"non-finite model outputs at "
-                                             f"lr={config.lr:g}: training diverged", bad)
+                check_outputs(feats, config.lr)
             laps.lap(t, "pool_ms")
             assignments, _ = kmeans(
                 feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0])
@@ -306,11 +312,13 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
             dml_train(models, peers, shards, config,
                       [np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i))
                        for i in range(len(models))])
-        laps.lap(t, "train_ms")
-
-        round_records = [_select(i, model, peer, shard, plan, config, overrides)
-                         for i, (model, peer, shard)
-                         in enumerate(zip(models, peers, shards))]
+            laps.lap(t, "train_ms")
+            # finite parameters can still overflow when scored
+            round_records = [_select(i, model, peer, shard, plan, config, overrides)
+                             for i, (model, peer, shard)
+                             in enumerate(zip(models, peers, shards))]
+            check_outputs([(r.loss_p_val, 0.0 if r.donor is None else r.loss_ex_val)
+                           for r in round_records], config.lr)
         laps.lap(t, "score_ms")
 
         models = redistribute(aggregate(models, exchanged, plan),

@@ -472,27 +472,26 @@ def _sweep_config(config: ExperimentConfig, axis: str,
 
 
 def sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir=None):
-    """run_experiment per axis value, returning a table of
-    {(value, algorithm): SummaryReport}. Every config is checked, and every
-    federation built, before the first run."""
+    """run_experiment of `config.algorithm` per axis value, returning a table
+    of {value: SummaryReport}. Every config is checked, and every federation
+    built, before the first run."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; use one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs at least one axis value")
-    configs = {(value, config.algorithm): _sweep_config(config, axis, value)
-               for value in values}
-    federations = {key: _federations(cfg) for key, cfg in configs.items()}
+    alg = config.algorithm
+    configs = {value: _sweep_config(config, axis, value) for value in values}
+    federations = {value: _federations(cfg) for value, cfg in configs.items()}
     table = {}
-    for (value, alg), cfg in configs.items():
+    for value, cfg in configs.items():
         sub_dir = None
         if out_dir is not None:
             sub_dir = os.path.join(out_dir, f"{axis}_{value}_{alg}".replace("+", "_"))
             os.makedirs(sub_dir, exist_ok=True)
-        table[(value, alg)] = run_experiment(cfg, sub_dir,
-                                             federations[value, alg])
+        table[value] = run_experiment(cfg, sub_dir, federations[value])
     if out_dir is not None:
         lines = [f"{axis},algorithm,mean,std,mean_pre_ft,std_pre_ft"]
-        for (value, alg), report in table.items():
+        for value, report in table.items():
             lines.append(f"{value},{alg},{report.mean:.12g},{report.std:.12g},"
                          f"{report.mean_pre_ft:.12g},{report.std_pre_ft:.12g}")
         _write_csv(os.path.join(out_dir, "sweep.csv"), lines)

@@ -15,10 +15,11 @@ weights and biases for the forward pass, its weights for backprop, and its
 weight- and bias-gradient views into the cohort's one gradient buffer, so a
 step makes none. Its kernels return gradients only; losses are computed
 where they are reported (`evaluate_splits`). There is one forward pass,
-`_forward_cached`, on the layer views of a stack of models; `forward` builds
-them for a stack of one.
-Every other operation is pure; the public `sgd_step` takes the momentum
-buffer as an argument and returns stepped copies of the model and the buffer.
+`_forward_cached`, on the layer views of a stack of models, keeping only
+each layer's input, which is all backprop reads; `forward` builds the views
+for a stack of one. Every other operation is pure; the public `sgd_step`
+takes the momentum buffer as an argument and returns stepped copies of the
+model and the buffer.
 """
 from __future__ import annotations
 
@@ -183,28 +184,23 @@ def _bind(arch: ArchitectureSpec, params: np.ndarray, grad: np.ndarray) -> _Stac
 def _forward_cached(layers: list[tuple], features: np.ndarray, shorts=()):
     """Forward pass of a stack of C models of one architecture, each on its
     own batch: `layers` are the (C, P) stack's `_forward_views` and
-    `features` is (C, b, d). Returns the (C, b, M) probabilities and the
-    pre/post-activation values backprop needs. Model c's slice has the bits
-    of the pass on model c alone, which is `forward`.
+    `features` is (C, b, d). Returns the (C, b, M) probabilities and each
+    layer's input, the features then the ReLU outputs, which backprop reads.
+    Model c's slice has the bits of the pass on model c alone: `forward`.
 
     `shorts` lists (rows slice, row count r) of each run of models whose
     batch has r < b real rows, padded to b. BLAS rounds a product
     differently at another row count, so their products are redone on their
     first r rows; the rest of the pass works row by row."""
-    last = len(layers) - 1
-    acts = [features]
-    zs = []
-    h = features
+    acts, z = [], features
     for li, (weights, bias) in enumerate(layers):
+        h = np.maximum(z, 0.0, out=z) if li else features  # ReLU in place
+        acts.append(h)
         z = np.matmul(h, weights)
         for sel, r in shorts:
             np.matmul(h[sel, :r], weights[sel], out=z[sel, :r])
         z += bias
-        zs.append(z)
-        if li < last:
-            h = np.maximum(z, 0.0)
-            acts.append(h)
-    return _softmax(zs[-1]), acts, zs
+    return _softmax(z), acts
 
 
 def forward(model: Model, features: np.ndarray) -> np.ndarray:
@@ -214,9 +210,10 @@ def forward(model: Model, features: np.ndarray) -> np.ndarray:
     return _forward_cached(_forward_views(model.arch, model.params[None]), X[None])[0][0]
 
 
-def _backprop(stack: _Stack, acts, zs, dlogits: np.ndarray, shorts=()) -> np.ndarray:
+def _backprop(stack: _Stack, acts, dlogits: np.ndarray, shorts=()) -> np.ndarray:
     """Gradients of a stack, given the gradients of its losses w.r.t. the
-    (C, b, M) output logits, written into and returned as `stack.grad`. Each
+    (C, b, M) output logits, written into and returned as `stack.grad`; a
+    ReLU passes gradient where its output, like its input, is positive. Each
     short run of `_forward_cached`'s `shorts` has its weight gradient, bias
     sum and backprop delta redone on its real rows."""
     delta = dlogits
@@ -233,7 +230,7 @@ def _backprop(stack: _Stack, acts, zs, dlogits: np.ndarray, shorts=()) -> np.nda
             for sel, r in shorts:
                 np.matmul(delta[sel, :r], weights[sel], out=below[sel, :r])
             delta = below
-            delta *= zs[li - 1] > 0.0  # multiplies like the 0/1 float mask
+            delta *= acts[li] > 0.0  # multiplies like the 0/1 float mask
     return stack.grad
 
 
@@ -255,23 +252,23 @@ def dml_losses_and_grads(stack: _Stack, cached, hits: np.ndarray, counts: np.nda
 
     `stack` binds the (C, P) parameters and a gradient stack. `cached` is its
     forward pass on its (C, b, d) features as `_forward_cached` returns it:
-    the (C, b, M) probabilities and the values backprop needs. `hits` holds
-    the (C, b) flat positions of each row's true class among the
-    probabilities, `counts` the (C, 1, 1) float count of each model's real
-    rows, and `peer_probs` (C, b, M) each peer's predictions. `shorts` are
+    the (C, b, M) probabilities and each layer's input. `hits` holds the
+    (C, b) flat positions of each row's true class among the probabilities,
+    `counts` the (C, 1, 1) float count of each model's real rows, and
+    `peer_probs` (C, b, M) each peer's predictions. `shorts` are
     the padded batches, as `_forward_cached` takes them: their padding rows
     carry no gradient. A model's loss is the mean over its real rows of
     cross-entropy plus the KL pull toward its peer's predictions, which are
     constants when differentiating, so a pair's two gradients decouple.
     Returns the (C, P) gradients, `stack.grad`.
     """
-    probs, acts, zs = cached
+    probs, acts = cached
     # d/dlogits of mean CE is (p - y)/n; of mean KL(t || p) it is (p - t)/n.
     dlogits = 2.0 * probs
     dlogits.reshape(-1)[hits] -= 1.0
     dlogits -= peer_probs
     dlogits /= counts
-    return _backprop(stack, acts, zs, dlogits, shorts)
+    return _backprop(stack, acts, dlogits, shorts)
 
 
 def ce_loss_and_grad(stack: _Stack, cached, hits: np.ndarray, counts: np.ndarray,
@@ -280,18 +277,16 @@ def ce_loss_and_grad(stack: _Stack, cached, hits: np.ndarray, counts: np.ndarray
     a stack of C models of one architecture, each on its own batch; the
     arguments are those of `dml_losses_and_grads` without peers. Overwrites
     the cached probabilities. Returns the (C, P) gradients, `stack.grad`."""
-    probs, acts, zs = cached
+    probs, acts = cached
     # probs becomes d/dlogits of mean CE, (p - y)/n
     probs.reshape(-1)[hits] -= 1.0
     probs /= counts
-    return _backprop(stack, acts, zs, probs, shorts)
+    return _backprop(stack, acts, probs, shorts)
 
 
 def _sgd_update(params: np.ndarray, buf: np.ndarray, grad: np.ndarray,
                 lr: float, momentum: float, weight_decay: float) -> None:
     """Momentum step of `params` and `buf` in place; `grad` is used as scratch."""
-    if not np.isfinite(grad).all():
-        raise ValueError(f"non-finite gradient at lr={lr:g}: training diverged")
     # buf = momentum * buf + (grad + weight_decay * params); params -= lr * buf
     grad += weight_decay * params
     buf *= momentum
@@ -305,10 +300,12 @@ def sgd_step(model: Model, buf: np.ndarray, grad: np.ndarray, lr: float,
              weight_decay: float = 0.0) -> tuple[Model, np.ndarray]:
     """Classical momentum SGD; weight decay is added to the gradient first.
     Returns the stepped (model, momentum buffer) copies and leaves `model`,
-    `buf` and `grad` unchanged."""
+    `buf` and `grad` unchanged. A non-finite gradient raises `ValueError`."""
     if not lr > 0:
         raise ValueError(f"lr must be positive, got {lr}")
     grad = np.array(grad, dtype=np.float64)
+    if not np.isfinite(grad).all():
+        raise ValueError(f"non-finite gradient at lr={lr:g}: training diverged")
     buf = np.array(buf, dtype=np.float64)
     if grad.shape != model.params.shape or buf.shape != model.params.shape:
         raise DimensionError("gradient or momentum buffer length does not match parameters")
@@ -350,9 +347,10 @@ def train(jobs: list[Job], params) -> None:
     `params` is rebound to a row of its stack. The steps of a block that
     step its first c models share one binding of their views (`_bind`), and
     every block's gradients go to one buffer that the cohort's steps share.
-    Every job and hyperparameter is checked before any job trains. A
-    non-finite gradient raises `DivergenceError` naming the positions in
-    `jobs` of the jobs whose gradients are not finite.
+    Every job and hyperparameter is checked before any job trains. After a
+    cohort's last step, `DivergenceError` names the positions in `jobs` of
+    the jobs whose model or peer parameters are not finite: a value that
+    goes non-finite stays so through every later step.
     """
     if params.batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {params.batch_size}")
@@ -567,14 +565,6 @@ def _train_cohort(jobs: list[Job], params, start: int) -> None:
                  Y, params.batch_size, params.epochs)
     del order, Y
 
-    def update(blk, stack, buf, grads):
-        try:
-            _sgd_update(stack.params, buf, grads, *hyper)
-        except ValueError as exc:  # non-finite gradients: name their jobs
-            bad = ~np.isfinite(grads).all(axis=1)
-            raise DivergenceError(str(exc),
-                                  np.unique(blk.jobs[:len(bad)][bad]).tolist()) from None
-
     for steps in plan:
         # a DML model reads its partner's probabilities, so every DML stack
         # runs its forward pass before any steps
@@ -583,14 +573,21 @@ def _train_cohort(jobs: list[Job], params, start: int) -> None:
         probs = [cache[0] for _, cache in mutual]
         if len(probs) > 1:
             probs = [np.concatenate(probs)]
-        for (blk, stack, buf, _, hits, counts, shorts, peers), cache in mutual:
-            update(blk, stack, buf, dml_losses_and_grads(stack, cache, hits, counts,
-                                                         probs[0][peers], shorts))
+        for (_, stack, buf, _, hits, counts, shorts, peers), cache in mutual:
+            _sgd_update(stack.params, buf, dml_losses_and_grads(
+                stack, cache, hits, counts, probs[0][peers], shorts), *hyper)
         del mutual, probs
         for blk, stack, buf, picks, hits, counts, shorts, _ in steps:
             if not blk.dml:
                 cache = _forward_cached(stack.forward, X[picks], shorts)
-                update(blk, stack, buf, ce_loss_and_grad(stack, cache, hits, counts, shorts))
+                _sgd_update(stack.params, buf,
+                            ce_loss_and_grad(stack, cache, hits, counts, shorts), *hyper)
+    # not np.unique, whose first call imports numpy.ma: 1 MiB of peak memory
+    bad = sorted({j for blk in blocks
+                  for j in blk.jobs[~np.isfinite(blk.params).all(axis=1)].tolist()})
+    if bad:
+        raise DivergenceError(f"non-finite parameters at lr={params.lr:g}: training "
+                              f"diverged", bad)
 
 
 def average_params(models: list[Model]) -> Model:

@@ -91,8 +91,7 @@ def max_rel_err(analytic, numeric):
 
 def one_model_pass(model: Model, features):
     """The training forward pass on a one-model stack: `_forward_cached`'s
-    probabilities and pre/post-activation values, each stacked over one
-    model."""
+    probabilities and layer inputs, each stacked over one model."""
     views = nn._forward_views(model.arch, model.params[None])
     return nn._forward_cached(views, features[None])
 
@@ -105,8 +104,13 @@ def cached_probs(model: Model, features):
 def kink_free(model: Model, x, margin=1e-3):
     """Central differences are invalid where a relu unit sits at its kink, so
     sampled cases must keep every hidden pre-activation away from zero."""
-    _, _, zs = one_model_pass(model, x)
-    return all(np.min(np.abs(z)) > margin for z in zs[:-1])
+    h = x[None]
+    for weights, bias in nn._forward_views(model.arch, model.params[None])[:-1]:
+        z = np.matmul(h, weights) + bias  # the training pass's bits
+        if np.min(np.abs(z)) <= margin:
+            return False
+        h = np.maximum(z, 0.0)
+    return True
 
 
 # ----------------------------------------------------------- layer oracles

@@ -161,14 +161,17 @@ def test_an_error_without_a_message_is_named_by_its_type(tmp_path, capsys, monke
     assert capsys.readouterr().err == "error: MemoryError\n"
 
 
-@pytest.mark.parametrize("alg", ["fedme", "local_only"])
+@pytest.mark.parametrize("alg", ["fedme", "local_only", "fedavg"])
 def test_diverged_run_names_the_learning_rate(tmp_path, capsys, alg):
+    # round 1 leaves finite parameters near 1e298, whose scores overflow
     path = tmp_path / "exp.cfg"
     path.write_text(TINY.format(alg=alg).replace("lr = 0.05", "lr = 1e300"))
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "lr=1e+300: training diverged" in err
+    assert "round 1: non-finite model outputs at lr=1e+300: training diverged" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 DIVERGING = """\
@@ -184,11 +187,12 @@ fine_tune_epochs = 0
 
 @pytest.mark.parametrize("alg, keys, named", [
     ("fedme", "init_policy = round_robin\nclass_separation = 1e300\n",
-     "fedme, data seed 0, round 1: non-finite gradient at lr=0.05: training "
-     "diverged for clients [0, 1]"),
+     "fedme, data seed 0, round 1: non-finite parameters at lr=0.05: training "
+     "diverged for clients [0, 1, 2, 3]"),
     ("fedavg", "init_policy = best_local\nprobe_epochs = 2\nlr = 1e300\n",
-     "fedavg, data seed 0, best-local probing: non-finite gradient at lr=1e+300: "
-     "training diverged for clients [0, 1, 2, 3] on menu candidates [0, 0, 0, 0]"),
+     "fedavg, data seed 0, best-local probing: non-finite parameters at lr=1e+300: "
+     "training diverged for clients [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3] "
+     "on menu candidates [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]"),
 ], ids=["huge-features", "huge-lr-probe"])
 def test_a_divergence_names_its_run_phase_and_clients(tmp_path, capsys, alg, keys,
                                                       named):

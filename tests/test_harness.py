@@ -368,14 +368,14 @@ def test_grid_search_picks_best(tmp_path):
 def test_sweep_alpha_axis(tmp_path):
     config = _tiny("local_only", repeats=1, rounds=1)
     table = sweep(config, "alpha_label", ["0.5", "iid"], out_dir=str(tmp_path))
-    assert set(table) == {("0.5", "local_only"), ("iid", "local_only")}
+    assert set(table) == {"0.5", "iid"}
     assert (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_ablation_axis():
     config = _tiny("fedme", repeats=1, rounds=1)
     table = sweep(config, "ablation", ["none", "mt+dml"])
-    assert ("mt+dml", "fedme") in table
+    assert "mt+dml" in table
     with pytest.raises(ConfigError, match="ablation"):
         sweep(config, "ablation", ["mt+oops"])
 

@@ -641,6 +641,21 @@ def test_a_divergence_names_the_positions_of_its_jobs(dml, budget, monkeypatch):
         nn.train(made, params)
 
 
+@pytest.mark.parametrize("dml", [False, True])
+def test_a_last_step_that_overflows_the_parameters_names_its_job(dml):
+    # each job takes one step; job 1's gradients are finite, of order 1e3,
+    # but the step of lr times them overflows its parameters
+    arch = ArchitectureSpec(3, (5,), 3)
+    made = _jobs([arch] * 3, [9, 9, 9], 6, [arch] * 3 if dml else None)
+    made[1] = made[1]._replace(features=made[1].features * 1e3)
+    params = FedMeConfig(epochs=1, batch_size=9, lr=1e308, momentum=0.9, dml=dml)
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(nn.DivergenceError, match=r"non-finite parameters at lr=1e\+308: "
+                                                  r"training diverged") as caught):
+        nn.train(made, params)
+    assert caught.value.jobs == [1]
+
+
 @pytest.mark.parametrize("field, value", [("batch_size", 0), ("batch_size", -3),
                                           ("epochs", -1), ("lr", 0.0), ("lr", -0.1)])
 def test_train_rejects_bad_hyperparameters_before_any_job_trains(field, value):

@@ -1,10 +1,15 @@
 """All five runners equal the reference runs of `reference.py`, bit for bit,
 on drawn desk-scale federations: every record field, every final model's
-bytes and the server-model runners' choices.
+bytes and the server-model runners' choices. On the same draws, the runs
+keep the run-level properties that no single round shows: a shorter run is
+a prefix of a longer one, every record's donor and adoption are ones the
+round allows, and each client's architecture is its root lineage's.
 
 Every split has at least 2 rows: BLAS scores a one-row split by
 matrix-vector code, which rounds differently from the stacked pass (see
 `tests/test_nn.py`)."""
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,3 +89,50 @@ def test_every_runner_equals_its_reference_run(run):
         assert records == want_records, runner.__name__
         assert choices == want_choices, runner.__name__
         assert _bytes(globals_) == _bytes(want_globals), runner.__name__
+
+
+def _roots(records, n):
+    """Each round's root lineage of every client: client i adopts lineage
+    `a` in round t, so its root is the root of `a` after round t - 1."""
+    roots, by_round = [list(range(n))], {}
+    for r in records:
+        by_round.setdefault(r.round, {})[r.client] = r.a
+    for t in sorted(by_round):
+        roots.append([roots[-1][by_round[t][i]] for i in range(n)])
+    return roots[1:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=_runs(), data=st.data())
+def test_runs_keep_their_run_level_properties(run, data):
+    shards, archs, pool, config = run
+    n = len(shards)
+    models, records, _ = engine.run_fedme(shards, archs, pool, config)
+
+    # records: a donor from the client's cluster (from anyone else when the
+    # cluster is a singleton), and the adopted lineage is one of the two
+    for t in range(1, config.rounds + 1):
+        round_records = [r for r in records if r.round == t]
+        cluster_of = [r.cluster for r in round_records]
+        for r in round_records:
+            assert r.donor is not None and r.donor != r.client
+            assert cluster_of.count(r.cluster) == 1 or cluster_of[r.donor] == r.cluster
+            assert r.a in (r.client, r.donor)
+            assert config.tuning or r.a == r.client
+
+    # ancestry: a client keeps its root's architecture, and roots only die out
+    roots = _roots(records, n)
+    assert [m.arch for m in models] == [archs[root] for root in roots[-1]]
+    alive = [len(set(round_roots)) for round_roots in roots]
+    assert alive == sorted(alive, reverse=True)
+
+    # prefix: a t-round run is the first t rounds of the longer run
+    if config.rounds > 1:
+        t = data.draw(st.integers(1, config.rounds - 1), label="prefix")
+        short = replace(config, rounds=t)
+        assert engine.run_fedme(shards, archs, pool, short)[1] == [
+            r for r in records if r.round <= t]
+        arch = archs[0]
+        longer = baselines.run_hypcluster(shards, arch, config)[2]
+        assert baselines.run_hypcluster(shards, arch, short)[2] == [
+            r for r in longer if r.round <= t]

@@ -30,8 +30,8 @@ def run(mutual):
     rng = np.random.default_rng(42)
     history = []
     for _ in range(12):
-        nn.train([nn.Job(small, deep, train.features, train.labels, rng)],
-                 epoch)
+        ((small, deep),) = nn.train(
+            [nn.Job(small, deep, train.features, train.labels, rng)], epoch)
         _, acc_s = evaluate(small, test.features, test.labels)
         _, acc_d = evaluate(deep, test.features, test.labels)
         history.append((acc_s, acc_d))

@@ -1,8 +1,8 @@
 """One federation, round by round.
 
 Six clients with mixed architectures run the full exchange loop: cluster by
-model outputs on the unlabeled pool, receive a donor model, train both copies
-mutually, pick the better lineage on validation loss, then adopt the
+model outputs on the unlabeled pool, receive a donor model, train it and
+their own mutually, pick the better lineage on validation loss, then adopt the
 aggregated result. The table shows who borrowed from whom and which lineage
 each client kept as the cluster count opens up; the last line sums where the
 rounds' wall time went, span by span.

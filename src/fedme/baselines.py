@@ -19,11 +19,11 @@ from .nn import ArchitectureSpec, Model
 
 def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
                        arch: ArchitectureSpec, config: FedMeConfig, q: int = 1):
-    """The server keeps q global models. Every round each training unit i
-    trains a copy of one on `train_sets[i]` (when q > 1, the one that best fits
-    `shards[i]`'s validation split by loss), and each model becomes the mean of
-    its returned copies weighted by their units' train rows, or is carried
-    over if none came back. All units train in one lockstep `nn.train` call a
+    """The server keeps q global models. Every round training unit i trains
+    one on `train_sets[i]` (when q > 1, the one that best fits `shards[i]`'s
+    validation split by loss), and each model becomes the mean of the models
+    trained from it weighted by their units' train rows, or is carried over
+    if none came back. All units train in one lockstep `nn.train` call a
     round. Returns (global models, per-shard choice, round records, laps)."""
     globals_ = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, g))
                 for g in range(q)]
@@ -49,17 +49,15 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
     records = []
     laps = Laps()
     for t in range(1, config.rounds + 1):
-        trained = []
-        for i in range(len(train_sets)):
-            if q > 1:  # ties resolve to the lowest index
-                choices[i] = int(np.argmin([scores[g][3 * i + 1][0]
-                                            for g in range(q)]))
-            trained.append(globals_[choices[i]].copy())
+        if q > 1:  # ties resolve to the lowest index
+            choices = [int(np.argmin([scores[g][3 * i + 1][0] for g in range(q)]))
+                       for i in range(len(shards))]
         laps.lap(t, "server_ms")
         with locate_divergence(f"round {t}", who):
-            nn.train([nn.Job(model, None, train.features, train.labels,
-                             np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i)))
-                      for i, (model, train) in enumerate(zip(trained, train_sets))], config)
+            trained = [model for model, _ in nn.train(
+                [nn.Job(globals_[choices[i]], None, train.features, train.labels,
+                        np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i)))
+                 for i, train in enumerate(train_sets)], config)]
         laps.lap(t, "train_ms")
         for g in range(q):
             units = [i for i in range(len(trained)) if choices[i] == g]
@@ -120,6 +118,6 @@ def run_hypcluster(shards: list[ClientShard], arch: ArchitectureSpec,
                    config: FedMeConfig):
     """The server keeps q = 2 global models; every round each client trains
     only its best-fitting one (by validation loss) and the server averages
-    the returned copies per model, train-size-weighted. Returns (global
+    the models trained from each, train-size-weighted. Returns (global
     models, per-client final choice, round records, laps)."""
     return _run_server_models([s.train for s in shards], shards, arch, config, 2)

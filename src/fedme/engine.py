@@ -194,14 +194,14 @@ def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
 
 def dml_train(models: list[Model], peers: list[Model | None],
               shards: list[ClientShard], config: FedMeConfig,
-              rngs: list[np.random.Generator]) -> None:
-    """Train each client's model and its borrowed peer (if any) in place on
+              rngs: list[np.random.Generator]) -> list[tuple[Model, Model | None]]:
+    """Each client's trained (model, borrowed peer or None), trained on
     identical batches of the client's train split, drawn by the client's rng;
     with DML off each model gets plain cross-entropy updates. All clients
     train in one lockstep `nn.train` call."""
-    nn.train([nn.Job(model, peer, shard.train.features, shard.train.labels, rng)
-              for model, peer, shard, rng in zip(models, peers, shards, rngs,
-                                                  strict=True)], config)
+    return nn.train([nn.Job(model, peer, shard.train.features, shard.train.labels, rng)
+                     for model, peer, shard, rng in zip(models, peers, shards, rngs,
+                                                         strict=True)], config)
 
 
 def model_tuning(loss_p_val: float, loss_ex_val: float, client_id: int,
@@ -214,21 +214,20 @@ def model_tuning(loss_p_val: float, loss_ex_val: float, client_id: int,
 def aggregate(models: list[Model], exchanged: dict[int, Model],
               plan: ExchangePlan) -> dict[int, Model]:
     """Per-lineage mean of owner i's trained `models[i]` plus every trained
-    copy `exchanged[j]` borrowed from i (`plan.donor[j] == i`), in receiver
-    order. A lineage nobody borrowed is its owner's model itself, not a copy.
-    Changes none of its arguments."""
-    copies = {owner: [model] for owner, model in enumerate(models)}
+    model `exchanged[j]` borrowed from i (`plan.donor[j] == i`), in receiver
+    order. A lineage nobody borrowed is the mean of its owner's model alone:
+    its bits in a new array, which holds on to no training stack."""
+    lineages = {owner: [model] for owner, model in enumerate(models)}
     for receiver in sorted(plan.donor):
-        copies[plan.donor[receiver]].append(exchanged[receiver])
-    return {owner: group[0] if len(group) == 1 else nn.average_params(group)
-            for owner, group in copies.items()}
+        lineages[plan.donor[receiver]].append(exchanged[receiver])
+    return {owner: nn.average_params(group) for owner, group in lineages.items()}
 
 
 def redistribute(aggregated: dict[int, Model],
                  selections: dict[int, int]) -> list[Model]:
-    """Client i's next model: an independent copy of its selected lineage
-    `aggregated[selections[i]]`. Changes none of its arguments."""
-    return [aggregated[selections[i]].copy() for i in range(len(selections))]
+    """Client i's next model: its selected lineage `aggregated[selections[i]]`
+    itself, which clients that select one lineage share."""
+    return [aggregated[selections[i]] for i in range(len(selections))]
 
 
 def _plan_round(models: list[Model], pool: np.ndarray, t: int,
@@ -261,9 +260,10 @@ def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
             overrides: RoundOverrides) -> RoundRecord:
     """Score client `cid`'s trained model and borrowed `peer`, then pick the
     lineage it keeps. A client that borrows nothing and lends nothing, as
-    every Local-Only client, gets its trained model back if it keeps its
-    lineage, so one pass also scores its test split and the record takes its
-    accuracies from it; every other record's are filled in later."""
+    every Local-Only client, gets a model with its trained model's bits if
+    it keeps its lineage, so one pass also scores its test split and the
+    record takes its accuracies from it; every other record's are filled in
+    later."""
     t, donor = plan.round, plan.donor.get(cid)
     alone = donor is None and cid not in plan.donor.values()
     scores = nn.evaluate_splits(model, shard.features, shard.labels,
@@ -304,14 +304,16 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
 
     for t in range(1, config.rounds + 1):
         plan = _plan_round(models, pool, t, config, overrides, laps)
-        exchanged = {i: models[d].copy() for i, d in plan.donor.items()}
-        peers = [exchanged.get(i) for i in range(len(models))]
+        peers = [models[plan.donor[i]] if i in plan.donor else None
+                 for i in range(len(models))]
         laps.lap(t, "server_ms")
 
         with locate_divergence(f"round {t}"):
-            dml_train(models, peers, shards, config,
-                      [np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i))
-                       for i in range(len(models))])
+            # rebinding `models` frees the lineages they trained from
+            models, peers = zip(*dml_train(
+                models, peers, shards, config,
+                [np.random.default_rng(derive_seed(config.seed, TAG_BATCH, t, i))
+                 for i in range(len(models))]))
             laps.lap(t, "train_ms")
             # finite parameters can still overflow when scored
             round_records = [_select(i, model, peer, shard, plan, config, overrides)
@@ -321,11 +323,11 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
                            for r in round_records], config.lr)
         laps.lap(t, "score_ms")
 
-        models = redistribute(aggregate(models, exchanged, plan),
+        models = redistribute(aggregate(models, {i: peers[i] for i in plan.donor}, plan),
                               {r.client: r.a for r in round_records})
-        # the borrowed copies, and the training stacks their parameters are
+        # the trained peers, and the training stacks their parameters are
         # rows of, are dead weight through the next round's k-means
-        del exchanged, peers
+        del peers
         laps.lap(t, "server_ms")
 
         for model, shard, record in zip(models, shards, round_records):
@@ -340,12 +342,10 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
 
 def fine_tune(models: list[Model], shards: list[ClientShard],
               config: FedMeConfig) -> list[Model]:
-    """Plain cross-entropy retraining of a copy of each client's model on its
-    own train split, for `config.epochs` epochs, in one lockstep call."""
-    tuned = [model.copy() for model in models]
+    """Each client's model retrained by plain cross-entropy on its own train
+    split, for `config.epochs` epochs, in one lockstep call."""
+    jobs = [nn.Job(model, None, shard.train.features, shard.train.labels,
+                   np.random.default_rng(derive_seed(config.seed, TAG_FINE_TUNE, i)))
+            for i, (model, shard) in enumerate(zip(models, shards, strict=True))]
     with locate_divergence("fine-tuning"):
-        nn.train([nn.Job(model, None, shard.train.features, shard.train.labels,
-                         np.random.default_rng(derive_seed(config.seed, TAG_FINE_TUNE, i)))
-                  for i, (model, shard) in enumerate(zip(tuned, shards, strict=True))],
-                 config)
-    return tuned
+        return [model for model, _ in nn.train(jobs, config)]

@@ -184,12 +184,12 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
     with locate_divergence("best-local probing", lambda jobs: (
             f"clients {[j // len(menu) for j in jobs]} on menu candidates "
             f"{[j % len(menu) for j in jobs]}")):
-        nn.train(jobs, replace(config, epochs=config.probe_epochs))
+        probes = nn.train(jobs, replace(config, epochs=config.probe_epochs))
     choices = []
     for c, shard in enumerate(shards):
         scored = []
         for idx, arch in enumerate(menu):
-            _, acc = nn.evaluate(jobs[c * len(menu) + idx].model,
+            _, acc = nn.evaluate(probes[c * len(menu) + idx][0],
                                  shard.validation.features, shard.validation.labels)
             scored.append((-acc, arch.parameter_count(), idx))
         choices.append(menu[min(scored)[2]])
@@ -273,7 +273,7 @@ def run_single(config: ExperimentConfig, seed: int,
             run = {"centralized": run_centralized, "fedavg": run_fedavg,
                    "hypcluster": run_hypcluster}[config.algorithm]
             globals_, choices, records, laps = run(shards, archs[0], config)
-            models = [globals_[c].copy() for c in choices]
+            models = [globals_[c] for c in choices]
 
         stalled = stall_warning(records, config.num_classes)
         if stalled:

@@ -1,25 +1,24 @@
 """Minimal feed-forward classifier engine on flat parameter vectors.
 
-A model is its parameters: an architecture and a flat float64 vector, exactly
-what a checkpoint stores. Hidden layers are ReLU, so a checkpoint's activation
-code (byte 6) is always 0. Momentum exists only inside `train`, the one
-training loop, which gives each model it steps a zero buffer and updates
-parameters in place, so callers copy a model first when the original must
-survive. `train` runs many models of one input width and class count in
-lockstep: at each tick, the models of one architecture and loss share one
-stacked step on the rows of one data stack, short batches padded, with the
-bits of stepping each model alone. `_plan` schedules every step of a cohort
-before the first, with the positions of its labels, and binds the views a
-block's steps read once per prefix height (`_bind`): each layer's transposed
-weights and biases for the forward pass, its weights for backprop, and its
-weight- and bias-gradient views into the cohort's one gradient buffer, so a
-step makes none. Its kernels return gradients only; losses are computed
-where they are reported (`evaluate_splits`). There is one forward pass,
-`_forward_cached`, on the layer views of a stack of models, keeping only
-each layer's input, which is all backprop reads; `forward` builds the views
-for a stack of one. Every other operation is pure; the public `sgd_step`
-takes the momentum buffer as an argument and returns stepped copies of the
-model and the buffer.
+A model is a value: an architecture and a flat float64 vector, exactly what a
+checkpoint stores, made read-only, so a model may be shared and never
+changes. Hidden layers are ReLU, so a checkpoint's activation code (byte 6) is
+always 0. Every operation is pure. Momentum exists only inside `train`, the
+one training loop, which gives each model it steps a zero buffer and returns
+the trained models; the public `sgd_step` takes the momentum buffer as an
+argument and returns stepped copies of the model and the buffer. `train`
+runs many models of one input width and class count in lockstep: at each
+tick, the models of one architecture and loss share one stacked step on the
+rows of one data stack, short batches padded, with the bits of stepping each
+model alone. `_plan` schedules every step of a cohort before the first, with
+the positions of its labels, and binds the views a block's steps read once
+per prefix height (`_bind`): each layer's transposed weights and biases for
+the forward pass, its weights for backprop, and its weight- and
+bias-gradient views into the cohort's one gradient buffer, so a step makes
+none. Its kernels return gradients only; losses are computed where they are
+reported (`evaluate_splits`). There is one forward pass, `_forward_cached`,
+on the layer views of a stack of models, keeping only each layer's input,
+which is all backprop reads; `forward` builds the views for a stack of one.
 """
 from __future__ import annotations
 
@@ -86,19 +85,20 @@ class ArchitectureSpec:
         return self.input_dim == other.input_dim and self.num_classes == other.num_classes
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
+    """An architecture and its flat parameter vector, which is made read-only."""
+
     arch: ArchitectureSpec
     params: np.ndarray
 
     def __post_init__(self):
-        self.params = np.asarray(self.params, dtype=np.float64)
+        params = np.asarray(self.params, dtype=np.float64)
         n = self.arch.parameter_count()
-        if self.params.shape != (n,):
-            raise ValueError(f"expected {n} parameters, got shape {self.params.shape}")
-
-    def copy(self) -> "Model":
-        return Model(self.arch, self.params.copy())
+        if params.shape != (n,):
+            raise ValueError(f"expected {n} parameters, got shape {params.shape}")
+        params.flags.writeable = False
+        object.__setattr__(self, "params", params)
 
 
 @functools.lru_cache(maxsize=256)
@@ -309,9 +309,9 @@ def sgd_step(model: Model, buf: np.ndarray, grad: np.ndarray, lr: float,
     buf = np.array(buf, dtype=np.float64)
     if grad.shape != model.params.shape or buf.shape != model.params.shape:
         raise DimensionError("gradient or momentum buffer length does not match parameters")
-    stepped = model.copy()
-    _sgd_update(stepped.params, buf, grad, lr, momentum, weight_decay)
-    return stepped, buf
+    params = model.params.copy()
+    _sgd_update(params, buf, grad, lr, momentum, weight_decay)
+    return Model(model.arch, params), buf
 
 
 class Job(NamedTuple):
@@ -325,26 +325,29 @@ class Job(NamedTuple):
     rng: np.random.Generator
 
 
-def train(jobs: list[Job], params) -> None:
-    """Train every job's models in place with momentum SGD from zero buffers
-    for `params.epochs` epochs of mini-batches, each job shuffled afresh each
-    epoch by its own `rng` (one `permutation` per epoch, drawn up front).
+def train(jobs: list[Job], params) -> list[tuple[Model, Model | None]]:
+    """Train every job's model, and its peer when given, with momentum SGD
+    from zero buffers for `params.epochs` epochs of mini-batches, each job
+    shuffled afresh each epoch by its own `rng` (one `permutation` per epoch,
+    drawn up front). Returns one (model, peer) per job, in job order: the
+    trained models, or the job's own with no epochs. No job's model or peer
+    changes, even when the call raises, and one model may start several jobs.
 
     `params` supplies epochs, batch_size, lr, momentum, weight_decay and dml.
     A job's `peer` trains on the same batches as its model: jointly by deep
     mutual learning when `params.dml`, otherwise by its own cross-entropy.
 
-    Every model ends with the bits of training its job alone, batch by batch.
-    The jobs of one call share one input width and one class count, as the
-    clients of one federation do. They run in lockstep, in cohorts of at most
-    `COHORT_BYTES` of parameters: each cohort stacks its rows once, and the
-    models of one architecture and loss once, so at each tick the models
-    stepping a batch form a prefix of their stack for the kernels and the
-    update. Its batches are padded to the longest one's row count (the
+    Every trained model has the bits of training its job alone, batch by
+    batch. The jobs of one call share one input width and one class count,
+    as the clients of one federation do. They run in lockstep, in cohorts of
+    at most `COHORT_BYTES` of parameters: each cohort stacks its rows once,
+    and the models of one architecture and loss once, so at each tick the
+    models stepping a batch form a prefix of their stack for the kernels and
+    the update. Its batches are padded to the longest one's row count (the
     longest of all the tick's DML stacks, for DML), and every matrix product
     and row sum of a shorter batch is redone at its own row count
-    (`_forward_cached`, `_backprop`), which keeps the bits. Each model's
-    `params` is rebound to a row of its stack. The steps of a block that
+    (`_forward_cached`, `_backprop`), which keeps the bits. Each trained
+    model's parameters are a row of its stack. The steps of a block that
     step its first c models share one binding of their views (`_bind`), and
     every block's gradients go to one buffer that the cohort's steps share.
     Every job and hyperparameter is checked before any job trains. After a
@@ -358,13 +361,8 @@ def train(jobs: list[Job], params) -> None:
         raise ValueError(f"epochs must be non-negative, got {params.epochs}")
     if not params.lr > 0:
         raise ValueError(f"lr must be positive, got {params.lr}")
-    checked, seen = [], set()
+    checked = []
     for job in jobs:
-        for model in (job.model, job.peer):
-            if id(model) in seen:  # its stack row would be bound twice
-                raise ValueError("a model can train in one job only")
-            if model is not None:
-                seen.add(id(model))
         if job.peer is not None and not job.model.arch.compatible_with(job.peer.arch):
             raise DimensionError("models do not share input_dim / num_classes")
         if not job.model.arch.compatible_with(jobs[0].model.arch):
@@ -374,11 +372,11 @@ def train(jobs: list[Job], params) -> None:
         y = _checked_labels(job.labels, len(X), job.model.arch.num_classes)
         checked.append(job._replace(features=X, labels=y))
     if params.epochs == 0:
-        return
-    start = 0
+        return [(job.model, job.peer) for job in jobs]
+    trained = []
     for cohort in _cohorts(checked):
-        _train_cohort(cohort, params, start)
-        start += len(cohort)
+        trained += _train_cohort(cohort, params, len(trained))
+    return trained
 
 
 def _cohorts(jobs: list[Job]):
@@ -509,10 +507,12 @@ def _plan(blocks: list[_Block], n: np.ndarray, first: np.ndarray, mate: np.ndarr
     return steps
 
 
-def _train_cohort(jobs: list[Job], params, start: int) -> None:
+def _train_cohort(jobs: list[Job], params,
+                  start: int) -> list[tuple[Model, Model | None]]:
     """`train` on one cohort, the jobs at positions `start` on of its call:
     the models of each architecture and loss as the rows of one stack,
-    stepped tick by tick as `_plan` schedules them."""
+    stepped tick by tick as `_plan` schedules them. Returns each job's
+    trained (model, peer), rows of those stacks."""
     hyper = (params.lr, params.momentum, params.weight_decay)
     # every job's batches, drawn up front: one permutation per epoch, kept
     # with all the others as one array of positions in the cohort's rows,
@@ -550,10 +550,7 @@ def _train_cohort(jobs: list[Job], params, start: int) -> None:
     blocks, ordered = [], []  # and each block's models, block after block
     for (arch, dml), members in by_block.items():
         members.sort(key=lambda e: -n[job_of[e]])
-        stack = np.empty((len(members), arch.parameter_count()))
-        for row, e in enumerate(members):  # frees each original as it goes
-            stack[row] = models[e].params
-            models[e].params = stack[row]
+        stack = np.stack([models[e].params for e in members])
         blocks.append(_Block(arch, stack, np.zeros_like(stack),
                              grads[:stack.size].reshape(stack.shape), dml,
                              np.array([start + job_of[e] for e in members])))
@@ -588,6 +585,9 @@ def _train_cohort(jobs: list[Job], params, start: int) -> None:
     if bad:
         raise DivergenceError(f"non-finite parameters at lr={params.lr:g}: training "
                               f"diverged", bad)
+    rows = [row for blk in blocks for row in blk.params]
+    trained = iter([Model(m.arch, rows[p]) for m, p in zip(models, place.tolist())])
+    return [(next(trained), None if job.peer is None else next(trained)) for job in jobs]
 
 
 def average_params(models: list[Model]) -> Model:

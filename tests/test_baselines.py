@@ -7,7 +7,7 @@ from fedme import baselines, engine, nn
 from fedme.clustering import cluster_count
 from fedme.data import ClientShard, Dataset, split_shard
 from fedme.engine import TAG_INIT, FedMeConfig, RoundOverrides, derive_seed
-from fedme.nn import ArchitectureSpec
+from fedme.nn import ArchitectureSpec, Model
 from reference import toy_shards
 
 ARCH = ArchitectureSpec(2, (4,), 2)
@@ -84,8 +84,7 @@ def test_fedavg_weighted_mean_exact(monkeypatch):
                     np.array([3.0, 5.0, 0, 0, 0, 0])])
 
     def pinned(jobs, params):
-        for job in jobs:
-            job.model.params[:] = next(outputs)
+        return [(Model(job.model.arch, next(outputs)), None) for job in jobs]
 
     monkeypatch.setattr(baselines.nn, "train", pinned)
     params = FedMeConfig(rounds=1, lr=0.05, seed=0)

@@ -260,7 +260,7 @@ rounds = 2
 def test_bad_partition_exits_one_naming_the_keys_before_any_training(
         tmp_path, capsys, monkeypatch, text, client):
     trained, real = [], nn.train
-    monkeypatch.setattr(nn, "train", lambda *a: (trained.append(a), real(*a)))
+    monkeypatch.setattr(nn, "train", lambda *a: trained.append(a) or real(*a))
     path = tmp_path / "exp.cfg"
     path.write_text(text)
     out = tmp_path / "artifacts"

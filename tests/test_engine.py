@@ -39,10 +39,14 @@ def test_model_outputs_forward_each_distinct_model_once(monkeypatch):
     # (3,) and (3, 1) both have 17 parameters at input 2 with 2 classes
     base = [nn.init_model(ArchitectureSpec(2, (3,), 2), s) for s in range(3)]
     twin = Model(ArchitectureSpec(2, (3, 1), 2), base[0].params.copy())
-    # copies of one lineage share their parameter bytes; the twin shares
-    # them with base[0] but is another architecture, so another model
-    models = [base[0], base[1].copy(), base[0].copy(), twin, base[2],
-              base[1].copy(), base[0].copy(), twin.copy()]
+    # models of one lineage share their parameter bytes, in distinct arrays;
+    # the twin shares them with base[0] but is another architecture, so
+    # another model
+    def own(m):
+        return Model(m.arch, m.params.copy())
+
+    models = [base[0], own(base[1]), own(base[0]), twin, base[2],
+              own(base[1]), own(base[0]), own(twin)]
     pool = _pool()
     want = np.stack([nn.forward(m, pool).ravel() for m in models])
     calls = []
@@ -158,10 +162,9 @@ def test_assign_exchanges_donor_distribution_uniform():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_a_round_records_its_scheduled_cluster_count(seed):
-    # 4 copies of one model and 2 of another give k-means 2 distinct
+    # 4 clients of one model and 2 of another give k-means 2 distinct
     # prediction vectors, so it leaves one of the 3 scheduled clusters empty
-    a, b = nn.init_model(ARCH, 0), nn.init_model(ARCH, 1)
-    models = [a.copy() for _ in range(4)] + [b.copy() for _ in range(2)]
+    models = [nn.init_model(ARCH, 0)] * 4 + [nn.init_model(ARCH, 1)] * 2
     config = FedMeConfig(cluster_thresholds=(1, 2), k_max=3, seed=seed)
     assert cluster_count(2, config.cluster_thresholds, config.k_max, 6) == 3
     plan = engine._plan_round(models, _pool(), 2, config, RoundOverrides(), engine.Laps())
@@ -221,8 +224,8 @@ def test_plan_to_aggregate_contract(assignments, t, seed):
         singleton = np.count_nonzero(assignments == assignments[i]) == 1
         assert singleton or assignments[donor] == assignments[i]
     # each lineage averages its owner's model (all 0) and its s_i borrowed
-    # copies (all 1): exactly those objects, so the mean is s_i / (s_i + 1);
-    # a lineage nobody borrowed (s_i = 0) is its owner's model, not averaged
+    # models (all 1): exactly those objects, so the mean is s_i / (s_i + 1);
+    # a lineage nobody borrowed (s_i = 0) is the mean of its owner's alone
     models = [_tiny([0.0] * 6) for _ in range(n)]
     exchanged = {i: _tiny([1.0] * 6) for i in range(n)}
     with mock.patch.object(nn, "average_params", wraps=nn.average_params) as spy:
@@ -231,17 +234,18 @@ def test_plan_to_aggregate_contract(assignments, t, seed):
                  [exchanged[j] for j in range(n) if plan.donor[j] == i]
               for i in range(n)}
     assert sorted(sorted(map(id, c.args[0])) for c in spy.call_args_list) == \
-        sorted(sorted(map(id, group)) for group in copies.values()
-               if len(group) > 1)
+        sorted(sorted(map(id, group)) for group in copies.values())
     for i, group in copies.items():
         s_i = len(group) - 1
         assert np.all(agg[i].params == s_i / (s_i + 1))
-        assert (agg[i] is models[i]) == (s_i == 0)
-    # the empty plan (exchange off) hands every owner its own model back
+    # the empty plan (exchange off) hands every owner its own model's bits
+    # in a new array, which holds on to no training stack
     rng = np.random.default_rng(seed)
     owners = [_tiny(rng.normal(size=6)) for _ in range(n)]
     alone = engine.aggregate(owners, {}, ExchangePlan(t, {}, {}, 1))
-    assert all(alone[i] is owners[i] for i in range(n))
+    for i in range(n):
+        assert alone[i].params.tobytes() == owners[i].params.tobytes()
+        assert not np.shares_memory(alone[i].params, owners[i].params)
 
 
 def test_aggregate_and_redistribute_leave_their_arguments_unchanged():
@@ -258,9 +262,8 @@ def test_aggregate_and_redistribute_leave_their_arguments_unchanged():
     assert all(np.array_equal(m.params, p) for m, p in zip(inputs, frozen))
     assert sorted(agg) == [0, 1, 2]
     assert all(np.array_equal(agg[i].params, p) for i, p in frozen_agg.items())
-    # the new models are fresh objects: none is an input or an aggregate
-    held = [*inputs, *agg.values()]
-    assert not any(m is x or m.params is x.params for m in new for x in held)
+    # each client gets its selected lineage itself
+    assert all(new[i] is agg[a] for i, a in selections.items())
 
 
 def test_redistribute_independent_copies():
@@ -271,9 +274,12 @@ def test_redistribute_independent_copies():
     new = engine.redistribute(agg, {0: 1, 1: 1})
     assert len(new) == 2
     assert np.array_equal(new[0].params, agg[1].params)
-    assert np.array_equal(new[0].params, new[1].params)
-    new[0].params[0] = 99.0
-    assert new[1].params[0] != 99.0
+    # the two clients share one read-only lineage, so neither can change
+    # the other's model
+    assert new[0] is new[1]
+    with pytest.raises(ValueError, match="read-only"):
+        new[0].params[0] = 99.0
+    assert new[1].params[0] == 2.0
 
 
 def test_dml_train_reduces_loss_and_keeps_momentum_within_round():
@@ -281,17 +287,18 @@ def test_dml_train_reduces_loss_and_keeps_momentum_within_round():
     model, peer = nn.init_model(ARCH, 0), nn.init_model(ARCH, 1)
     before_p, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
     config = FedMeConfig(rounds=1, epochs=3, lr=0.05)
-    engine.dml_train([model], [peer], [shard], config, [np.random.default_rng(0)])
-    after_p, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
-    after_ex, _ = nn.evaluate(peer, shard.train.features, shard.train.labels)
+    ((trained, borrowed),) = engine.dml_train([model], [peer], [shard], config,
+                                              [np.random.default_rng(0)])
+    after_p, _ = nn.evaluate(trained, shard.train.features, shard.train.labels)
+    after_ex, _ = nn.evaluate(borrowed, shard.train.features, shard.train.labels)
     assert after_p < before_p
     assert after_ex < 0.7  # the borrowed model trains too
     # a step from a zero buffer is a momentum-free step, so only a buffer
     # carried across the round's batches can set the two runs apart
-    plain = nn.init_model(ARCH, 0)
-    engine.dml_train([plain], [nn.init_model(ARCH, 1)], [shard],
-                     replace(config, momentum=0.0), [np.random.default_rng(0)])
-    assert not np.array_equal(plain.params, model.params)
+    ((plain, _),) = engine.dml_train([model], [peer], [shard],
+                                     replace(config, momentum=0.0),
+                                     [np.random.default_rng(0)])
+    assert not np.array_equal(plain.params, trained.params)
 
 
 def test_run_fedme_deterministic():
@@ -375,9 +382,8 @@ def test_local_only_scores_each_round_on_its_redistributed_models(monkeypatch):
     redistribute = engine.redistribute
 
     def recording(aggregated, selections):
-        models = redistribute(aggregated, selections)
-        redistributed.append([m.copy() for m in models])  # training rebinds params
-        return models
+        redistributed.append(redistribute(aggregated, selections))
+        return redistributed[-1]
 
     monkeypatch.setattr(engine, "redistribute", recording)
     shards = toy_shards(5)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedme import nn
+from fedme import engine, nn
 from fedme.engine import FedMeConfig
 from fedme.nn import ArchitectureSpec, Model
 from reference import (batch_grads, cached_probs, dml_loss, evaluate_oracle,
@@ -65,8 +65,7 @@ def test_forward_zero_params_uniform():
 
 def test_forward_rows_normalized_extreme_logits():
     # scale parameters so logits reach magnitude ~1e3
-    model = nn.init_model(ARCH, 1)
-    model.params *= 1e4
+    model = Model(ARCH, nn.init_model(ARCH, 1).params * 1e4)
     probs = nn.forward(model, np.array([[1.0, -1.0], [50.0, 50.0]]))
     assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -148,7 +147,7 @@ def test_dml_identical_models_reduce_to_ce():
     model = nn.init_model(ARCH, 5)
     x = np.random.default_rng(0).normal(size=(6, 2))
     y = np.array([0, 1, 0, 1, 1, 0])
-    g_p, g_ex = batch_grads(model, x, y, model.copy())
+    g_p, g_ex = batch_grads(model, x, y, model)
     (g_ce,) = batch_grads(model, x, y)
     assert np.allclose(g_p, g_ex, rtol=0.0, atol=1e-12)
     assert np.allclose(g_p, g_ce, rtol=0.0, atol=1e-12)
@@ -238,12 +237,11 @@ def test_train_loop_matches_pure_sgd_step_bitwise(pairing):
     ref_model, ref_peer = reference_train(
         model, peer, mutual, x, y, params, np.random.default_rng(5))
 
-    trained = [m.copy() for m in (model, peer) if m is not None]
-    nn.train([nn.Job(trained[0], trained[1] if peer is not None else None, x, y,
-                     np.random.default_rng(5))],
-             dataclasses.replace(params, dml=mutual))
+    (trained,) = nn.train([nn.Job(model, peer, x, y, np.random.default_rng(5))],
+                          dataclasses.replace(params, dml=mutual))
     for got, want in zip(trained, [ref_model, ref_peer]):
-        assert got.params.tobytes() == want.params.tobytes()
+        assert (got is None) == (want is None)
+        assert got is None or got.params.tobytes() == want.params.tobytes()
     # the oracle applies momentum: without it, it ends elsewhere
     plain_model, _ = reference_train(
         model, peer, mutual, x, y, dataclasses.replace(params, momentum=0.0),
@@ -291,13 +289,10 @@ def test_lockstep_train_matches_pure_step_oracle_bitwise(data):
                                        job.labels, params, job.rng)
         want.append([m.params.tobytes() for m in (model, peer) if m is not None])
 
-    def trained_bytes(made):
-        return [[m.params.tobytes() for m in (job.model, job.peer) if m is not None]
-                for job in made]
+    def trained_bytes(trained):
+        return [[m.params.tobytes() for m in pair if m is not None] for pair in trained]
 
-    made = jobs()
-    nn.train(made, params)
-    assert trained_bytes(made) == want
+    assert trained_bytes(nn.train(jobs(), params)) == want
 
     # a budget below one model's bytes puts every job in a cohort of its own,
     # and a cohort never splits a job's model from its peer
@@ -306,15 +301,61 @@ def test_lockstep_train_matches_pure_step_oracle_bitwise(data):
 
     def recording(cohort, p, start):
         cohorts.append([{id(job.model), id(job.peer)} for job in cohort])
-        train_cohort(cohort, p, start)
+        return train_cohort(cohort, p, start)
 
     made = jobs()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nn, "COHORT_BYTES", 1)
         mp.setattr(nn, "_train_cohort", recording)
-        nn.train(made, params)
-    assert trained_bytes(made) == want
+        assert trained_bytes(nn.train(made, params)) == want
     assert cohorts == [[{id(job.model), id(job.peer)}] for job in made]
+
+
+@pytest.mark.parametrize("budget", [nn.COHORT_BYTES, 1], ids=["shared-cohort", "own-cohorts"])
+def test_train_returns_the_trained_models_and_changes_no_job(budget, monkeypatch):
+    monkeypatch.setattr(nn, "COHORT_BYTES", budget)
+    arch, deep = ArchitectureSpec(3, (5,), 3), ArchitectureSpec(3, (4, 4), 3)
+    archs, peers, sizes = [arch, deep, arch, deep], [deep, None, arch, None], [9, 12, 7, 10]
+    params = FedMeConfig(epochs=2, batch_size=4, lr=0.1, momentum=0.9,
+                         weight_decay=1e-3, dml=True)
+    made = _jobs(archs, sizes, 3, peers)
+    before = [[m.params.tobytes() for m in (job.model, job.peer) if m is not None]
+              for job in made]
+    trained = nn.train(made, params)
+    assert [[m.params.tobytes() for m in (job.model, job.peer) if m is not None]
+            for job in made] == before
+    assert [[m.params.tobytes() for m in pair if m is not None]
+            for pair in trained] == _oracle_bytes(archs, sizes, params, peers)
+    assert [peer is None for _, peer in trained] == [p is None for p in peers]
+    # with no epochs, every job's own models come back
+    idle = nn.train(made, dataclasses.replace(params, epochs=0))
+    assert all(model is job.model and peer is job.peer
+               for (model, peer), job in zip(idle, made))
+
+
+@pytest.mark.parametrize("dml", [False, True])
+def test_one_model_in_several_jobs_trains_as_copies_would(dml):
+    # as FedAvg's clients all start from the global model, and a FedMe donor
+    # trains its own model while another client trains it as a peer
+    shared = nn.init_model(ArchitectureSpec(3, (5,), 3), 0)
+    other = nn.init_model(ArchitectureSpec(3, (4, 4), 3), 1)
+    before = shared.params.tobytes()
+    rng = np.random.default_rng(4)
+    rows = [(rng.normal(size=(m, 3)), rng.integers(0, 3, size=m)) for m in (9, 12, 7)]
+    pairs = [(shared, None), (other, shared), (shared, shared)]
+    params = FedMeConfig(epochs=2, batch_size=4, lr=0.1, momentum=0.9,
+                         weight_decay=1e-3, dml=dml)
+
+    def trained_bytes(copy):
+        def own(m):
+            return Model(m.arch, m.params.copy()) if copy and m is not None else m
+        made = [nn.Job(own(model), own(peer), *xy, np.random.default_rng(i))
+                for i, ((model, peer), xy) in enumerate(zip(pairs, rows))]
+        return [[m.params.tobytes() for m in pair if m is not None]
+                for pair in nn.train(made, params)]
+
+    assert trained_bytes(copy=False) == trained_bytes(copy=True)
+    assert shared.params.tobytes() == before
 
 
 def _jobs(archs, sizes, seed, peer_archs=None):
@@ -342,10 +383,8 @@ def _oracle_bytes(archs, sizes, params, peer_archs=None):
 
 
 def _trained_bytes(archs, sizes, params, peer_archs=None):
-    made = _jobs(archs, sizes, 3, peer_archs)
-    nn.train(made, params)
-    return [[m.params.tobytes() for m in (job.model, job.peer) if m is not None]
-            for job in made]
+    return [[m.params.tobytes() for m in pair if m is not None]
+            for pair in nn.train(_jobs(archs, sizes, 3, peer_archs), params)]
 
 
 @pytest.mark.parametrize("dml", [False, True])
@@ -604,9 +643,7 @@ def test_jobs_on_the_same_rows_stack_them_once(monkeypatch):
         return plan(*args)
 
     monkeypatch.setattr(nn, "_plan", recording)
-    made = jobs()
-    nn.train(made, params)
-    assert [job.model.params.tobytes() for job in made] == want
+    assert [model.params.tobytes() for model, _ in nn.train(jobs(), params)] == want
     (order,) = orders
     assert order.max() + 1 == 11 + 6
 
@@ -618,8 +655,7 @@ def test_jobs_without_rows_keep_their_bits(sizes):
     made = _jobs([arch] * len(sizes), sizes, 3, [arch] * len(sizes))
     before = [[m.params.tobytes() for m in (job.model, job.peer)] for job in made]
     want = _oracle_bytes([arch] * len(sizes), sizes, params, [arch] * len(sizes))
-    nn.train(made, params)
-    got = [[m.params.tobytes() for m in (job.model, job.peer)] for job in made]
+    got = [[m.params.tobytes() for m in pair] for pair in nn.train(made, params)]
     assert got == want
     for m, job_got, job_before in zip(sizes, got, before):
         assert (job_got == job_before) == (m == 0)
@@ -641,19 +677,36 @@ def test_a_divergence_names_the_positions_of_its_jobs(dml, budget, monkeypatch):
         nn.train(made, params)
 
 
-@pytest.mark.parametrize("dml", [False, True])
-def test_a_last_step_that_overflows_the_parameters_names_its_job(dml):
-    # each job takes one step; job 1's gradients are finite, of order 1e3,
-    # but the step of lr times them overflows its parameters
+def _overflowing_call(dml):
+    """Three one-step jobs; job 1's gradients are finite, of order 1e3, but
+    the step of lr times them overflows its parameters."""
     arch = ArchitectureSpec(3, (5,), 3)
     made = _jobs([arch] * 3, [9, 9, 9], 6, [arch] * 3 if dml else None)
     made[1] = made[1]._replace(features=made[1].features * 1e3)
-    params = FedMeConfig(epochs=1, batch_size=9, lr=1e308, momentum=0.9, dml=dml)
+    return made, FedMeConfig(epochs=1, batch_size=9, lr=1e308, momentum=0.9, dml=dml)
+
+
+@pytest.mark.parametrize("dml", [False, True])
+def test_a_last_step_that_overflows_the_parameters_names_its_job(dml):
+    made, params = _overflowing_call(dml)
     with (np.errstate(over="ignore", invalid="ignore"),
           pytest.raises(nn.DivergenceError, match=r"non-finite parameters at lr=1e\+308: "
                                                   r"training diverged") as caught):
         nn.train(made, params)
     assert caught.value.jobs == [1]
+
+
+@pytest.mark.parametrize("dml", [False, True])
+def test_a_failed_training_call_leaves_its_jobs_as_they_were(dml):
+    made, params = _overflowing_call(dml)
+    before = [[m.params.tobytes() for m in (job.model, job.peer) if m is not None]
+              for job in made]
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(nn.DivergenceError) as caught):
+        nn.train(made, params)
+    assert caught.value.jobs == [1]
+    assert [[m.params.tobytes() for m in (job.model, job.peer) if m is not None]
+            for job in made] == before
 
 
 @pytest.mark.parametrize("field, value", [("batch_size", 0), ("batch_size", -3),
@@ -705,7 +758,7 @@ def test_sgd_step_is_exact_and_leaves_its_arguments_unchanged():
 
 def test_average_idempotent():
     model = nn.init_model(ARCH, 4)
-    avg = nn.average_params([model.copy() for _ in range(5)])
+    avg = nn.average_params([model] * 5)
     assert np.allclose(avg.params, model.params, atol=1e-15)
 
 
@@ -725,6 +778,23 @@ def test_average_rejects_mixed_architectures():
     with pytest.raises(ValueError):
         nn.average_params([nn.init_model(ARCH, 0),
                            nn.init_model(ArchitectureSpec(2, (4,), 2), 0)])
+
+
+def test_models_are_read_only_values():
+    made = nn.init_model(ARCH, 0)
+    x, y = np.random.default_rng(1).normal(size=(6, 2)), np.array([0, 1] * 3)
+    ((trained, _),) = nn.train([nn.Job(made, None, x, y, np.random.default_rng(2))],
+                               FedMeConfig(epochs=1, batch_size=4, lr=0.1))
+    # lineage 0 is the mean of two models, lineage 1 of its owner's alone
+    lineages = engine.aggregate([made, trained], {1: made},
+                                engine.ExchangePlan(1, {1: 0}, {0: 0, 1: 0}, 1))
+    restored = nn.deserialize_model(nn.serialize_model(trained))
+    for model in (made, trained, lineages[0], lineages[1], restored):
+        with pytest.raises(ValueError, match="read-only"):
+            model.params[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.params = np.zeros(17)
+    assert not hasattr(Model, "copy")
 
 
 def test_evaluate_zero_model_tie_breaks_to_class_zero():
@@ -818,8 +888,8 @@ def test_evaluate_splits_rejects_bad_splits():
 
 
 def test_serialize_round_trip():
-    model = nn.init_model(ArchitectureSpec(3, (4, 2), 5), 31)
-    model.params[0] = -1.25e-7
+    arch = ArchitectureSpec(3, (4, 2), 5)
+    model = Model(arch, np.concatenate(([-1.25e-7], nn.init_model(arch, 31).params[1:])))
     restored = nn.deserialize_model(nn.serialize_model(model))
     assert restored.arch == model.arch
     assert np.array_equal(restored.params, model.params)
@@ -829,9 +899,9 @@ def test_trained_model_survives_a_checkpoint_field_for_field():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(12, 3))
     y = rng.integers(0, 3, size=12)
-    model = nn.init_model(ArchitectureSpec(3, (4,), 3), 0)
-    nn.train([nn.Job(model, None, x, y, rng)],
-             FedMeConfig(rounds=1, epochs=2, batch_size=5))
+    ((model, _),) = nn.train([nn.Job(nn.init_model(ArchitectureSpec(3, (4,), 3), 0),
+                                     None, x, y, rng)],
+                             FedMeConfig(rounds=1, epochs=2, batch_size=5))
     restored = nn.deserialize_model(nn.serialize_model(model))
     for f in dataclasses.fields(Model):
         got, want = getattr(restored, f.name), getattr(model, f.name)

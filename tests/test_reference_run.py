@@ -3,7 +3,8 @@ on drawn desk-scale federations: every record field, every final model's
 bytes and the server-model runners' choices. On the same draws, the runs
 keep the run-level properties that no single round shows: a shorter run is
 a prefix of a longer one, every record's donor and adoption are ones the
-round allows, and each client's architecture is its root lineage's.
+round allows, each client's architecture is its root lineage's, and FedMe
+with no donors is Local-Only.
 
 Every split has at least 2 rows: BLAS scores a one-row split by
 matrix-vector code, which rounds differently from the stacked pass (see
@@ -136,3 +137,20 @@ def test_runs_keep_their_run_level_properties(run, data):
         longer = baselines.run_hypcluster(shards, arch, config)[2]
         assert baselines.run_hypcluster(shards, arch, short)[2] == [
             r for r in longer if r.round <= t]
+
+
+def _scores(records):
+    return [(r.round, r.client, r.donor, r.loss_p_train, r.loss_ex_train, r.loss_p_val,
+             r.loss_ex_val, r.val_acc, r.test_acc) for r in records]
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=_runs())
+def test_fedme_without_donors_is_local_only(run):
+    # mixing: with no exchange there is nothing to mix, whatever the clusters
+    shards, archs, pool, config = run
+    models, records, _ = engine.run_fedme(shards, archs, pool, config,
+                                          engine.RoundOverrides(donors=lambda t, a: {}))
+    local_models, local_records, _ = baselines.run_local_only(shards, archs, config)
+    assert _bytes(models) == _bytes(local_models)
+    assert _scores(records) == _scores(local_records)

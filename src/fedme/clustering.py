@@ -32,22 +32,14 @@ the weights sum to 1, every intermediate stays below 3 M^2, within the
 So Lloyd holds each centroid as its weights and its member list. Its stored
 value, `points[members].mean(axis=0)` (`_mean`; a seed's or a repair's is
 its point), is taken only where a direct distance needs it: to settle a
-near-tie, to repair an empty cluster, and where neither certificate below
-decides. Both certificates are evaluated with twice each rounding term (the
-shift's also with a relative margin of 1e-9, against the rounding of its own
-test); underflowing products move them by far less than that.
-- Shift. A restart stops once no centroid's stored value moves by SHIFT_TOL
-  or more in any coordinate; only centroids whose members changed can move.
-  For one with old and new weights w, w', the computed delta = w' - w is
-  within u (2 + u)(w + w') of the exact change, so with X the distinct rows
-  the exact means move by |X^T delta|_2 - 4.01 u M or more. The computed
-  delta.(G delta) is within gamma_(d+2v+1) N^2 of |X^T delta|_2^2, with
-  N = sum_q |delta_q| |x_q|. Each stored value is within gamma_n M of its
-  exact mean in every coordinate, and |z|_inf >= |z|_2 / sqrt(d). So the
-  stored value moved by SHIFT_TOL or more if
-  delta.(G delta) - gamma_(d+2v+1) N^2 >= (sqrt(d) (SHIFT_TOL + 2 gamma_n M)
-  + 4.01 u M)^2. One such centroid keeps the restart going; where none
-  qualifies, the stored values decide.
+near-tie, to repair an empty cluster, and where the inertia certificate
+below does not decide. The certificate counts each rounding term twice;
+underflowing products move it by far less than that.
+- Stop. A restart remembers every assignment it reaches and stops when a
+  step gives one of them again, or after MAX_ITER steps. A repeat is a
+  fixed point, or a cycle that rounding makes among duplicated rows. The
+  rule compares assignments, not coordinates, so scaling the points by a
+  power of two changes no assignment.
 - Inertia. A restart's inertia is the rounded sum of its n points' E. Each
   E is within tol / 4 of its final rank plus the exact |x|^2, and the
   computed |x|^2 and the sum rank + |x|^2 round off by far less than another
@@ -66,7 +58,6 @@ from __future__ import annotations
 import numpy as np
 
 MAX_ITER = 100
-SHIFT_TOL = 1e-9
 
 
 def cluster_count(t: int, thresholds: tuple[int, ...], k_max: int,
@@ -107,7 +98,7 @@ def distinct_rows(bits, keys) -> tuple[np.ndarray, np.ndarray]:
 class _Rows:
     """The distinct rows of one `kmeans` call's points, shared by its restarts:
     each point's distinct id, the rows' Gram matrix, rank tolerances and
-    certificate constants, and the table of their pair distances (see the
+    inertia constants, and the table of their pair distances (see the
     module docstring)."""
 
     def __init__(self, points: np.ndarray, sq_norms: np.ndarray):
@@ -122,19 +113,12 @@ class _Rows:
         n, d = points.shape
         fp = np.finfo(np.float64)
         self.sq_norms = sq_norms[self.first]
-        self.norms = np.sqrt(self.sq_norms)
-        big = self.norms.max()
-        self.tol = 4 * (d + 2 * n + 4) * (fp.eps * (self.norms + big) ** 2 + fp.tiny)
-
-        def gamma(j):
-            return j * fp.epsneg / (1 - j * fp.epsneg)
-
-        # shift: delta.(G delta) - shift_coef N^2 >= shift_floor proves a move
-        self.shift_coef = 2 * gamma(d + 2 * v + 1)
-        self.shift_floor = (np.sqrt(d) * (SHIFT_TOL + 4 * gamma(n) * big + 2 * fp.tiny)
-                            + 8 * fp.epsneg * big) ** 2 * (1 + 1e-9)
-        # inertia: the interval's radius is spread_base + spread_coef sum |R_i|
-        self.spread_coef = 4 * gamma(n + 1)
+        norms = np.sqrt(self.sq_norms)
+        self.tol = 4 * (d + 2 * n + 4) * (fp.eps * (norms + norms.max()) ** 2 + fp.tiny)
+        # inertia: the interval's radius is spread_base + spread_coef sum |R_i|,
+        # with spread_coef = 4 gamma_(n+1)
+        g = (n + 1) * fp.epsneg
+        self.spread_coef = 4 * g / (1 - g)
         self.spread_base = self.tol[self.inverse].sum() * (1 + self.spread_coef)
         self._table = np.zeros((v, v))
         self._done = np.zeros(v, dtype=bool)
@@ -231,23 +215,6 @@ def _kmeans_pp_init(rows: _Rows, k: int, rng: np.random.Generator) -> list:
     return picks
 
 
-def _moved(old: _Centroids, new: _Centroids, changed: list) -> bool:
-    """Whether some stored value moved by SHIFT_TOL or more in a coordinate."""
-    return any(np.abs(new.value(j) - old.value(j)).max() >= SHIFT_TOL for j in changed)
-
-
-def _shifted(rows: _Rows, old: _Centroids, new: _Centroids, changed: list) -> bool:
-    """Whether the centroids moved by SHIFT_TOL or more: proved from the Gram
-    form for all centroids at once where it can be, else taken on the changed
-    ones' values (see the module docstring). The others have delta = 0."""
-    delta = new.weights - old.weights
-    sq = np.einsum("jq,jq->j", delta @ rows.gram, delta)
-    spread = np.abs(delta) @ rows.norms
-    if (sq - rows.shift_coef * spread * spread >= rows.shift_floor).any():
-        return True
-    return _moved(old, new, changed)
-
-
 def _inertia(rows: _Rows, cents: _Centroids, assignments: np.ndarray) -> float:
     gathered = cents.gather(assignments)
     return float(_sq_dist(rows.points, gathered, rows.buf).sum())
@@ -288,16 +255,14 @@ def _lloyd(rows: _Rows, k: int, rng: np.random.Generator) -> _Run:
     points, inverse, buf = rows.points, rows.inverse, rows.buf
     cents = _Centroids.at_points(rows, _kmeans_pp_init(rows, k, rng))
     nearest, ranks = _nearest(rows, cents)
+    seen = {nearest.tobytes()}
     assignments = nearest[inverse]
     # the centroids that may not be the mean of their members in `assignments`
     stale = np.ones(k, dtype=bool)
     for _ in range(MAX_ITER):
         counts = np.bincount(assignments, minlength=k)
-        if not stale.any() and counts.all():
-            break  # the means would not move: a shift of 0
         new = cents.copy()
-        changed = (stale & (counts > 0)).nonzero()[0].tolist()
-        for j in changed:
+        for j in (stale & (counts > 0)).nonzero()[0]:
             new.set(j, (assignments == j).nonzero()[0])
         means_of, stale = assignments, counts == 0
         if stale.any():
@@ -310,13 +275,13 @@ def _lloyd(rows: _Rows, k: int, rng: np.random.Generator) -> _Run:
                     assignments[farthest] = j
                     new.set(j, np.array([farthest]))
                     stale[j] = True
-                    changed.append(j)
-        shifted = _shifted(rows, cents, new, changed)
         cents = new
         nearest, ranks = _nearest(rows, cents)
+        key = nearest.tobytes()
+        if key in seen:
+            break  # a fixed point, or a cycle among duplicated rows
+        seen.add(key)
         assignments = nearest[inverse]
-        if not shifted:
-            break
         # the same members give the same mean, bit for bit
         moved = assignments != means_of
         stale[assignments[moved]] = stale[means_of[moved]] = True
@@ -324,7 +289,8 @@ def _lloyd(rows: _Rows, k: int, rng: np.random.Generator) -> _Run:
 
 
 def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 8):
-    """Best-of-restarts Lloyd clustering; returns (assignments, inertia)."""
+    """Best-of-restarts Lloyd clustering; returns (assignments, inertia).
+    A restart stops when its assignment repeats one it reached before."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError(f"points must be 2-D, got shape {points.shape}")

@@ -118,11 +118,13 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     if c.num_clients * c.num_classes > labelled:
         raise ConfigError(f"key 'num_clients': {c.num_clients} clients x {c.num_classes} "
                           f"classes exceed the {labelled} labelled rows")
-    nonnegative = ("epochs", "momentum", "weight_decay", "class_separation",
+    nonnegative = ("epochs", "weight_decay", "class_separation",
                    "probe_epochs", "fine_tune_epochs", "seed")
     for key in nonnegative:
         if getattr(c, key) < 0:
             raise ConfigError(f"key '{key}': must be >= 0, got {getattr(c, key)}")
+    if not 0.0 <= c.momentum < 1.0:
+        raise ConfigError(f"key 'momentum': must lie in [0, 1), got {c.momentum}")
     if c.alpha_label is not None and c.alpha_label <= 0:
         raise ConfigError(f"key 'alpha_label': must be positive or 'iid'")
     if not c.model_menu:

@@ -100,6 +100,11 @@ class Model:
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which marks
+        # the parameters read-only again
+        return Model, (self.arch, self.params)
+
 
 @functools.lru_cache(maxsize=256)
 def _layer_slices(arch: ArchitectureSpec):

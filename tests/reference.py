@@ -190,9 +190,13 @@ def _kmeans_pp_init(points, k, rng):
 
 def _lloyd(points, k, rng):
     centroids = _kmeans_pp_init(points, k, rng)
+    seen = set()
     for _ in range(clustering.MAX_ITER):
         d2 = _squared_distances(points, centroids)
         assignments = d2.argmin(axis=1)
+        if assignments.tobytes() in seen:
+            break
+        seen.add(assignments.tobytes())
         new_centroids = centroids.copy()
         for j in range(k):
             members = assignments == j
@@ -203,10 +207,7 @@ def _lloyd(points, k, rng):
                 farthest = int(d2[np.arange(len(points)), assignments].argmax())
                 assignments[farthest] = j
                 new_centroids[j] = points[farthest]
-        shift = np.abs(new_centroids - centroids).max()
         centroids = new_centroids
-        if shift < clustering.SHIFT_TOL:
-            break
     d2 = _squared_distances(points, centroids)
     assignments = d2.argmin(axis=1)
     return assignments, float(d2[np.arange(len(points)), assignments].sum())

@@ -122,6 +122,9 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     ("noise_sigma", "inf"),
     ("class_separation", "inf"),
     ("seed", "-1"),
+    ("momentum", "-0.1"),
+    ("momentum", "1.0"),
+    ("momentum", "1.5"),
     ("__class__", "x"),
     ("__doc__", "x"),
 ])

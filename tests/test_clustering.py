@@ -182,16 +182,35 @@ def _counter(monkeypatch, owner, name, within=None):
     return calls
 
 
+def _trails(monkeypatch):
+    """Each restart's assignments of the distinct rows, as bytes, in the order
+    its Lloyd steps reach them."""
+    trails = []
+    nearest, lloyd = clustering._nearest, clustering._lloyd
+
+    def recorded(*args):
+        result = nearest(*args)
+        trails[-1].append(result[0].tobytes())
+        return result
+
+    def started(*args):
+        trails.append([])
+        return lloyd(*args)
+
+    monkeypatch.setattr(clustering, "_nearest", recorded)
+    monkeypatch.setattr(clustering, "_lloyd", started)
+    return trails
+
+
 def test_kmeans_takes_at_most_k_member_means_per_restart(monkeypatch):
     # a centroid's mean is taken only where a direct distance needs it. Here
-    # no near-tie, repair or inconclusive shift bound needs one, and no two
-    # restarts' inertia intervals overlap: only the best restart's k are taken
+    # no near-tie or repair needs one, and no two restarts' inertia
+    # intervals overlap: only the best restart's k are taken
     means = _counter(monkeypatch, clustering, "_mean")
     ties = _counter(monkeypatch, clustering, "_sq_dist", within="_nearest")
     repairs = _counter(monkeypatch, clustering._Centroids, "gather", within="_lloyd")
-    shifts = _counter(monkeypatch, clustering, "_moved")
     kmeans(_fedme_many_points(), 8, seed=3, restarts=8)
-    assert ties[0] == repairs[0] == shifts[0] == 0
+    assert ties[0] == repairs[0] == 0
     assert 0 < means[0] <= 8
 
 
@@ -204,12 +223,13 @@ _SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     # three distinct rows for five clusters: seeding repeats a point
     pytest.param(np.random.default_rng(3).normal(size=(3, 5))[[0, 1, 2, 0, 1, 2, 0, 0]],
                  5, 2, 4, "gather", "_lloyd", id="repair"),
-    # rows 1e-13 apart move the means far less than the shift bound resolves
+    # no fallback is counted below: each restart ends at a fixed point.
+    # Rows 1e-13 apart:
     pytest.param(np.random.default_rng(1).normal(size=(1, 5))
                  + 1e-13 * np.random.default_rng(2).normal(size=(12, 5)),
-                 3, 0, 2, "_moved", None, id="shift-jitter"),
+                 3, 0, 2, None, None, id="shift-jitter"),
     # three copies of a row: their mean is an ulp off the row, weights equal
-    pytest.param(np.array([[0.1] * 3] * 3 + [[5.0] * 3]), 2, 0, 1, "_moved", None,
+    pytest.param(np.array([[0.1] * 3] * 3 + [[5.0] * 3]), 2, 0, 1, None, None,
                  id="shift-one-ulp"),
     # left-right and top-bottom halves: other members, the same inertia
     pytest.param(_SQUARE, 2, 1, 4, "_inertia", None, id="overlapping-inertias"),
@@ -217,12 +237,40 @@ _SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 def test_kmeans_fallbacks_match_the_oracle(monkeypatch, points, k, seed, restarts,
                                            counted, within):
     owner = clustering._Centroids if counted == "gather" else clustering
-    calls = _counter(monkeypatch, owner, counted, within)
+    calls = _counter(monkeypatch, owner, counted, within) if counted else None
+    trails = _trails(monkeypatch)
     assignments, inertia = kmeans(points, k, seed, restarts)
-    # the best restart's inertia is always taken once; a second is an overlap
-    assert calls[0] >= (2 if counted == "_inertia" else 1)
+    if counted is None:
+        assert all(trail[-1] == trail[-2] for trail in trails)
+    else:
+        # the best restart's inertia is always taken once; a second is an overlap
+        assert calls[0] >= (2 if counted == "_inertia" else 1)
     want_assignments, want_inertia = oracle_kmeans(points, k, seed, restarts)
     assert np.array_equal(assignments, want_assignments) and inertia == want_inertia
+
+
+def test_kmeans_stops_on_a_cycle_among_duplicated_rows(monkeypatch):
+    # the mean of 8 copies of 0.1 is an ulp off 0.1, so each step the
+    # repaired clusters, each a copy of the row, beat the mean's cluster:
+    # the assignment swings between two clusters and repeats an earlier one
+    points = np.full((8, 3), 0.1)
+    trails = _trails(monkeypatch)
+    kmeans(points, 4, seed=0, restarts=1)
+    (trail,) = trails
+    assert trail[-1] in trail[:-2] and trail[-1] != trail[-2]
+    monkeypatch.undo()
+    _assert_matches_oracle(points, 4, seed=0, restarts=1)
+
+
+@pytest.mark.parametrize("restarts", [1, 8])
+def test_kmeans_is_invariant_to_power_of_two_scaling(restarts):
+    # scaling by 2^-40 is exact, so the stop rule must not see it
+    points = np.random.default_rng(0).normal(size=(30, 4))
+    assignments, inertia = kmeans(points, 4, seed=0, restarts=restarts)
+    scaled_assignments, scaled_inertia = kmeans(points * 2.0 ** -40, 4, seed=0,
+                                                restarts=restarts)
+    assert np.array_equal(scaled_assignments, assignments)
+    assert scaled_inertia == inertia * 2.0 ** -80
 
 
 @settings(max_examples=150, deadline=None)

@@ -123,6 +123,9 @@ def test_validate_config_ranges():
         _tiny(alpha_label=-0.5)
     with pytest.raises(ConfigError, match="'init_policy'"):
         _tiny(init_policy="random")
+    # momentum lies in [0, 1); `fedme run` rejects the rest naming the key
+    for momentum in (0.0, 0.9):
+        assert _tiny(momentum=momentum).momentum == momentum
 
 
 def test_build_federation_shapes():

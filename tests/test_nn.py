@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -795,6 +797,15 @@ def test_models_are_read_only_values():
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.params = np.zeros(17)
     assert not hasattr(Model, "copy")
+
+
+def test_models_stay_read_only_through_pickle_and_deepcopy():
+    made = nn.init_model(ARCH, 0)
+    for restored in (pickle.loads(pickle.dumps(made)), copy.deepcopy(made)):
+        assert restored.arch == made.arch and restored.params is not made.params
+        assert np.array_equal(restored.params, made.params)
+        with pytest.raises(ValueError, match="read-only"):
+            restored.params[0] = 1.0
 
 
 def test_evaluate_zero_model_tie_breaks_to_class_zero():

@@ -7,8 +7,8 @@ alone. The printout tracks test accuracy per epoch.
 """
 import numpy as np
 
-from fedme import (ArchitectureSpec, FedMeConfig, cross_entropy, evaluate,
-                   forward, generate_synthetic, init_model, nn)
+from fedme import (ArchitectureSpec, FedMeConfig, evaluate, generate_synthetic,
+                   init_model, nn)
 
 rng = np.random.default_rng(0)
 dataset = generate_synthetic(num_classes=4, dim=8, per_class_count=120,
@@ -46,6 +46,5 @@ print("epoch   solo            mutual")
 for e, ((ss, sd), (ms, md)) in enumerate(zip(solo, mutual), start=1):
     print(f"{e:5d}   {ss:.3f} / {sd:.3f}   {ms:.3f} / {md:.3f}")
 
-agree_solo = cross_entropy(forward(init_model(small_arch, 10), test.features),
-                           test.labels)
-print(f"\nuntrained small-model test loss for reference: {agree_solo:.3f}")
+untrained_loss, _ = evaluate(init_model(small_arch, 10), test.features, test.labels)
+print(f"\nuntrained small-model test loss for reference: {untrained_loss:.3f}")

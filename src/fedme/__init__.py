@@ -14,7 +14,7 @@ from .harness import (ConfigError, ExperimentConfig, SummaryReport,
                       best_local_init, build_federation, default_lr_grid,
                       grid_search_lr, parse_config, run_experiment, run_single,
                       stall_warning, sweep, write_round_log)
-from .nn import (ArchitectureSpec, Job, Model, average_params, cross_entropy,
+from .nn import (ArchitectureSpec, Job, Model, average_params,
                  deserialize_model, dml_losses_and_grads, evaluate,
                  evaluate_splits, forward, init_model, serialize_model,
                  sgd_step, train)

@@ -19,7 +19,7 @@ roundoff, gamma_j = j u / (1 - j u) and M = max |x|:
 - G's entries round off by gamma_d |x| |y|, the weights by u each, and the
   two length-v sums by gamma_v, so the rank is within gamma_(d+2v+3)
   (|x| + M)^2 of the exact |c|^2 - 2 x.c.
-- The stored centroid is the rounded mean of its members' rows (or a point),
+- The computed centroid is the rounded mean of its members' rows (or a point),
   within gamma_m M of c, which moves E by at most 2 gamma_(m+1) (|x| + M)^2.
 - E itself rounds off by at most gamma_(d+3) (|x| + M)^2.
 With v, m <= n, b = 2 (d + 2n + 4) eps (|x| + M)^2 (eps = 2u) is twice the
@@ -29,9 +29,9 @@ the others: exact argmin. The tiny term covers products that underflow. As
 the weights sum to 1, every intermediate stays below 3 M^2, within the
 4 n M^2 that `kmeans` checks is finite.
 
-So Lloyd holds each centroid as its weights and its member list. Its stored
+So Lloyd holds each centroid as its weights and its member list. Its
 value, `points[members].mean(axis=0)` (`_mean`; a seed's or a repair's is
-its point), is taken only where a direct distance needs it: to settle a
+its point), is computed each time a direct distance needs it: to settle a
 near-tie, to repair an empty cluster, and where the inertia certificate
 below does not decide. The certificate counts each rounding term twice;
 underflowing products move it by far less than that.
@@ -146,33 +146,21 @@ def _mean(rows: _Rows, members: np.ndarray) -> np.ndarray:
 class _Centroids:
     """Lloyd's k centroids, each held as its weights over the distinct rows
     and its member points; a seed or a repair has its point as its one
-    member. A value is taken on first use, and kept."""
+    member. A value is computed each time it is used."""
 
-    def __init__(self, rows: _Rows, members: list, weights: np.ndarray, values: list):
-        self.rows, self.members, self.weights, self._values = rows, members, weights, values
-
-    @classmethod
-    def at_points(cls, rows: _Rows, picks: list) -> _Centroids:
-        picks = np.array(picks)
-        weights = np.zeros((len(picks), len(rows.first)))
-        weights[np.arange(len(picks)), rows.inverse[picks]] = 1.0
-        return cls(rows, list(picks[:, None]), weights, [None] * len(picks))
-
-    def copy(self) -> _Centroids:
-        return _Centroids(self.rows, self.members.copy(), self.weights.copy(),
-                          self._values.copy())
+    def __init__(self, rows: _Rows, k: int):
+        self.rows, self.members = rows, [None] * k
+        self.weights = np.zeros((k, len(rows.first)))
 
     def set(self, j: int, members: np.ndarray) -> None:
-        self.members[j], self._values[j] = members, None
+        self.members[j] = members
         self.weights[j] = np.bincount(self.rows.inverse[members],
                                       minlength=self.weights.shape[1]) / len(members)
 
     def value(self, j: int) -> np.ndarray:
-        if self._values[j] is None:
-            m = self.members[j]
-            # a one-row mean has the row's bits
-            self._values[j] = self.rows.points[m[0]] if len(m) == 1 else _mean(self.rows, m)
-        return self._values[j]
+        m = self.members[j]
+        # a one-row mean has the row's bits
+        return self.rows.points[m[0]] if len(m) == 1 else _mean(self.rows, m)
 
     def gather(self, assignments: np.ndarray) -> np.ndarray:
         """Each point's centroid value, gathered into the rows' buffer."""
@@ -222,7 +210,7 @@ def _inertia(rows: _Rows, cents: _Centroids, assignments: np.ndarray) -> float:
 
 class _Run:
     """One restart's assignments and centroids, and an interval [lo, hi] that
-    holds its inertia; the inertia itself is taken on first use."""
+    holds its inertia."""
 
     def __init__(self, rows: _Rows, cents: _Centroids, nearest: np.ndarray,
                  ranks: np.ndarray):
@@ -231,12 +219,10 @@ class _Run:
         dists = (ranks[np.arange(len(nearest)), nearest] + rows.sq_norms)[rows.inverse]
         radius = rows.spread_base + rows.spread_coef * np.abs(dists).sum()
         centre = dists.sum()
-        self.lo, self.hi, self._inertia = centre - radius, centre + radius, None
+        self.lo, self.hi = centre - radius, centre + radius
 
     def inertia(self) -> float:
-        if self._inertia is None:
-            self._inertia = _inertia(self.rows, self.cents, self.assignments)
-        return self._inertia
+        return _inertia(self.rows, self.cents, self.assignments)
 
     def below(self, other: _Run) -> bool:
         """Whether this run's inertia is less than the other's."""
@@ -253,38 +239,32 @@ class _Run:
 
 def _lloyd(rows: _Rows, k: int, rng: np.random.Generator) -> _Run:
     points, inverse, buf = rows.points, rows.inverse, rows.buf
-    cents = _Centroids.at_points(rows, _kmeans_pp_init(rows, k, rng))
+    cents = _Centroids(rows, k)
+    for j, pick in enumerate(_kmeans_pp_init(rows, k, rng)):
+        cents.set(j, np.array([pick]))
     nearest, ranks = _nearest(rows, cents)
     seen = {nearest.tobytes()}
-    assignments = nearest[inverse]
-    # the centroids that may not be the mean of their members in `assignments`
-    stale = np.ones(k, dtype=bool)
     for _ in range(MAX_ITER):
+        assignments = nearest[inverse]
         counts = np.bincount(assignments, minlength=k)
-        new = cents.copy()
-        for j in (stale & (counts > 0)).nonzero()[0]:
+        new = _Centroids(rows, k)
+        for j in counts.nonzero()[0]:
             new.set(j, (assignments == j).nonzero()[0])
-        means_of, stale = assignments, counts == 0
-        if stale.any():
-            # repair empty clusters with the point farthest from its own centroid
-            assignments = assignments.copy()
+        if not counts.all():
+            # repair empty clusters with the point farthest from its own
+            # centroid; a repair can empty a later cluster
             for j in range(k):
                 if not (assignments == j).any():
                     gathered = cents.gather(assignments)
                     farthest = int(_sq_dist(points, gathered, buf).argmax())
                     assignments[farthest] = j
                     new.set(j, np.array([farthest]))
-                    stale[j] = True
         cents = new
         nearest, ranks = _nearest(rows, cents)
         key = nearest.tobytes()
         if key in seen:
             break  # a fixed point, or a cycle among duplicated rows
         seen.add(key)
-        assignments = nearest[inverse]
-        # the same members give the same mean, bit for bit
-        moved = assignments != means_of
-        stale[assignments[moved]] = stale[means_of[moved]] = True
     return _Run(rows, cents, nearest, ranks)
 
 

@@ -16,8 +16,8 @@ from .baselines import (run_centralized, run_fedavg, run_hypcluster,
 from .data import (ClientShard, PartitionSpec, dirichlet_partition,
                    extract_unlabeled, generate_synthetic, split_shard)
 from .engine import (SPANS, TAG_PROBE, TAG_SPLIT, FedMeConfig, Laps,
-                     RoundRecord, derive_seed, fine_tune, locate_divergence,
-                     run_fedme)
+                     RoundRecord, check_outputs, derive_seed, fine_tune,
+                     locate_divergence, run_fedme)
 from .nn import ArchitectureSpec
 
 ALGORITHMS = ("fedme", "local_only", "centralized", "fedavg", "hypcluster")
@@ -187,13 +187,15 @@ def best_local_init(shards: list[ClientShard], menu: list[ArchitectureSpec],
             f"clients {[j // len(menu) for j in jobs]} on menu candidates "
             f"{[j % len(menu) for j in jobs]}")):
         probes = nn.train(jobs, replace(config, epochs=config.probe_epochs))
+        # finite parameters can still overflow when scored
+        scores = [nn.evaluate(model, shards[j // len(menu)].validation.features,
+                              shards[j // len(menu)].validation.labels)
+                  for j, (model, _) in enumerate(probes)]
+        check_outputs([loss for loss, _ in scores], config.lr)
     choices = []
-    for c, shard in enumerate(shards):
-        scored = []
-        for idx, arch in enumerate(menu):
-            _, acc = nn.evaluate(probes[c * len(menu) + idx][0],
-                                 shard.validation.features, shard.validation.labels)
-            scored.append((-acc, arch.parameter_count(), idx))
+    for c in range(len(shards)):
+        scored = [(-scores[c * len(menu) + idx][1], arch.parameter_count(), idx)
+                  for idx, arch in enumerate(menu)]
         choices.append(menu[min(scored)[2]])
     return choices
 
@@ -288,8 +290,11 @@ def run_single(config: ExperimentConfig, seed: int,
         if config.fine_tune_epochs > 0:
             tune = replace(config, epochs=config.fine_tune_epochs)
             tuned = fine_tune(models, shards, tune)
-            post = [nn.evaluate(m, s.test.features, s.test.labels)[1]
-                    for m, s in zip(tuned, shards)]
+            with locate_divergence("fine-tuning"):
+                scores = [nn.evaluate(m, s.test.features, s.test.labels)
+                          for m, s in zip(tuned, shards)]
+                check_outputs([loss for loss, _ in scores], config.lr)
+            post = [acc for _, acc in scores]
         else:
             tuned, post = models, pre
     except nn.DivergenceError as exc:

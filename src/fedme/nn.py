@@ -239,17 +239,6 @@ def _backprop(stack: _Stack, acts, dlogits: np.ndarray, shorts=()) -> np.ndarray
     return stack.grad
 
 
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the true class, log clamped at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 2:
-        raise DimensionError(f"expected a 2-D probability matrix, got shape "
-                             f"{probs.shape}")
-    labels = _checked_labels(labels, len(probs), probs.shape[1])
-    picked = probs[np.arange(len(labels)), labels]
-    return float(-np.mean(np.log(np.maximum(picked, LOG_CLAMP))))
-
-
 def dml_losses_and_grads(stack: _Stack, cached, hits: np.ndarray, counts: np.ndarray,
                          peer_probs: np.ndarray, shorts=()):
     """Gradients of the mutual-learning loss of a stack of C models of one
@@ -609,10 +598,13 @@ def average_params(models: list[Model]) -> Model:
 def evaluate_splits(model: Model, features: np.ndarray, labels: np.ndarray,
                     ends) -> list[tuple[float, float]]:
     """(mean CE loss, accuracy) of each split `ends[s]:ends[s + 1]` of the
-    rows, from one forward pass over rows `ends[0]:ends[-1]`. Each split's
-    loss and accuracy have the bits of `cross_entropy` and of
-    `mean(argmax == labels)` on that split alone; argmax ties break toward
-    the smallest class."""
+    rows, all scored from one forward pass over rows `ends[0]:ends[-1]`. A
+    split's loss is the mean negative log-probability of its true class, log
+    clamped at LOG_CLAMP; its accuracy is the share of its rows whose argmax
+    (ties toward the smallest class) is the label. A split forwarded alone
+    can round differently, as BLAS may group a row's products by the rows
+    it is computed with (ROADMAP, Direction 1: "Outputs and gates that name
+    the BLAS kernel they hold for")."""
     labels = np.asarray(labels)
     if len(labels) != len(features):
         raise DimensionError(f"{len(features)} feature rows and {len(labels)} "

@@ -2,9 +2,10 @@
 fast, each written once.
 
 - One-model pieces: `batch_grads` (one batch's gradients from the stacked
-  kernels on one-model stacks), `kl_divergence`, `dml_loss` (the loss the
-  DML kernel differentiates), `fd_gradient` (central differences) and
-  `one_model_pass` (the training forward pass on a stack of one).
+  kernels on one-model stacks), `cross_entropy`, `kl_divergence`,
+  `dml_loss` (the loss the DML kernel differentiates), `fd_gradient`
+  (central differences) and `one_model_pass` (the training forward pass on
+  a stack of one).
 - Layer oracles: `reference_train` (the epoch/batch loop over `batch_grads`
   and `nn.sgd_step`), `evaluate_oracle` (one split scored alone),
   `oracle_kmeans` (Lloyd on direct distances) and `best_partition_inertia`
@@ -53,6 +54,17 @@ def batch_grads(model: Model, features, labels,
             for i in (0, 1)]
 
 
+def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-probability of the true class, log clamped at 1e-12."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2:
+        raise nn.DimensionError(f"expected a 2-D probability matrix, got shape "
+                                f"{probs.shape}")
+    labels = nn._checked_labels(labels, len(probs), probs.shape[1])
+    picked = probs[np.arange(len(labels)), labels]
+    return float(-np.mean(np.log(np.maximum(picked, nn.LOG_CLAMP))))
+
+
 def kl_divergence(target: np.ndarray, model_probs: np.ndarray) -> float:
     """Mean over rows of sum_m target * log(target / model_probs)."""
     target = np.asarray(target, dtype=np.float64)
@@ -70,7 +82,7 @@ def dml_loss(model: Model, peer: Model, x, y) -> float:
     """`model`'s mutual-learning loss: its cross-entropy plus the KL pull
     toward `peer`'s predictions, whose gradient `batch_grads` gives it."""
     probs = nn.forward(model, x)
-    return nn.cross_entropy(probs, y) + kl_divergence(nn.forward(peer, x), probs)
+    return cross_entropy(probs, y) + kl_divergence(nn.forward(peer, x), probs)
 
 
 def fd_gradient(loss_fn, params, eps=1e-5):
@@ -144,7 +156,7 @@ def evaluate_oracle(model, features, labels):
     """The scoring path before `evaluate_splits`: a cached forward pass, then
     `cross_entropy` and the mean of argmax hits on this split alone."""
     probs = cached_probs(model, features)
-    return (nn.cross_entropy(probs, labels),
+    return (cross_entropy(probs, labels),
             float(np.mean(np.argmax(probs, axis=1) == labels)))
 
 

@@ -1,5 +1,6 @@
 import warnings
 
+import numpy as np
 import pytest
 
 from fedme import harness, nn
@@ -184,21 +185,48 @@ rounds = 3
 per_class_count = 60
 unlabeled_count = 20
 repeats = 1
-fine_tune_epochs = 0
 """
 
 
-@pytest.mark.parametrize("alg, keys, named", [
-    ("fedme", "init_policy = round_robin\nclass_separation = 1e300\n",
+def _huge(model):
+    return nn.Model(model.arch, np.full_like(model.params, 1e200))
+
+
+def _probes_overflow(monkeypatch):
+    train = nn.train
+    monkeypatch.setattr(nn, "train", lambda jobs, config: [
+        (_huge(model), peer) for model, peer in train(jobs, config)])
+
+
+def _fine_tuning_overflows(monkeypatch):
+    fine_tune = harness.fine_tune
+    monkeypatch.setattr(harness, "fine_tune", lambda models, shards, config: [
+        _huge(model) for model in fine_tune(models, shards, config)])
+
+
+# in the last two cases the trained models' parameters are all 1e200:
+# finite, but their scores overflow to NaN
+@pytest.mark.parametrize("alg, keys, overflow, named", [
+    ("fedme", "init_policy = round_robin\nclass_separation = 1e300\n", None,
      "fedme, data seed 0, round 1: non-finite parameters at lr=0.05: training "
      "diverged for clients [0, 1, 2, 3]"),
-    ("fedavg", "init_policy = best_local\nprobe_epochs = 2\nlr = 1e300\n",
+    ("fedavg", "init_policy = best_local\nprobe_epochs = 2\nlr = 1e300\n", None,
      "fedavg, data seed 0, best-local probing: non-finite parameters at lr=1e+300: "
      "training diverged for clients [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3] "
      "on menu candidates [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]"),
-], ids=["huge-features", "huge-lr-probe"])
-def test_a_divergence_names_its_run_phase_and_clients(tmp_path, capsys, alg, keys,
-                                                      named):
+    ("fedavg", "init_policy = best_local\nprobe_epochs = 1\n", _probes_overflow,
+     "fedavg, data seed 0, best-local probing: non-finite model outputs at lr=0.05: "
+     "training diverged for clients [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3] "
+     "on menu candidates [0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]"),
+    ("fedme", "init_policy = round_robin\n", _fine_tuning_overflows,
+     "fedme, data seed 0, fine-tuning: non-finite model outputs at lr=0.05: "
+     "training diverged for clients [0, 1, 2, 3]"),
+], ids=["huge-features", "huge-lr-probe", "overflowing-probes",
+        "overflowing-fine-tuning"])
+def test_a_divergence_names_its_run_phase_and_clients(tmp_path, capsys, monkeypatch,
+                                                      alg, keys, overflow, named):
+    if overflow:
+        overflow(monkeypatch)
     path = tmp_path / "exp.cfg"
     path.write_text(DIVERGING.format(alg=alg) + keys)
     with warnings.catch_warnings(record=True) as caught:

@@ -1,7 +1,7 @@
-"""The package holds only what runs use: every public top-level function and
-class of `src/fedme` is referenced by the package's own code, a demo, or
-the benchmark's tracer, and every private one by the package's own code.
-Code that only tests use lives in `tests/reference.py`."""
+"""The package holds only what runs use: every public top-level function,
+class, method and property of `src/fedme` is referenced by the package's own
+code, a demo, or the benchmark's tracer, and every private one by the
+package's own code. Code that only tests use lives in `tests/reference.py`."""
 import ast
 import os
 
@@ -50,13 +50,35 @@ def _unused(modules, used, private):
             and node.name.startswith("_") == private and node.name not in used]
 
 
+def _attributes(tree):
+    """The attribute names the code refers to: a method or property is only
+    reached as one. A name that arrays share, such as `copy`, counts as used
+    wherever an array's is."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _unused_methods(modules, used, private):
+    """'module.Class.name' of each non-dunder method or property of the
+    classes of `modules`, private or public as `private` says, whose name is
+    not in `used`."""
+    return [f"{module}.{cls.name}.{node.name}" for module, tree in modules.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name.startswith("_") == private and node.name not in used]
+
+
+def _used_outside_the_tests(modules, referenced=_referenced):
+    return set().union(*map(referenced, modules.values()),
+                       *(referenced(_parse(os.path.join(DEMOS, name)))
+                         for name in os.listdir(DEMOS) if name.endswith(".py")))
+
+
 def test_every_public_function_and_class_is_used_outside_the_tests():
     modules = _modules()
-    used = set().union(*map(_referenced, modules.values()),
-                       *(_referenced(_parse(os.path.join(DEMOS, name)))
-                         for name in os.listdir(DEMOS) if name.endswith(".py")))
     allowed = _traced() | EXEMPT
-    assert [name for name in _unused(modules, used, private=False)
+    assert [name for name in _unused(modules, _used_outside_the_tests(modules),
+                                     private=False)
             if name not in allowed] == []
 
 
@@ -64,3 +86,16 @@ def test_every_private_function_and_class_has_a_caller_in_the_package():
     modules = _modules()
     assert _unused(modules, set().union(*map(_referenced, modules.values())),
                    private=True) == []
+
+
+def test_every_public_method_and_property_is_used_outside_the_tests():
+    modules = _modules()
+    traced = {name.split(".")[1] for name in _traced()}
+    used = _used_outside_the_tests(modules, _attributes) | traced
+    assert _unused_methods(modules, used, private=False) == []
+
+
+def test_every_private_method_has_a_caller_in_the_package():
+    modules = _modules()
+    assert _unused_methods(modules, set().union(*map(_attributes, modules.values())),
+                           private=True) == []

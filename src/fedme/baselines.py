@@ -1,6 +1,6 @@
 """Reference algorithms: Local-Only, Centralized, FedAvg, and HypCluster, on
 two loops. Local-Only is the FedMe round path (`engine.run_fedme`) with no
-donors; the other three share the server-model loop `_run_server_models`. Both
+pool; the other three share the server-model loop `_run_server_models`. Both
 use the engine's RNG streams and evaluation, so accuracy comparisons are
 apples-to-apples; every training call starts from zero momentum.
 """
@@ -12,8 +12,8 @@ import numpy as np
 
 from . import nn
 from .data import ClientShard, Dataset
-from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, Laps, RoundOverrides,
-                     RoundRecord, check_outputs, derive_seed, locate_divergence, run_fedme)
+from .engine import (TAG_BATCH, TAG_INIT, FedMeConfig, Laps, RoundRecord,
+                     check_outputs, derive_seed, locate_divergence, run_fedme)
 from .nn import ArchitectureSpec, Model
 
 
@@ -85,11 +85,9 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
 def run_local_only(shards: list[ClientShard], archs: list[ArchitectureSpec],
                    config: FedMeConfig):
     """Each client trains its own model for rounds*epochs epochs, no
-    communication: the FedMe round path with no donors and an empty cluster
-    schedule. Returns (per-client models, round records, laps)."""
-    models, records, laps = run_fedme(shards, archs, None,
-                                      replace(config, cluster_thresholds=()),
-                                      RoundOverrides(donors=lambda t, a: {}))
+    communication: the FedMe round path with no pool, and so with one
+    cluster and no donors. Returns (per-client models, round records, laps)."""
+    models, records, laps = run_fedme(shards, archs, None, config)
     return models, [replace(r, cluster=None, a=None) for r in records], laps
 
 

@@ -121,16 +121,6 @@ class FedMeConfig:
     dml: bool = True
 
 
-@dataclass
-class RoundOverrides:
-    """Deterministic stand-ins for the engine's random choices, for scripted
-    traces and tests. Each hook may return None to fall back to the default."""
-
-    clusters: "callable | None" = None   # (t, num_clients) -> assignments
-    donors: "callable | None" = None     # (t, assignments) -> {client: donor}
-    selections: "callable | None" = None  # (t, client, loss_p, loss_ex) -> a
-
-
 @contextlib.contextmanager
 def locate_divergence(where: str, name=lambda jobs: f"clients {jobs}"):
     """Train, or forward the pool, at `where` (a round, say) with numpy's
@@ -166,20 +156,14 @@ def model_outputs_on_unlabeled(models: list[Model], pool: np.ndarray) -> np.ndar
 
 
 def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
-                     donors_override: dict[int, int] | None = None,
                      k: int | None = None) -> ExchangePlan:
     """Donor per receiver, uniform within the receiver's cluster (excluding
     itself); a singleton falls back to a uniform draw over all other clients.
-    Draws are independent per receiver, so duplicate donors are allowed. An
-    override is the whole donor map: a client it leaves out borrows nothing.
+    Draws are independent per receiver, so duplicate donors are allowed.
     The plan's `k` is the cluster count the round scheduled, which k-means
     may leave without some labels; by default, the largest label plus one."""
     assignments = np.asarray(assignments)
     n = len(assignments)
-    k = int(assignments.max()) + 1 if k is None else k
-    cluster_of = {i: int(assignments[i]) for i in range(n)}
-    if donors_override is not None:
-        return ExchangePlan(t, dict(donors_override), cluster_of, k)
     if n < 2:
         raise ValueError("need at least 2 clients to exchange models")
     donors = {}
@@ -189,7 +173,8 @@ def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
             peers = [j for j in range(n) if j != i]
         rng = np.random.default_rng(derive_seed(seed, TAG_EXCHANGE, t, i))
         donors[i] = peers[rng.integers(len(peers))]
-    return ExchangePlan(t, donors, cluster_of, k)
+    return ExchangePlan(t, donors, {i: int(assignments[i]) for i in range(n)},
+                        int(assignments.max()) + 1 if k is None else k)
 
 
 def dml_train(models: list[Model], peers: list[Model | None],
@@ -230,40 +215,35 @@ def redistribute(aggregated: dict[int, Model],
     return [aggregated[selections[i]] for i in range(len(selections))]
 
 
-def _plan_round(models: list[Model], pool: np.ndarray, t: int,
-                config: FedMeConfig, overrides: RoundOverrides,
-                laps: Laps) -> ExchangePlan:
+def _plan_round(models: list[Model], pool: np.ndarray | None, t: int,
+                config: FedMeConfig, laps: Laps) -> ExchangePlan:
     """Cluster the clients on their pool predictions and draw one donor each.
-    A round with several clusters and no scripted ones laps the pool forward
-    and k-means."""
+    A round with no pool, as every Local-Only round, is one cluster with no
+    donors. A round with several clusters laps the pool forward and k-means."""
     n = len(models)
-    k = None
-    assignments = overrides.clusters(t, n) if overrides.clusters else None
-    if assignments is None:
-        k = cluster_count(t, config.cluster_thresholds, config.k_max, n)
-        if k == 1:
-            assignments = np.zeros(n, dtype=np.int64)
-        else:
-            with locate_divergence(f"round {t}"):
-                feats = model_outputs_on_unlabeled(models, pool)
-                check_outputs(feats, config.lr)
-            laps.lap(t, "pool_ms")
-            assignments, _ = kmeans(
-                feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0])
-            laps.lap(t, "kmeans_ms")
-    donors_override = overrides.donors(t, assignments) if overrides.donors else None
-    return assign_exchanges(assignments, t, config.seed, donors_override, k)
+    if pool is None:
+        return ExchangePlan(t, {}, dict.fromkeys(range(n), 0), 1)
+    k = cluster_count(t, config.cluster_thresholds, config.k_max, n)
+    assignments = np.zeros(n, dtype=np.int64)
+    if k > 1:
+        with locate_divergence(f"round {t}"):
+            feats = model_outputs_on_unlabeled(models, pool)
+            check_outputs(feats, config.lr)
+        laps.lap(t, "pool_ms")
+        assignments, _ = kmeans(
+            feats, k, derive_seed(config.seed, TAG_KMEANS, t).generate_state(1)[0])
+        laps.lap(t, "kmeans_ms")
+    return assign_exchanges(assignments, t, config.seed, k)
 
 
 def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
-            plan: ExchangePlan, config: FedMeConfig,
-            overrides: RoundOverrides) -> RoundRecord:
+            plan: ExchangePlan, config: FedMeConfig) -> RoundRecord:
     """Score client `cid`'s trained model and borrowed `peer`, then pick the
-    lineage it keeps. A client that borrows nothing and lends nothing, as
-    every Local-Only client, gets a model with its trained model's bits if
-    it keeps its lineage, so one pass also scores its test split and the
-    record takes its accuracies from it; every other record's are filled in
-    later."""
+    lineage it keeps. A client that borrows nothing keeps its own lineage; if
+    it also lends nothing, as every client of a Local-Only run (the run with
+    no pool, so one cluster and no donors), its next model has its trained
+    model's bits, so one pass also scores its test split and the record
+    takes its accuracies from it; every other record's are filled in later."""
     t, donor = plan.round, plan.donor.get(cid)
     alone = donor is None and cid not in plan.donor.values()
     scores = nn.evaluate_splits(model, shard.features, shard.labels,
@@ -273,13 +253,10 @@ def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
     if donor is not None:
         (loss_ex_train, _), (loss_ex_val, _) = nn.evaluate_splits(
             peer, shard.features, shard.labels, shard.ends[:3])
-    a = (overrides.selections(t, cid, loss_p_val, loss_ex_val)
-         if overrides.selections else None)
-    if a is None:
-        a = (model_tuning(loss_p_val, loss_ex_val, cid, donor)
-             if config.tuning and donor is not None else cid)
+    a = (model_tuning(loss_p_val, loss_ex_val, cid, donor)
+         if config.tuning and donor is not None else cid)
     val_acc = test_acc = float("nan")
-    if alone and a == cid:  # its trained model is its next model
+    if alone:  # its trained model is its next model
         (_, val_acc), (_, test_acc) = scores[1:]
     return RoundRecord(
         round=t, client=cid, k=plan.k, cluster=plan.cluster_of.get(cid),
@@ -289,21 +266,19 @@ def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
 
 
 def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
-              pool: np.ndarray | None, config: FedMeConfig,
-              overrides: RoundOverrides | None = None):
+              pool: np.ndarray | None, config: FedMeConfig):
     """Run the full exchange/train/tune/aggregate/redistribute loop; returns
-    (final per-client models, round records, laps). Local-Only runs it with
-    no donors and an empty cluster schedule, and so with no pool."""
+    (final per-client models, round records, laps). Local-Only is the run
+    with no pool, and so with one cluster and no donors every round."""
     if len(archs) != len(shards):
         raise ValueError("need one architecture per client")
-    overrides = overrides or RoundOverrides()
     models = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, i))
               for i, arch in enumerate(archs)]
     records: list[RoundRecord] = []
     laps = Laps()
 
     for t in range(1, config.rounds + 1):
-        plan = _plan_round(models, pool, t, config, overrides, laps)
+        plan = _plan_round(models, pool, t, config, laps)
         peers = [models[plan.donor[i]] if i in plan.donor else None
                  for i in range(len(models))]
         laps.lap(t, "server_ms")
@@ -316,7 +291,7 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
                  for i in range(len(models))]))
             laps.lap(t, "train_ms")
             # finite parameters can still overflow when scored
-            round_records = [_select(i, model, peer, shard, plan, config, overrides)
+            round_records = [_select(i, model, peer, shard, plan, config)
                              for i, (model, peer, shard)
                              in enumerate(zip(models, peers, shards))]
             check_outputs([(r.loss_p_val, 0.0 if r.donor is None else r.loss_ex_val)

@@ -4,8 +4,9 @@ fast, each written once.
 - One-model pieces: `batch_grads` (one batch's gradients from the stacked
   kernels on one-model stacks), `cross_entropy`, `kl_divergence`,
   `dml_loss` (the loss the DML kernel differentiates), `fd_gradient`
-  (central differences) and `one_model_pass` (the training forward pass on
-  a stack of one).
+  (central differences), `one_model_pass` (the training forward pass on
+  a stack of one) and `softmax_oracle` (the row max and row sum both taken
+  along each row).
 - Layer oracles: `reference_train` (the epoch/batch loop over `batch_grads`
   and `nn.sgd_step`), `evaluate_oracle` (one split scored alone),
   `oracle_kmeans` (Lloyd on direct distances) and `best_partition_inertia`
@@ -14,19 +15,21 @@ fast, each written once.
   `reference_fedme` (FedMe, or Local-Only with exchange off) and
   `reference_server_models` (Centralized, FedAvg and HypCluster).
 - `toy_federation` and `toy_shards`, the small two-class federation many
-  tests run on.
+  tests run on, and `scripted_rounds`, which pins a run's choices.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
+from unittest import mock
 
 import numpy as np
 
-from fedme import clustering, nn
+from fedme import clustering, engine, nn
 from fedme.clustering import cluster_count
 from fedme.data import Dataset, split_shard
 from fedme.engine import (TAG_BATCH, TAG_EXCHANGE, TAG_INIT, TAG_KMEANS,
-                          TAG_SPLIT, RoundRecord, derive_seed)
+                          TAG_SPLIT, ExchangePlan, RoundRecord, derive_seed)
 from fedme.nn import Model
 
 # ------------------------------------------------------- one-model pieces
@@ -106,6 +109,13 @@ def one_model_pass(model: Model, features):
     probabilities and layer inputs, each stacked over one model."""
     views = nn._forward_views(model.arch, model.params[None])
     return nn._forward_cached(views, features[None])
+
+
+def softmax_oracle(logits):
+    """Softmax over the last axis, its row max taken along each row."""
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def cached_probs(model: Model, features):
@@ -373,3 +383,23 @@ def toy_federation(num_clients, rows_each=30, seed=0):
 def toy_shards(num_clients, rows_each=30, seed=0):
     """`toy_federation`'s shards."""
     return toy_federation(num_clients, rows_each, seed)[0]
+
+
+@contextlib.contextmanager
+def scripted_rounds(clusters, donors, selections):
+    """Patch the engine's choices: round t clusters client i as
+    `clusters[t][i]`, lends it `donors[t][i]`'s model, and, where tuning
+    picks between the two, has it adopt lineage `selections[t][i]`."""
+    rounds = []
+
+    def plan(assignments, t, seed, k=None):
+        rounds.append(t)
+        labels = [int(c) for c in clusters[t]]
+        return ExchangePlan(t, dict(donors[t]), dict(enumerate(labels)), max(labels) + 1)
+
+    def tune(loss_p_val, loss_ex_val, client_id, exchange_origin):
+        return selections[rounds[-1]][client_id]
+
+    with mock.patch.object(engine, "assign_exchanges", plan), \
+            mock.patch.object(engine, "model_tuning", tune):
+        yield

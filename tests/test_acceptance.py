@@ -12,12 +12,12 @@ import pytest
 
 from fedme import baselines, engine, nn
 from fedme.clustering import kmeans
-from fedme.engine import FedMeConfig, RoundOverrides, assign_exchanges
+from fedme.engine import FedMeConfig, assign_exchanges
 from fedme.harness import ExperimentConfig, run_experiment, validate_config
 from fedme.nn import ArchitectureSpec, Model
 from reference import (batch_grads, best_partition_inertia, cross_entropy,
                        dml_loss, fd_gradient, kink_free, kl_divergence,
-                       max_rel_err, toy_federation)
+                       max_rel_err, scripted_rounds, toy_federation)
 
 
 def _report(name, ok):
@@ -122,15 +122,11 @@ def test_criterion_5_running_example_trace():
     clusters = {1: np.zeros(5, dtype=int), 2: np.array([0, 1, 0, 1, 1])}
     selections = {1: {0: 2, 1: 1, 2: 2, 3: 3, 4: 1},
                   2: {0: 0, 1: 3, 2: 2, 3: 3, 4: 3}}
-    overrides = RoundOverrides(
-        clusters=lambda t, n: clusters[t],
-        donors=lambda t, a: donors[t],
-        selections=lambda t, i, lp, lex: selections[t][i])
     shards, pool = toy_federation(5)
     arch = ArchitectureSpec(2, (4,), 2)
-    models, records, _ = engine.run_fedme(shards, [arch] * 5, pool,
-                                          FedMeConfig(rounds=2, lr=0.05, seed=9),
-                                          overrides)
+    with scripted_rounds(clusters, donors, selections):
+        models, records, _ = engine.run_fedme(shards, [arch] * 5, pool,
+                                              FedMeConfig(rounds=2, lr=0.05, seed=9))
     ok = all(r.donor == donors[r.round][r.client] and
              r.a == selections[r.round][r.client] for r in records)
     # round-1 aggregation pairs: lineage 0 gathers {own copy, client 2's
@@ -159,12 +155,11 @@ def test_criterion_6_kmeans_oracle():
 # ---------------------------------------------------------------- criterion 7
 
 def test_criterion_7_degeneracy_equivalences():
-    shards, pool = toy_federation(5)
+    shards, _ = toy_federation(5)
     arch = ArchitectureSpec(2, (4,), 2)
     stub = FedMeConfig(rounds=5, lr=0.05, tuning=False, dml=False,
                        cluster_thresholds=(), seed=3)
-    models, _, _ = engine.run_fedme(shards, [arch] * 5, pool, stub,
-                                    RoundOverrides(donors=lambda t, a: {}))
+    models, _, _ = engine.run_fedme(shards, [arch] * 5, None, stub)
     params = FedMeConfig(rounds=5, epochs=2, lr=0.05, seed=3)
     local_models, _, _ = baselines.run_local_only(shards, [arch] * 5, params)
     a_ok = all(np.array_equal(m.params, local.params)

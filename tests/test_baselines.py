@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fedme import baselines, engine, nn
 from fedme.clustering import cluster_count
 from fedme.data import ClientShard, Dataset, split_shard
-from fedme.engine import TAG_INIT, FedMeConfig, RoundOverrides, derive_seed
+from fedme.engine import TAG_INIT, FedMeConfig, derive_seed
 from fedme.nn import ArchitectureSpec, Model
 from reference import toy_shards
 
@@ -45,8 +45,7 @@ def test_local_only_records_equal_fedme_without_donors():
     shards = toy_shards(5)
     stub = FedMeConfig(rounds=5, lr=0.05, tuning=False, dml=False,
                        cluster_thresholds=(), seed=3)
-    _, fedme_records, _ = engine.run_fedme(shards, [ARCH] * 5, None, stub,
-                                           RoundOverrides(donors=lambda t, a: {}))
+    _, fedme_records, _ = engine.run_fedme(shards, [ARCH] * 5, None, stub)
     params = FedMeConfig(rounds=5, epochs=2, lr=0.05, seed=3)
     _, local_records, _ = baselines.run_local_only(shards, [ARCH] * 5, params)
     fields = ("round", "client", "loss_p_train", "loss_p_val", "val_acc",

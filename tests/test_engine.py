@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from fedme import baselines, engine, nn
 from fedme.clustering import cluster_count
-from fedme.data import ClientShard, Dataset
-from fedme.engine import (ExchangePlan, FedMeConfig, RoundOverrides,
-                          assign_exchanges, derive_seed)
+from fedme.engine import ExchangePlan, FedMeConfig, assign_exchanges, derive_seed
 from fedme.harness import write_timings
 from fedme.nn import ArchitectureSpec, Model
-from reference import toy_shards
+from reference import scripted_rounds, toy_shards
 
 ARCH = ArchitectureSpec(2, (4,), 2)
 TINY = ArchitectureSpec(1, (1,), 2)  # 6 parameters
@@ -167,17 +165,14 @@ def test_a_round_records_its_scheduled_cluster_count(seed):
     models = [nn.init_model(ARCH, 0)] * 4 + [nn.init_model(ARCH, 1)] * 2
     config = FedMeConfig(cluster_thresholds=(1, 2), k_max=3, seed=seed)
     assert cluster_count(2, config.cluster_thresholds, config.k_max, 6) == 3
-    plan = engine._plan_round(models, _pool(), 2, config, RoundOverrides(), engine.Laps())
+    plan = engine._plan_round(models, _pool(), 2, config, engine.Laps())
     assert len(set(plan.cluster_of.values())) == 2
     assert plan.k == 3
 
 
 def test_scripted_clusters_count_their_largest_label_plus_one():
-    config = FedMeConfig(cluster_thresholds=(1, 2), k_max=3)
-    models = [nn.init_model(ARCH, i) for i in range(4)]
-    scripted = RoundOverrides(clusters=lambda t, n: np.array([0, 0, 1, 1]))
-    plan = engine._plan_round(models, _pool(), 2, config, scripted, engine.Laps())
-    assert plan.k == 2
+    assert assign_exchanges(np.array([0, 0, 1, 1]), 2, seed=0).k == 2
+    assert assign_exchanges(np.array([0, 0, 1, 1]), 2, seed=0, k=3).k == 3
 
 
 def test_assign_exchanges_needs_two_clients():
@@ -348,33 +343,25 @@ def test_run_fedme_tuning_off_keeps_own_lineage():
     assert all(r.a == r.client for r in records)
 
 
-def test_run_fedme_exchange_off_runs_the_empty_plan():
+def test_run_fedme_exchange_off_runs_the_empty_plan(monkeypatch):
+    # a run with no pool, and so Local-Only, forwards no pool, clusters
+    # nothing and draws no donors, whatever the cluster schedule
+    def unreachable(*args):
+        raise AssertionError("a run with no pool planned an exchange")
+
+    for name in ("model_outputs_on_unlabeled", "kmeans", "assign_exchanges"):
+        monkeypatch.setattr(engine, name, unreachable)
     shards = toy_shards(5)
     archs = [ArchitectureSpec(2, w, 2) for w in ((4,), (4, 4), (8,), (4,), (8, 8))]
-    config = FedMeConfig(rounds=3, lr=0.05, cluster_thresholds=(), seed=6)
-    no_exchange = RoundOverrides(donors=lambda t, a: {})
-    models, records, _ = engine.run_fedme(shards, archs, _pool(), config,
-                                          no_exchange)
+    config = FedMeConfig(rounds=3, lr=0.05, cluster_thresholds=(1, 2), seed=6)
+    _, records, _ = engine.run_fedme(shards, archs, None, config)
     assert len(records) == 3 * 5
     for r in records:
         assert r.k == 1 and r.a == r.client
         assert r.cluster == 0 and r.donor is None
         assert r.loss_ex_train is None and r.loss_ex_val is None
-    # a selection hook that names another lineage makes the client adopt it
-    seen = []
-
-    def pick_next(t, i, loss_p, loss_ex):
-        seen.append(loss_ex)
-        return (i + 1) % 5 if t == 3 else None
-
-    moved, moved_records, _ = engine.run_fedme(
-        shards, archs, _pool(), config,
-        replace(no_exchange, selections=pick_next))
-    assert seen == [None] * 15
-    for i, model in enumerate(moved):
-        assert model.arch == archs[(i + 1) % 5]
-        assert np.array_equal(model.params, models[(i + 1) % 5].params)
-    assert [r.a for r in moved_records if r.round == 3] == [1, 2, 3, 4, 0]
+    _, local, _ = baselines.run_local_only(shards, archs, config)
+    assert [(r.k, r.donor) for r in local] == [(1, None)] * 15
 
 
 def test_local_only_scores_each_round_on_its_redistributed_models(monkeypatch):
@@ -412,30 +399,6 @@ def test_evaluate_splits_calls_per_client_and_round(algorithm, per_client, monke
     assert len(calls) == per_client * 5 * 3
 
 
-def test_a_donorless_client_that_adopts_another_lineage_is_rescored():
-    # client 0 learns the swapped labels, so on client 1's rows its lineage
-    # scores unlike client 1's own; client 1 adopts it in round 2, and
-    # nobody borrows
-    shards = toy_shards(5)
-    shards[0] = ClientShard(*(Dataset(s.features, 1 - s.labels, 2)
-                              for s in (shards[0].train, shards[0].validation,
-                                        shards[0].test)))
-    config = FedMeConfig(rounds=2, lr=0.05, cluster_thresholds=(), seed=6)
-    alone = RoundOverrides(donors=lambda t, a: {})
-    _, kept, _ = engine.run_fedme(shards, [ARCH] * 5, None, config, alone)
-    models, records, _ = engine.run_fedme(
-        shards, [ARCH] * 5, None, config,
-        replace(alone, selections=lambda t, i, lp, lex: 0 if (t, i) == (2, 1) else None))
-    adopted = records[5 + 1]
-    assert (adopted.round, adopted.client, adopted.a) == (2, 1, 0)
-    assert np.array_equal(models[1].params, models[0].params)
-    shard = shards[1]
-    want = [nn.evaluate(models[1], s.features, s.labels)[1]
-            for s in (shard.validation, shard.test)]
-    assert [adopted.val_acc, adopted.test_acc] == want
-    assert want != [kept[5 + 1].val_acc, kept[5 + 1].test_acc]
-
-
 def test_run_fedme_scripted_trace():
     # a fully pinned two-round walk through exchange, tuning and redistribution
     donors = {1: {0: 2, 1: 3, 2: 0, 3: 4, 4: 1},
@@ -444,14 +407,10 @@ def test_run_fedme_scripted_trace():
                 2: np.array([0, 1, 0, 1, 1])}
     selections = {1: {0: 2, 1: 1, 2: 2, 3: 3, 4: 1},
                   2: {0: 0, 1: 3, 2: 2, 3: 3, 4: 3}}
-    overrides = RoundOverrides(
-        clusters=lambda t, n: clusters[t],
-        donors=lambda t, a: donors[t],
-        selections=lambda t, i, lp, lex: selections[t][i])
     shards = toy_shards(5)
     config = FedMeConfig(rounds=2, lr=0.05, seed=9)
-    models, records, _ = engine.run_fedme(shards, [ARCH] * 5, _pool(), config,
-                                          overrides)
+    with scripted_rounds(clusters, donors, selections):
+        models, records, _ = engine.run_fedme(shards, [ARCH] * 5, _pool(), config)
     for r in records:
         assert r.donor == donors[r.round][r.client]
         assert r.a == selections[r.round][r.client]

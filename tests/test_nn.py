@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedme import engine, nn
 from fedme.engine import FedMeConfig
 from fedme.nn import ArchitectureSpec, Model
 from reference import (batch_grads, cached_probs, cross_entropy, dml_loss,
                        evaluate_oracle, fd_gradient, kl_divergence, max_rel_err,
-                       reference_train)
+                       reference_train, softmax_oracle)
 
 ARCH = ArchitectureSpec(2, (3,), 2)
 
@@ -72,6 +73,20 @@ def test_forward_rows_normalized_extreme_logits():
     probs = nn.forward(model, np.array([[1.0, -1.0], [50.0, 50.0]]))
     assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+# a small menu of values makes tied maxima and whole rows of ±0, ±inf or NaN
+LOGITS = st.one_of(st.floats(-1e3, 1e3),
+                   st.sampled_from((0.0, -0.0, 1.0, np.inf, -np.inf, np.nan)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(logits=hnp.arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(0, 40),
+                                               st.integers(2, 64)), elements=LOGITS))
+def test_softmax_equals_its_oracle_byte_for_byte(logits):
+    with np.errstate(invalid="ignore"):
+        got, want = nn._softmax(logits.copy()), softmax_oracle(logits)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_forward_hand_computed_single_hidden_unit():

@@ -10,6 +10,7 @@ Every split has at least 2 rows: BLAS scores a one-row split by
 matrix-vector code, which rounds differently from the stacked pass (see
 `tests/test_nn.py`)."""
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -149,8 +150,13 @@ def _scores(records):
 def test_fedme_without_donors_is_local_only(run):
     # mixing: with no exchange there is nothing to mix, whatever the clusters
     shards, archs, pool, config = run
-    models, records, _ = engine.run_fedme(shards, archs, pool, config,
-                                          engine.RoundOverrides(donors=lambda t, a: {}))
+    assign_exchanges = engine.assign_exchanges
+
+    def no_donors(*args):  # the drawn clusters, with nobody borrowing
+        return replace(assign_exchanges(*args), donor={})
+
+    with mock.patch.object(engine, "assign_exchanges", no_donors):
+        models, records, _ = engine.run_fedme(shards, archs, pool, config)
     local_models, local_records, _ = baselines.run_local_only(shards, archs, config)
     assert _bytes(models) == _bytes(local_models)
     assert _scores(records) == _scores(local_records)

@@ -1,57 +1,36 @@
 """Lloyd's k-means with k-means++ seeding and restarts, plus the cluster-count
 schedule that opens up clustering gradually over communication rounds.
 
-A `kmeans` call works on the v distinct rows of its n points (clients that
-share a model give bit-identical prediction vectors) and gathers each
-result back to all n points. That is exact because of two bit facts about
-the direct squared distance E: E(x, y) and E(y, x) have the same bits, as
-x - y is -(y - x) exactly; and a row's E has the same bits whichever other
-rows it is computed with, as each row is reduced on its own. k-means++
-seeding reads its distances from a table of distinct pairs, each filled in
-once, on first use, and its picks are held as point indices.
+A `kmeans` call works on the v distinct rows x of its n points (clients that
+share a model give bit-identical prediction vectors) and their Gram matrix
+G = x x^T. A centroid is the mean of its m members, c = sum_q w_q x_q, with
+w_q the share of its members that are copies of x_q; a seed or a repaired
+cluster is one point, with weight 1 on its row. Every squared distance is
+taken in the Gram form, for all rows and centroids at once:
 
-Lloyd steps give each point the centroid of least E, first on ties. A
-centroid is the mean of its m members, so its exact value is c = sum_q w_q x_q
-over the distinct rows, with w_q the share of the members that are copies of
-x_q (sum 1). Its ranks |c|^2 - 2 x.c (|x|^2 is common to the row) come from
-the rows' Gram matrix G: x.c = (G w)_x and |c|^2 = w.G w. With u the unit
-roundoff, gamma_j = j u / (1 - j u) and M = max |x|:
-- G's entries round off by gamma_d |x| |y|, the weights by u each, and the
-  two length-v sums by gamma_v, so the rank is within gamma_(d+2v+3)
-  (|x| + M)^2 of the exact |c|^2 - 2 x.c.
-- The computed centroid is the rounded mean of its members' rows (or a point),
-  within gamma_m M of c, which moves E by at most 2 gamma_(m+1) (|x| + M)^2.
-- E itself rounds off by at most gamma_(d+3) (|x| + M)^2.
-With v, m <= n, b = 2 (d + 2n + 4) eps (|x| + M)^2 (eps = 2u) is twice the
-largest gap between a rank plus |x|^2 and E. A centroid ranked beyond
-tol = 2b of the row's best has a larger E than that best, so E decides among
-the others: exact argmin. The tiny term covers products that underflow. As
-the weights sum to 1, every intermediate stays below 3 M^2, within the
-4 n M^2 that `kmeans` checks is finite.
+    |x - c|^2 = (|x|^2 - 2 (G w)_x) + w.G w,  with |x|^2 = G_xx.
 
-So Lloyd holds each centroid as its weights and its member list. Its
-value, `points[members].mean(axis=0)` (`_mean`; a seed's or a repair's is
-its point), is computed each time a direct distance needs it: to settle a
-near-tie, to repair an empty cluster, and where the inertia certificate
-below does not decide. The certificate counts each rounding term twice;
-underflowing products move it by far less than that.
-- Stop. A restart remembers every assignment it reaches and stops when a
-  step gives one of them again, or after MAX_ITER steps. A repeat is a
-  fixed point, or a cycle that rounding makes among duplicated rows. The
-  rule compares assignments, not coordinates, so scaling the points by a
-  power of two changes no assignment.
-- Inertia. A restart's inertia is the rounded sum of its n points' E. Each
-  E is within tol / 4 of its final rank plus the exact |x|^2, and the
-  computed |x|^2 and the sum rank + |x|^2 round off by far less than another
-  tol / 4; an n-term sum rounds off by at most gamma_n times the sum of its
-  terms' magnitudes. So with R_i the computed rank plus |x_i|^2, the inertia
-  lies within sum_i tol_i / 2 + 2 gamma_n (sum_i |R_i| + tol_i / 2) of
-  sum_i R_i.
-  A restart replaces the best so far when its interval lies below the
-  best's, and not when it lies at or above it. Where the intervals overlap
-  and each point's centroid has the same members in both runs, the inertias
-  have the same bits, so the best stays; otherwise both are taken exactly.
-  The returned inertia is the best's exact one.
+So a row's distance to itself, and so the inertia of a cluster of copies,
+is exactly 0.
+- Ties. A point goes to its nearest centroid, the first one on ties.
+  k-means++ seeding clamps the distances at 0 and picks uniformly when they
+  sum to 0.
+- Repair. Each empty cluster takes the point farthest from its
+  previous-step centroid (the first on ties) as its one member, and the
+  other clusters' weights are taken before the repair. That is the same as
+  repairing the empty clusters one by one, in label order, each with the
+  farthest point at the time: moving that point off its nearest centroid
+  moves it no nearer to its new one, so it stays the first farthest, and a
+  cluster it empties had it as its one member.
+- Stop. A restart stops when a Lloyd step gives an assignment it has
+  reached before (a fixed point, or a cycle that rounding makes), or after
+  MAX_ITER steps. It compares assignments, not coordinates, and scaling the
+  points by a power of two scales every distance exactly, so it changes no
+  assignment.
+- Restarts. A restart's inertia is the sum of its n points' distances. A
+  later restart replaces the best only when its inertia is lower and its
+  partition differs: the same partition under other labels can round to
+  other inertia bits.
 """
 from __future__ import annotations
 
@@ -72,11 +51,6 @@ def cluster_count(t: int, thresholds: tuple[int, ...], k_max: int,
     return min(k, k_max, num_clients)
 
 
-def _sq_dist(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    diff = np.subtract(a, b, out=buf[:len(a)])
-    return np.einsum("ij,ij->i", diff, diff)
-
-
 def distinct_rows(bits, keys) -> tuple[np.ndarray, np.ndarray]:
     """The index of each distinct row's first copy, and each row's distinct
     id. `bits` holds the rows as 64-bit integer views, so rows match on their
@@ -95,177 +69,59 @@ def distinct_rows(bits, keys) -> tuple[np.ndarray, np.ndarray]:
     return np.array(first, dtype=np.intp), np.array(inverse, dtype=np.intp)
 
 
-class _Rows:
-    """The distinct rows of one `kmeans` call's points, shared by its restarts:
-    each point's distinct id, the rows' Gram matrix, rank tolerances and
-    inertia constants, and the table of their pair distances (see the
-    module docstring)."""
-
-    def __init__(self, points: np.ndarray, sq_norms: np.ndarray):
-        self.points = points
-        bits = points.view(np.int64)
-        # a wrapping integer sum of each row's words proposes the copies
-        self.first, self.inverse = distinct_rows(bits, np.add.reduce(bits, axis=1).tolist())
-        self.buf = np.empty_like(points)
-        v = len(self.first)
-        x = np.take(points, self.first, axis=0, out=self.buf[:v], mode="clip")
-        self.gram = x @ x.T
-        n, d = points.shape
-        fp = np.finfo(np.float64)
-        self.sq_norms = sq_norms[self.first]
-        norms = np.sqrt(self.sq_norms)
-        self.tol = 4 * (d + 2 * n + 4) * (fp.eps * (norms + norms.max()) ** 2 + fp.tiny)
-        # inertia: the interval's radius is spread_base + spread_coef sum |R_i|,
-        # with spread_coef = 4 gamma_(n+1)
-        g = (n + 1) * fp.epsneg
-        self.spread_coef = 4 * g / (1 - g)
-        self.spread_base = self.tol[self.inverse].sum() * (1 + self.spread_coef)
-        self._table = np.zeros((v, v))
-        self._done = np.zeros(v, dtype=bool)
-
-    def dist_to(self, i: int) -> np.ndarray:
-        """Direct squared distances of all points to point i. The first call
-        for a distinct row fills in its pairs that are not in the table yet."""
-        q = self.inverse[i]
-        if not self._done[q]:
-            self._done[q] = True
-            todo = (~self._done).nonzero()[0]
-            rows = np.take(self.points, self.first[todo], axis=0,
-                           out=self.buf[:len(todo)], mode="clip")
-            self._table[q, todo] = self._table[todo, q] = _sq_dist(
-                rows, self.points[self.first[q]], self.buf)
-        return self._table[q, self.inverse]
 
 
-def _mean(rows: _Rows, members: np.ndarray) -> np.ndarray:
-    """points[members].mean(axis=0), with the copy made in the rows' buffer."""
-    return np.take(rows.points, members, axis=0, out=rows.buf[:len(members)],
-                   mode="clip").mean(axis=0)
+def _distances(gram: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The (v, k) squared distances of the distinct rows to the centroids of
+    the (k, v) `weights`, in the Gram form (see the module docstring)."""
+    dots = gram @ weights.T
+    return np.diagonal(gram)[:, None] - 2.0 * dots + np.einsum("jq,qj->j", weights, dots)
 
 
-class _Centroids:
-    """Lloyd's k centroids, each held as its weights over the distinct rows
-    and its member points; a seed or a repair has its point as its one
-    member. A value is computed each time it is used."""
-
-    def __init__(self, rows: _Rows, k: int):
-        self.rows, self.members = rows, [None] * k
-        self.weights = np.zeros((k, len(rows.first)))
-
-    def set(self, j: int, members: np.ndarray) -> None:
-        self.members[j] = members
-        self.weights[j] = np.bincount(self.rows.inverse[members],
-                                      minlength=self.weights.shape[1]) / len(members)
-
-    def value(self, j: int) -> np.ndarray:
-        m = self.members[j]
-        # a one-row mean has the row's bits
-        return self.rows.points[m[0]] if len(m) == 1 else _mean(self.rows, m)
-
-    def gather(self, assignments: np.ndarray) -> np.ndarray:
-        """Each point's centroid value, gathered into the rows' buffer."""
-        values = np.empty((len(self.members), self.rows.points.shape[1]))
-        for j in set(assignments.tolist()):
-            values[j] = self.value(j)
-        return np.take(values, assignments, axis=0, out=self.rows.buf, mode="clip")
+def _kmeans_pp(gram: np.ndarray, inverse: np.ndarray, k: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding over the n points; returns the seeds' weights."""
+    n, weights = len(inverse), np.zeros((k, len(gram)))
+    d2 = None
+    for j in range(k):
+        total = 0.0 if d2 is None else d2.sum()  # the first pick is uniform
+        pick = rng.integers(n) if total <= 0.0 else rng.choice(n, p=d2 / total)
+        weights[j, inverse[pick]] = 1.0
+        if j < k - 1:  # the last pick's distances are never read
+            dist = np.maximum(_distances(gram, weights[j:j + 1])[inverse, 0], 0.0)
+            d2 = dist if d2 is None else np.minimum(d2, dist)
+    return weights
 
 
-def _nearest(rows: _Rows, cents: _Centroids):
-    """Each distinct row's nearest centroid by direct distance, ranked in the
-    Gram form (see the module docstring); returns it and the ranks."""
-    weights = cents.weights
-    dots = rows.gram @ weights.T
-    ranks = np.einsum("jq,qj->j", weights, dots) - 2.0 * dots
-    near = ranks <= (ranks.min(axis=1) + rows.tol)[:, None]
-    assignments = near.argmax(axis=1)
-    for i in (near.sum(axis=1) > 1).nonzero()[0]:
-        cand = near[i].nonzero()[0]
-        values = np.array([cents.value(j) for j in cand])
-        point = rows.points[rows.first[i]]
-        assignments[i] = cand[_sq_dist(values, point, rows.buf).argmin()]
-    return assignments, ranks
-
-
-def _kmeans_pp_init(rows: _Rows, k: int, rng: np.random.Generator) -> list:
-    """k-means++ seeding; returns the indices of the points it picks. The
-    last pick's distances are never read, so they are not computed."""
-    n = len(rows.points)
-    picks = [rng.integers(n)]
-    d2 = rows.dist_to(picks[0])
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            picks.append(rng.integers(n))
-            continue
-        picks.append(rng.choice(n, p=d2 / total))
-        if j < k - 1:
-            d2 = np.minimum(d2, rows.dist_to(picks[-1]))
-    return picks
-
-
-def _inertia(rows: _Rows, cents: _Centroids, assignments: np.ndarray) -> float:
-    gathered = cents.gather(assignments)
-    return float(_sq_dist(rows.points, gathered, rows.buf).sum())
-
-
-class _Run:
-    """One restart's assignments and centroids, and an interval [lo, hi] that
-    holds its inertia."""
-
-    def __init__(self, rows: _Rows, cents: _Centroids, nearest: np.ndarray,
-                 ranks: np.ndarray):
-        self.rows, self.cents = rows, cents
-        self.assignments = nearest[rows.inverse]
-        dists = (ranks[np.arange(len(nearest)), nearest] + rows.sq_norms)[rows.inverse]
-        radius = rows.spread_base + rows.spread_coef * np.abs(dists).sum()
-        centre = dists.sum()
-        self.lo, self.hi = centre - radius, centre + radius
-
-    def inertia(self) -> float:
-        return _inertia(self.rows, self.cents, self.assignments)
-
-    def below(self, other: _Run) -> bool:
-        """Whether this run's inertia is less than the other's."""
-        if self.hi < other.lo:
-            return True
-        if self.lo >= other.hi:
-            return False
-        pairs = set(zip(self.assignments.tolist(), other.assignments.tolist()))
-        if all(self.cents.members[j].tobytes() == other.cents.members[l].tobytes()
-               for j, l in pairs):
-            return False  # each point's centroid has the same members: equal inertias
-        return self.inertia() < other.inertia()
-
-
-def _lloyd(rows: _Rows, k: int, rng: np.random.Generator) -> _Run:
-    points, inverse, buf = rows.points, rows.inverse, rows.buf
-    cents = _Centroids(rows, k)
-    for j, pick in enumerate(_kmeans_pp_init(rows, k, rng)):
-        cents.set(j, np.array([pick]))
-    nearest, ranks = _nearest(rows, cents)
+def _lloyd(gram: np.ndarray, inverse: np.ndarray, k: int,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One restart; returns each distinct row's nearest centroid and the
+    rows' distances to the final centroids."""
+    v = len(gram)
+    dist = _distances(gram, _kmeans_pp(gram, inverse, k, rng))
+    nearest = dist.argmin(axis=1)
     seen = {nearest.tobytes()}
     for _ in range(MAX_ITER):
-        assignments = nearest[inverse]
-        counts = np.bincount(assignments, minlength=k)
-        new = _Centroids(rows, k)
-        for j in counts.nonzero()[0]:
-            new.set(j, (assignments == j).nonzero()[0])
-        if not counts.all():
-            # repair empty clusters with the point farthest from its own
-            # centroid; a repair can empty a later cluster
-            for j in range(k):
-                if not (assignments == j).any():
-                    gathered = cents.gather(assignments)
-                    farthest = int(_sq_dist(points, gathered, buf).argmax())
-                    assignments[farthest] = j
-                    new.set(j, np.array([farthest]))
-        cents = new
-        nearest, ranks = _nearest(rows, cents)
+        counts = np.bincount(nearest[inverse] * v + inverse, minlength=k * v).reshape(k, v)
+        sizes = counts.sum(axis=1)
+        weights = counts / np.maximum(sizes, 1)[:, None]
+        if not sizes.all():
+            # rows are in order of their first point, so this is the first
+            # point farthest from its centroid
+            weights[sizes == 0] = np.arange(v) == dist.min(axis=1).argmax()
+        dist = _distances(gram, weights)
+        nearest = dist.argmin(axis=1)
         key = nearest.tobytes()
         if key in seen:
-            break  # a fixed point, or a cycle among duplicated rows
+            break  # a fixed point, or a cycle
         seen.add(key)
-    return _Run(rows, cents, nearest, ranks)
+    return nearest, dist
+
+
+def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two labelings group the points alike, labels aside."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
 
 
 def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 8):
@@ -282,11 +138,18 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 8):
     # NaN and inf reach the norms; n distances, each <= 4 max|x|^2, sum finite
     if not np.isfinite(4.0 * len(points) * sq_norms.max()):
         raise ValueError("points must be finite, with distance sums that cannot overflow")
-    rows = _Rows(np.ascontiguousarray(points), sq_norms)
+    bits = np.ascontiguousarray(points).view(np.int64)
+    # a wrapping integer sum of each row's words proposes the copies
+    first, inverse = distinct_rows(bits, np.add.reduce(bits, axis=1).tolist())
+    x = points[first]
+    gram = x @ x.T
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        run = _lloyd(rows, k, rng)
-        if best is None or run.below(best):
-            best = run
-    return best.assignments, best.inertia()
+        nearest, dist = _lloyd(gram, inverse, k, rng)
+        assignments = nearest[inverse]
+        inertia = float(dist[inverse, assignments].sum())
+        if best is None or (inertia < best[1]
+                            and not _same_partition(assignments, best[0])):
+            best = assignments, inertia
+    return best

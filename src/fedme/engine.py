@@ -156,12 +156,12 @@ def model_outputs_on_unlabeled(models: list[Model], pool: np.ndarray) -> np.ndar
 
 
 def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
-                     k: int | None = None) -> ExchangePlan:
+                     k: int) -> ExchangePlan:
     """Donor per receiver, uniform within the receiver's cluster (excluding
     itself); a singleton falls back to a uniform draw over all other clients.
     Draws are independent per receiver, so duplicate donors are allowed.
     The plan's `k` is the cluster count the round scheduled, which k-means
-    may leave without some labels; by default, the largest label plus one."""
+    may leave without some labels."""
     assignments = np.asarray(assignments)
     n = len(assignments)
     if n < 2:
@@ -173,8 +173,7 @@ def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
             peers = [j for j in range(n) if j != i]
         rng = np.random.default_rng(derive_seed(seed, TAG_EXCHANGE, t, i))
         donors[i] = peers[rng.integers(len(peers))]
-    return ExchangePlan(t, donors, {i: int(assignments[i]) for i in range(n)},
-                        int(assignments.max()) + 1 if k is None else k)
+    return ExchangePlan(t, donors, {i: int(assignments[i]) for i in range(n)}, k)
 
 
 def dml_train(models: list[Model], peers: list[Model | None],

@@ -9,8 +9,8 @@ fast, each written once.
   along each row).
 - Layer oracles: `reference_train` (the epoch/batch loop over `batch_grads`
   and `nn.sgd_step`), `evaluate_oracle` (one split scored alone),
-  `oracle_kmeans` (Lloyd on direct distances) and `best_partition_inertia`
-  (the exhaustive optimum).
+  `oracle_kmeans` (Lloyd in the Gram form, each rule written out from its
+  definition) and `best_partition_inertia` (the exhaustive optimum).
 - Run references built from those oracles with plain loops:
   `reference_fedme` (FedMe, or Local-Only with exchange off) and
   `reference_server_models` (Centralized, FedAvg and HypCluster).
@@ -185,64 +185,95 @@ def best_partition_inertia(points, k):
     return best
 
 
-# The k-means of the parent design, kept as the reference: every distance is
-# the direct form, taken from an (n, k, d) difference.
-def _squared_distances(points, centroids):
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+# k-means in the Gram form, each rule written out from its definition (see
+# `clustering`'s module docstring). Only the (v, k) distance expression is
+# the package's, so the distances have its bits.
+def _gram_distances(gram, weights):
+    dots = gram @ weights.T
+    return np.diagonal(gram)[:, None] - 2.0 * dots + np.einsum("jq,qj->j", weights, dots)
 
 
-def _kmeans_pp_init(points, k, rng):
-    n = len(points)
-    centroids = np.empty((k, points.shape[1]))
-    centroids[0] = points[rng.integers(n)]
-    diff = points - centroids[0]
-    d2 = np.einsum("ij,ij->i", diff, diff)
+def _distances_to_point(gram, ids, p):
+    """Each point's distance to point p, clamped at 0."""
+    weights = np.zeros((1, len(gram)))
+    weights[0, ids[p]] = 1.0
+    dist = _gram_distances(gram, weights)
+    return np.array([max(dist[q, 0], 0.0) for q in ids])
+
+
+def _kmeans_pp_picks(gram, ids, k, rng):
+    n = len(ids)
+    picks = [rng.integers(n)]
     for j in range(1, k):
+        dist = _distances_to_point(gram, ids, picks[-1])
+        d2 = dist if j == 1 else np.minimum(d2, dist)
         total = d2.sum()
-        if total <= 0.0:
-            centroids[j] = points[rng.integers(n)]
-            continue
-        idx = rng.choice(n, p=d2 / total)
-        centroids[j] = points[idx]
-        diff = points - centroids[j]
-        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
-    return centroids
+        picks.append(rng.integers(n) if total <= 0.0 else rng.choice(n, p=d2 / total))
+    return picks
 
 
-def _lloyd(points, k, rng):
-    centroids = _kmeans_pp_init(points, k, rng)
-    seen = set()
+def _member_weights(assignments, ids, k, v):
+    """Row j: the share of cluster j's members that are copies of each
+    distinct row (zeros for an empty cluster)."""
+    counts = np.zeros((k, v), dtype=np.int64)
+    for i, j in enumerate(assignments):
+        counts[j, ids[i]] += 1
+    weights = np.zeros((k, v))
+    for j in range(k):
+        size = int(counts[j].sum())
+        for q in range(v):
+            weights[j, q] = counts[j, q] / size if size else 0.0
+    return weights
+
+
+def _lloyd(gram, ids, k, rng):
+    n, v = len(ids), len(gram)
+    weights = np.zeros((k, v))
+    for j, p in enumerate(_kmeans_pp_picks(gram, ids, k, rng)):
+        weights[j, ids[p]] = 1.0
+    seen = []
     for _ in range(clustering.MAX_ITER):
-        d2 = _squared_distances(points, centroids)
-        assignments = d2.argmin(axis=1)
-        if assignments.tobytes() in seen:
+        dist = _gram_distances(gram, weights)
+        assignments = [min(range(k), key=lambda j: dist[ids[i], j]) for i in range(n)]
+        if assignments in seen:
             break
-        seen.add(assignments.tobytes())
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = assignments == j
-            if members.any():
-                new_centroids[j] = points[members].mean(axis=0)
-        for j in range(k):
-            if not (assignments == j).any():
-                farthest = int(d2[np.arange(len(points)), assignments].argmax())
-                assignments[farthest] = j
-                new_centroids[j] = points[farthest]
-        centroids = new_centroids
-    d2 = _squared_distances(points, centroids)
-    assignments = d2.argmin(axis=1)
-    return assignments, float(d2[np.arange(len(points)), assignments].sum())
+        seen.append(list(assignments))
+        weights = _member_weights(assignments, ids, k, v)
+        for j in range(k):  # repairs one by one, after the others' weights
+            if j not in assignments:
+                far = max(range(n), key=lambda i: dist[ids[i], assignments[i]])
+                assignments[far] = j
+                weights[j] = 0.0
+                weights[j, ids[far]] = 1.0
+    dist = _gram_distances(gram, weights)
+    assignments = [min(range(k), key=lambda j: dist[ids[i], j]) for i in range(n)]
+    # the inertia is numpy's sum of the n distances, as the package takes it
+    inertia = np.array([dist[ids[i], a] for i, a in enumerate(assignments)]).sum()
+    return assignments, float(inertia)
+
+
+def relabeled(assignments):
+    """The labels renumbered in order of first appearance: equal for two
+    labelings exactly when they group the points alike."""
+    order = {}
+    return [order.setdefault(a, len(order)) for a in assignments]
 
 
 def oracle_kmeans(points, k, seed, restarts):
+    """Best-of-restarts Lloyd in the Gram form; returns (assignments, inertia)."""
+    points = np.asarray(points, dtype=np.float64)
+    distinct = {}
+    ids = [distinct.setdefault(row.tobytes(), len(distinct)) for row in points]
+    x = points[[ids.index(q) for q in range(len(distinct))]]
+    gram = x @ x.T
     best = None
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
-        assignments, inertia = _lloyd(points, k, rng)
-        if best is None or inertia < best[1]:
+        assignments, inertia = _lloyd(gram, ids, k, rng)
+        if best is None or (inertia < best[1]
+                            and relabeled(assignments) != relabeled(best[0])):
             best = (assignments, inertia)
-    return best
+    return np.array(best[0]), best[1]
 
 
 # --------------------------------------------------------- run references

@@ -81,7 +81,7 @@ def test_criterion_3_aggregation_exactness():
     ok = True
     for trial in range(10):
         assignments = rng.integers(0, rng.integers(1, 4), size=10)
-        plan = assign_exchanges(assignments, trial + 1, seed=trial)
+        plan = assign_exchanges(assignments, trial + 1, seed=trial, k=3)
         models = [Model(arch, rng.normal(size=6)) for _ in range(10)]
         # a trained exchanged copy of the donor's lineage
         exchanged = {i: Model(arch, rng.normal(size=6)) for i in range(10)}

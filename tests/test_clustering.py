@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedme import clustering
-from fedme.clustering import cluster_count, kmeans
-from reference import best_partition_inertia, oracle_kmeans
+from fedme.clustering import cluster_count, distinct_rows, kmeans
+from reference import best_partition_inertia, oracle_kmeans, relabeled
 
 
 def test_schedule_validation():
@@ -32,6 +32,32 @@ def test_cluster_count_growth_and_caps():
 
 def test_cluster_count_empty_schedule_stays_one():
     assert cluster_count(999, (), 4, 50) == 1
+
+
+def _distinct_rows_both_ways(points):
+    """`distinct_rows` of the points with `kmeans`' keys and with one key
+    that every row shares; the two must agree."""
+    bits = points.view(np.int64)
+    first, inverse = distinct_rows(bits, np.add.reduce(bits, axis=1).tolist())
+    collided = distinct_rows(bits, [0] * len(points))
+    assert np.array_equal(first, collided[0]) and np.array_equal(inverse, collided[1])
+    return first, inverse
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 3), data=st.data())
+def test_distinct_rows_matches_rows_by_their_bits(dim, data):
+    first, inverse = _distinct_rows_both_ways(np.array([[0.0], [-0.0], [np.nan], [np.nan]]))
+    assert first.tolist() == [0, 1, 2] and inverse.tolist() == [0, 1, 2, 2]
+    n = data.draw(st.integers(1, 12))
+    values = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.1, 1.0, np.inf, np.nan]),
+                                min_size=n * dim, max_size=n * dim))
+    points = np.array(values).reshape(n, dim)
+    first, inverse = _distinct_rows_both_ways(points)
+    rows = [row.tobytes() for row in points]
+    assert first.tolist() == sorted({rows.index(row) for row in rows})
+    assert [first[q] for q in inverse] == [rows.index(row) for row in rows]
+    assert inverse[first].tolist() == list(range(len(first)))
 
 
 def test_kmeans_k1_mean_inertia():
@@ -139,7 +165,7 @@ def _points(kind, n, dim, rng):
        scale=st.sampled_from([0] + list(range(-100, 101, 10))),
        data_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 32 - 1),
        restarts=st.integers(1, 3))
-def test_kmeans_matches_the_direct_distance_oracle_bit_for_bit(
+def test_kmeans_matches_the_gram_form_oracle_bit_for_bit(
         n, dim, k, kind, scale, data_seed, seed, restarts):
     points = _points(kind, n, dim, np.random.default_rng(data_seed)) * 10.0 ** scale
     _assert_matches_oracle(points, min(k, n), seed, restarts)
@@ -157,109 +183,71 @@ def test_kmeans_matches_the_oracle_at_fedme_many_size():
     _assert_matches_oracle(_fedme_many_points(), 8, seed=3, restarts=8)
 
 
-def _counter(monkeypatch, owner, name, within=None):
-    """Count the calls of owner.name; with `within`, the name of a clustering
-    function, only the calls made while that function runs."""
-    calls, active = [0], [within is None]
-    wrapped = getattr(owner, name)
-
-    def counted(*args):
-        calls[0] += active[0]
-        return wrapped(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    if within is not None:
-        outer = getattr(clustering, within)
-
-        def flagged(*args):
-            active[0] = True
-            try:
-                return outer(*args)
-            finally:
-                active[0] = False
-
-        monkeypatch.setattr(clustering, within, flagged)
-    return calls
-
-
-def _trails(monkeypatch):
-    """Each restart's assignments of the distinct rows, as bytes, in the order
-    its Lloyd steps reach them."""
-    trails = []
-    nearest, lloyd = clustering._nearest, clustering._lloyd
-
-    def recorded(*args):
-        result = nearest(*args)
-        trails[-1].append(result[0].tobytes())
-        return result
-
-    def started(*args):
-        trails.append([])
-        return lloyd(*args)
-
-    monkeypatch.setattr(clustering, "_nearest", recorded)
-    monkeypatch.setattr(clustering, "_lloyd", started)
-    return trails
-
-
-def test_kmeans_takes_at_most_k_member_means_per_restart(monkeypatch):
-    # a centroid's mean is taken only where a direct distance needs it. Here
-    # no near-tie or repair needs one, and no two restarts' inertia
-    # intervals overlap: only the best restart's k are taken
-    means = _counter(monkeypatch, clustering, "_mean")
-    ties = _counter(monkeypatch, clustering, "_sq_dist", within="_nearest")
-    repairs = _counter(monkeypatch, clustering._Centroids, "gather", within="_lloyd")
-    kmeans(_fedme_many_points(), 8, seed=3, restarts=8)
-    assert ties[0] == repairs[0] == 0
-    assert 0 < means[0] <= 8
-
-
 _SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 
 
-@pytest.mark.parametrize("points, k, seed, restarts, counted, within", [
+@pytest.mark.parametrize("points, k, seed, restarts", [
     # a corner's two nearest corners tie, as do opposite corners' centroids
-    pytest.param(_SQUARE, 2, 0, 4, "_sq_dist", "_nearest", id="near-tie"),
+    pytest.param(_SQUARE, 2, 0, 4, id="near-tie"),
     # three distinct rows for five clusters: seeding repeats a point
     pytest.param(np.random.default_rng(3).normal(size=(3, 5))[[0, 1, 2, 0, 1, 2, 0, 0]],
-                 5, 2, 4, "gather", "_lloyd", id="repair"),
-    # no fallback is counted below: each restart ends at a fixed point.
-    # Rows 1e-13 apart:
+                 5, 2, 4, id="repair"),
+    # rows 1e-13 apart
     pytest.param(np.random.default_rng(1).normal(size=(1, 5))
                  + 1e-13 * np.random.default_rng(2).normal(size=(12, 5)),
-                 3, 0, 2, None, None, id="shift-jitter"),
-    # three copies of a row: their mean is an ulp off the row, weights equal
-    pytest.param(np.array([[0.1] * 3] * 3 + [[5.0] * 3]), 2, 0, 1, None, None,
-                 id="shift-one-ulp"),
+                 3, 0, 2, id="shift-jitter"),
+    # three copies of a row whose mean is an ulp off the row
+    pytest.param(np.array([[0.1] * 3] * 3 + [[5.0] * 3]), 2, 0, 1, id="shift-one-ulp"),
     # left-right and top-bottom halves: other members, the same inertia
-    pytest.param(_SQUARE, 2, 1, 4, "_inertia", None, id="overlapping-inertias"),
+    pytest.param(_SQUARE, 2, 1, 4, id="overlapping-inertias"),
+    # three rows 1e-13 apart at 1e80: repairing the empty clusters one by
+    # one, as the oracle does, empties a later cluster and repairs it in turn
+    pytest.param(_points("jitter", 3, 2, np.random.default_rng(2321961540)) * 10.0 ** 80,
+                 3, 3505749933, 5, id="repair-cascade"),
+    # rows 1e-13 apart at 1e50: every restart puts all points in cluster 0,
+    # and rounding gives each a lower inertia than the one before; the
+    # first restart's stays
+    pytest.param(_points("jitter", 39, 2, np.random.default_rng(429565484)) * 10.0 ** 50,
+                 2, 1334913322, 3, id="same-partition"),
 ])
-def test_kmeans_fallbacks_match_the_oracle(monkeypatch, points, k, seed, restarts,
-                                           counted, within):
-    owner = clustering._Centroids if counted == "gather" else clustering
-    calls = _counter(monkeypatch, owner, counted, within) if counted else None
-    trails = _trails(monkeypatch)
-    assignments, inertia = kmeans(points, k, seed, restarts)
-    if counted is None:
-        assert all(trail[-1] == trail[-2] for trail in trails)
-    else:
-        # the best restart's inertia is always taken once; a second is an overlap
-        assert calls[0] >= (2 if counted == "_inertia" else 1)
-    want_assignments, want_inertia = oracle_kmeans(points, k, seed, restarts)
-    assert np.array_equal(assignments, want_assignments) and inertia == want_inertia
+def test_kmeans_fallbacks_match_the_oracle(points, k, seed, restarts):
+    _assert_matches_oracle(points, k, seed, restarts)
 
 
-def test_kmeans_stops_on_a_cycle_among_duplicated_rows(monkeypatch):
-    # the mean of 8 copies of 0.1 is an ulp off 0.1, so each step the
-    # repaired clusters, each a copy of the row, beat the mean's cluster:
-    # the assignment swings between two clusters and repeats an earlier one
-    points = np.full((8, 3), 0.1)
-    trails = _trails(monkeypatch)
-    kmeans(points, 4, seed=0, restarts=1)
-    (trail,) = trails
-    assert trail[-1] in trail[:-2] and trail[-1] != trail[-2]
+@pytest.mark.parametrize("points, k, want", [
+    # eight copies of 0.1, whose float mean is an ulp off 0.1; weight 1 is exact
+    pytest.param(np.full((8, 3), 0.1), 4, [0] * 8, id="one-row"),
+    # three rows and their copies, one cluster each
+    pytest.param(np.random.default_rng(3).normal(size=(3, 5))[[0, 1, 2, 0, 1, 2, 1, 1]],
+                 3, [0, 1, 2, 0, 1, 2, 1, 1], id="three-rows"),
+])
+def test_kmeans_puts_copies_in_one_cluster_at_zero_inertia(points, k, want):
+    # copies share their row's distances, and a cluster of copies has
+    # weight 1 on its row, whose distance to itself is G_xx - 2 G_xx + G_xx
+    for seed in range(10):
+        assignments, inertia = kmeans(points, k, seed, restarts=1 + seed % 3)
+        assert relabeled(assignments) == want and inertia == 0.0
+
+
+def test_kmeans_stops_on_a_cycle_between_rows_an_ulp_apart(monkeypatch):
+    # 1 and the float below it are 0 apart in the Gram form, so one-row
+    # centroids tie them and both go to cluster 0. The repair's one-row
+    # cluster and the two-row mean split them, and the next step's one-row
+    # centroids tie them again
+    points = np.array([[1.0], [np.nextafter(1.0, 0.0)]])
+    trail, distances = [], clustering._distances
+
+    def recorded(gram, weights):
+        dist = distances(gram, weights)
+        if len(weights) == 2:  # Lloyd's, not a seed's
+            trail.append(dist.argmin(axis=1).tolist())
+        return dist
+
+    monkeypatch.setattr(clustering, "_distances", recorded)
+    assert kmeans(points, 2, seed=0, restarts=1)[0].tolist() == [0, 0]
+    assert trail == [[0, 0], [0, 1], [0, 0]]
     monkeypatch.undo()
-    _assert_matches_oracle(points, 4, seed=0, restarts=1)
+    _assert_matches_oracle(points, 2, seed=0, restarts=1)
 
 
 @pytest.mark.parametrize("restarts", [1, 8])
@@ -280,8 +268,8 @@ def test_kmeans_is_invariant_to_power_of_two_scaling(restarts):
        restarts=st.integers(2, 8))
 def test_kmeans_seeding_reuses_distances_with_the_oracles_bits(
         n, dim, k_share, kind, data_seed, seed, restarts):
-    # k runs up to n and restarts pick the same points again, so the seeding
-    # reads distances it kept from an earlier pick of the same point
+    # k runs up to n and restarts pick the same points again, so seeding
+    # runs out of distinct points and repairs fill the clusters it leaves empty
     points = _points(kind, n, dim, np.random.default_rng(data_seed))
     _assert_matches_oracle(points, 1 + round(k_share * (n - 1)), seed, restarts)
 
@@ -300,51 +288,17 @@ def test_kmeans_matches_the_oracle_near_the_overflow_bound():
     _assert_matches_oracle(points, 2, seed=1, restarts=8)
 
 
-def test_kmeans_seeding_computes_each_distinct_pair_at_most_once(monkeypatch):
-    rng = np.random.default_rng(30)
-    distinct = rng.normal(size=(30, 50))
-    points = distinct[np.concatenate([np.arange(30), rng.integers(0, 30, size=18)])]
-    seeding, rows = [False], [0]
-    sq_dist, init = clustering._sq_dist, clustering._kmeans_pp_init
-
-    def counted_sq_dist(a, b, buf):
-        rows[0] += len(a) if seeding[0] else 0
-        return sq_dist(a, b, buf)
-
-    def flagged_init(*args):
-        seeding[0] = True
-        try:
-            return init(*args)
-        finally:
-            seeding[0] = False
-
-    monkeypatch.setattr(clustering, "_sq_dist", counted_sq_dist)
-    monkeypatch.setattr(clustering, "_kmeans_pp_init", flagged_init)
-    assignments, inertia = kmeans(points, 8, seed=5, restarts=8)
-    assert 0 < rows[0] <= 30 * 29 // 2
-    monkeypatch.undo()
-    want_assignments, want_inertia = oracle_kmeans(points, 8, 5, 8)
-    assert np.array_equal(assignments, want_assignments) and inertia == want_inertia
-
-
-def test_kmeans_matches_the_oracle_when_the_repair_moves_one_copy(monkeypatch):
+def test_kmeans_matches_the_oracle_when_the_repair_moves_one_copy():
     # 3 distinct rows and k = 5: seeding runs out of distinct points and
     # repeats one, so a cluster starts empty and the repair moves one copy of
     # a duplicated row (every point is then 0 from its centroid: point 0)
     rng = np.random.default_rng(3)
     points = rng.normal(size=(3, 5))[[0, 1, 2, 0, 1, 2, 0, 0]]
-    full_rows = []
-    sq_dist = clustering._sq_dist
-    monkeypatch.setattr(clustering, "_sq_dist", lambda a, b, buf: full_rows.append(
-        len(a) == len(points)) or sq_dist(a, b, buf))
     _assert_matches_oracle(points, 5, seed=2, restarts=4)
-    # every restart's inertia takes one full-length distance; the rest repair
-    assert sum(full_rows) > 4
 
 
 def test_kmeans_matches_the_oracle_with_odd_width_rows():
-    # with an odd d, the distinct rows gathered for a distance sit at other
-    # buffer alignments than the same rows among all points
+    # with an odd d, a row's words sit at other alignments than with an even d
     rng = np.random.default_rng(11)
     distinct = rng.dirichlet(np.ones(3), size=(20, 333)).reshape(20, 999)
     points = distinct[rng.integers(0, 20, size=40)]

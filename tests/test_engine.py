@@ -115,7 +115,7 @@ def test_exchange_plan_rejects_self_donor():
 def test_assign_exchanges_respects_clusters():
     assignments = np.array([0, 0, 0, 1, 1, 1, 2])
     for t in range(1, 40):
-        plan = assign_exchanges(assignments, t, seed=11)
+        plan = assign_exchanges(assignments, t, seed=11, k=3)
         for i, donor in plan.donor.items():
             assert donor != i
             if i < 6:
@@ -127,10 +127,10 @@ def test_assign_exchanges_respects_clusters():
 
 def test_assign_exchanges_deterministic_and_round_varying():
     assignments = np.zeros(6, dtype=int)
-    p1 = assign_exchanges(assignments, 3, seed=5)
-    p2 = assign_exchanges(assignments, 3, seed=5)
+    p1 = assign_exchanges(assignments, 3, seed=5, k=1)
+    p2 = assign_exchanges(assignments, 3, seed=5, k=1)
     assert p1.donor == p2.donor
-    others = [assign_exchanges(assignments, t, seed=5).donor for t in range(1, 30)]
+    others = [assign_exchanges(assignments, t, seed=5, k=1).donor for t in range(1, 30)]
     assert any(d != p1.donor for d in others)
 
 
@@ -138,7 +138,7 @@ def test_assign_exchanges_duplicates_possible():
     assignments = np.zeros(8, dtype=int)
     seen_duplicate = False
     for t in range(1, 50):
-        donors = list(assign_exchanges(assignments, t, seed=2).donor.values())
+        donors = list(assign_exchanges(assignments, t, seed=2, k=1).donor.values())
         if len(set(donors)) < len(donors):
             seen_duplicate = True
             break
@@ -150,7 +150,7 @@ def test_assign_exchanges_donor_distribution_uniform():
     counts = {j: 0 for j in (1, 2, 3, 4)}
     draws = 4000
     for t in range(1, draws + 1):
-        counts[assign_exchanges(assignments, t, seed=7).donor[0]] += 1
+        counts[assign_exchanges(assignments, t, seed=7, k=1).donor[0]] += 1
     # Pearson's chi-squared statistic against uniform; the bound is the 0.999
     # quantile of chi-squared with 3 degrees of freedom, so p > 1e-3
     observed = np.array(list(counts.values()))
@@ -170,14 +170,13 @@ def test_a_round_records_its_scheduled_cluster_count(seed):
     assert plan.k == 3
 
 
-def test_scripted_clusters_count_their_largest_label_plus_one():
-    assert assign_exchanges(np.array([0, 0, 1, 1]), 2, seed=0).k == 2
+def test_a_plan_keeps_the_cluster_count_it_is_given():
     assert assign_exchanges(np.array([0, 0, 1, 1]), 2, seed=0, k=3).k == 3
 
 
 def test_assign_exchanges_needs_two_clients():
     with pytest.raises(ValueError):
-        assign_exchanges(np.zeros(1, dtype=int), 1, seed=0)
+        assign_exchanges(np.zeros(1, dtype=int), 1, seed=0, k=1)
 
 
 def test_model_tuning_tie_and_strict():
@@ -212,7 +211,7 @@ def _assignments(draw):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_plan_to_aggregate_contract(assignments, t, seed):
     n = len(assignments)
-    plan = assign_exchanges(assignments, t, seed)
+    plan = assign_exchanges(assignments, t, seed, k=n)
     assert sorted(plan.donor) == list(range(n))
     for i, donor in plan.donor.items():
         assert donor != i

@@ -1,7 +1,9 @@
 """The package holds only what runs use: every public top-level function,
 class, method and property of `src/fedme` is referenced by the package's own
 code, a demo, or the benchmark's tracer, and every private one by the
-package's own code. Code that only tests use lives in `tests/reference.py`."""
+package's own code. Code that only tests use lives in `tests/reference.py`.
+Names are matched without their receiver's type, so each public method or
+property name that several classes define is listed with its uses."""
 import ast
 import os
 
@@ -11,6 +13,14 @@ DEMOS = os.path.join(ROOT, "demos")
 
 # the checkpoint format's reader: users load `client_<i>.model` with it
 EXEMPT = {"nn.deserialize_model"}
+
+# Each public method or property name that several package classes define,
+# with a use of each class's. A new shared name fails the test below until
+# its uses are reviewed and listed here.
+SHARED = {
+    "n": {"data.Dataset": "data.dirichlet_partition reads dataset.n",
+          "data.ClientShard": "cli._cmd_partition reads shard.n"},
+}
 
 
 def _parse(path):
@@ -57,15 +67,20 @@ def _attributes(tree):
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
-def _unused_methods(modules, used, private):
-    """'module.Class.name' of each non-dunder method or property of the
-    classes of `modules`, private or public as `private` says, whose name is
-    not in `used`."""
-    return [f"{module}.{cls.name}.{node.name}" for module, tree in modules.items()
+def _methods(modules):
+    """('module.Class', name) of each non-dunder method or property of the
+    classes of `modules`."""
+    return [(f"{module}.{cls.name}", node.name) for module, tree in modules.items()
             for cls in tree.body if isinstance(cls, ast.ClassDef)
             for node in cls.body if isinstance(node, ast.FunctionDef)
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-            and node.name.startswith("_") == private and node.name not in used]
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _unused_methods(modules, used, private):
+    """'module.Class.name' of each method or property of `_methods`, private
+    or public as `private` says, whose name is not in `used`."""
+    return [f"{cls}.{name}" for cls, name in _methods(modules)
+            if name.startswith("_") == private and name not in used]
 
 
 def _used_outside_the_tests(modules, referenced=_referenced):
@@ -99,3 +114,12 @@ def test_every_private_method_has_a_caller_in_the_package():
     modules = _modules()
     assert _unused_methods(modules, set().union(*map(_attributes, modules.values())),
                            private=True) == []
+
+
+def test_every_shared_public_method_name_is_listed():
+    owners = {}
+    for cls, name in _methods(_modules()):
+        if not name.startswith("_"):
+            owners.setdefault(name, set()).add(cls)
+    assert {name: classes for name, classes in owners.items() if len(classes) > 1} == {
+        name: set(uses) for name, uses in SHARED.items()}

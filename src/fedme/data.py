@@ -33,36 +33,40 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], self.num_classes)
+        return Dataset(self.features[indices], self.labels[indices], self.num_classes)
 
 
 @dataclass
 class ClientShard:
-    """A client's train, validation and test splits, held as row views of one
-    stacked `features`/`labels` pair: split s is rows `ends[s]:ends[s + 1]`,
-    so one forward pass can score any run of consecutive splits. A client is
+    """A client's rows as one read-only `features`/`labels` block, laid out
+    train | validation | test: split s is rows `ends[s]:ends[s + 1]`, so one
+    forward pass can score any run of consecutive splits. `train`,
+    `validation` and `test` are `Dataset` views of the block. A client is
     known by its index in the federation's shard list."""
 
-    train: Dataset
-    validation: Dataset
-    test: Dataset
-    features: np.ndarray = field(init=False, repr=False)
-    labels: np.ndarray = field(init=False, repr=False)
-    ends: tuple[int, int, int, int] = field(init=False)
+    features: np.ndarray  # (N, d)
+    labels: np.ndarray    # (N,)
+    ends: tuple[int, int, int, int]
+    num_classes: int
+    train: Dataset = field(init=False, repr=False)
+    validation: Dataset = field(init=False, repr=False)
+    test: Dataset = field(init=False, repr=False)
 
     def __post_init__(self):
-        splits = (self.train, self.validation, self.test)
-        self.features = np.concatenate([s.features for s in splits])
-        self.labels = np.concatenate([s.labels for s in splits])
-        self.ends = (0, self.train.n, self.train.n + self.validation.n, self.n)
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.ends = tuple(int(e) for e in self.ends)
+        if self.ends[0] != 0 or not self.ends[-1] == len(self.features) == self.n:
+            raise ValueError(f"split ends {self.ends} do not run from 0 to the "
+                             f"block's {self.n} rows")
+        self.features.flags.writeable = self.labels.flags.writeable = False
         self.train, self.validation, self.test = (
-            Dataset(self.features[a:b], self.labels[a:b], s.num_classes)
-            for s, a, b in zip(splits, self.ends, self.ends[1:]))
+            Dataset(self.features[a:b], self.labels[a:b], self.num_classes)
+            for a, b in zip(self.ends, self.ends[1:]))
 
     @property
     def n(self) -> int:
-        return self.train.n + self.validation.n + self.test.n
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -163,20 +167,17 @@ def dirichlet_partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarra
 
 
 def split_shard(dataset: Dataset, indices, seed: int = 0) -> ClientShard:
-    """Seeded shuffle then contiguous train/validation/test cut."""
+    """Seeded shuffle of the client's rows, gathered once into one block and
+    cut contiguously into train | validation | test."""
     ratios = (0.6, 0.2, 0.2)
     idx = np.asarray(indices, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    idx = idx[rng.permutation(len(idx))]
+    idx = idx[np.random.default_rng(seed).permutation(len(idx))]
     sizes = _largest_remainder(np.asarray(ratios, dtype=np.float64), len(idx))
     if sizes.min() < 1:
-        raise ValueError(
-            f"split of {len(idx)} rows at ratios {ratios} "
-            f"leaves an empty partition")
-    bounds = np.cumsum(sizes)[:-1]
-    tr, va, te = np.split(idx, bounds)
-    return ClientShard(dataset.subset(tr), dataset.subset(va),
-                       dataset.subset(te))
+        raise ValueError(f"split of {len(idx)} rows at ratios {ratios} "
+                         f"leaves an empty partition")
+    return ClientShard(dataset.features[idx], dataset.labels[idx],
+                       (0, *np.cumsum(sizes).tolist()), dataset.num_classes)
 
 
 def extract_unlabeled(dataset: Dataset, count: int, seed: int):
@@ -185,9 +186,7 @@ def extract_unlabeled(dataset: Dataset, count: int, seed: int):
         raise ValueError(f"cannot extract {count} unlabeled rows from {dataset.n}")
     rng = np.random.default_rng(seed)
     chosen = rng.choice(dataset.n, size=count, replace=False)
-    mask = np.ones(dataset.n, dtype=bool)
-    mask[chosen] = False
-    return dataset.features[chosen], dataset.subset(np.flatnonzero(mask))
+    return dataset.features[chosen], dataset.subset(np.delete(np.arange(dataset.n), chosen))
 
 
 def label_skew(shards_labels: list[np.ndarray], num_classes: int) -> float:

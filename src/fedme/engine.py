@@ -162,18 +162,17 @@ def assign_exchanges(assignments: np.ndarray, t: int, seed: int,
     Draws are independent per receiver, so duplicate donors are allowed.
     The plan's `k` is the cluster count the round scheduled, which k-means
     may leave without some labels."""
-    assignments = np.asarray(assignments)
+    assignments = np.asarray(assignments).tolist()  # compared as Python ints
     n = len(assignments)
     if n < 2:
         raise ValueError("need at least 2 clients to exchange models")
     donors = {}
     for i in range(n):
-        peers = [j for j in range(n) if j != i and assignments[j] == assignments[i]]
-        if not peers:
-            peers = [j for j in range(n) if j != i]
+        peers = ([j for j in range(n) if j != i and assignments[j] == assignments[i]]
+                 or [j for j in range(n) if j != i])
         rng = np.random.default_rng(derive_seed(seed, TAG_EXCHANGE, t, i))
         donors[i] = peers[rng.integers(len(peers))]
-    return ExchangePlan(t, donors, {i: int(assignments[i]) for i in range(n)}, k)
+    return ExchangePlan(t, donors, dict(enumerate(assignments)), k)
 
 
 def dml_train(models: list[Model], peers: list[Model | None],

@@ -15,7 +15,8 @@ fast, each written once.
   `reference_fedme` (FedMe, or Local-Only with exchange off) and
   `reference_server_models` (Centralized, FedAvg and HypCluster).
 - `toy_federation` and `toy_shards`, the small two-class federation many
-  tests run on, and `scripted_rounds`, which pins a run's choices.
+  tests run on, `stacked_shard`, a shard built from three given splits, and
+  `scripted_rounds`, which pins a run's choices.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from fedme import clustering, engine, nn
 from fedme.clustering import cluster_count
-from fedme.data import Dataset, split_shard
+from fedme.data import ClientShard, Dataset, split_shard
 from fedme.engine import (TAG_BATCH, TAG_EXCHANGE, TAG_INIT, TAG_KMEANS,
                           TAG_SPLIT, ExchangePlan, RoundRecord, derive_seed)
 from fedme.nn import Model
@@ -414,6 +415,14 @@ def toy_federation(num_clients, rows_each=30, seed=0):
 def toy_shards(num_clients, rows_each=30, seed=0):
     """`toy_federation`'s shards."""
     return toy_federation(num_clients, rows_each, seed)[0]
+
+
+def stacked_shard(train: Dataset, validation: Dataset, test: Dataset) -> ClientShard:
+    """The shard whose train, validation and test splits hold these rows."""
+    splits = (train, validation, test)
+    return ClientShard(np.concatenate([s.features for s in splits]),
+                       np.concatenate([s.labels for s in splits]),
+                       np.cumsum([0] + [s.n for s in splits]), train.num_classes)
 
 
 @contextlib.contextmanager

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from fedme import baselines, engine, nn
 from fedme.clustering import cluster_count
-from fedme.data import ClientShard, Dataset, split_shard
+from fedme.data import Dataset, split_shard
 from fedme.engine import TAG_INIT, FedMeConfig, derive_seed
 from fedme.nn import ArchitectureSpec, Model
-from reference import toy_shards
+from reference import stacked_shard, toy_shards
 
 ARCH = ArchitectureSpec(2, (4,), 2)
 TINY = ArchitectureSpec(1, (1,), 2)
@@ -17,7 +17,7 @@ TINY = ArchitectureSpec(1, (1,), 2)
 def _manual_shard(cid, train_n):
     rng = np.random.default_rng(cid)
     mk = lambda n: Dataset(rng.normal(size=(n, 1)), rng.integers(0, 2, size=n), 2)
-    return ClientShard(mk(train_n), mk(2), mk(2))
+    return stacked_shard(mk(train_n), mk(2), mk(2))
 
 
 def test_local_only_no_communication():

@@ -246,16 +246,42 @@ def test_split_shard_splits_are_views_of_one_stack():
     assert np.array_equal(np.sort(shard.features[:, 0]), np.sort(ds.features[7:60, 0]))
 
 
-def test_client_shard_from_separate_datasets_holds_one_copy():
-    rng = np.random.default_rng(2)
-    mk = lambda n: Dataset(rng.normal(size=(n, 3)), rng.integers(0, 2, size=n), 2)
-    train, validation, test = mk(5), mk(2), mk(4)
-    shard = data.ClientShard(train, validation, test)
+@settings(max_examples=100, deadline=None)
+@given(data_=st.data(), n=st.integers(4, 60), d=st.integers(1, 4),
+       m=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_split_shard_gathers_the_seeded_permutation_into_a_read_only_block(
+        data_, n, d, m, seed):
+    rng = np.random.default_rng(seed)
+    ds = Dataset(rng.normal(size=(n, d)), rng.integers(0, m, size=n), m)
+    indices = np.array(data_.draw(
+        st.lists(st.integers(0, n - 1), min_size=4, max_size=n, unique=True),
+        label="indices"))
+    split_seed = data_.draw(st.integers(0, 2 ** 32 - 1), label="split_seed")
+    shard = data.split_shard(ds, indices, seed=split_seed)
+    rows = indices[np.random.default_rng(split_seed).permutation(len(indices))]
+    assert np.array_equal(shard.features, ds.features[rows])
+    assert np.array_equal(shard.labels, ds.labels[rows])
+    sizes = data._largest_remainder(np.array([0.6, 0.2, 0.2]), len(indices))
+    assert shard.ends == (0, *np.cumsum(sizes).tolist())
     _assert_views_of_stack(shard)
-    assert shard.ends == (0, 5, 7, 11)
-    assert np.array_equal(shard.features, np.concatenate(
-        [train.features, validation.features, test.features]))
-    assert not np.shares_memory(shard.features, train.features)
+    for split in (shard.train, shard.validation, shard.test):
+        for block in (split.features, split.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 0
+    assert ds.features.flags.writeable and ds.labels.flags.writeable
+
+
+def test_client_shard_checks_its_ends_against_its_rows():
+    rng = np.random.default_rng(2)
+    features, labels = rng.normal(size=(11, 3)), rng.integers(0, 2, size=11)
+    shard = data.ClientShard(features, labels, (0, 5, 7, 11), 2)
+    _assert_views_of_stack(shard)
+    assert shard.ends == (0, 5, 7, 11) and shard.n == 11
+    for ends in [(1, 5, 7, 11), (0, 5, 7, 10), (0, 5, 7, 12)]:
+        with pytest.raises(ValueError, match="do not run from 0"):
+            data.ClientShard(features, labels, ends, 2)
+    with pytest.raises(ValueError, match="do not run from 0"):
+        data.ClientShard(features[:10], labels, (0, 5, 7, 11), 2)
 
 
 def test_split_shard_rounding_keeps_total():

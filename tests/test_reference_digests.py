@@ -22,9 +22,11 @@ from fedme import harness  # noqa: E402
                          + [("fedme-desk", 0), ("baselines-desk", 0),
                             ("fedme-many", 0), ("fedme-desk", 3),
                             ("fedme-many", 3)])
-def test_outputs_match_reference_digest(name, seed, tmp_path):
+def test_outputs_match_reference_digest(name, seed, tmp_path, blas_core):
     runner = worker.Runner(harness, name, [seed], str(tmp_path),
                            worker.load_reference())
     out = runner.execute(seed)
     assert out["problems"] == []
-    assert out["digest_match"]
+    recorded = runner.reference.get(str(seed), {}).get("sha256")
+    assert out["digest_match"], (f"{name} seed {seed} on BLAS core {blas_core}: "
+                                 f"sha256 {out['sha256']}, recorded {recorded}")

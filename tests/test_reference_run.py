@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedme import baselines, engine
-from fedme.data import ClientShard, Dataset
+from fedme.data import Dataset
 from fedme.engine import FedMeConfig
 from fedme.nn import ArchitectureSpec
-from reference import reference_fedme, reference_server_models
+from reference import reference_fedme, reference_server_models, stacked_shard
 
 # fan-in at most 16 into every layer, and no layer one unit wide
 WIDTHS = st.lists(st.integers(2, 16), min_size=1, max_size=3).map(tuple)
@@ -41,9 +41,9 @@ def _runs(draw):
         return Dataset(rng.normal(size=(rows, dim)) + 2.0 * rng.normal(size=(1, dim)),
                        rng.integers(0, classes, size=rows), classes)
 
-    shards = [ClientShard(split(draw(st.integers(2, 24), label="train")),
-                          split(draw(st.integers(2, 8), label="val")),
-                          split(draw(st.integers(2, 8), label="test")))
+    shards = [stacked_shard(split(draw(st.integers(2, 24), label="train")),
+                            split(draw(st.integers(2, 8), label="val")),
+                            split(draw(st.integers(2, 8), label="test")))
               for _ in range(n)]
     pool = rng.normal(size=(draw(st.integers(1, 12), label="pool"), dim))
     thresholds = draw(st.lists(st.integers(1, 5), max_size=3, unique=True),

@@ -7,8 +7,7 @@ alpha means each client sees only a few classes; IID is the flat baseline.
 """
 import numpy as np
 
-from fedme import (PartitionSpec, dirichlet_partition, generate_synthetic,
-                   label_skew)
+from fedme import dirichlet_partition, generate_synthetic, label_skew
 
 dataset = generate_synthetic(num_classes=4, dim=16, per_class_count=200,
                              class_separation=3.0, noise_sigma=1.5, seed=0)
@@ -16,9 +15,8 @@ print(f"dataset: {dataset.n} rows, {dataset.dim} features, "
       f"{dataset.num_classes} classes\n")
 
 for alpha in (0.1, 0.5, 5.0, None):
-    spec = PartitionSpec(num_clients=8, alpha_label=alpha, alpha_size=10.0,
-                         seed=7)
-    parts = dirichlet_partition(dataset, spec)
+    parts = dirichlet_partition(dataset, 8, alpha_label=alpha, alpha_size=10.0,
+                                seed=7)
     skew = label_skew([dataset.labels[p] for p in parts], dataset.num_classes)
     name = "iid" if alpha is None else f"alpha={alpha}"
     print(f"--- {name}  (label skew {skew:.3f}) ---")

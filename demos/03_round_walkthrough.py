@@ -7,14 +7,14 @@ aggregated result. The table shows who borrowed from whom and which lineage
 each client kept as the cluster count opens up; the last line sums where the
 rounds' wall time went, span by span.
 """
-from fedme import (ArchitectureSpec, FedMeConfig, PartitionSpec,
-                   dirichlet_partition, extract_unlabeled, generate_synthetic,
-                   run_fedme, split_shard)
+from fedme import (ArchitectureSpec, FedMeConfig, dirichlet_partition,
+                   extract_unlabeled, generate_synthetic, run_fedme,
+                   split_shard)
 
 dataset = generate_synthetic(num_classes=3, dim=8, per_class_count=150,
                              class_separation=3.0, noise_sigma=1.2, seed=4)
 pool, rest = extract_unlabeled(dataset, count=60, seed=4)
-parts = dirichlet_partition(rest, PartitionSpec(6, alpha_label=0.5, seed=4))
+parts = dirichlet_partition(rest, 6, alpha_label=0.5, alpha_size=10.0, seed=4)
 shards = [split_shard(rest, idx, seed=i) for i, idx in enumerate(parts)]
 
 archs = [ArchitectureSpec(8, widths, 3)

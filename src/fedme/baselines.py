@@ -6,8 +6,6 @@ apples-to-apples; every training call starts from zero momentum.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import nn
@@ -85,10 +83,9 @@ def _run_server_models(train_sets: list[Dataset], shards: list[ClientShard],
 def run_local_only(shards: list[ClientShard], archs: list[ArchitectureSpec],
                    config: FedMeConfig):
     """Each client trains its own model for rounds*epochs epochs, no
-    communication: the FedMe round path with no pool, and so with one
-    cluster and no donors. Returns (per-client models, round records, laps)."""
-    models, records, laps = run_fedme(shards, archs, None, config)
-    return models, [replace(r, cluster=None, a=None) for r in records], laps
+    communication: the FedMe round path with no pool, and so with no
+    clusters and no donors. Returns (per-client models, round records, laps)."""
+    return run_fedme(shards, archs, None, config)
 
 
 def pool_train_splits(shards: list[ClientShard]) -> Dataset:

@@ -94,7 +94,7 @@ def _cmd_partition(args) -> None:
             print(f"{i},{shard.train.n},{shard.validation.n},"
                   f"{shard.test.n}," + ",".join(str(h) for h in hist))
     else:
-        sizes = [shard.n for shard in shards]
+        sizes = [len(shard.labels) for shard in shards]
         print(f"{len(shards)} clients, sizes min={min(sizes)} max={max(sizes)}, "
               f"unlabeled pool {len(pool)} rows")
 

@@ -56,32 +56,14 @@ class ClientShard:
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.ends = tuple(int(e) for e in self.ends)
-        if self.ends[0] != 0 or not self.ends[-1] == len(self.features) == self.n:
+        rows = len(self.labels)
+        if self.ends[0] != 0 or not self.ends[-1] == len(self.features) == rows:
             raise ValueError(f"split ends {self.ends} do not run from 0 to the "
-                             f"block's {self.n} rows")
+                             f"block's {rows} rows")
         self.features.flags.writeable = self.labels.flags.writeable = False
         self.train, self.validation, self.test = (
             Dataset(self.features[a:b], self.labels[a:b], self.num_classes)
             for a, b in zip(self.ends, self.ends[1:]))
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-
-@dataclass(frozen=True)
-class PartitionSpec:
-    num_clients: int
-    alpha_label: float | None = 0.5  # None means IID; alpha_size is then unused
-    alpha_size: float = 10.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_clients < 2:
-            raise ValueError(f"need at least 2 clients, got {self.num_clients}")
-        if self.alpha_label is not None and not all(
-                0 < a < np.inf for a in (self.alpha_label, self.alpha_size)):
-            raise ValueError("Dirichlet alphas must be finite and strictly positive")
 
 
 def generate_synthetic(num_classes: int, dim: int, per_class_count: int,
@@ -113,27 +95,35 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     return quotas
 
 
-def dirichlet_partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarray]:
+def dirichlet_partition(dataset: Dataset, num_clients: int, *,
+                        alpha_label: float | None, alpha_size: float,
+                        seed: int) -> list[np.ndarray]:
     """Row-index sets per client, sorted: an equal-size random split when
-    `spec.alpha_label` is None (IID), else by size and label Dirichlet draws.
+    `alpha_label` is None (IID; `alpha_size` is then unused), else by size
+    and label Dirichlet draws.
 
     Client sizes come from Dirichlet(alpha_size); per-class proportions from
     Dirichlet(alpha_label). Label assignments are then repaired against the
     size quotas so the result is an exact partition with every client holding
     at least num_classes rows.
     """
-    n, m, k = dataset.n, dataset.num_classes, spec.num_clients
+    n, m, k = dataset.n, dataset.num_classes, num_clients
+    if k < 2:
+        raise ValueError(f"need at least 2 clients, got {k}")
+    if alpha_label is not None and not all(
+            0 < a < np.inf for a in (alpha_label, alpha_size)):
+        raise ValueError("Dirichlet alphas must be finite and strictly positive")
     if n < k * m:
         raise ValueError(f"infeasible partition: {n} rows < {k} clients x {m} classes")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     owner = np.empty(n, dtype=np.int64)
 
-    if spec.alpha_label is None:
+    if alpha_label is None:
         owner[rng.permutation(n)] = np.repeat(np.arange(k),
                                               _largest_remainder(np.ones(k), n))
         return [np.flatnonzero(owner == i) for i in range(k)]
 
-    quotas = _largest_remainder(rng.dirichlet(np.full(k, spec.alpha_size)), n)
+    quotas = _largest_remainder(rng.dirichlet(np.full(k, alpha_size)), n)
     # every client must end with at least m rows
     while quotas.min() < m:
         quotas[int(np.argmin(quotas))] += 1
@@ -144,7 +134,7 @@ def dirichlet_partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarra
     for c in range(m):
         rows = np.flatnonzero(dataset.labels == c)
         rows = rows[rng.permutation(len(rows))]
-        counts = _largest_remainder(rng.dirichlet(np.full(k, spec.alpha_label)),
+        counts = _largest_remainder(rng.dirichlet(np.full(k, alpha_label)),
                                     len(rows))
         owner[rows] = np.repeat(np.arange(k), counts)
         dealt.append(rows)
@@ -166,7 +156,7 @@ def dirichlet_partition(dataset: Dataset, spec: PartitionSpec) -> list[np.ndarra
     return [np.flatnonzero(owner == i) for i in range(k)]
 
 
-def split_shard(dataset: Dataset, indices, seed: int = 0) -> ClientShard:
+def split_shard(dataset: Dataset, indices, seed: int) -> ClientShard:
     """Seeded shuffle of the client's rows, gathered once into one block and
     cut contiguously into train | validation | test."""
     ratios = (0.6, 0.2, 0.2)

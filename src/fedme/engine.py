@@ -51,8 +51,8 @@ def derive_seed(*keys: int) -> np.random.SeedSequence:
 @dataclass
 class ExchangePlan:
     """Who borrows whose model this round; a client missing from `donor`
-    borrows nothing, and with no donors every lineage is its owner's model
-    alone."""
+    borrows nothing, one missing from `cluster_of` is in no cluster, and with
+    no donors every lineage is its owner's model alone."""
 
     round: int
     donor: dict[int, int]
@@ -216,11 +216,11 @@ def redistribute(aggregated: dict[int, Model],
 def _plan_round(models: list[Model], pool: np.ndarray | None, t: int,
                 config: FedMeConfig, laps: Laps) -> ExchangePlan:
     """Cluster the clients on their pool predictions and draw one donor each.
-    A round with no pool, as every Local-Only round, is one cluster with no
+    A round with no pool, as every Local-Only round, plans no clusters and no
     donors. A round with several clusters laps the pool forward and k-means."""
     n = len(models)
     if pool is None:
-        return ExchangePlan(t, {}, dict.fromkeys(range(n), 0), 1)
+        return ExchangePlan(t, {}, {}, 1)
     k = cluster_count(t, config.cluster_thresholds, config.k_max, n)
     assignments = np.zeros(n, dtype=np.int64)
     if k > 1:
@@ -237,22 +237,21 @@ def _plan_round(models: list[Model], pool: np.ndarray | None, t: int,
 def _select(cid: int, model: Model, peer: Model | None, shard: ClientShard,
             plan: ExchangePlan, config: FedMeConfig) -> RoundRecord:
     """Score client `cid`'s trained model and borrowed `peer`, then pick the
-    lineage it keeps. A client that borrows nothing keeps its own lineage; if
-    it also lends nothing, as every client of a Local-Only run (the run with
-    no pool, so one cluster and no donors), its next model has its trained
-    model's bits, so one pass also scores its test split and the record
-    takes its accuracies from it; every other record's are filled in later."""
+    lineage it keeps. A client that borrows nothing keeps its own lineage
+    and records no adoption (`a` None); if it also lends nothing, as every
+    client of a Local-Only run, its next model has its trained model's bits,
+    so one pass also scores its test split and the record takes its
+    accuracies from it; every other record's are filled in later."""
     t, donor = plan.round, plan.donor.get(cid)
     alone = donor is None and cid not in plan.donor.values()
     scores = nn.evaluate_splits(model, shard.features, shard.labels,
                                 shard.ends if alone else shard.ends[:3])
     (loss_p_train, _), (loss_p_val, _) = scores[:2]
-    loss_ex_train = loss_ex_val = None
+    loss_ex_train = loss_ex_val = a = None
     if donor is not None:
         (loss_ex_train, _), (loss_ex_val, _) = nn.evaluate_splits(
             peer, shard.features, shard.labels, shard.ends[:3])
-    a = (model_tuning(loss_p_val, loss_ex_val, cid, donor)
-         if config.tuning and donor is not None else cid)
+        a = model_tuning(loss_p_val, loss_ex_val, cid, donor) if config.tuning else cid
     val_acc = test_acc = float("nan")
     if alone:  # its trained model is its next model
         (_, val_acc), (_, test_acc) = scores[1:]
@@ -267,7 +266,7 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
               pool: np.ndarray | None, config: FedMeConfig):
     """Run the full exchange/train/tune/aggregate/redistribute loop; returns
     (final per-client models, round records, laps). Local-Only is the run
-    with no pool, and so with one cluster and no donors every round."""
+    with no pool, and so with no clusters and no donors every round."""
     if len(archs) != len(shards):
         raise ValueError("need one architecture per client")
     models = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, i))
@@ -297,7 +296,8 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
         laps.lap(t, "score_ms")
 
         models = redistribute(aggregate(models, {i: peers[i] for i in plan.donor}, plan),
-                              {r.client: r.a for r in round_records})
+                              {r.client: r.client if r.a is None else r.a
+                               for r in round_records})
         # the trained peers, and the training stacks their parameters are
         # rows of, are dead weight through the next round's k-means
         del peers
@@ -314,11 +314,17 @@ def run_fedme(shards: list[ClientShard], archs: list[nn.ArchitectureSpec],
 
 
 def fine_tune(models: list[Model], shards: list[ClientShard],
-              config: FedMeConfig) -> list[Model]:
+              config: FedMeConfig) -> tuple[list[Model], list[float]]:
     """Each client's model retrained by plain cross-entropy on its own train
-    split, for `config.epochs` epochs, in one lockstep call."""
+    split, for `config.epochs` epochs, in one lockstep call, then scored on
+    its test split. Returns (tuned models, test accuracies)."""
     jobs = [nn.Job(model, None, shard.train.features, shard.train.labels,
                    np.random.default_rng(derive_seed(config.seed, TAG_FINE_TUNE, i)))
             for i, (model, shard) in enumerate(zip(models, shards, strict=True))]
     with locate_divergence("fine-tuning"):
-        return [model for model, _ in nn.train(jobs, config)]
+        tuned = [model for model, _ in nn.train(jobs, config)]
+        # finite parameters can still overflow when scored
+        scores = [nn.evaluate(model, shard.test.features, shard.test.labels)
+                  for model, shard in zip(tuned, shards)]
+        check_outputs([loss for loss, _ in scores], config.lr)
+    return tuned, [acc for _, acc in scores]

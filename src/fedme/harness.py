@@ -13,8 +13,8 @@ import numpy as np
 from . import nn
 from .baselines import (run_centralized, run_fedavg, run_hypcluster,
                         run_local_only)
-from .data import (ClientShard, PartitionSpec, dirichlet_partition,
-                   extract_unlabeled, generate_synthetic, split_shard)
+from .data import (ClientShard, dirichlet_partition, extract_unlabeled,
+                   generate_synthetic, split_shard)
 from .engine import (SPANS, TAG_PROBE, TAG_SPLIT, FedMeConfig, Laps,
                      RoundRecord, check_outputs, derive_seed, fine_tune,
                      locate_divergence, run_fedme)
@@ -235,11 +235,11 @@ def build_federation(config: ExperimentConfig, seed: int):
                                  config.class_separation, config.noise_sigma,
                                  seed)
     pool, remainder = extract_unlabeled(dataset, config.unlabeled_count, seed)
-    spec = PartitionSpec(config.num_clients, alpha_label=config.alpha_label,
-                         alpha_size=config.alpha_size, seed=seed)
     shards, where = [], ""
     try:
-        for i, idx in enumerate(dirichlet_partition(remainder, spec)):
+        for i, idx in enumerate(dirichlet_partition(
+                remainder, config.num_clients, alpha_label=config.alpha_label,
+                alpha_size=config.alpha_size, seed=seed)):
             where = f"client {i}: "
             shards.append(split_shard(remainder, idx,
                                       seed=derive_seed(seed, TAG_SPLIT, i)))
@@ -288,13 +288,8 @@ def run_single(config: ExperimentConfig, seed: int,
         pre = [final[i].test_acc for i in range(len(shards))]
         val = [final[i].val_acc for i in range(len(shards))]
         if config.fine_tune_epochs > 0:
-            tune = replace(config, epochs=config.fine_tune_epochs)
-            tuned = fine_tune(models, shards, tune)
-            with locate_divergence("fine-tuning"):
-                scores = [nn.evaluate(m, s.test.features, s.test.labels)
-                          for m, s in zip(tuned, shards)]
-                check_outputs([loss for loss, _ in scores], config.lr)
-            post = [acc for _, acc in scores]
+            tuned, post = fine_tune(models, shards,
+                                    replace(config, epochs=config.fine_tune_epochs))
         else:
             tuned, post = models, pre
     except nn.DivergenceError as exc:

@@ -294,8 +294,7 @@ def _sgd_update(params: np.ndarray, buf: np.ndarray, grad: np.ndarray,
 
 
 def sgd_step(model: Model, buf: np.ndarray, grad: np.ndarray, lr: float,
-             momentum: float = 0.0,
-             weight_decay: float = 0.0) -> tuple[Model, np.ndarray]:
+             momentum: float, weight_decay: float) -> tuple[Model, np.ndarray]:
     """Classical momentum SGD; weight decay is added to the gradient first.
     Returns the stepped (model, momentum buffer) copies and leaves `model`,
     `buf` and `grad` unchanged. A non-finite gradient raises `ValueError`."""
@@ -556,8 +555,10 @@ def _train_cohort(jobs: list[Job], params,
     place = np.empty(len(models), dtype=np.int64)
     place[ordered] = np.arange(len(ordered))
     jb = np.array(job_of)[ordered]
+    # a batch size above every job's row count (beyond int64, say) takes each
+    # job's rows whole, as the largest row count does
     plan = _plan(blocks, n[jb], first[jb], place[np.array(partner)[ordered]], order,
-                 Y, params.batch_size, params.epochs)
+                 Y, min(params.batch_size, int(n.max())), params.epochs)
     del order, Y
 
     for steps in plan:

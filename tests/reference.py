@@ -8,7 +8,8 @@ fast, each written once.
   a stack of one) and `softmax_oracle` (the row max and row sum both taken
   along each row).
 - Layer oracles: `reference_train` (the epoch/batch loop over `batch_grads`
-  and `nn.sgd_step`), `evaluate_oracle` (one split scored alone),
+  and `nn.sgd_step`), `splits_oracle` (consecutive splits scored from one
+  forward pass over their rows), `evaluate_oracle` (one split scored alone),
   `oracle_kmeans` (Lloyd in the Gram form, each rule written out from its
   definition) and `best_partition_inertia` (the exhaustive optimum).
 - Run references built from those oracles with plain loops:
@@ -163,12 +164,26 @@ def reference_train(model, peer, mutual, x, y, params, rng):
     return model, peer
 
 
+def splits_oracle(model, features, labels, ends):
+    """(loss, accuracy) of each split `ends[s]:ends[s + 1]`: one cached
+    forward pass over rows `ends[0]:ends[-1]`, then `cross_entropy` and the
+    mean of argmax hits on each split's rows of it. BLAS may round a row by
+    the rows it is computed with, so this scores the rows `evaluate_splits`
+    forwards together, together."""
+    start = ends[0]
+    probs = cached_probs(model, features[start:ends[-1]])
+    scores = []
+    for a, b in zip(ends, ends[1:]):
+        split, y = probs[a - start:b - start], labels[a:b]
+        scores.append((cross_entropy(split, y),
+                       float(np.mean(np.argmax(split, axis=1) == y))))
+    return scores
+
+
 def evaluate_oracle(model, features, labels):
-    """The scoring path before `evaluate_splits`: a cached forward pass, then
-    `cross_entropy` and the mean of argmax hits on this split alone."""
-    probs = cached_probs(model, features)
-    return (cross_entropy(probs, labels),
-            float(np.mean(np.argmax(probs, axis=1) == labels)))
+    """The scoring path before `evaluate_splits`: `splits_oracle` on this
+    split alone."""
+    return splits_oracle(model, features, labels, (0, len(labels)))[0]
 
 
 def best_partition_inertia(points, k):
@@ -280,8 +295,9 @@ def oracle_kmeans(points, k, seed, restarts):
 # --------------------------------------------------------- run references
 
 
-def _scores(model, splits):
-    return [evaluate_oracle(model, s.features, s.labels) for s in splits]
+def _scores(model, shard, first, stop):
+    """`shard`'s splits `first` to `stop - 1`, scored from one pass."""
+    return splits_oracle(model, shard.features, shard.labels, shard.ends[first:stop + 1])
 
 
 def reference_fedme(shards, archs, pool, config, exchange=True):
@@ -291,7 +307,10 @@ def reference_fedme(shards, archs, pool, config, exchange=True):
     The random streams are the engine's: the same `derive_seed` tags and
     keys. Where the order of a sum sets the bits, the arithmetic is the
     engine's: a lineage is the `np.mean` of its owner's trained model, then
-    the copies borrowed from it in receiver order."""
+    the copies borrowed from it in receiver order. So are the rows scored
+    together: a model's train and validation splits, and its next model's
+    validation and test splits; a Local-Only client's next model has its
+    trained model's bits, and both are scored on all three splits at once."""
     n = len(shards)
     models = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, i))
               for i, arch in enumerate(archs)]
@@ -324,12 +343,11 @@ def reference_fedme(shards, archs, pool, config, exchange=True):
         losses, selected = [], []
         for i, shard in enumerate(shards):
             (loss_p_train, _), (loss_p_val, _) = _scores(
-                trained[i], (shard.train, shard.validation))
+                trained[i], shard, 0, 2 if exchange else 3)[:2]
             loss_ex_train = loss_ex_val = None
             a = i
             if i in borrowed:
-                (loss_ex_train, _), (loss_ex_val, _) = _scores(
-                    borrowed[i], (shard.train, shard.validation))
+                (loss_ex_train, _), (loss_ex_val, _) = _scores(borrowed[i], shard, 0, 2)
                 if config.tuning and not loss_p_val <= loss_ex_val:  # a tie keeps its own
                     a = donor[i]
             losses.append((loss_p_train, loss_ex_train, loss_p_val, loss_ex_val))
@@ -343,7 +361,8 @@ def reference_fedme(shards, archs, pool, config, exchange=True):
         models = [lineages[a] for a in selected]
 
         for i, shard in enumerate(shards):
-            (_, val_acc), (_, test_acc) = _scores(models[i], (shard.validation, shard.test))
+            first = 1 if exchange else 0  # Local-Only's three splits at once
+            (_, val_acc), (_, test_acc) = _scores(models[i], shard, first, 3)[-2:]
             loss_p_train, loss_ex_train, loss_p_val, loss_ex_val = losses[i]
             records.append(RoundRecord(
                 round=t, client=i, k=k, cluster=cluster[i] if exchange else None,
@@ -362,16 +381,21 @@ def reference_server_models(train_sets, shards, arch, config, q):
     Each round, unit i trains a copy of the global model whose validation
     loss on shard i is least (the first on ties), and each global model
     becomes the train-row-weighted mean of the copies trained from it, as
-    the engine sums it: `np.einsum("i,ij->j", w / w.sum(), ...)`."""
+    the engine sums it: `np.einsum("i,ij->j", w / w.sum(), ...)`. As the
+    engine does, a global model's scores come from one pass over every
+    shard's rows, in shard order: split s of shard i is split 3 * i + s."""
     globals_ = [nn.init_model(arch, derive_seed(config.seed, TAG_INIT, g))
                 for g in range(q)]
+    features = np.concatenate([s.features for s in shards])
+    labels = np.concatenate([s.labels for s in shards])
+    ends = np.cumsum([0] + [len(split.labels) for s in shards
+                            for split in (s.train, s.validation, s.test)])
     choices = [0] * len(shards)
     records = []
     for t in range(1, config.rounds + 1):
         if q > 1:
-            val_loss = [[evaluate_oracle(g, s.validation.features, s.validation.labels)[0]
-                         for s in shards] for g in globals_]
-            choices = [min(range(q), key=lambda g: val_loss[g][i])
+            scores = [splits_oracle(g, features, labels, ends) for g in globals_]
+            choices = [min(range(q), key=lambda g: scores[g][3 * i + 1][0])
                        for i in range(len(shards))]
         trained = []
         for i, train in enumerate(train_sets):
@@ -384,9 +408,10 @@ def reference_server_models(train_sets, shards, arch, config, q):
                 w = np.array([float(train_sets[i].n) for i in units])
                 globals_[g] = Model(arch, np.einsum(
                     "i,ij->j", w / w.sum(), np.stack([trained[i].params for i in units])))
-        for i, shard in enumerate(shards):
-            (loss_train, _), (loss_val, val_acc), (_, test_acc) = _scores(
-                globals_[choices[i]], (shard.train, shard.validation, shard.test))
+        scores = [splits_oracle(g, features, labels, ends) for g in globals_]
+        for i in range(len(shards)):
+            (loss_train, _), (loss_val, val_acc), (_, test_acc) = (
+                scores[choices[i]][3 * i:3 * i + 3])
             records.append(RoundRecord(
                 round=t, client=i, k=q, cluster=None, donor=None, a=None,
                 loss_p_train=loss_train, loss_ex_train=None, loss_p_val=loss_val,

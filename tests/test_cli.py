@@ -1,7 +1,16 @@
+import contextlib
+import io
+import os
+import re
+import tempfile
 import warnings
+from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedme import harness, nn
 from fedme.cli import main
@@ -199,9 +208,14 @@ def _probes_overflow(monkeypatch):
 
 
 def _fine_tuning_overflows(monkeypatch):
+    # the phase's own training returns models whose scores overflow
     fine_tune = harness.fine_tune
-    monkeypatch.setattr(harness, "fine_tune", lambda models, shards, config: [
-        _huge(model) for model in fine_tune(models, shards, config)])
+
+    def overflowing(models, shards, config):
+        _probes_overflow(monkeypatch)
+        return fine_tune(models, shards, config)
+
+    monkeypatch.setattr(harness, "fine_tune", overflowing)
 
 
 # in the last two cases the trained models' parameters are all 1e200:
@@ -311,3 +325,53 @@ def test_partition_command_names_the_keys_of_a_bad_partition(tmp_path, capsys):
     assert main(["partition", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "'alpha_size'" in err
+
+
+# a federation small enough to run in a few tens of milliseconds, probing two
+# candidates, clustering in round 2 and fine-tuning
+FUZZED = {"num_clients": "3", "rounds": "2", "epochs": "1", "batch_size": "8",
+          "num_classes": "2", "dim": "3", "per_class_count": "20",
+          "unlabeled_count": "6", "model_menu": "3|3,3", "cluster_thresholds": "2",
+          "probe_epochs": "1", "fine_tune_epochs": "1", "repeats": "1"}
+_SETTINGS = [(f.name, type(getattr(harness.ExperimentConfig(algorithm="fedme"), f.name)))
+             for f in fields(harness.ExperimentConfig)]
+# ints larger than these few would loop or allocate for hours, except where a
+# key's value only seeds a stream or caps a count
+EDITS = ([(key, value) for key, kind in _SETTINGS if kind is float
+          for value in ("0", "-1", "1e300", "-1e300", "1e-300", "nan", "inf")]
+         + [(key, value) for key, kind in _SETTINGS if kind is int
+            for value in ("-1", "0", "1", "2")]
+         + [(key, str(10 ** 20)) for key in ("seed", "k_max", "batch_size")])
+PHASE = re.compile(r"error: \w+, data seed \d+, (best-local probing|round \d+|fine-tuning): ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(algorithm=st.sampled_from(harness.ALGORITHMS),
+       edits=st.lists(st.sampled_from(EDITS), min_size=1, max_size=2,
+                      unique_by=lambda edit: edit[0]))
+@example(algorithm="fedme", edits=[("batch_size", str(10 ** 20))])
+def test_any_config_edit_runs_or_fails_by_name(algorithm, edits):
+    # a run ends in one of three ways: it succeeds; it exits 1 naming a key,
+    # before anything trains; or it exits 2 naming the phase that diverged.
+    # numpy warns of nothing on the way; only the stall warning may show
+    values = dict(FUZZED, algorithm=algorithm, **dict(edits))
+    trained, train = [], nn.train
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(nn, "train", lambda *a: trained.append(a) or train(*a)), \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        path = os.path.join(tmp, "exp.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"{key} = {value}\n" for key, value in values.items()))
+        code = main(["run", "--config", path])
+    err = err.getvalue()
+    assert [str(w.message) for w in caught
+            if "no better than a uniform guess" not in str(w.message)] == []
+    if code == 1:
+        assert re.match(r"config error: .*keys? '", err) and not trained, err
+    elif code == 2:
+        assert PHASE.match(err), err
+    else:
+        assert code == 0, err

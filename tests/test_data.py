@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedme import data
-from fedme.data import Dataset, PartitionSpec
+from fedme.data import Dataset
 
 
 def _toy(n=120, m=4, d=3, seed=0):
@@ -59,23 +59,30 @@ def test_generate_synthetic_rejects_degenerate_sizes():
 
 
 def test_partition_spec_validation():
-    with pytest.raises(ValueError):
-        PartitionSpec(1)
-    with pytest.raises(ValueError):
-        PartitionSpec(3, alpha_label=0.0)
+    ds = _toy(60, 4)
+
+    def partition(k, alpha_label=0.5, alpha_size=10.0):
+        return data.dirichlet_partition(ds, k, alpha_label=alpha_label,
+                                        alpha_size=alpha_size, seed=0)
+
+    with pytest.raises(ValueError, match="need at least 2 clients, got 1"):
+        partition(1)
+    alphas = "Dirichlet alphas must be finite and strictly positive"
+    with pytest.raises(ValueError, match=alphas):
+        partition(3, alpha_label=0.0)
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError):
-            PartitionSpec(3, alpha_label=bad)
-        with pytest.raises(ValueError):
-            PartitionSpec(3, alpha_size=bad)
-    PartitionSpec(3, alpha_label=None, alpha_size=0.0)  # alpha_size unused under IID
+        with pytest.raises(ValueError, match=alphas):
+            partition(3, alpha_label=bad)
+        with pytest.raises(ValueError, match=alphas):
+            partition(3, alpha_size=bad)
+    assert len(partition(3, alpha_label=None, alpha_size=0.0)) == 3  # unused under IID
 
 
 @pytest.mark.parametrize("iid", [False, True])
 def test_partition_is_exact(iid):
     ds = _toy(200, 4)
-    spec = PartitionSpec(7, alpha_label=None if iid else 0.5, seed=5)
-    parts = data.dirichlet_partition(ds, spec)
+    parts = data.dirichlet_partition(ds, 7, alpha_label=None if iid else 0.5,
+                                     alpha_size=10.0, seed=5)
     assert len(parts) == 7
     merged = np.sort(np.concatenate(parts))
     assert np.array_equal(merged, np.arange(200))
@@ -94,24 +101,23 @@ def test_partition_uses_every_row_once_and_gives_each_client_num_classes(
     k = data_.draw(st.integers(2, n // m), label="num_clients")
     labels = np.random.default_rng(seed).integers(0, m, size=n)
     ds = Dataset(np.zeros((n, 1)), labels, m)
-    spec = PartitionSpec(k, alpha_label=None if iid else alpha_label,
-                         alpha_size=alpha_size, seed=seed)
-    parts = data.dirichlet_partition(ds, spec)
+    parts = data.dirichlet_partition(ds, k, alpha_label=None if iid else alpha_label,
+                                     alpha_size=alpha_size, seed=seed)
     assert len(parts) == k
     assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
     assert min(len(part) for part in parts) >= m
 
 
-def _bucket_partition(dataset, spec):
+def _bucket_partition(dataset, k, *, alpha_label, alpha_size, seed):
     """The per-client, per-class bucket-list partition that the owner-vector
     `dirichlet_partition` replaced, kept as its oracle; None means IID."""
-    n, m, k = dataset.n, dataset.num_classes, spec.num_clients
-    rng = np.random.default_rng(spec.seed)
-    if spec.alpha_label is None:
+    n, m = dataset.n, dataset.num_classes
+    rng = np.random.default_rng(seed)
+    if alpha_label is None:
         perm = rng.permutation(n)
         quotas = data._largest_remainder(np.ones(k), n)
         return [np.sort(part) for part in np.split(perm, np.cumsum(quotas)[:-1])]
-    quotas = data._largest_remainder(rng.dirichlet(np.full(k, spec.alpha_size)), n)
+    quotas = data._largest_remainder(rng.dirichlet(np.full(k, alpha_size)), n)
     while quotas.min() < m:
         quotas[int(np.argmin(quotas))] += 1
         quotas[int(np.argmax(quotas))] -= 1
@@ -120,7 +126,7 @@ def _bucket_partition(dataset, spec):
         idx_c = np.flatnonzero(dataset.labels == c)
         idx_c = idx_c[rng.permutation(len(idx_c))]
         counts = data._largest_remainder(
-            rng.dirichlet(np.full(k, spec.alpha_label)), len(idx_c))
+            rng.dirichlet(np.full(k, alpha_label)), len(idx_c))
         for i, part in enumerate(np.split(idx_c, np.cumsum(counts)[:-1])):
             buckets[i][c] = list(part)
     sizes = np.array([sum(len(b) for b in bucket) for bucket in buckets])
@@ -162,9 +168,10 @@ def test_partition_matches_the_bucket_list_oracle(
     if sorted_labels:
         labels = np.sort(labels)
     ds = Dataset(np.zeros((n, 1)), labels, m)
-    spec = PartitionSpec(k, alpha_label=None if iid else alpha_label,
-                         alpha_size=alpha_size, seed=seed)
-    _assert_same_parts(data.dirichlet_partition(ds, spec), _bucket_partition(ds, spec))
+    spec = dict(alpha_label=None if iid else alpha_label, alpha_size=alpha_size,
+                seed=seed)
+    _assert_same_parts(data.dirichlet_partition(ds, k, **spec),
+                       _bucket_partition(ds, k, **spec))
 
 
 def test_partition_matches_the_oracle_on_the_desk_scale_federation():
@@ -172,29 +179,29 @@ def test_partition_matches_the_oracle_on_the_desk_scale_federation():
     for seed in range(20):
         ds = data.generate_synthetic(4, 16, 375, 3.0, 1.5, seed)
         _, rest = data.extract_unlabeled(ds, 100, seed)
-        spec = PartitionSpec(20, alpha_label=0.5, alpha_size=10.0, seed=seed)
-        _assert_same_parts(data.dirichlet_partition(rest, spec),
-                           _bucket_partition(rest, spec))
+        spec = dict(alpha_label=0.5, alpha_size=10.0, seed=seed)
+        _assert_same_parts(data.dirichlet_partition(rest, 20, **spec),
+                           _bucket_partition(rest, 20, **spec))
 
 
 def test_partition_iid_sizes_balanced():
     ds = _toy(103, 3)
-    parts = data.dirichlet_partition(ds, PartitionSpec(10, alpha_label=None, seed=1))
+    parts = data.dirichlet_partition(ds, 10, alpha_label=None, alpha_size=10.0, seed=1)
     sizes = [len(p) for p in parts]
     assert max(sizes) - min(sizes) <= 1
 
 
 def test_partition_deterministic():
     ds = _toy(150, 4)
-    a = data.dirichlet_partition(ds, PartitionSpec(5, seed=9))
-    b = data.dirichlet_partition(ds, PartitionSpec(5, seed=9))
+    a, b = (data.dirichlet_partition(ds, 5, alpha_label=0.5, alpha_size=10.0, seed=9)
+            for _ in range(2))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_partition_infeasible():
     ds = _toy(10, 4)
     with pytest.raises(ValueError):
-        data.dirichlet_partition(ds, PartitionSpec(5, seed=0))
+        data.dirichlet_partition(ds, 5, alpha_label=0.5, alpha_size=10.0, seed=0)
 
 
 def test_label_skew_bounds_and_uniform_case():
@@ -210,8 +217,8 @@ def test_label_skew_monotone_in_alpha():
     for alpha in (0.1, 0.5, 5.0, None):
         skews = []
         for seed in range(20):
-            spec = PartitionSpec(8, alpha_label=alpha, seed=seed)
-            parts = data.dirichlet_partition(ds, spec)
+            parts = data.dirichlet_partition(ds, 8, alpha_label=alpha,
+                                             alpha_size=10.0, seed=seed)
             skews.append(data.label_skew([ds.labels[p] for p in parts], 4))
         means[alpha] = np.mean(skews)
     assert means[0.1] > means[0.5] > means[5.0] > means[None]
@@ -230,7 +237,7 @@ def test_split_shard_partitions_and_ratio():
 def _assert_views_of_stack(shard):
     splits = (shard.train, shard.validation, shard.test)
     assert shard.ends == (0, shard.train.n, shard.train.n + shard.validation.n,
-                          shard.n)
+                          len(shard.labels))
     for split, a, b in zip(splits, shard.ends, shard.ends[1:]):
         assert np.shares_memory(split.features, shard.features)
         assert np.shares_memory(split.labels, shard.labels)
@@ -276,7 +283,7 @@ def test_client_shard_checks_its_ends_against_its_rows():
     features, labels = rng.normal(size=(11, 3)), rng.integers(0, 2, size=11)
     shard = data.ClientShard(features, labels, (0, 5, 7, 11), 2)
     _assert_views_of_stack(shard)
-    assert shard.ends == (0, 5, 7, 11) and shard.n == 11
+    assert shard.ends == (0, 5, 7, 11) and len(shard.labels) == 11
     for ends in [(1, 5, 7, 11), (0, 5, 7, 10), (0, 5, 7, 12)]:
         with pytest.raises(ValueError, match="do not run from 0"):
             data.ClientShard(features, labels, ends, 2)
@@ -287,7 +294,7 @@ def test_client_shard_checks_its_ends_against_its_rows():
 def test_split_shard_rounding_keeps_total():
     ds = _toy(100, 4)
     shard = data.split_shard(ds, np.arange(23), seed=1)
-    assert shard.n == 23
+    assert len(shard.labels) == 23
     assert min(shard.train.n, shard.validation.n, shard.test.n) >= 1
 
 

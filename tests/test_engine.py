@@ -356,11 +356,9 @@ def test_run_fedme_exchange_off_runs_the_empty_plan(monkeypatch):
     _, records, _ = engine.run_fedme(shards, archs, None, config)
     assert len(records) == 3 * 5
     for r in records:
-        assert r.k == 1 and r.a == r.client
-        assert r.cluster == 0 and r.donor is None
+        assert r.k == 1 and r.cluster is None and r.donor is None and r.a is None
         assert r.loss_ex_train is None and r.loss_ex_val is None
-    _, local, _ = baselines.run_local_only(shards, archs, config)
-    assert [(r.k, r.donor) for r in local] == [(1, None)] * 15
+    assert baselines.run_local_only(shards, archs, config)[1] == records
 
 
 def test_local_only_scores_each_round_on_its_redistributed_models(monkeypatch):
@@ -431,10 +429,11 @@ def test_fine_tune_deterministic_and_nondestructive():
     model = nn.init_model(ARCH, 0)
     frozen = model.params.copy()
     params = FedMeConfig(rounds=1, epochs=3, lr=0.05, seed=5)
-    (t1,) = engine.fine_tune([model], [shard], params)
-    (t2,) = engine.fine_tune([model], [shard], params)
-    assert np.array_equal(t1.params, t2.params)
+    (t1,), (acc1,) = engine.fine_tune([model], [shard], params)
+    (t2,), (acc2,) = engine.fine_tune([model], [shard], params)
+    assert np.array_equal(t1.params, t2.params) and acc1 == acc2
     assert np.array_equal(model.params, frozen)
     before, _ = nn.evaluate(model, shard.train.features, shard.train.labels)
     after, _ = nn.evaluate(t1, shard.train.features, shard.train.labels)
     assert after < before
+    assert acc1 == nn.evaluate(t1, shard.test.features, shard.test.labels)[1]

@@ -133,7 +133,7 @@ def test_build_federation_shapes():
     shards, pool = build_federation(config, 0)
     assert len(shards) == 4
     assert len(pool) == 20
-    assert sum(s.n for s in shards) == 3 * 40 - 20
+    assert sum(len(s.labels) for s in shards) == 3 * 40 - 20
     assert all(s.train.n >= 1 and s.validation.n >= 1 and s.test.n >= 1
                for s in shards)
 

@@ -17,10 +17,7 @@ EXEMPT = {"nn.deserialize_model"}
 # Each public method or property name that several package classes define,
 # with a use of each class's. A new shared name fails the test below until
 # its uses are reviewed and listed here.
-SHARED = {
-    "n": {"data.Dataset": "data.dirichlet_partition reads dataset.n",
-          "data.ClientShard": "cli._cmd_partition reads shard.n"},
-}
+SHARED = {}
 
 
 def _parse(path):
@@ -123,3 +120,39 @@ def test_every_shared_public_method_name_is_listed():
             owners.setdefault(name, set()).add(cls)
     assert {name: classes for name, classes in owners.items() if len(classes) > 1} == {
         name: set(uses) for name, uses in SHARED.items()}
+
+
+# the classes that declare the settings: every `ExperimentConfig` field,
+# its own and those it inherits from `FedMeConfig`, with its default
+CONFIGS = ("engine.FedMeConfig", "harness.ExperimentConfig")
+
+
+def _defaulted_settings(modules):
+    """'module.function(name)' of each function parameter, and
+    'module.Class.name' of each class field, that is named like a setting
+    and given a default outside `CONFIGS`."""
+    classes = {f"{module}.{node.name}": node for module, tree in modules.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    settings = {node.target.id for name in CONFIGS for node in classes[name].body
+                if isinstance(node, ast.AnnAssign)}
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                found += [f"{module}.{getattr(node, 'name', 'lambda')}({a.arg})"
+                          for a in defaulted if a.arg in settings]
+    for name, cls in classes.items():
+        if name not in CONFIGS:
+            found += [f"{name}.{field.target.id}" for field in cls.body
+                      if isinstance(field, ast.AnnAssign) and field.value
+                      and field.target.id in settings]
+    return found
+
+
+def test_each_setting_has_its_default_only_in_the_config():
+    # a setting with a second default can drift from the config file's
+    assert _defaulted_settings(_modules()) == []
